@@ -1,25 +1,32 @@
-"""Frozen row-at-a-time reference engine (the differential-testing oracle).
+"""Row-at-a-time engine: the differential-testing oracle and the row path.
 
-This module preserves the original "straightforward iterator-free
-materialising engine" exactly as it was before the columnar rework of
-:mod:`repro.engine.executor`: every relation is a list of per-row binding
-dicts, every predicate and projection is evaluated one row environment at a
-time through :class:`~repro.engine.evaluator.Evaluator`, joins are nested
-loops, and grouping is a sequential scan.
+Every relation is a list of per-row binding dicts, every predicate and
+projection is evaluated one row environment at a time through
+:class:`~repro.engine.evaluator.Evaluator`, joins are nested loops, and
+grouping is a sequential scan. This is the original "straightforward
+iterator-free materialising engine" the columnar rework started from.
 
-It exists so the equivalence suite (``tests/test_engine_equivalence.py``)
-can execute every statement through *both* engines and assert identical
-``Result.comparable()`` output — the columnar engine's fast paths (hash
-joins, vectorized predicates, hash grouping, the logical rewrite pass) are
-only trusted because this oracle agrees with them on the whole SQL corpus
-and every workload query. Do not "optimise" this module; its value is that
-it stays dumb.
+It has two jobs:
 
-Supported surface is identical to the executor's: CTEs (including
-references between CTEs), derived tables, all join kinds, WHERE/GROUP
-BY/HAVING, aggregates (with DISTINCT), window functions, correlated
-subqueries (scalar/IN/EXISTS), set operations, DISTINCT, ORDER BY
-(expressions, output aliases, ordinals), LIMIT/OFFSET.
+* **Oracle.** The equivalence suite (``tests/test_engine_equivalence.py``)
+  executes every statement through both :class:`ReferenceExecutor` and the
+  columnar :class:`~repro.engine.executor.Executor` and asserts identical
+  ``Result.comparable()`` output and identical errors. The columnar fast
+  paths (hash joins, vectorized predicates, hash grouping, the logical
+  rewrite pass) are trusted only because this engine agrees with them.
+* **Row path.** :class:`~repro.engine.executor.Executor` subclasses
+  :class:`ReferenceExecutor`: whatever stage the vector compiler cannot
+  express (window functions, correlated subqueries, ambiguous references)
+  continues in :meth:`ReferenceExecutor._select_rows`, and a statement that
+  raises during columnar execution is re-run here on its unoptimised tree.
+
+Do not "optimise" this module: its value is that it stays dumb, and that
+now protects both the oracle and the executor's fallback.
+
+Supported: CTEs (including references between CTEs), derived tables, all
+join kinds, WHERE/GROUP BY/HAVING, aggregates (with DISTINCT), window
+functions, correlated subqueries (scalar/IN/EXISTS), set operations,
+DISTINCT, ORDER BY (expressions, output aliases, ordinals), LIMIT/OFFSET.
 """
 
 from __future__ import annotations
@@ -35,8 +42,7 @@ from .evaluator import (
     contains_aggregate,
     find_window_functions,
 )
-from .executor import Result
-from .values import comparable_cell, sort_key
+from .values import Result, comparable_cell, sort_key
 from .window import evaluate_window, order_key_tuple
 
 
@@ -171,7 +177,17 @@ class ReferenceExecutor:
 
     def _execute_select(self, select, outer_env):
         schema, row_envs = self._resolve_from(select.from_clause, outer_env)
-        if select.where is not None:
+        return self._select_rows(
+            select, schema, row_envs, outer_env, apply_where=True
+        )
+
+    def _select_rows(self, select, schema, row_envs, outer_env, apply_where):
+        """Run a SELECT over already-resolved FROM rows.
+
+        ``apply_where`` is False when the caller has filtered ``row_envs``
+        by WHERE already (the executor's columnar stages do).
+        """
+        if apply_where and select.where is not None:
             row_envs = [
                 env for env in row_envs
                 if self._evaluator.evaluate_predicate(select.where, env)
@@ -205,7 +221,11 @@ class ReferenceExecutor:
     # -- FROM ----------------------------------------------------------
 
     def _resolve_from(self, node, outer_env):
-        """Return (schema, row environments)."""
+        """Return (schema, row environments).
+
+        ``schema`` is an ordered list of (binding, column names); each row
+        environment binds every relation in scope for that row.
+        """
         if node is None:
             return [], [Environment({}, parent=outer_env)]
         schema, rows = self._from_item(node, outer_env)
@@ -354,7 +374,7 @@ class ReferenceExecutor:
 
     # -- windows ----------------------------------------------------------
 
-    def _compute_windows(self, select, row_envs):
+    def _window_nodes(self, select):
         nodes = []
         for item in select.items:
             nodes.extend(find_window_functions(item.expr))
@@ -362,6 +382,10 @@ class ReferenceExecutor:
             nodes.extend(find_window_functions(order_item.expr))
         if select.having is not None:
             nodes.extend(find_window_functions(select.having))
+        return nodes
+
+    def _compute_windows(self, select, row_envs):
+        nodes = self._window_nodes(select)
         if not nodes:
             return
         for env in row_envs:
@@ -509,7 +533,7 @@ class ReferenceExecutor:
 
 
 # ---------------------------------------------------------------------------
-# helpers (frozen copies — the executor's may evolve independently)
+# helpers
 # ---------------------------------------------------------------------------
 
 
@@ -548,8 +572,3 @@ def _dedupe_pairs(rows_with_envs):
             seen.add(key)
             output.append((row, env))
     return output
-
-
-def reference_execute_sql(database, sql):
-    """Parse and execute ``sql`` on the frozen row-at-a-time reference path."""
-    return ReferenceExecutor(database).execute(sql)

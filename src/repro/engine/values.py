@@ -4,12 +4,15 @@ Python values stand in for SQL values: ``int``/``float`` for numerics,
 ``str`` for text, ``bool`` for booleans, :class:`datetime.date` for dates,
 and ``None`` for SQL NULL. This module centralises the SQL-specific rules —
 three-valued logic, NULL-propagating arithmetic, cross-type comparison, CAST
-— so the evaluator and the aggregate implementations stay thin.
+— so the evaluator and the aggregate implementations stay thin. It also
+owns :class:`Result`, whose :meth:`~Result.comparable` form (built on
+:func:`comparable_cell`) is what Execution Accuracy compares.
 """
 
 from __future__ import annotations
 
 import datetime
+from operator import itemgetter
 
 from .errors import TypeMismatchError
 
@@ -358,3 +361,45 @@ def comparable_cell(value, float_places=6):
     if isinstance(value, datetime.date):
         return value.isoformat()
     return value
+
+
+# ---------------------------------------------------------------------------
+# Query results
+# ---------------------------------------------------------------------------
+
+
+class Result:
+    """A query result: ordered column names and tuple rows."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns, rows):
+        self.columns = list(columns)
+        self.rows = [tuple(row) for row in rows]
+
+    def comparable(self):
+        """Multiset of normalised rows, for Execution Accuracy comparison.
+
+        Sort keys are precomputed once per row (decorate–sort–undecorate);
+        the sort itself only ever compares key tuples.
+        """
+        normalised = [
+            tuple(comparable_cell(value) for value in row)
+            for row in self.rows
+        ]
+        decorated = [
+            (tuple(map(_stable_key, row)), row) for row in normalised
+        ]
+        decorated.sort(key=itemgetter(0))
+        return [row for _keys, row in decorated]
+
+    def __repr__(self):
+        return f"Result({self.columns!r}, {len(self.rows)} rows)"
+
+
+def _stable_key(value):
+    if value is None:
+        return (0, "")
+    if isinstance(value, (int, float)):
+        return (1, float(value))
+    return (2, str(value))

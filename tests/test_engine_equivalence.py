@@ -17,10 +17,9 @@ import pathlib
 
 import pytest
 
-from repro.engine import ExecutionError, Executor, Result
-from repro.engine.executor import _stable_key
+from repro.engine import ExecutionError, Executor, Result, engine_snapshot
 from repro.engine.reference import ReferenceExecutor
-from repro.engine.values import comparable_cell
+from repro.engine.values import _stable_key, comparable_cell
 from repro.sql.errors import SqlError
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "fixtures" / "sql_corpus"
@@ -210,3 +209,71 @@ class TestComparableContract:
         # the same normalised tuple and the multiset keeps both copies.
         assert comparable.count((1.0, "x")) == 2
         assert len(comparable) == 3
+
+
+_PATH_COUNTERS = (
+    "columnar_selects", "row_fallback_selects", "hash_joins", "loop_joins",
+    "error_reruns",
+)
+
+
+def _path_deltas(database, sql):
+    """Run ``sql`` on the executor; return (outcome, engine counter deltas)."""
+    before = engine_snapshot()
+    outcome = _outcome(Executor, database, sql)
+    after = engine_snapshot()
+    return outcome, {key: after[key] - before[key] for key in _PATH_COUNTERS}
+
+
+class TestExecutionPaths:
+    """Each query shape takes the path the executor promises for it.
+
+    Equivalence alone cannot see a query silently moving between the
+    columnar engine, the row fallback and the error rerun; the engine
+    counters can.
+    """
+
+    def test_correlated_subquery_falls_back_but_inner_stays_columnar(
+        self, demo_db
+    ):
+        outcome, deltas = _path_deltas(
+            demo_db,
+            "SELECT EMP_NAME FROM EMP E WHERE SALARY > (SELECT AVG(SALARY)"
+            " FROM EMP WHERE DEPT_ID = E.DEPT_ID)",
+        )
+        assert outcome[0] == "ok"
+        assert deltas["row_fallback_selects"] == 1
+        # The row path reaches the subquery through the executor's own
+        # _execute_select, so each inner SELECT still runs columnar.
+        assert deltas["columnar_selects"] >= 1
+        assert deltas["error_reruns"] == 0
+
+    def test_window_function_falls_back(self, demo_db):
+        outcome, deltas = _path_deltas(
+            demo_db,
+            "SELECT EMP_NAME, RANK() OVER (PARTITION BY DEPT_ID ORDER BY"
+            " SALARY DESC) FROM EMP",
+        )
+        assert outcome[0] == "ok"
+        assert deltas["row_fallback_selects"] == 1
+        assert deltas["columnar_selects"] == 0
+        assert deltas["error_reruns"] == 0
+
+    def test_equi_join_hashes(self, demo_db):
+        outcome, deltas = _path_deltas(
+            demo_db,
+            "SELECT E.EMP_NAME, D.DEPT_NAME FROM EMP E JOIN DEPT D"
+            " ON E.DEPT_ID = D.DEPT_ID",
+        )
+        assert outcome[0] == "ok"
+        assert deltas == {
+            "columnar_selects": 1, "row_fallback_selects": 0,
+            "hash_joins": 1, "loop_joins": 0, "error_reruns": 0,
+        }
+
+    def test_error_reruns_once_on_the_row_engine(self, demo_db):
+        sql = "SELECT NOPE FROM EMP"
+        outcome, deltas = _path_deltas(demo_db, sql)
+        assert outcome[0] == "error"
+        assert deltas["error_reruns"] == 1
+        assert outcome == _outcome(ReferenceExecutor, demo_db, sql)

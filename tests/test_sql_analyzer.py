@@ -1,19 +1,21 @@
-"""Analyzer tests: semantic validation against a catalog."""
+"""Semantic validation against a catalog: the diagnostics engine's
+error-level findings, named by rule slug."""
 
 import pytest
 
-from repro.sql.analyzer import Analyzer
+from repro.sql.diagnostics import DiagnosticsEngine
 from repro.sql.errors import SqlAnalysisError
 from repro.sql.parser import parse
 
 
 @pytest.fixture()
 def analyzer(demo_db):
-    return Analyzer(demo_db)
+    return DiagnosticsEngine(demo_db)
 
 
 def issues(analyzer, sql):
-    return [issue.kind for issue in analyzer.analyze(parse(sql))]
+    """Slugs of the error-level diagnostics ``sql`` raises."""
+    return [diag.slug for diag in analyzer.run(parse(sql)) if diag.is_error]
 
 
 class TestCleanQueries:
@@ -103,6 +105,14 @@ class TestDetection:
     def test_check_raises_on_first_issue(self, analyzer):
         with pytest.raises(SqlAnalysisError):
             analyzer.check(parse("SELECT x FROM nope"))
+
+    def test_check_ignores_warnings(self, analyzer):
+        # GE017 (value-domain) is warning-level: reported, never raised.
+        query = parse("SELECT DEPT_NAME FROM DEPT WHERE REGION = 'west'")
+        assert [diag.code for diag in analyzer.run(query)] == ["GE017"]
+        assert issues(analyzer, "SELECT DEPT_NAME FROM DEPT "
+                      "WHERE REGION = 'west'") == []
+        analyzer.check(query)
 
     def test_group_by_alias_allowed(self, analyzer):
         assert issues(

@@ -202,17 +202,6 @@ class TestDiagnosticRecords:
         assert 0 < severity_score(warned) < severity_score(errored)
         assert error_count(errored) == 1 and warning_count(warned) == 1
 
-    def test_analyzer_shim_reports_errors_only(self, demo_db):
-        from repro.sql import Analyzer, parse
-
-        analyzer = Analyzer(demo_db)
-        issues = analyzer.analyze(
-            parse("SELECT DEPT_NAME FROM DEPT WHERE REGION = 'west'")
-        )
-        assert issues == []  # warnings are not legacy issues
-        issues = analyzer.analyze(parse("SELECT EMP_NAM FROM EMP"))
-        assert [issue.kind for issue in issues] == ["unknown-column"]
-
 
 class TestEngineRegistryAgreement:
     """Satellite: lint function tables cannot drift from the engine's."""
@@ -226,11 +215,6 @@ class TestEngineRegistryAgreement:
         from repro.engine.window import RANKING_FUNCTIONS
 
         assert window_functions() is RANKING_FUNCTIONS
-
-    def test_legacy_private_alias(self):
-        from repro.sql import analyzer
-
-        assert analyzer._AGGREGATES == aggregate_functions()
 
 
 class TestGoldSweep:
