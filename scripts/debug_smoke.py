@@ -11,7 +11,8 @@ debug surface end to end:
    pool);
 2. ``GET /metrics`` is scraped and written to ``argv[1]`` for the
    promtext linter (the Makefile pipes it through
-   ``scripts/check_promtext.py``);
+   ``scripts/check_promtext.py``); it must carry the serving counters and
+   the engine counters the served ``/ask`` just bumped;
 3. a required operator is made to raise, a second ``/ask`` fails, and
    the failure must be fully reconstructable from ``GET /debug/errors``
    without re-running: retention class ``failed``, the operator digest
@@ -94,8 +95,9 @@ def main(argv):
         status, headers, text = request(server.port, "GET", "/metrics")
         if status != 200 or not isinstance(text, str):
             return fail(f"/metrics answered {status}")
-        if "serve_requests" not in text:
-            return fail("/metrics missing serve_requests")
+        for family in ("serve_requests", "engine_columnar_selects_total"):
+            if family not in text:
+                return fail(f"/metrics missing {family}")
         with open(metrics_out, "w", encoding="utf-8") as handle:
             handle.write(text)
 

@@ -7,16 +7,18 @@ constructs a fresh :class:`~repro.engine.executor.Executor` per EX check.
 
 * one executor per database, reused for every statement against it;
 * the *comparable* result multiset of each ``(database, sql)`` pair is
-  memoized — keyed on the database's mutation :attr:`version
-  <repro.engine.database.Database.version>` so inserting a row or adding a
-  table transparently invalidates every stale entry.
+  memoized in a per-database table tagged with the database's mutation
+  :attr:`version <repro.engine.database.Database.version>`: inserting a
+  row or adding a table makes the next lookup swap in a fresh table, which
+  drops every stale entry at once.
 
 Execution failures are memoized too (as the error text), so a predicted
 statement that fails once does not re-parse and re-fail on every retry.
 
-The cache is safe to share across threads: entries are immutable once
-stored and dict operations are atomic; concurrent misses at worst compute
-the same entry twice.
+The harness's per-database worker threads share one cache. Each writes
+only its own database's table and nothing iterates a table, so concurrent
+misses at worst compute the same entry twice (the ``hits``/``misses``
+tallies are unlocked and may undercount under contention).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class EvaluationCache:
         # id(database) -> (database, executor); the strong reference keeps
         # the id stable for the cache's lifetime.
         self._executors = {}
+        # id(database) -> (version, {sql: entry})
         self._results = {}
         self.hits = 0
         self.misses = 0
@@ -69,12 +72,15 @@ class EvaluationCache:
         """The comparable multiset of ``sql`` on ``database``, memoized.
 
         Raises :class:`CachedExecutionError` when the statement fails (and
-        remembers the failure). The key includes ``database.version``, so
-        any sanctioned mutation bypasses stale entries; old versions are
-        evicted eagerly to keep the cache from growing per mutation.
+        remembers the failure). Entries are tagged with
+        ``database.version``, so any sanctioned mutation replaces the
+        database's whole table rather than serving stale results.
         """
-        key = (id(database), database.version, sql)
-        entry = self._results.get(key)
+        version, results = self._results.get(id(database), (None, None))
+        if version != database.version:
+            results = {}
+            self._results[id(database)] = (database.version, results)
+        entry = results.get(sql)
         if entry is None:
             self.misses += 1
             get_metrics().inc("eval_cache.misses")
@@ -83,22 +89,13 @@ class EvaluationCache:
                 entry = (_OK, executor.execute(sql).comparable())
             except (SqlError, ExecutionError) as error:
                 entry = (_ERR, str(error))
-            self._evict_stale(id(database), database.version)
-            self._results[key] = entry
+            results[sql] = entry
         else:
             self.hits += 1
             get_metrics().inc("eval_cache.hits")
         if entry[0] == _ERR:
             raise CachedExecutionError(entry[1])
         return entry[1]
-
-    def _evict_stale(self, database_id, version):
-        stale = [
-            key for key in self._results
-            if key[0] == database_id and key[1] != version
-        ]
-        for key in stale:
-            del self._results[key]
 
     # -- maintenance -----------------------------------------------------
 
@@ -113,16 +110,19 @@ class EvaluationCache:
             self._executors.clear()
             return
         self._executors.pop(id(database), None)
-        self._results = {
-            key: entry for key, entry in self._results.items()
-            if key[0] != id(database)
-        }
+        self._results.pop(id(database), None)
+
+    def _entries(self):
+        """Number of memoized results across all databases."""
+        return sum(
+            len(results) for _version, results in list(self._results.values())
+        )
 
     def stats(self):
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "entries": len(self._results),
+            "entries": self._entries(),
             "executors": len(self._executors),
         }
 
@@ -132,11 +132,11 @@ class EvaluationCache:
             hits=self.hits,
             misses=self.misses,
             maxsize=None,
-            currsize=len(self._results),
+            currsize=self._entries(),
         )
 
     def __repr__(self):
         return (
-            f"EvaluationCache({len(self._results)} entries, "
+            f"EvaluationCache({self._entries()} entries, "
             f"{self.hits} hits, {self.misses} misses)"
         )

@@ -700,8 +700,7 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
     v2 payloads (no ``engine`` key) still load everywhere profiles are
     consumed — readers treat the section as optional.
     """
-    from ..engine.stats import engine_snapshot, publish_engine_gauges, \
-        reset_engine_stats
+    from ..engine.stats import engine_snapshot, reset_engine_stats
 
     reset_engine_stats()
     context = context or ExperimentContext()
@@ -754,7 +753,6 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
         "generate": round(generate_s, 4),
         "execute": round(execute_s, 4),
     }
-    publish_engine_gauges()
     payload = {
         "schema_version": PROFILE_SCHEMA_VERSION,
         "seed": context.seed,

@@ -11,19 +11,13 @@ from .errors import (
 )
 from .executor import Executor, Result, execute_sql
 from .explain import explain
-from .stats import (
-    ENGINE_STATS,
-    engine_snapshot,
-    publish_engine_gauges,
-    reset_engine_stats,
-)
+from .stats import engine_snapshot, reset_engine_stats
 from .table import Column, Table, TableProfile, profile_table
 
 __all__ = [
     "AmbiguousColumnError",
     "Column",
     "Database",
-    "ENGINE_STATS",
     "ExecutionError",
     "Executor",
     "Result",
@@ -37,6 +31,5 @@ __all__ = [
     "execute_sql",
     "explain",
     "profile_table",
-    "publish_engine_gauges",
     "reset_engine_stats",
 ]

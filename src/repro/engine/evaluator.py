@@ -15,7 +15,9 @@ from __future__ import annotations
 import datetime
 import re
 import threading
+from time import perf_counter
 
+from ..obs.metrics import METRICS
 from ..sql import ast_nodes as ast
 from .aggregates import compute_aggregate, is_aggregate_function
 from .errors import (
@@ -792,17 +794,16 @@ def compile_vector(node, schema, has_outer, bound_ids=frozenset()):
 # so they are cached per (database name+version, FROM-schema signature,
 # expression digest) and shared across executor instances.
 #
-# The serving layer executes on a thread pool, so cache lookups, counter
-# updates, the cap-triggered clear, and reset_engine_stats() can all race.
-# _CACHE_LOCK serialises every touch of _COMPILED_CACHE/_COMPILED_STATS;
-# the compile itself (the expensive part) runs outside the lock, so at
-# worst two threads compile the same key once each and the second insert
-# wins — identical closures either way.
+# The serving layer executes on a thread pool, so cache lookups, the
+# cap-triggered clear, and reset_engine_stats() can all race. _CACHE_LOCK
+# serialises every touch of _COMPILED_CACHE (hits, misses and fallbacks
+# are engine.predicate_cache.* registry counters); the compile itself runs
+# outside the lock, so at worst two threads compile the same key once
+# each and the second insert wins — identical closures either way.
 
 _CACHE_LOCK = threading.Lock()
 _COMPILED_CACHE = {}
 _COMPILED_CACHE_CAP = 4096
-_COMPILED_STATS = {"hits": 0, "misses": 0, "fallbacks": 0}
 _FALLBACK_SENTINEL = object()
 
 
@@ -849,52 +850,37 @@ def compiled_expression(node, database, schema, has_outer,
     )
     with _CACHE_LOCK:
         cached = _COMPILED_CACHE.get(key)
-        if cached is not None:
-            _COMPILED_STATS["hits"] += 1
-        else:
-            _COMPILED_STATS["misses"] += 1
-            if len(_COMPILED_CACHE) >= _COMPILED_CACHE_CAP:
-                _COMPILED_CACHE.clear()
+        if cached is None and len(_COMPILED_CACHE) >= _COMPILED_CACHE_CAP:
+            _COMPILED_CACHE.clear()
     if cached is not None:
+        METRICS.inc("engine.predicate_cache.hits")
         if cached is _FALLBACK_SENTINEL:
             raise VectorFallback(key[-1])
         return cached
-    from time import perf_counter
-
-    from .stats import add_time
-
+    METRICS.inc("engine.predicate_cache.misses")
     started = perf_counter()
     try:
         closure, cacheable = compile_vector(node, schema, has_outer)
     except VectorFallback:
+        METRICS.inc("engine.predicate_cache.fallbacks")
         with _CACHE_LOCK:
-            _COMPILED_STATS["fallbacks"] += 1
             _COMPILED_CACHE[key] = _FALLBACK_SENTINEL
         raise
     finally:
-        add_time("compile_s", perf_counter() - started)
+        METRICS.inc("engine.compile_s", perf_counter() - started)
     if cacheable:
         with _CACHE_LOCK:
             _COMPILED_CACHE[key] = closure
     return closure
 
 
-def vector_cache_stats():
-    """Hit/miss/fallback counters plus current entry count."""
-    with _CACHE_LOCK:
-        stats = dict(_COMPILED_STATS)
-        stats["entries"] = len(_COMPILED_CACHE)
-    return stats
+def compiled_cache_size():
+    """Number of entries in the compiled-expression cache."""
+    return len(_COMPILED_CACHE)
 
 
 def reset_vector_cache():
-    """Clear the compiled cache and its counters (tests, benchmarks).
-
-    Atomic with respect to a concurrent compile: a racing thread can land
-    one fresh entry after the clear, but never observes a half-reset
-    counter dict.
-    """
+    """Clear the compiled cache (tests, benchmarks; see
+    :func:`~repro.engine.stats.reset_engine_stats`)."""
     with _CACHE_LOCK:
         _COMPILED_CACHE.clear()
-        for key in _COMPILED_STATS:
-            _COMPILED_STATS[key] = 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 import datetime
 from operator import itemgetter
 
+from ..obs.metrics import METRICS
 from ..sql import ast_nodes as ast
 from ..sql.parser import parse_cached
 from ..sql.rewriter import optimize_for_execution
@@ -46,7 +47,6 @@ from .evaluator import (
     contains_aggregate,
 )
 from .reference import ReferenceExecutor, _row_key
-from .stats import bump
 from .values import Result, comparable_cell, sort_key
 
 _EMPTY_MATCHES = ()
@@ -73,7 +73,7 @@ class Executor(ReferenceExecutor):
             optimized = optimize_for_execution(query, self.database)
             return self._execute_query(optimized, outer_env=None)
         except ExecutionError:
-            bump("error_reruns")
+            METRICS.inc("engine.error_reruns")
             return ReferenceExecutor(self.database).execute(query)
 
     # -- SELECT ----------------------------------------------------------
@@ -82,7 +82,7 @@ class Executor(ReferenceExecutor):
         try:
             return self._select_columnar(select, outer_env)
         except VectorFallback:  # pragma: no cover - staged internally
-            bump("row_fallback_selects")
+            METRICS.inc("engine.row_fallback_selects")
         return super()._execute_select(select, outer_env)
 
     # -- columnar pipeline -----------------------------------------------------
@@ -96,7 +96,7 @@ class Executor(ReferenceExecutor):
                     select.where, self.database, relation.schema, has_outer
                 )
             except VectorFallback:
-                bump("row_fallback_selects")
+                METRICS.inc("engine.row_fallback_selects")
                 return self._select_rows(
                     select, relation.schema,
                     self._relation_envs(relation, outer_env),
@@ -114,7 +114,7 @@ class Executor(ReferenceExecutor):
                 if len(keep) != relation.count:
                     relation = relation.take(keep)
         if self._window_nodes(select):
-            bump("row_fallback_selects")
+            METRICS.inc("engine.row_fallback_selects")
             return self._select_rows(
                 select, relation.schema,
                 self._relation_envs(relation, outer_env),
@@ -124,13 +124,13 @@ class Executor(ReferenceExecutor):
             try:
                 result = self._grouped_columnar(select, relation, outer_env)
             except VectorFallback:
-                bump("row_fallback_selects")
+                METRICS.inc("engine.row_fallback_selects")
                 return self._select_rows(
                     select, relation.schema,
                     self._relation_envs(relation, outer_env),
                     outer_env, apply_where=False,
                 )
-            bump("columnar_selects")
+            METRICS.inc("engine.columnar_selects")
             return result
         if select.having is not None:
             raise ExecutionError("HAVING without GROUP BY or aggregates")
@@ -140,13 +140,13 @@ class Executor(ReferenceExecutor):
                 bound_ids=frozenset(),
             )
         except VectorFallback:
-            bump("row_fallback_selects")
+            METRICS.inc("engine.row_fallback_selects")
             return self._select_rows(
                 select, relation.schema,
                 self._relation_envs(relation, outer_env),
                 outer_env, apply_where=False,
             )
-        bump("columnar_selects")
+        METRICS.inc("engine.columnar_selects")
         return result
 
     def _relation_envs(self, relation, outer_env):
@@ -224,7 +224,7 @@ class Executor(ReferenceExecutor):
             keys = []
         residual = conjuncts[len(keys):]
         if keys:
-            bump("hash_joins")
+            METRICS.inc("engine.hash_joins")
             left_arrays = [left.array(*left_key) for left_key, _ in keys]
             right_arrays = [right.array(*right_key) for _, right_key in keys]
             index = {}
@@ -243,7 +243,7 @@ class Executor(ReferenceExecutor):
                         index.get(key, _EMPTY_MATCHES)
                     )
         else:
-            bump("loop_joins")
+            METRICS.inc("engine.loop_joins")
             all_right = list(range(right.count))
             matches_per_left = [all_right] * left.count
         if residual:

@@ -1,96 +1,48 @@
-"""Module-level engine counters for the columnar execution pipeline.
+"""Engine counters, read back from the metrics registry.
 
-The bench profile (schema v3) reports a per-run engine breakdown: time in
-the logical-rewrite pass, time compiling vector closures, and how often the
-executor ran fully columnar versus falling back to the row path. Counters
-are process-global because compiled closures and rewritten plans are shared
-across executor instances — resetting happens at profile boundaries.
-
-Concurrency: the serving layer (DESIGN.md §6h) drives many executors from
-a worker pool, so every read-modify-write on :data:`ENGINE_STATS` goes
-through :data:`STATS_LOCK` (via :func:`bump` / :func:`add_time`). A bare
-``ENGINE_STATS[key] += 1`` from two threads loses increments under the
-GIL's bytecode interleaving; the locked helpers make the counters exact —
-the thread-safety regression tests count on it literally.
+The executor, the logical rewriter and the compiled-predicate cache count
+straight into :data:`repro.obs.metrics.METRICS` under the ``engine.``
+prefix (``engine.columnar_selects``, ``engine.rewrite_s``,
+``engine.predicate_cache.hits`` …), so a live server's ``/metrics`` shows
+them and the registry's lock keeps them exact under the serving layer's
+worker pool. :func:`engine_snapshot` is the bench profile's (schema v3)
+view of them; :func:`reset_engine_stats` zeroes them at profile
+boundaries (they are process-global because compiled closures and
+rewritten plans are shared across executor instances).
 """
 
 from __future__ import annotations
 
-import threading
+from ..obs.metrics import METRICS
 
-_ZERO = {
-    "rewrite_s": 0.0,
-    "compile_s": 0.0,
-    "columnar_selects": 0,
-    "row_fallback_selects": 0,
-    "error_reruns": 0,
-    "hash_joins": 0,
-    "loop_joins": 0,
-}
-
-ENGINE_STATS = dict(_ZERO)
-
-#: Guards every compound update of :data:`ENGINE_STATS` (and, in
-#: :mod:`repro.engine.evaluator`, the compiled-expression cache counters).
-STATS_LOCK = threading.Lock()
-
-
-def bump(key, amount=1):
-    """Atomically increment an engine counter."""
-    with STATS_LOCK:
-        ENGINE_STATS[key] += amount
-
-
-def add_time(key, seconds):
-    """Atomically accumulate a wall-clock stat (``rewrite_s``/``compile_s``)."""
-    with STATS_LOCK:
-        ENGINE_STATS[key] += seconds
+_COUNTERS = ("rewrite_s", "compile_s", "columnar_selects",
+             "row_fallback_selects", "error_reruns", "hash_joins",
+             "loop_joins")
 
 
 def engine_snapshot():
-    """Current counters plus compiled-expression cache statistics."""
-    from .evaluator import vector_cache_stats
+    """Current engine counters plus compiled-expression cache statistics."""
+    from .evaluator import compiled_cache_size
 
-    with STATS_LOCK:
-        snapshot = dict(ENGINE_STATS)
-    snapshot["rewrite_s"] = round(snapshot["rewrite_s"], 6)
-    snapshot["compile_s"] = round(snapshot["compile_s"], 6)
-    snapshot["predicate_cache"] = vector_cache_stats()
+    snapshot = {
+        key: METRICS.counter_value(f"engine.{key}") for key in _COUNTERS
+    }
+    for key in ("rewrite_s", "compile_s"):
+        snapshot[key] = round(float(snapshot[key]), 6)
+    cache = {
+        key: METRICS.counter_value(f"engine.predicate_cache.{key}")
+        for key in ("hits", "misses", "fallbacks")
+    }
+    cache["entries"] = compiled_cache_size()
+    snapshot["predicate_cache"] = cache
     return snapshot
 
 
-def publish_engine_gauges(registry=None):
-    """Export engine counters as gauges on the observability registry.
-
-    Called at profile boundaries (not per execution) so the engine's hot
-    path never pays a metrics lookup; the gauges mirror the latest
-    :func:`engine_snapshot`.
-    """
-    from ..obs.metrics import get_metrics
-    from .evaluator import vector_cache_stats
-
-    registry = registry if registry is not None else get_metrics()
-    cache = vector_cache_stats()
-    for key in ("hits", "misses", "fallbacks", "entries"):
-        registry.set_gauge(f"engine.predicate_cache.{key}", cache[key])
-    with STATS_LOCK:
-        counters = dict(ENGINE_STATS)
-    for key in ("columnar_selects", "row_fallback_selects", "error_reruns",
-                "hash_joins", "loop_joins"):
-        registry.set_gauge(f"engine.{key}", counters[key])
-    return registry
-
-
 def reset_engine_stats():
-    """Zero all counters and clear the compiled-expression cache.
-
-    Safe to call while other threads execute queries: the counter reset and
-    the cache clear each happen under their lock, so a racing compile can
-    at worst land one fresh entry *after* the reset — never a torn counter
-    or a partially-cleared cache.
-    """
+    """Zero every ``engine.`` metric and clear the compiled-expression
+    cache. Safe while other threads execute: a racing query can at worst
+    count or cache once *after* the reset."""
     from .evaluator import reset_vector_cache
 
-    with STATS_LOCK:
-        ENGINE_STATS.update(_ZERO)
+    METRICS.reset(prefix="engine.")
     reset_vector_cache()

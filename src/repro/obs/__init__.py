@@ -4,7 +4,7 @@ The observability layer the ROADMAP's production north-star needs before
 any further performance work can be trusted:
 
 * :mod:`repro.obs.tracing` — hierarchical timed spans with thread-local
-  nesting, span events (the successor of the pipeline's ``TraceEvent``),
+  nesting, span events (the pipeline's per-operator trace),
   and a stable JSONL record schema;
 * :mod:`repro.obs.metrics` — a process-wide, thread-safe registry of
   counters, gauges, and bounded-memory histograms (p50/p90/p99 over fixed

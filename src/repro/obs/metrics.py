@@ -3,9 +3,9 @@
 The registry is the aggregation side of :mod:`repro.obs`: spans answer
 "what happened in *this* run", the registry answers "what has this process
 done so far" — operator latencies, LLM tokens/cost per operator, cache
-hit rates, diagnostics rule fires, harness throughput. Everything is
-guarded by one lock, so the parallel per-database harness path aggregates
-correctly.
+hit rates, engine path counters, diagnostics rule fires, harness
+throughput. Everything is guarded by one lock, so the parallel
+per-database harness path aggregates correctly.
 
 Histograms use fixed bucket boundaries (memory is O(#buckets) no matter
 how many observations arrive); quantiles report the upper bound of the
@@ -201,11 +201,13 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def reset(self):
+    def reset(self, prefix=""):
+        """Drop every metric whose key starts with ``prefix`` (all of
+        them by default)."""
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+            for metrics in (self._counters, self._gauges, self._histograms):
+                for key in [key for key in metrics if key.startswith(prefix)]:
+                    del metrics[key]
 
 
 #: The process-wide registry every instrumented module records into.
@@ -222,17 +224,21 @@ def global_snapshot(eval_cache=None):
 
     ``parse_cached``'s LRU keeps its own ``cache_info()`` (no per-call hook
     is worth the contention), so its numbers are synced here at snapshot
-    time; ``eval_cache`` is an optional
+    time, as is the live size of the engine's compiled-predicate cache;
+    ``eval_cache`` is an optional
     :class:`~repro.bench.cache.EvaluationCache` whose per-instance stats
     are exported the same way.
     """
-    from ..sql.parser import parse_cache_info  # lazy: obs stays standalone
+    # Lazy imports: obs stays standalone.
+    from ..engine.evaluator import compiled_cache_size
+    from ..sql.parser import parse_cache_info
 
     metrics = get_metrics()
     info = parse_cache_info()
     metrics.set_gauge("parse_cache.hits", info.hits)
     metrics.set_gauge("parse_cache.misses", info.misses)
     metrics.set_gauge("parse_cache.currsize", info.currsize)
+    metrics.set_gauge("engine.predicate_cache.entries", compiled_cache_size())
     if eval_cache is not None:
         for key, value in eval_cache.stats().items():
             metrics.set_gauge(f"eval_cache.{key}", value)

@@ -10,10 +10,10 @@ stack is thread-local: two worker threads never see each other's spans.
 
 Spans are timed with :func:`time.perf_counter` (monotonic), carry free-form
 ``attributes``, an ``ok``/``error`` status (exceptions annotate the span
-and re-raise), and a list of :class:`SpanEvent` records — the successor of
-the pipeline's untimed ``TraceEvent``, which is now a back-compat alias of
-:class:`SpanEvent` (same fields, same ``str()`` rendering, so existing
-examples keep printing).
+and re-raise), and a list of :class:`SpanEvent` records — the pipeline's
+step-by-step operator trace (``PipelineContext.add_trace`` records them;
+``render_trace`` and ``GenerationResult.trace`` read them back through
+:meth:`Tracer.iter_events`).
 
 Serialization is JSONL-friendly: :meth:`Span.to_record` emits one stable,
 versioned dict per span (see :data:`TRACE_SCHEMA_VERSION` and DESIGN.md's
@@ -166,12 +166,8 @@ def current_trace_id():
 
 @dataclass
 class SpanEvent:
-    """A point-in-time annotation on a span.
-
-    Field names (``operator``/``summary``/``detail``) and the ``str()``
-    form are inherited from the pipeline's original ``TraceEvent`` so that
-    every existing trace consumer keeps working unchanged.
-    """
+    """A point-in-time annotation on a span: one step of an operator's
+    trace, rendered as ``[operator] summary``."""
 
     operator: str
     summary: str

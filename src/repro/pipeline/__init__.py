@@ -6,7 +6,6 @@ from .base import (
     PipelineContext,
     Plan,
     PlanStep,
-    TraceEvent,
 )
 from .builders import build_sql
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -70,7 +69,6 @@ __all__ = [
     "SHAPE_STANDARD",
     "SHAPE_TOPK_BOTH_ENDS",
     "SchemaLexicon",
-    "TraceEvent",
     "assemble_prompt",
     "build_plan_steps",
     "build_sql",

@@ -6,12 +6,12 @@ operator reads what earlier operators produced — that compounding is the
 paper's core retrieval idea — and annotates the run so it is fully
 inspectable: every operator executes inside a timed
 :class:`~repro.obs.tracing.Span` on the context's
-:class:`~repro.obs.tracing.Tracer`, and the legacy ``add_trace`` events
-attach to the enclosing span (the examples print these traces to show the
-architecture; ``python -m repro trace`` renders the timed tree).
-
-:class:`TraceEvent` is kept as a back-compat alias of
-:class:`~repro.obs.tracing.SpanEvent` — same fields, same ``str()`` form.
+:class:`~repro.obs.tracing.Tracer`, and ``add_trace`` records a
+:class:`~repro.obs.tracing.SpanEvent` on the enclosing span. The span
+events are the run's only step-by-step record: ``render_trace`` and
+:attr:`GenerationResult.trace` read them back from the tracer (the
+examples print these traces to show the architecture; ``python -m repro
+trace`` renders the timed tree).
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..llm.interface import CallMeter
-from ..obs.tracing import SpanEvent, Tracer
-
-#: Back-compat alias: the untimed per-operator trace record is now a span
-#: event. Existing ``TraceEvent(operator=..., summary=..., detail=...)``
-#: construction and ``str(event)`` rendering are unchanged.
-TraceEvent = SpanEvent
+from ..obs.tracing import Tracer
 
 
 @dataclass
@@ -91,7 +86,6 @@ class PipelineContext:
     attempts: list = field(default_factory=list)       # (sql, error) pairs
     lint_caught: int = 0        # candidates rejected by diagnostics pre-execution
     execution_caught: int = 0   # candidates rejected by actually executing
-    trace: list = field(default_factory=list)
     meter: CallMeter = field(default_factory=CallMeter)
     tracer: Tracer = field(default_factory=Tracer)
     #: (operator name, reason) per optional operator that failed soft
@@ -109,26 +103,16 @@ class PipelineContext:
     executor_factory: object = None
 
     def add_trace(self, operator, summary, **detail):
-        event = self.tracer.add_event(operator, summary, detail)
-        self.trace.append(event)
-        return event
+        return self.tracer.add_event(operator, summary, detail)
 
     def span(self, name, **attributes):
         """Open a timed span on this run's tracer (context manager)."""
         return self.tracer.span(name, **attributes)
 
     def render_trace(self):
-        """Render the run's events, sourced from the span tree.
-
-        Events recorded outside this context's tracer (possible only when
-        an operator is driven standalone under a foreign ambient span) fall
-        back to the flat list; either way the rendered text matches the
-        pre-span output line for line.
-        """
-        events = self.tracer.iter_events()
-        if len(events) < len(self.trace):
-            events = self.trace
-        return "\n".join(str(event) for event in events)
+        """Render the run's span events, one ``[operator] summary`` line
+        each, in recording order."""
+        return "\n".join(str(event) for event in self.tracer.iter_events())
 
 
 class Operator:
@@ -191,9 +175,14 @@ class GenerationResult:
     sql: str
     plan: Plan | None
     success: bool               # a candidate passed validation
-    trace: list
     context: PipelineContext
     error: str = ""
+
+    @property
+    def trace(self):
+        """The run's span events (:class:`~repro.obs.tracing.SpanEvent`),
+        in recording order."""
+        return self.context.tracer.iter_events()
 
     @property
     def cost_usd(self):

@@ -249,7 +249,6 @@ class GenEditPipeline:
             sql=context.sql,
             plan=context.plan,
             success=success,
-            trace=context.trace,
             context=context,
             error=error,
         )

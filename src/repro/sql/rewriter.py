@@ -18,6 +18,9 @@ them as sub-statements.
 
 from __future__ import annotations
 
+from time import perf_counter
+
+from ..obs.metrics import METRICS
 from . import ast_nodes as ast
 
 
@@ -193,14 +196,10 @@ def optimize_for_execution(query, database):
         and cached[1] == database.version
     ):
         return cached[2]
-    from time import perf_counter
-
-    from ..engine.stats import add_time
-
     started = perf_counter()
     cte_names = _collect_cte_names(query)
     optimized = _Optimizer(database, cte_names).rewrite_query(query)
-    add_time("rewrite_s", perf_counter() - started)
+    METRICS.inc("engine.rewrite_s", perf_counter() - started)
     try:
         query._optimized_plan = (database.name, database.version, optimized)
     except AttributeError:  # pragma: no cover - nodes are plain objects

@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import sys
+import threading
 
 import pytest
 
@@ -102,6 +104,46 @@ class TestEvaluationCache:
         assert (
             registry.counter_value("eval_cache.misses") == misses_before + 1
         )
+
+    def test_concurrent_misses_on_separate_databases(self):
+        # The harness shares one cache across per-database worker threads.
+        # Many concurrent misses with a tiny switch interval must neither
+        # raise (e.g. "dictionary changed size during iteration") nor lose
+        # an entry.
+        threads_n, statements = 8, 300
+        databases = []
+        for index in range(threads_n):
+            db = Database(f"race{index}")
+            db.create_table("T", [Column("A", "INTEGER", "")], rows=[(1,)])
+            databases.append(db)
+        cache = EvaluationCache()
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def worker(db):
+            try:
+                barrier.wait()
+                for number in range(statements):
+                    cache.comparable(db, f"SELECT A + {number} AS V FROM T")
+            except Exception as error:  # pragma: no cover - the bug
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(db,))
+                for db in databases
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.stats()["entries"] == threads_n * statements
 
 
 class TestExecutionMatchFastPath:

@@ -631,15 +631,18 @@ class TestProfileSchemaCompat:
             for key in ("hits", "misses", "fallbacks", "entries")
         )
 
-    def test_engine_gauges_published(self, experiment_context):
+    def test_engine_counters_in_registry(self, experiment_context):
         from repro.bench.harness import profile
         from repro.obs.metrics import get_metrics
 
-        profile(context=experiment_context, limit=1, verbose=False)
-        snapshot = get_metrics().snapshot()
-        gauges = snapshot["gauges"]
-        assert "engine.predicate_cache.hits" in gauges
-        assert "engine.columnar_selects" in gauges
+        payload = profile(context=experiment_context, limit=1, verbose=False)
+        registry = get_metrics()
+        engine = payload["engine"]
+        assert registry.counter_value("engine.columnar_selects") == \
+            engine["columnar_selects"] > 0
+        for key in ("hits", "misses", "fallbacks"):
+            assert registry.counter_value(f"engine.predicate_cache.{key}") \
+                == engine["predicate_cache"][key]
 
     def test_diff_across_schema_versions_degrades_gracefully(self):
         # A record written by an older ledger (schema v1-era: no faults or

@@ -21,7 +21,7 @@ from repro.obs.render import (
     render_span_tree,
     rollup_by_name,
 )
-from repro.obs.tracing import SpanEvent, Tracer, current_span
+from repro.obs.tracing import Tracer, current_span
 
 
 class TestTracer:
@@ -138,16 +138,6 @@ class TestTracer:
         assert record["status"] == "ok"
         assert record["attributes"] == {"question": "q", "llm.calls": 1}
         assert record["events"] == [{"operator": "root", "summary": "hello"}]
-
-
-class TestTraceEventAlias:
-    def test_alias_is_span_event(self):
-        from repro.pipeline.base import TraceEvent
-
-        assert TraceEvent is SpanEvent
-        event = TraceEvent(operator="op", summary="s", detail={"a": 1})
-        assert str(event) == "[op] s"
-        assert event.detail == {"a": 1}
 
 
 class TestHistogram:
@@ -269,6 +259,19 @@ class TestMetricsRegistry:
         registry.reset()
         snapshot = registry.snapshot()
         assert not snapshot["counters"]
+        assert not snapshot["histograms"]
+
+    def test_reset_by_prefix_keeps_other_metrics(self):
+        registry = MetricsRegistry()
+        registry.inc("engine.hash_joins")
+        registry.set_gauge("engine.predicate_cache.entries", 3)
+        registry.observe("engine.ms", 1.0)
+        registry.inc("pipeline.runs")
+        registry.inc("engines", op="x")
+        registry.reset(prefix="engine.")
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"engines{op=x}": 1, "pipeline.runs": 1}
+        assert not snapshot["gauges"]
         assert not snapshot["histograms"]
 
     def test_thread_safe_increments(self):

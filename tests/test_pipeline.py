@@ -120,6 +120,18 @@ class TestEndToEnd:
             "reformulate", "classify_intents", "select_examples",
             "select_instructions", "link_schema", "plan", "generate_sql",
         } <= operators
+        # The trace is read from the span tree: every event belongs to a
+        # finished span of this run's tracer.
+        span_events = [
+            event
+            for span in result.context.tracer.finished_spans()
+            for event in span.events
+        ]
+        assert result.trace
+        assert all(
+            any(event is owned for owned in span_events)
+            for event in result.trace
+        )
 
     def test_plan_carries_spec_and_issues(self, sports_pipeline):
         result = sports_pipeline.generate("What is the total gibberish?")

@@ -87,7 +87,7 @@ class TestReformulate:
         context = make_context(knowledge, "What is the ARR?")
         ReformulateOperator(SimulatedLLM()).run(context)
         assert context.reformulated == "Show me the ARR"
-        assert context.trace
+        assert context.tracer.iter_events()
 
     def test_disabled_passes_through(self, knowledge):
         config = PipelineConfig(use_reformulation=False)

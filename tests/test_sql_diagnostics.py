@@ -262,7 +262,10 @@ class TestGenerationRanking:
         assert context.sql == clean
         assert set(context.candidate_diagnostics) == {bad, warned, clean}
         assert severity_score(context.candidate_diagnostics[bad]) >= 100
-        assert any("lint score 0" in event.summary for event in context.trace)
+        assert any(
+            "lint score 0" in event.summary
+            for event in context.tracer.iter_events()
+        )
 
 
 class TestSelfCorrectionLintGate:
@@ -298,7 +301,7 @@ class TestSelfCorrectionLintGate:
         assert context.execution_caught == 0
         assert any(
             "lint-rejected" in event.summary and "GE002" in event.summary
-            for event in context.trace
+            for event in context.tracer.iter_events()
         )
         lint_calls = [
             call for call in context.meter.calls

@@ -15,12 +15,7 @@ import threading
 import pytest
 
 from repro.engine import Executor
-from repro.engine.stats import (
-    ENGINE_STATS,
-    bump,
-    engine_snapshot,
-    reset_engine_stats,
-)
+from repro.engine.stats import engine_snapshot, reset_engine_stats
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.policy import CircuitBreaker
@@ -55,28 +50,38 @@ def _hammer(worker, threads=THREADS):
 
 
 class TestEngineStats:
-    def test_no_lost_increments_under_contention(self):
-        key = "thread_safety_test_counter"
-        ENGINE_STATS[key] = 0
-        try:
-            _hammer(lambda index: [
-                bump(key) for _ in range(ROUNDS)
-            ])
-            assert ENGINE_STATS[key] == THREADS * ROUNDS
-        finally:
-            ENGINE_STATS.pop(key, None)
+    SQL = "SELECT DEPT_ID, SALARY FROM EMP WHERE SALARY > 80"
 
-    def test_snapshot_and_reset_race_cleanly(self):
-        ENGINE_STATS["thread_safety_reset_probe"] = 0
+    def _columnar_selects(self):
+        return engine_snapshot()["columnar_selects"]
+
+    def test_no_lost_increments_under_contention(self, demo_db):
+        query = parse(self.SQL)
+        before = self._columnar_selects()
+        Executor(demo_db).execute(query)
+        per_query = self._columnar_selects() - before
+        assert per_query == 1
+        runs = 50
 
         def worker(index):
+            for _ in range(runs):
+                Executor(demo_db).execute(query)
+
+        before = self._columnar_selects()
+        _hammer(worker)
+        assert self._columnar_selects() - before == THREADS * runs
+
+    def test_snapshot_and_reset_race_cleanly(self, demo_db):
+        query = parse(self.SQL)
+
+        def worker(index):
+            executor = Executor(demo_db)
             for _ in range(50):
                 if index % 2:
                     engine_snapshot()
                 else:
-                    bump("thread_safety_reset_probe")
+                    executor.execute(query)
         _hammer(worker)
-        ENGINE_STATS.pop("thread_safety_reset_probe", None)
 
 
 class TestCompiledPredicateCache:
