@@ -8,7 +8,9 @@
 #   make lint-corpus - diagnostics corpus + CLI smoke only
 #   make knowledge-lint - seeded knowledge sets must lint free of errors;
 #                   a planted stale-column fixture must fail the linter
-#   make trace-smoke - export one traced run, render it, check the root span
+#   make trace-smoke - export one traced run, render it, check the root span;
+#                   check a span-derived profile (schema v4, wall >= stages)
+#                   and that the raw harness rejects an unknown target
 #   make chaos-smoke - run Table 1 under fault injection; every question
 #                   must still produce an outcome and retries must register
 #   make ledger-smoke - record the same bench run twice into a scratch
@@ -67,6 +69,13 @@ trace-smoke:
 		> /tmp/repro-trace-smoke.txt
 	grep -q "^generate " /tmp/repro-trace-smoke.txt
 	grep -q -- "-- metrics snapshot" /tmp/repro-trace-smoke.txt
+	PYTHONPATH=src $(PYTHON) -m repro bench profile --json --limit 5 \
+		> /tmp/repro-trace-smoke-profile.json
+	$(PYTHON) -c "import json, sys; p = json.load(open(sys.argv[1])); \
+		assert p['schema_version'] == 4, p['schema_version']; \
+		assert p['wall_s'] >= sum(p['stages'].values()), p" \
+		/tmp/repro-trace-smoke-profile.json
+	! PYTHONPATH=src $(PYTHON) -m repro.bench.harness tabel1 2> /dev/null
 
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench table1 --faults 0.2:7 --metrics \

@@ -2,8 +2,10 @@
 
 ``python -m repro.bench.harness table1|table2|crossover|feedback|all``
 regenerates the corresponding experiment from the paper (see DESIGN.md's
-per-experiment index). The harness is also the library API the benchmark
-suite under ``benchmarks/`` calls into.
+per-experiment index); no target runs ``all``. Its argv is parsed by the
+``repro bench`` parser, so an unknown target or option exits 2. The
+harness is also the library API the benchmark suite under ``benchmarks/``
+calls into.
 
 Evaluation runs on a fast path: one :class:`~repro.bench.cache.EvaluationCache`
 per :class:`ExperimentContext` memoizes gold result sets across all systems
@@ -11,7 +13,8 @@ and experiments, and :func:`evaluate_system` fans the workload out across
 per-database worker threads (results are reassembled in workload order, so
 the report is bit-identical regardless of completion order). Append
 ``--profile`` to any harness target — or run the ``profile`` target, with
-``--json`` for machine-readable output — for a per-stage timing table.
+``--json`` for machine-readable output — for a span-derived profile: the
+measured wall clock, its stages, and each operator's self time.
 
 Observability: every pipeline run is traced (see :mod:`repro.obs`).
 ``--trace-out PATH`` exports each question's span tree plus a final
@@ -55,7 +58,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs.metrics import get_metrics, global_snapshot
-from ..obs.render import render_metrics_snapshot, write_trace
+from ..obs.render import render_metrics_snapshot, rollup_spans, write_trace
 from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from .bird import build_knowledge_sets, build_workload
@@ -64,8 +67,9 @@ from .metrics import EvaluationReport, QuestionOutcome, execution_match
 from .schemas import DEFAULT_SEED, build_all
 
 #: Version stamp for the ``profile --json`` payload (see BENCH_baseline.json).
-#: v2 added the ``diagnostics`` section (lint_caught / execution_caught).
-PROFILE_SCHEMA_VERSION = 3
+#: v2 added the ``diagnostics`` section (lint_caught / execution_caught),
+#: v3 the ``engine`` section, v4 the span-derived ``wall_s``/``operators``.
+PROFILE_SCHEMA_VERSION = 4
 
 
 def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
@@ -368,8 +372,7 @@ class ExperimentContext:
     """Shared, lazily-built workload + knowledge sets for all experiments.
 
     Also owns the shared :class:`EvaluationCache`, so every experiment run
-    against the same context reuses gold result sets, and a ``timings``
-    dict recording how long each lazy stage took (read by :func:`profile`).
+    against the same context reuses gold result sets.
     """
 
     def __init__(self, seed=DEFAULT_SEED):
@@ -378,55 +381,35 @@ class ExperimentContext:
         self.trace_sink = None      # set to a list to collect span records
         self.fault_config = None    # set to a FaultConfig to inject chaos
         self.telemetry_sink = None  # set to a TelemetrySink to stream metrics
-        self.timings = {}
         self._workload = None
         self._profiles = None
         self._knowledge = None
         self._knowledge_full = None
 
-    def _timed(self, stage, builder):
-        started = time.perf_counter()
-        built = builder()
-        self.timings[stage] = (
-            self.timings.get(stage, 0.0) + time.perf_counter() - started
-        )
-        return built
-
     @property
     def workload(self):
         if self._workload is None:
-            self._workload = self._timed(
-                "build", lambda: build_workload(self.seed)
-            )
+            self._workload = build_workload(self.seed)
         return self._workload
 
     @property
     def profiles(self):
         if self._profiles is None:
-            self._profiles = self._timed(
-                "build", lambda: build_all(self.seed)
-            )
+            self._profiles = build_all(self.seed)
         return self._profiles
 
     @property
     def knowledge_sets(self):
         if self._knowledge is None:
-            workload = self.workload  # built (and timed) as its own stage
-            self._knowledge = self._timed(
-                "mine", lambda: build_knowledge_sets(workload, self.seed)
-            )
+            self._knowledge = build_knowledge_sets(self.workload, self.seed)
         return self._knowledge
 
     def knowledge_sets_full_queries(self):
         """Knowledge sets with *undecomposed* examples (the w/o-decomposition
         regime and the full-query baselines)."""
         if self._knowledge_full is None:
-            workload = self.workload  # built (and timed) as its own stage
-            self._knowledge_full = self._timed(
-                "mine",
-                lambda: build_knowledge_sets(
-                    workload, self.seed, decompose=False
-                ),
+            self._knowledge_full = build_knowledge_sets(
+                self.workload, self.seed, decompose=False
             )
         return self._knowledge_full
 
@@ -682,85 +665,83 @@ def retrieval_ablation(context=None, verbose=True):
 
 
 def profile(context=None, limit=None, verbose=True, as_json=False):
-    """Per-stage timing of a GenEdit evaluation over the dev sample.
+    """Span-derived timing of a GenEdit evaluation over the dev sample.
 
-    Stages: ``build`` (databases + workload), ``mine`` (knowledge sets),
-    ``retrieve`` (a pure retrieval pass: example/instruction/schema search
-    per question), ``generate`` (the full pipeline, which internally
-    subsumes retrieval), and ``execute`` (EX checking through the shared
-    cache). ``limit`` restricts the run to the first N questions.
-
-    Returns the profile dict; with ``as_json`` the payload printed is JSON
-    (the committed ``BENCH_baseline.json`` and ``BENCH_columnar.json`` are
-    such snapshots).
-
-    Schema v3 adds an ``engine`` section: time in the logical-rewrite and
-    closure-compile phases, columnar-vs-row-fallback select counts, hash
-    vs nested-loop join counts, and compiled-predicate cache statistics.
-    v2 payloads (no ``engine`` key) still load everywhere profiles are
-    consumed — readers treat the section as optional.
+    One ``profile`` root span (``wall_s``) has four stage children:
+    ``build`` (databases + workload), ``mine`` (knowledge sets),
+    ``generate`` (the question loop) and ``execute`` (EX checks through
+    the shared cache); a stage the context built earlier reads near 0.
+    ``operators`` folds the pipeline runs' own spans apart from those to
+    ``{calls, self_ms, total_ms}`` per name. ``limit`` keeps the first N
+    questions. Returns the payload (schema v4; v2/v3 snapshots such as
+    ``BENCH_baseline.json`` still load); ``as_json`` prints it as JSON.
     """
     from ..engine.stats import engine_snapshot, reset_engine_stats
+    from ..obs.tracing import Tracer
 
     reset_engine_stats()
     context = context or ExperimentContext()
-    knowledge_sets = context.knowledge_sets  # forces build + mine timings
-    questions = context.workload.questions
-    if limit is not None:
-        questions = questions[:limit]
+    tracer = Tracer()
+    with tracer.span("profile"):
+        with tracer.span("build"):
+            profiles = context.profiles
+            questions = context.workload.questions
+        with tracer.span("mine"):
+            knowledge_sets = context.knowledge_sets
+        if limit is not None:
+            questions = questions[:limit]
 
-    retrieve_s = 0.0
-    started = time.perf_counter()
-    for question in questions:
-        knowledge = knowledge_sets[question.database]
-        knowledge.search_examples(question.question, k=8)
-        knowledge.search_instructions(question.question, k=8)
-        knowledge.search_schema(question.question, k=20)
-    retrieve_s = time.perf_counter() - started
-
-    pipelines = {}
-    results = []
-    started = time.perf_counter()
-    for question in questions:
-        if question.database not in pipelines:
-            pipeline = GenEditPipeline(
-                context.profiles[question.database].database,
-                knowledge_sets[question.database],
-            )
-            if context.fault_config is not None and context.fault_config.rate:
-                pipeline.enable_faults(
-                    context.fault_config, scope=question.database
+        pipelines = {}
+        results = []
+        with tracer.span("generate"):
+            for question in questions:
+                if question.database not in pipelines:
+                    pipeline = GenEditPipeline(
+                        profiles[question.database].database,
+                        knowledge_sets[question.database],
+                    )
+                    if context.fault_config is not None \
+                            and context.fault_config.rate:
+                        pipeline.enable_faults(
+                            context.fault_config, scope=question.database
+                        )
+                    pipelines[question.database] = pipeline
+                results.append(
+                    pipelines[question.database].generate(question.question)
                 )
-            pipelines[question.database] = pipeline
-        results.append(
-            pipelines[question.database].generate(question.question)
-        )
-    generate_s = time.perf_counter() - started
 
-    correct = 0
-    started = time.perf_counter()
-    for question, result in zip(questions, results):
-        correct += execution_match(
-            context.profiles[question.database].database,
-            result.sql, question.gold_sql, cache=context.cache,
-        )
-    execute_s = time.perf_counter() - started
+        correct = 0
+        with tracer.span("execute"):
+            for question, result in zip(questions, results):
+                correct += execution_match(
+                    profiles[question.database].database,
+                    result.sql, question.gold_sql, cache=context.cache,
+                )
 
-    stages = {
-        "build": round(context.timings.get("build", 0.0), 4),
-        "mine": round(context.timings.get("mine", 0.0), 4),
-        "retrieve": round(retrieve_s, 4),
-        "generate": round(generate_s, 4),
-        "execute": round(execute_s, 4),
-    }
+    stages = rollup_spans(tracer.to_records())
+    wall = stages.pop("profile")
+    operators = rollup_spans(
+        record for result in results for record in result.trace_records()
+    )
     payload = {
         "schema_version": PROFILE_SCHEMA_VERSION,
         "seed": context.seed,
         "questions": len(questions),
         "ex_all": round(100.0 * correct / len(questions), 2)
         if questions else 0.0,
-        "stages": stages,
-        "total_s": round(sum(stages.values()), 4),
+        "wall_s": round(wall["total_ms"] / 1000.0, 6),
+        "stages": {
+            name: round(entry["total_ms"] / 1000.0, 6)
+            for name, entry in stages.items()
+        },
+        "operators": {
+            name: {
+                "calls": entry["count"],
+                "self_ms": round(entry["self_ms"], 3),
+                "total_ms": round(entry["total_ms"], 3),
+            }
+            for name, entry in operators.items()
+        },
         "engine": engine_snapshot(),
         "cache": context.cache.stats(),
         "diagnostics": {
@@ -776,8 +757,8 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
         if as_json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            rows = [(stage, seconds) for stage, seconds in stages.items()]
-            rows.append(("total", payload["total_s"]))
+            rows = list(payload["stages"].items())
+            rows.append(("wall", payload["wall_s"]))
             print(format_table(
                 f"Harness profile ({payload['questions']} questions, "
                 f"EX {payload['ex_all']:.2f})",
@@ -809,88 +790,57 @@ def feedback_metrics(verbose=True, seed=DEFAULT_SEED):
     return summary
 
 
-def _extract_option(argv, name):
-    """Pop ``name VALUE`` / ``name=VALUE`` from argv; (value, remaining)."""
-    value = None
-    remaining = []
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == name and index + 1 < len(argv):
-            value = argv[index + 1]
-            index += 2
-            continue
-        if arg.startswith(name + "="):
-            value = arg.split("=", 1)[1]
-            index += 1
-            continue
-        remaining.append(arg)
-        index += 1
-    return value, remaining
-
-
 def main(argv=None):
-    argv = argv if argv is not None else sys.argv[1:]
-    trace_out, argv = _extract_option(argv, "--trace-out")
-    faults, argv = _extract_option(argv, "--faults")
-    ledger_dir, argv = _extract_option(argv, "--ledger-dir")
-    telemetry_out, argv = _extract_option(argv, "--telemetry-out")
-    profile_sample, argv = _extract_option(argv, "--profile-sample")
-    profile_out, argv = _extract_option(argv, "--profile-out")
-    limit, argv = _extract_option(argv, "--limit")
-    flags = {arg for arg in argv if arg.startswith("--")}
-    positional = [arg for arg in argv if not arg.startswith("--")]
-    target = positional[0] if positional else "all"
-    as_json = "--json" in flags
+    """``python -m repro.bench.harness [TARGET] [options]``: the ``repro
+    bench`` command line (an unknown target or option exits 2)."""
+    from ..cli import build_arg_parser
+
+    argv = sys.argv[1:] if argv is None else argv
+    return run_bench(build_arg_parser().parse_args(["bench", *argv]))
+
+
+def run_bench(args):
+    """Run the experiment a parsed ``repro bench`` namespace names."""
+    target = args.experiment
     context = ExperimentContext()
-    if limit is not None:
+    if args.limit is not None:
         # Truncate the workload in place before anything derives from it
         # (knowledge mining included) — a quick, *approximate* run for
         # smokes; full-workload numbers are the byte-compared ones.
-        del context.workload.questions[max(0, int(limit)):]
-    if trace_out is not None:
+        del context.workload.questions[max(0, args.limit):]
+    if args.trace_out is not None:
         context.trace_sink = []
-    if telemetry_out is not None:
+    if args.telemetry_out is not None:
         from ..obs.telemetry import TelemetrySink
 
         context.telemetry_sink = TelemetrySink(
-            telemetry_out,
+            args.telemetry_out,
             snapshot_fn=lambda: global_snapshot(context.cache),
         )
     sampler = None
-    if profile_sample is not None:
+    if args.profile_sample is not None:
         from ..obs.profiler import SamplingProfiler
 
-        sampler = SamplingProfiler(hz=float(profile_sample)).start()
+        sampler = SamplingProfiler(hz=float(args.profile_sample)).start()
     ledger = None
-    if (
-        ("--ledger" in flags or ledger_dir is not None)
-        and "--no-ledger" not in flags
-    ):
+    if (args.ledger or args.ledger_dir is not None) and not args.no_ledger:
         from ..obs.ledger import RunLedger
 
-        ledger = RunLedger(ledger_dir)
+        ledger = RunLedger(args.ledger_dir)
         if context.trace_sink is None:
             # The ledger's timing file wants per-span rollups; collecting
             # never perturbs reports or stdout.
             context.trace_sink = []
-    if faults is not None:
+    if args.faults is not None:
         from ..resilience import FaultConfig
 
-        context.fault_config = FaultConfig.parse(faults)
+        context.fault_config = FaultConfig.parse(args.faults)
         print(
             f"fault injection armed: rate={context.fault_config.rate} "
             f"seed={context.fault_config.seed}",
             file=sys.stderr,
         )
     reports = []
-    profile_payload = None
-    if target == "profile":
-        profile_payload = profile(context, as_json=as_json)
-        _finish(context, flags, trace_out, target, reports=reports,
-                profile_payload=profile_payload, ledger=ledger,
-                sampler=sampler, profile_out=profile_out)
-        return 0
     if target in ("table1", "all"):
         reports.extend(table1(context))
         print()
@@ -909,21 +859,22 @@ def main(argv=None):
         print()
     if target in ("feedback", "all"):
         feedback_metrics()
-    if "--profile" in flags:
-        print()
-        profile_payload = profile(context, as_json=as_json)
-    _finish(context, flags, trace_out, target, reports=reports,
+    profile_payload = None
+    if target == "profile" or args.profile:
+        if target != "profile":
+            print()
+        profile_payload = profile(context, as_json=args.json)
+    _finish(context, args, reports=reports,
             profile_payload=profile_payload, ledger=ledger,
-            sampler=sampler, profile_out=profile_out)
+            sampler=sampler)
     return 0
 
 
 DEFAULT_PROFILE_OUT = "repro-profile.collapsed"
 
 
-def _finish(context, flags, trace_out, target, reports=(),
-            profile_payload=None, ledger=None, sampler=None,
-            profile_out=None):
+def _finish(context, args, reports=(), profile_payload=None, ledger=None,
+            sampler=None):
     """Handle ``--metrics`` / ``--ledger`` / ``--trace-out`` /
     ``--telemetry-out`` / ``--profile-sample`` after the run.
 
@@ -933,16 +884,17 @@ def _finish(context, flags, trace_out, target, reports=(),
     sampler stops before the telemetry sink closes so its final sample
     counters make the last snapshot.
     """
+    target, trace_out = args.experiment, args.trace_out
     if sampler is not None:
         sampler.stop()
-        path = profile_out or DEFAULT_PROFILE_OUT
+        path = args.profile_out or DEFAULT_PROFILE_OUT
         stacks = sampler.write(path)
         print(
             f"sampled {sampler.sample_count} time(s) at {sampler.hz:g} Hz "
             f"({stacks} stack(s)) -> {path}",
             file=sys.stderr,
         )
-    if "--metrics" in flags:
+    if args.metrics:
         print()
         print(render_metrics_snapshot(global_snapshot(context.cache)))
     run_id = None

@@ -695,34 +695,9 @@ def cmd_slo(args, out=sys.stdout):
 
 
 def cmd_bench(args, out=sys.stdout):
-    from .bench.harness import main as harness_main
+    from .bench.harness import run_bench
 
-    argv = [args.experiment]
-    if args.profile:
-        argv.append("--profile")
-    if args.json:
-        argv.append("--json")
-    if args.metrics:
-        argv.append("--metrics")
-    if args.trace_out:
-        argv.extend(["--trace-out", args.trace_out])
-    if args.faults:
-        argv.extend(["--faults", args.faults])
-    if args.ledger:
-        argv.append("--ledger")
-    if args.no_ledger:
-        argv.append("--no-ledger")
-    if args.ledger_dir:
-        argv.extend(["--ledger-dir", args.ledger_dir])
-    if args.telemetry_out:
-        argv.extend(["--telemetry-out", args.telemetry_out])
-    if args.profile_sample:
-        argv.extend(["--profile-sample", args.profile_sample])
-    if args.profile_out:
-        argv.extend(["--profile-out", args.profile_out])
-    if args.limit is not None:
-        argv.extend(["--limit", str(args.limit)])
-    return harness_main(argv)
+    return run_bench(args)
 
 
 def cmd_serve(args, out=sys.stdout):
@@ -1056,7 +1031,7 @@ def build_arg_parser():
 
     bench = commands.add_parser("bench", help="run a paper experiment")
     bench.add_argument(
-        "experiment",
+        "experiment", nargs="?", default="all",
         choices=["table1", "table2", "crossover", "models", "retrieval",
                  "feedback", "profile", "all"],
     )

@@ -9,8 +9,10 @@ any further performance work can be trusted:
 * :mod:`repro.obs.metrics` — a process-wide, thread-safe registry of
   counters, gauges, and bounded-memory histograms (p50/p90/p99 over fixed
   buckets);
-* :mod:`repro.obs.render` — JSONL trace export/import and the span-tree /
-  rollup renderer behind ``python -m repro trace``;
+* :mod:`repro.obs.render` — JSONL trace export/import, the span-tree
+  renderer behind ``python -m repro trace``, and ``rollup_spans``, the
+  one per-name span fold (count, total/self time, exact quantiles, LLM
+  cost) behind the trace rollup, ``timing.json`` and the harness profile;
 * :mod:`repro.obs.ledger` — the persistent run ledger (versioned run
   records under ``.repro/runs/``), run-to-run diffing with
   first-divergence attribution, cost/token accounting, and failure

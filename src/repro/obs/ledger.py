@@ -40,12 +40,12 @@ from __future__ import annotations
 import calendar
 import hashlib
 import json
-import math
 import os
 import shutil
 import time
 
 from .metrics import get_metrics
+from .render import rollup_spans
 
 #: Version of the on-disk run-record schema. Bump on rename/meaning change;
 #: additions are backwards-compatible.
@@ -263,38 +263,23 @@ def _knowledge_entry(name, knowledge, knowledge_lint):
     return entry
 
 
-def _exact_quantile(sorted_values, q):
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
 def build_timing(trace_records, profile=None, wall_s=None):
     """The volatile ``timing.json`` payload: per-span rollups (p50/90/99).
 
     ``trace_records`` are span dicts (``Span.to_record`` shape, e.g. a
-    harness trace sink); ``profile`` is an optional ``profile --json``
-    payload to embed (its own ``schema_version`` travels with it).
+    harness trace sink), folded by :func:`~repro.obs.render.rollup_spans`
+    with every ``*_ms`` figure rounded to the microsecond; ``profile`` is
+    an optional ``profile --json`` payload to embed (its own
+    ``schema_version`` travels with it).
     """
-    durations = {}
-    for record in trace_records or ():
-        if record.get("type", "span") != "span":
-            continue
-        durations.setdefault(record["name"], []).append(
-            record.get("duration_ms", 0.0)
-        )
-    rollups = {}
-    for name, values in sorted(durations.items()):
-        values.sort()
-        rollups[name] = {
-            "count": len(values),
-            "total_ms": round(sum(values), 3),
-            "p50_ms": round(_exact_quantile(values, 0.50), 3),
-            "p90_ms": round(_exact_quantile(values, 0.90), 3),
-            "p99_ms": round(_exact_quantile(values, 0.99), 3),
-            "max_ms": round(values[-1], 3),
+    rollup = rollup_spans(trace_records)
+    rollups = {
+        name: {
+            key: round(value, 3 if key.endswith("_ms") else 10)
+            for key, value in rollup[name].items()
         }
+        for name in sorted(rollup)
+    }
     timing = {
         "schema_version": LEDGER_SCHEMA_VERSION,
         "span_rollups": rollups,

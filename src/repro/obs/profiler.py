@@ -1,8 +1,8 @@
 """Wall-clock sampling profiler with span attribution.
 
-The deterministic ``profile`` harness target times *stages*; this module
-answers the finer question — *which code is hot inside a stage* — without
-instrumenting anything. A :class:`SamplingProfiler` thread wakes at a
+The ``profile`` harness target folds spans into stage and operator
+times; this module answers the finer question — *which code is hot
+inside an operator* — without instrumenting anything. A :class:`SamplingProfiler` thread wakes at a
 fixed rate (``--profile-sample HZ`` on the harness, default 97 Hz — a
 prime, so the period cannot alias with periodic work), grabs every
 thread's current Python frame via :func:`sys._current_frames` (no

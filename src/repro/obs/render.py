@@ -13,12 +13,14 @@ trace``: it reassembles the span forest from ``parent_id`` links (spans
 whose parent is not in the file — e.g. a cross-tracer parent — render as
 roots), draws an indented tree with durations and compacted attributes,
 then prints per-operator rollups (count, wall time, LLM tokens/cost) and
-the metrics snapshot.
+the metrics snapshot. :func:`rollup_spans` is the one span fold; the
+ledger's ``timing.json`` and the harness profile use it too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
@@ -226,17 +228,46 @@ def render_span_tree(spans, slow_ms=None):
 # -- rollups ------------------------------------------------------------
 
 
-def rollup_by_name(spans):
-    """Aggregate spans by name: count, wall time, LLM tokens and cost."""
-    rollup = {}
+def _exact_quantile(sorted_values, q):
+    if not sorted_values:
+        return 0.0
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[rank - 1]
+
+
+def rollup_spans(records):
+    """Fold span records by name: the one rollup behind ``repro trace``,
+    the ledger's ``timing.json`` and the harness profile.
+
+    Per name: count, ``total_ms``, ``self_ms`` (duration minus the direct
+    children's), exact p50/p90/p99/max, errors, and LLM calls/tokens/cost.
+    Non-span records are skipped. Records need no ``span_id``/``parent_id``;
+    a span whose parent is not among ``records`` counts as a root, so the
+    self times of one run's spans sum to its roots' duration.
+    """
+    spans = [
+        record for record in records or ()
+        if record.get("type", "span") == "span"
+    ]
+    child_ms = {}
     for span in spans:
+        parent_id = span.get("parent_id")
+        if parent_id:
+            child_ms[parent_id] = (
+                child_ms.get(parent_id, 0.0) + span.get("duration_ms", 0.0)
+            )
+    rollup = {}
+    durations = {}
+    for span in spans:
+        duration = span.get("duration_ms", 0.0)
         entry = rollup.setdefault(span["name"], {
-            "count": 0, "total_ms": 0.0, "errors": 0,
+            "count": 0, "total_ms": 0.0, "self_ms": 0.0, "errors": 0,
             "llm_calls": 0, "input_tokens": 0, "output_tokens": 0,
             "cost_usd": 0.0,
         })
         entry["count"] += 1
-        entry["total_ms"] += span.get("duration_ms", 0.0)
+        entry["total_ms"] += duration
+        entry["self_ms"] += duration - child_ms.get(span.get("span_id"), 0.0)
         if span.get("status", "ok") != "ok":
             entry["errors"] += 1
         attributes = span.get("attributes") or {}
@@ -244,6 +275,15 @@ def rollup_by_name(spans):
         entry["input_tokens"] += attributes.get("llm.input_tokens", 0)
         entry["output_tokens"] += attributes.get("llm.output_tokens", 0)
         entry["cost_usd"] += attributes.get("llm.cost_usd", 0.0)
+        durations.setdefault(span["name"], []).append(duration)
+    for name, values in durations.items():
+        values.sort()
+        rollup[name].update(
+            p50_ms=_exact_quantile(values, 0.50),
+            p90_ms=_exact_quantile(values, 0.90),
+            p99_ms=_exact_quantile(values, 0.99),
+            max_ms=values[-1],
+        )
     return rollup
 
 
@@ -266,7 +306,7 @@ def _simple_table(title, headers, rows):
 
 
 def render_rollups(spans):
-    rollup = rollup_by_name(spans)
+    rollup = rollup_spans(spans)
     if not rollup:
         return ""
     rows = []
@@ -310,11 +350,7 @@ def render_trace_payload(payload, slow_ms=None, show_metrics=True):
     """Full ``repro trace`` output for a loaded trace payload."""
     spans = payload["spans"]
     meta = payload.get("meta") or {}
-    roots = sum(
-        1 for span in spans
-        if not span.get("parent_id")
-        or span["parent_id"] not in {s["span_id"] for s in spans}
-    )
+    roots = len(build_forest(spans)[0])
     sections = [
         f"trace: {len(spans)} span(s), {roots} run(s), "
         f"schema v{meta.get('schema_version', '?')}"

@@ -31,7 +31,7 @@ from __future__ import annotations
 import html
 import json
 
-from .ledger import _exact_quantile
+from .render import _exact_quantile
 
 #: Version of the watch/series JSON payload.
 TIMESERIES_SCHEMA_VERSION = 1

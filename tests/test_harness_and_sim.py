@@ -27,6 +27,29 @@ class TestFormatTable:
         )
 
 
+class TestHarnessMain:
+    def test_unknown_target_exits_2(self, capsys):
+        from repro.bench.harness import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tabel1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'tabel1'" in capsys.readouterr().err
+
+    def test_unknown_option_exits_2(self):
+        from repro.bench.harness import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--limt", "3"])
+        assert exit_info.value.code == 2
+
+    def test_no_target_means_all(self):
+        from repro.cli import build_arg_parser
+
+        args = build_arg_parser().parse_args(["bench", "--limit", "3"])
+        assert (args.experiment, args.limit) == ("all", 3)
+
+
 class TestEvaluateSystem:
     def test_subset_evaluation(self, experiment_context):
         questions = experiment_context.workload.questions[:5]

@@ -584,7 +584,7 @@ class TestLedgerCli:
 
 
 class TestProfileSchemaCompat:
-    """Profile schema v3: new engine section, v2 payloads keep loading."""
+    """Profile schema v3+: engine section, v2 payloads keep loading."""
 
     def test_committed_v2_baseline_still_loads(self, tmp_path):
         import pathlib
@@ -608,13 +608,15 @@ class TestProfileSchemaCompat:
         assert timing["profile"].get("engine") is None
         assert timing["profile"]["stages"]["generate"] > 0
 
-    def test_v3_profile_reports_engine_breakdown(self, experiment_context):
+    def test_profile_reports_engine_breakdown(self, experiment_context):
         from repro.bench.harness import profile
 
         payload = profile(
             context=experiment_context, limit=2, verbose=False
         )
-        assert payload["schema_version"] == PROFILE_SCHEMA_VERSION == 3
+        assert payload["schema_version"] == PROFILE_SCHEMA_VERSION == 4
+        assert payload["wall_s"] >= sum(payload["stages"].values())
+        assert payload["operators"]["generate"]["calls"] == 2
         engine = payload["engine"]
         assert set(engine) >= {
             "rewrite_s", "compile_s", "columnar_selects",

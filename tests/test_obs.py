@@ -19,7 +19,7 @@ from repro.obs.metrics import (
 from repro.obs.render import (
     build_forest,
     render_span_tree,
-    rollup_by_name,
+    rollup_spans,
 )
 from repro.obs.tracing import Tracer, current_span
 
@@ -358,6 +358,44 @@ class TestRender:
         assert {span["name"] for span in roots} == {"fast", "slow"}
 
     def test_rollup_aggregates_tokens(self):
-        rollup = rollup_by_name(self._records())
+        rollup = rollup_spans(self._records())
         assert rollup["root"]["input_tokens"] == 10
         assert rollup["fast"]["count"] == 1
+
+
+class TestRollupSpans:
+    def test_self_times_sum_to_the_pipeline_root(self, sports_pipeline):
+        result = sports_pipeline.generate("How many teams are there?")
+        records = result.trace_records()
+        (root,) = [r for r in records if r["parent_id"] is None]
+        rollup = rollup_spans(records)
+        assert len(rollup) > 5
+        assert sum(entry["self_ms"] for entry in rollup.values()) == \
+            pytest.approx(root["duration_ms"], abs=0.01)
+        generate = rollup["generate"]
+        assert generate["self_ms"] < generate["total_ms"]
+        assert rollup["select_examples"]["self_ms"] == \
+            rollup["select_examples"]["total_ms"]
+
+    def test_records_without_ids_fold(self):
+        rollup = rollup_spans([
+            {"type": "span", "name": "generate", "duration_ms": ms}
+            for ms in (5.0, 15.0, 10.0)
+        ] + [{"type": "metrics", "snapshot": {}}])
+        entry = rollup["generate"]
+        assert entry["count"] == 3
+        assert entry["total_ms"] == entry["self_ms"] == 30.0
+        assert (entry["p50_ms"], entry["p99_ms"], entry["max_ms"]) == \
+            (10.0, 15.0, 15.0)
+
+    def test_missing_parent_counts_as_root(self):
+        records = [
+            {"name": "child", "span_id": "s2", "parent_id": "gone",
+             "duration_ms": 4.0},
+            {"name": "leaf", "span_id": "s3", "parent_id": "s2",
+             "duration_ms": 1.5, "status": "error"},
+        ]
+        rollup = rollup_spans(records)
+        assert rollup["child"]["self_ms"] == 2.5
+        assert rollup["leaf"]["errors"] == 1
+        assert sum(entry["self_ms"] for entry in rollup.values()) == 4.0
