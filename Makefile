@@ -11,6 +11,9 @@
 #   make trace-smoke - export one traced run, render it, check the root span;
 #                   check a span-derived profile (schema v4, wall >= stages)
 #                   and that the raw harness rejects an unknown target
+#   make feedback-smoke - the simulated SME sessions (§4.2.3) must still
+#                   fix 43 generations with no rejected edit; guards the
+#                   staging clone path end to end
 #   make chaos-smoke - run Table 1 under fault injection; every question
 #                   must still produce an outcome and retries must register
 #   make ledger-smoke - record the same bench run twice into a scratch
@@ -38,12 +41,12 @@
 PYTHON ?= python
 
 .PHONY: lint compile test lint-corpus knowledge-lint trace-smoke \
-	chaos-smoke ledger-smoke telemetry-smoke perf-smoke bench-selftest \
-	serve-smoke debug-smoke bench
+	feedback-smoke chaos-smoke ledger-smoke telemetry-smoke perf-smoke \
+	bench-selftest serve-smoke debug-smoke bench
 
-lint: compile test lint-corpus knowledge-lint trace-smoke chaos-smoke \
-	ledger-smoke telemetry-smoke perf-smoke bench-selftest serve-smoke \
-	debug-smoke
+lint: compile test lint-corpus knowledge-lint trace-smoke feedback-smoke \
+	chaos-smoke ledger-smoke telemetry-smoke perf-smoke bench-selftest \
+	serve-smoke debug-smoke
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -76,6 +79,12 @@ trace-smoke:
 		assert p['wall_s'] >= sum(p['stages'].values()), p" \
 		/tmp/repro-trace-smoke-profile.json
 	! PYTHONPATH=src $(PYTHON) -m repro.bench.harness tabel1 2> /dev/null
+
+feedback-smoke:
+	PYTHONPATH=src $(PYTHON) -m repro bench feedback \
+		> /tmp/repro-feedback-smoke.txt
+	grep -Eq "^fixed generations +\| +43$$" /tmp/repro-feedback-smoke.txt
+	grep -Eq "^rejected +\| +0$$" /tmp/repro-feedback-smoke.txt
 
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench table1 --faults 0.2:7 --metrics \

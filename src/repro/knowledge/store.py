@@ -7,6 +7,12 @@ followed by cosine re-ranking. It supports the full edit vocabulary of the
 paper's continuous-improvement module: insert, update, and delete of
 examples and instructions (§4.1), plus snapshot/restore for the history and
 checkpointing machinery (§4.2.2).
+
+:meth:`KnowledgeSet.clone` builds the staging environments of that loop. It
+deep-copies each component once and clones the four retrieval indexes
+copy-on-write, so a clone starts from its parent's fitted state and only
+the indexes its edits touch are refit. Snapshot/restore are for
+checkpoints and are not the clone path.
 """
 
 from __future__ import annotations
@@ -234,5 +240,21 @@ class KnowledgeSet:
         return self
 
     def clone(self):
-        """Independent copy (used to build staging environments)."""
-        return KnowledgeSet(self.name).restore(self.snapshot())
+        """Independent copy (used to build staging environments).
+
+        Components are deep-copied once, so edits to either set's models
+        never reach the other. The retrieval indexes are copy-on-write
+        clones (:meth:`RetrievalIndex.clone`): they share the parent's
+        fitted tables and cached tokens, and each refits on its own only
+        after an edit to it.
+        """
+        clone = KnowledgeSet(self.name)
+        clone._intents = copy.deepcopy(self._intents)
+        clone._examples = copy.deepcopy(self._examples)
+        clone._instructions = copy.deepcopy(self._instructions)
+        clone._schema_elements = copy.deepcopy(self._schema_elements)
+        clone._example_index = self._example_index.clone()
+        clone._instruction_index = self._instruction_index.clone()
+        clone._schema_index = self._schema_index.clone()
+        clone._intent_index = self._intent_index.clone()
+        return clone

@@ -13,6 +13,17 @@ normalised a single time and cached on the document (so refreshes after an
 memoized until the next mutation — so context-expansion re-ranks that reuse
 the same expanded query text never re-embed it.
 
+Clones are copy-on-write (:meth:`RetrievalIndex.clone`): a clone shares its
+parent's fitted vectorizer, inverted index and postings, and holds shallow
+copies of the parent's documents, so their cached tokens and terms are
+shared too. A refresh never mutates those tables — it builds new ones and
+publishes them by assignment — and writes vectors and norms only onto the
+refreshing index's own document copies. So a clone that no edit touches is
+never refit, and an edited clone refits from cached tokens: only the new
+documents are normalised again. Each refit increments the
+``retrieval.refits`` counter and, inside a span, that span's
+``retrieval.refits`` and ``retrieval.refit_ms`` attributes.
+
 Scoring is batched: a refresh also packs every document vector into a
 term -> [(doc_id, weight)] postings table, and a search accumulates dot
 products for the whole candidate pool in one pass over the query's terms
@@ -25,11 +36,15 @@ side instead) are scored individually the legacy way.
 
 from __future__ import annotations
 
+import copy
 import logging
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from time import perf_counter
 
+from ..obs.metrics import METRICS
+from ..obs.tracing import current_span
 from .normalize import normalize
 from .similarity import cosine_with_norms, l2_norm
 from .vectorize import TfIdfVectorizer
@@ -44,11 +59,12 @@ FALLBACK_SCAN_CAP = 512
 #: Memoized query transforms kept per index between mutations.
 QUERY_CACHE_SIZE = 256
 
-#: Serialises lazy refreshes. Module-level (not per-instance) so indexes
-#: cloned via ``KnowledgeSet.clone()``/snapshot-restore need no lock
-#: plumbing; refreshes are rare (warmup and post-edit), so one process-wide
-#: lock costs nothing while guaranteeing two concurrent first searches
-#: can't both rebuild and interleave partially-built postings tables.
+#: Serialises lazy refreshes and clones. Module-level (not per-instance) so
+#: an index and its copy-on-write clones need no lock plumbing; refreshes
+#: are rare (warmup and post-edit), so one process-wide lock costs nothing
+#: while guaranteeing two concurrent first searches can't both rebuild and
+#: interleave partially-built postings tables, and a clone never copies
+#: documents a refresh is half-way through re-embedding.
 _REFRESH_LOCK = threading.Lock()
 
 
@@ -101,14 +117,36 @@ class RetrievalIndex:
         self._dirty = True
 
     def remove(self, doc_id):
-        self._documents.pop(doc_id, None)
-        self._dirty = True
+        if self._documents.pop(doc_id, None) is not None:
+            self._dirty = True
 
     def get(self, doc_id):
         return self._documents.get(doc_id)
 
     def documents(self):
         return list(self._documents.values())
+
+    def clone(self):
+        """Copy-on-write copy that starts from this index's fitted state.
+
+        The fitted tables are shared: a refresh publishes new ones by
+        assignment and never mutates them. Each document is a shallow copy,
+        so its cached tokens and terms are shared while a refit in either
+        index writes vectors and norms only to its own copies. A clean
+        parent gives a clean clone; a dirty one gives a dirty clone.
+        """
+        clone = RetrievalIndex()
+        with _REFRESH_LOCK:
+            clone._documents = {
+                doc_id: copy.copy(document)
+                for doc_id, document in self._documents.items()
+            }
+            clone._vectorizer = self._vectorizer
+            clone._inverted = self._inverted
+            clone._postings = self._postings
+            clone._query_cache = dict(self._query_cache)
+            clone._dirty = self._dirty
+        return clone
 
     # -- search ----------------------------------------------------------
 
@@ -257,6 +295,7 @@ class RetrievalIndex:
         # locals and published by attribute assignment, so readers that
         # raced past the dirty check see either the old complete tables or
         # the new ones — never a half-built postings list.
+        started = perf_counter()
         vectorizer = TfIdfVectorizer()
         for document in self._documents.values():
             if document.tokens is None:
@@ -283,3 +322,10 @@ class RetrievalIndex:
         self._query_cache = {}
         self._dirty = False
         self._fallback_warned = False
+        METRICS.inc("retrieval.refits")
+        span = current_span()
+        if span is not None:
+            span.inc_attr("retrieval.refits", 1)
+            span.inc_attr(
+                "retrieval.refit_ms", (perf_counter() - started) * 1000.0
+            )

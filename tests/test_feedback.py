@@ -283,3 +283,48 @@ class TestApprovalQueue:
         queue.reject(submission)
         assert submission.status == SUBMISSION_REJECTED
         assert queue.pending() == []
+
+
+def _all_searches(knowledge, queries):
+    """Ids and ``==``-comparable scores of all four search methods."""
+    return [
+        [(hit.doc_id, hit.score) for hit in search(query, k=1000)]
+        for search in (
+            knowledge.search_examples,
+            knowledge.search_instructions,
+            knowledge.search_schema,
+            knowledge.search_intents,
+        )
+        for query in queries
+    ]
+
+
+class TestStagingClone:
+    def test_clone_searches_equal_snapshot_restore_over_seeded_sessions(
+        self, experiment_context, monkeypatch
+    ):
+        from repro.bench.feedback_sim import simulate_feedback_sessions
+
+        original = FeedbackSolver.staging_knowledge
+        compared = []
+
+        def staging_knowledge(solver):
+            staged = original(solver)
+            live = solver.pipeline.knowledge
+            restored = KnowledgeSet(live.name).restore(live.snapshot())
+            for edit in solver.staged_edits():
+                apply_edit(restored, edit)
+            queries = [solver.question, solver.feedback.text]
+            assert _all_searches(staged, queries) == _all_searches(
+                restored, queries
+            )
+            compared.append(len(solver.staged_edits()))
+            return staged
+
+        monkeypatch.setattr(
+            FeedbackSolver, "staging_knowledge", staging_knowledge
+        )
+        summary = simulate_feedback_sessions(context=experiment_context)
+        assert summary.sessions > 0
+        assert len(compared) >= summary.sessions
+        assert sum(compared) > 0

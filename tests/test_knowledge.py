@@ -159,6 +159,122 @@ class TestStore:
         )
 
 
+QUERIES = ("filter by country", "rank organisations", "revenue per viewer")
+
+
+def _searches(knowledge):
+    """Ids and scores of all four search methods over ``QUERIES``."""
+    return [
+        [(hit.doc_id, hit.score) for hit in search(query, k=50)]
+        for search in (
+            knowledge.search_examples,
+            knowledge.search_instructions,
+            knowledge.search_schema,
+            knowledge.search_intents,
+        )
+        for query in QUERIES
+    ]
+
+
+def _index_state(knowledge):
+    return [
+        {doc.doc_id: (dict(doc.vector), doc.norm) for doc in index.documents()}
+        for index in (
+            knowledge._example_index,
+            knowledge._instruction_index,
+            knowledge._schema_index,
+            knowledge._intent_index,
+        )
+    ]
+
+
+NEW_EXAMPLE = DecomposedExample(
+    "ex3", "Count organisations per country", "COUNT(*)", kind="aggregate"
+)
+
+
+class TestClone:
+    def test_edits_to_clone_leave_parent_unchanged(self, knowledge):
+        expected = _searches(knowledge)
+        state = _index_state(knowledge)
+        clone = knowledge.clone()
+        clone.add_example(NEW_EXAMPLE)
+        clone.delete_instruction("in1")
+        clone.example("ex2").description = "mutated"
+        _searches(clone)
+        assert _index_state(knowledge) == state
+        assert _searches(knowledge) == expected
+        assert knowledge.example("ex2").description != "mutated"
+
+    def test_edits_to_parent_leave_clone_unchanged(self, knowledge):
+        _searches(knowledge)
+        clone = knowledge.clone()
+        expected = _searches(clone)
+        state = _index_state(clone)
+        knowledge.add_example(NEW_EXAMPLE)
+        knowledge.delete_example("ex1")
+        _searches(knowledge)
+        assert _index_state(clone) == state
+        assert _searches(clone) == expected
+
+    def test_clone_of_dirty_set_and_clone_of_clone(self, knowledge):
+        child = knowledge.clone()  # the parent was never searched
+        child.add_example(NEW_EXAMPLE)
+        grandchild = child.clone()
+        grandchild.delete_example("ex1")
+        for edited in (grandchild, child, knowledge):
+            rebuilt = KnowledgeSet(edited.name).restore(edited.snapshot())
+            assert _searches(edited) == _searches(rebuilt)
+        assert child.example("ex1") is not None
+        assert knowledge.example("ex3") is None
+
+
+class TestCloneRefits:
+    @pytest.fixture()
+    def fitted(self, experiment_context):
+        from repro.pipeline import GenEditPipeline
+
+        profile = experiment_context.profiles["sports_holdings"]
+        live = experiment_context.knowledge_sets["sports_holdings"]
+        knowledge = KnowledgeSet(live.name).restore(live.snapshot())
+        before = self._refits()
+        _searches(knowledge)  # a restored set starts unfitted
+        assert self._refits() == before + 4
+        GenEditPipeline(profile.database, knowledge).generate(self.QUESTION)
+        return profile.database, knowledge
+
+    QUESTION = "How many organisations are in Canada?"
+
+    @staticmethod
+    def _refits():
+        from repro.obs.metrics import get_metrics
+
+        return get_metrics().counter_value("retrieval.refits")
+
+    def test_clone_of_fitted_set_generates_without_refits(self, fitted):
+        from repro.pipeline import GenEditPipeline
+
+        database, knowledge = fitted
+        before = self._refits()
+        GenEditPipeline(database, knowledge.clone()).generate(self.QUESTION)
+        assert self._refits() == before
+
+    def test_staged_example_insert_refits_only_the_example_index(
+        self, fitted
+    ):
+        _database, knowledge = fitted
+        staged = knowledge.clone()
+        staged.add_example(NEW_EXAMPLE)
+        before = self._refits()
+        _searches(staged)
+        assert self._refits() == before + 1
+        assert (staged._example_index._vectorizer
+                is not knowledge._example_index._vectorizer)
+        for name in ("_instruction_index", "_schema_index", "_intent_index"):
+            assert (getattr(staged, name)._vectorizer
+                    is getattr(knowledge, name)._vectorizer)
+
+
 class TestDecompositionBuilders:
     SQL = (
         "SELECT DEPT_ID, SUM(SALARY) AS total FROM EMP "

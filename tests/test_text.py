@@ -208,3 +208,192 @@ class TestRetrievalIndex:
 
     def test_fallback_scan_uncapped_on_small_collection(self, index):
         assert len(index._candidate_pool("zzzz qqqq", None)) == len(index)
+
+    def test_remove_absent_id_keeps_index_fitted(self, index):
+        index.search("revenue", k=1)  # fit
+        index.remove("zzz")
+        assert not index._dirty
+        index.remove("d1")
+        assert index._dirty
+
+
+def _ranking(index, queries):
+    return [
+        [(hit.doc_id, hit.score) for hit in index.search(query, k=10)]
+        for query in queries
+    ]
+
+
+class TestRetrievalIndexClone:
+    QUERIES = (
+        "revenue of organisations",
+        "monthly television viewers",
+        "sponsorship value",
+        "zzz qqq",
+    )
+
+    @pytest.fixture()
+    def index(self):
+        index = RetrievalIndex()
+        index.add("d1", "total revenue per organisation")
+        index.add("d2", "television viewers per month")
+        index.add("d3", "sponsorship deal value")
+        index.add("d4", "revenue from sponsorship deals per month")
+        return index
+
+    @staticmethod
+    def _fresh(*documents):
+        index = RetrievalIndex()
+        for doc_id, text in documents:
+            index.add(doc_id, text)
+        return index
+
+    @staticmethod
+    def _fitted_state(index):
+        return {
+            document.doc_id: (dict(document.vector), document.norm)
+            for document in index.documents()
+        }
+
+    def test_clone_of_fitted_index_shares_tables_and_needs_no_refit(
+        self, index
+    ):
+        expected = _ranking(index, self.QUERIES)
+        clone = index.clone()
+        assert not clone._dirty
+        assert clone._vectorizer is index._vectorizer
+        assert clone._postings is index._postings
+        assert _ranking(clone, self.QUERIES) == expected
+        assert clone._vectorizer is index._vectorizer
+
+    def test_clone_matches_a_freshly_built_index(self, index):
+        index.search("revenue", k=1)
+        clone = index.clone()
+        clone.add("d5", "viewers of sponsored broadcasts")
+        clone.remove("d2")
+        fresh = self._fresh(
+            ("d1", "total revenue per organisation"),
+            ("d3", "sponsorship deal value"),
+            ("d4", "revenue from sponsorship deals per month"),
+            ("d5", "viewers of sponsored broadcasts"),
+        )
+        assert _ranking(clone, self.QUERIES) == _ranking(fresh, self.QUERIES)
+
+    def test_edits_to_clone_leave_parent_unchanged(self, index):
+        expected = _ranking(index, self.QUERIES)
+        state = self._fitted_state(index)
+        clone = index.clone()
+        clone.add("d5", "revenue revenue revenue")
+        clone.add("d1", "a different text about viewers")
+        clone.remove("d3")
+        _ranking(clone, self.QUERIES)  # refit the clone
+        assert self._fitted_state(index) == state
+        assert _ranking(index, self.QUERIES) == expected
+
+    def test_edits_to_parent_leave_clone_unchanged(self, index):
+        expected = _ranking(index, self.QUERIES)
+        clone = index.clone()
+        state = self._fitted_state(clone)
+        index.add("d5", "revenue revenue revenue")
+        index.remove("d2")
+        _ranking(index, self.QUERIES)  # refit the parent
+        assert self._fitted_state(clone) == state
+        assert _ranking(clone, self.QUERIES) == expected
+
+    def test_clone_of_dirty_index_fits_independently(self, index):
+        clone = index.clone()
+        assert clone._dirty
+        index.add("d5", "revenue revenue revenue")
+        expected_clone = _ranking(self._fresh(
+            *((doc.doc_id, doc.text) for doc in clone.documents())
+        ), self.QUERIES)
+        assert _ranking(clone, self.QUERIES) == expected_clone
+        expected_parent = _ranking(self._fresh(
+            *((doc.doc_id, doc.text) for doc in index.documents())
+        ), self.QUERIES)
+        assert _ranking(index, self.QUERIES) == expected_parent
+        assert "d5" not in clone
+
+    def test_clone_of_clone(self, index):
+        expected = _ranking(index, self.QUERIES)
+        child = index.clone()
+        child.add("d5", "viewers per organisation")
+        grandchild = child.clone()
+        grandchild.remove("d1")
+        grandchild_ranking = _ranking(grandchild, self.QUERIES)
+        child_ranking = _ranking(child, self.QUERIES)
+        assert grandchild_ranking == _ranking(self._fresh(
+            *((doc.doc_id, doc.text) for doc in grandchild.documents())
+        ), self.QUERIES)
+        assert child_ranking == _ranking(self._fresh(
+            *((doc.doc_id, doc.text) for doc in child.documents())
+        ), self.QUERIES)
+        assert "d1" in child
+        assert _ranking(index, self.QUERIES) == expected
+
+    def test_concurrent_first_searches_on_parent_and_clone(self):
+        import sys
+        import threading
+
+        documents = [
+            (f"d{position}", f"metric {position} revenue viewers month "
+                             f"organisation {position % 7} deal")
+            for position in range(200)
+        ]
+        queries = [f"revenue metric {position}" for position in range(40)]
+        serial = _ranking(self._fresh(*documents), queries)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for fitted_parent in (False, True):
+                parent = self._fresh(*documents)
+                if fitted_parent:
+                    parent.search("warm", k=1)
+                clone = parent.clone()
+                if fitted_parent:
+                    clone.add("extra", "unrelated text")
+                    clone.remove("extra")
+                results = {}
+
+                def search(name, target):
+                    results[name] = _ranking(target, queries)
+
+                # Two searchers per index: more threads than cores.
+                threads = [
+                    threading.Thread(target=search, args=(name, target))
+                    for name, target in (
+                        ("parent-1", parent), ("clone-1", clone),
+                        ("parent-2", parent), ("clone-2", clone),
+                    )
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == dict.fromkeys(results, serial)
+                assert len(results) == 4
+        finally:
+            sys.setswitchinterval(previous)
+
+
+class TestRefitCounter:
+    def test_each_refit_counted_in_registry_and_span(self):
+        from repro.obs.metrics import get_metrics
+        from repro.obs.tracing import Tracer
+
+        metrics = get_metrics()
+        before = metrics.counter_value("retrieval.refits")
+        index = RetrievalIndex()
+        index.add("d1", "total revenue per organisation")
+        tracer = Tracer()
+        with tracer.span("retrieve") as span:
+            index.search("revenue", k=1)
+            index.search("revenue again", k=1)  # clean: no refit
+            index.add("d2", "television viewers")
+            index.search("viewers", k=1)
+        assert metrics.counter_value("retrieval.refits") - before == 2
+        assert span.attributes["retrieval.refits"] == 2
+        assert span.attributes["retrieval.refit_ms"] >= 0
+        index.clone().search("revenue", k=1)
+        assert metrics.counter_value("retrieval.refits") - before == 2
