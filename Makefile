@@ -13,7 +13,9 @@
 #                   and that the raw harness rejects an unknown target
 #   make feedback-smoke - the simulated SME sessions (§4.2.3) must still
 #                   fix 43 generations with no rejected edit; guards the
-#                   staging clone path end to end
+#                   staging clone path end to end. Every session of seeds
+#                   7 and 41 must also gate identically with the knowledge
+#                   lint memo warm and cold
 #   make chaos-smoke - run Table 1 under fault injection; every question
 #                   must still produce an outcome and retries must register
 #   make ledger-smoke - record the same bench run twice into a scratch
@@ -85,6 +87,7 @@ feedback-smoke:
 		> /tmp/repro-feedback-smoke.txt
 	grep -Eq "^fixed generations +\| +43$$" /tmp/repro-feedback-smoke.txt
 	grep -Eq "^rejected +\| +0$$" /tmp/repro-feedback-smoke.txt
+	PYTHONPATH=src $(PYTHON) scripts/check_gate_memo.py 7 41
 
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench table1 --faults 0.2:7 --metrics \

@@ -24,8 +24,11 @@ class Database:
             self.add_table(table)
 
     def add_table(self, table):
+        # Replacing a table drops its rows' versions from the sum; carry
+        # them into the catalog counter so ``version`` never goes back.
+        replaced = self._tables.get(table.name.upper())
         self._tables[table.name.upper()] = table
-        self._catalog_version += 1
+        self._catalog_version += 1 + (replaced.version if replaced else 0)
         return table
 
     def create_table(self, name, columns, rows=None, description=""):

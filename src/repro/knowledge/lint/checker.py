@@ -20,15 +20,30 @@ Calibration notes (mined sets must lint clean of errors):
 * Mined sets contain many *identical* fragments across source queries by
   construction, so near-duplicate detection only examines examples added
   by the improvement loop (``feedback``/``manual`` provenance).
+
+The two checks that read the database — examples (parse, ``GE0xx``,
+execution) and schema elements (a ``top_values`` scan) — are memoised per
+component (DESIGN.md §6f). The memo is held per database in a
+``WeakKeyDictionary``, keyed on ``(database.version, value_k)`` and then on
+``repr(component)``: every field those checks read is a dataclass field, so
+equal reprs mean equal findings. Linting a staged set right after its live
+parent therefore only checks the components the edits changed. The
+set-level rules (intent refs, provenance, contradictions, near-duplicates,
+coverage) run in full every time. Code that mutates ``table.rows`` without
+going through ``Table.insert`` must bump the table's version, or the memo
+serves stale findings — the contract the evaluation cache already has.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 
 from ...engine.errors import ExecutionError
 from ...engine.executor import Executor
 from ...obs.metrics import get_metrics
+from ...obs.tracing import current_span
 from ...sql.decompose import (
     KIND_EXPR_SUBQUERY,
     KIND_FROM,
@@ -57,34 +72,47 @@ NEAR_DUPLICATE_THRESHOLD = 0.9
 
 _INLINE_ALIAS = re.compile(r"\bAS\s+([A-Za-z_][A-Za-z0-9_]*)", re.IGNORECASE)
 
+#: Per-component findings memoised per database; a database's memo is
+#: cleared once it holds this many entries. Reads are lock-free (dict.get
+#: is atomic and entries never mutate); stores take _MEMO_LOCK.
+_MEMO_CAP = 8192
+#: database -> ((version, value_k), {repr(component): findings tuple}).
+_MEMO = weakref.WeakKeyDictionary()
+_MEMO_LOCK = threading.Lock()
+
 
 def lint_knowledge(knowledge, database, value_k=5):
     """Run all ``GK0xx`` rules; returns findings in deterministic order."""
-    catalog = {table.name.upper(): table for table in database.tables}
+    checks = _DatabaseChecks(database, value_k)
     intent_ids = {intent.intent_id for intent in knowledge.intents()}
     findings = []
     for intent in knowledge.intents():
-        _check_tables(intent, intent.tables, catalog, findings)
+        _check_tables(intent, intent.tables, checks.catalog, findings)
         _check_provenance(intent, findings)
     for element in knowledge.schema_elements():
-        _check_schema_element(element, catalog, value_k, findings)
+        findings.extend(checks.run(_check_schema_element, element))
         _check_intent_refs(element, intent_ids, findings)
         _check_provenance(element, findings)
     for instruction in knowledge.instructions():
-        _check_tables(instruction, instruction.tables, catalog, findings)
+        _check_tables(instruction, instruction.tables, checks.catalog,
+                      findings)
         _check_intent_refs(instruction, intent_ids, findings)
         _check_provenance(instruction, findings)
     _check_contradictions(knowledge.instructions(), findings)
-    engine = DiagnosticsEngine(database)
-    executor = Executor(database)
     for example in knowledge.examples():
-        _check_example(example, catalog, engine, executor, findings)
+        findings.extend(checks.run(_check_example, example))
         _check_intent_refs(example, intent_ids, findings)
         _check_provenance(example, findings)
     _check_near_duplicates(knowledge.examples(), findings)
-    _check_coverage(knowledge, catalog, findings)
+    _check_coverage(knowledge, checks.catalog, findings)
     metrics = get_metrics()
     metrics.inc("knowledge_lint.runs")
+    metrics.inc("knowledge_lint.memo_hits", checks.hits)
+    metrics.inc("knowledge_lint.memo_misses", checks.misses)
+    span = current_span()
+    if span is not None:
+        span.inc_attr("knowledge_lint.memo_hits", checks.hits)
+        span.inc_attr("knowledge_lint.memo_misses", checks.misses)
     if findings:
         metrics.inc("knowledge_lint.findings", len(findings))
         errors = sum(1 for finding in findings if finding.is_error)
@@ -107,6 +135,62 @@ def finding_keys(findings):
 
 
 # -- per-component checks ----------------------------------------------------
+
+
+class _DatabaseChecks:
+    """One lint's view of the database, with the memo of its checks.
+
+    :meth:`run` returns a check's findings for one component from the
+    memo, or runs the check on a miss. The diagnostics engine and the
+    executor are built on the first miss that needs them.
+    """
+
+    def __init__(self, database, value_k):
+        self.database = database
+        self.value_k = value_k
+        self.catalog = {
+            table.name.upper(): table for table in database.tables
+        }
+        self.hits = 0
+        self.misses = 0
+        self._engine = None
+        self._executor = None
+        key = (database.version, value_k)
+        with _MEMO_LOCK:
+            held = _MEMO.get(database)
+            if held is None or held[0] != key:
+                held = (key, {})
+                _MEMO[database] = held
+        self._memo = held[1]
+
+    @property
+    def engine(self):
+        if self._engine is None:
+            self._engine = DiagnosticsEngine(self.database)
+        return self._engine
+
+    @property
+    def executor(self):
+        if self._executor is None:
+            self._executor = Executor(self.database)
+        return self._executor
+
+    def run(self, check, component):
+        key = repr(component)
+        cached = self._memo.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        found = []
+        check(component, self, found)
+        cached = tuple(found)
+        with _MEMO_LOCK:
+            if len(self._memo) >= _MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = cached
+        return cached
+
 
 
 def _check_tables(component, tables, catalog, findings):
@@ -137,8 +221,8 @@ def _check_provenance(component, findings):
         ))
 
 
-def _check_schema_element(element, catalog, value_k, findings):
-    table = catalog.get(element.table.upper())
+def _check_schema_element(element, checks, findings):
+    table = checks.catalog.get(element.table.upper())
     if table is None:
         findings.append(GK001.at(
             f"describes table {element.table!r} which is not in the catalog",
@@ -166,7 +250,7 @@ def _check_schema_element(element, catalog, value_k, findings):
         ))
     if element.top_values:
         current = set(table.top_values(
-            element.column, max(value_k, len(element.top_values))
+            element.column, max(checks.value_k, len(element.top_values))
         ))
         for value in element.top_values:
             if value not in current:
@@ -226,10 +310,9 @@ def _normalize_text(text):
 # -- examples ----------------------------------------------------------------
 
 
-def _check_example(example, catalog, engine, executor, findings):
+def _check_example(example, checks, findings):
     if example.kind == KIND_QUERY:
-        _check_full_query_example(example, catalog, engine, executor,
-                                  findings)
+        _check_full_query_example(example, checks, findings)
         return
     if not _fragment_parses(example.sql, example.kind):
         findings.append(GK003.at(
@@ -237,7 +320,7 @@ def _check_example(example, catalog, engine, executor, findings):
             example,
         ))
         return
-    tables = [catalog.get(name.upper()) for name in example.tables]
+    tables = [checks.catalog.get(name.upper()) for name in example.tables]
     if not tables or any(table is None for table in tables):
         # Fragments may reference source-query CTEs the linter cannot
         # resolve; only judge columns when every table is live.
@@ -258,8 +341,8 @@ def _check_example(example, catalog, engine, executor, findings):
             ))
 
 
-def _check_full_query_example(example, catalog, engine, executor, findings):
-    _check_tables(example, example.tables, catalog, findings)
+def _check_full_query_example(example, checks, findings):
+    _check_tables(example, example.tables, checks.catalog, findings)
     try:
         parse(example.sql)
     except SqlError as error:
@@ -269,7 +352,7 @@ def _check_full_query_example(example, catalog, engine, executor, findings):
             f"query example does not parse: {error}", example,
         ))
         return
-    diagnostics = engine.run_sql(example.sql)
+    diagnostics = checks.engine.run_sql(example.sql)
     codes = sorted({d.code for d in diagnostics if d.is_error})
     if codes:
         findings.append(GK004.at(
@@ -278,7 +361,7 @@ def _check_full_query_example(example, catalog, engine, executor, findings):
         ))
         return
     try:
-        executor.execute(example.sql)
+        checks.executor.execute(example.sql)
     except (SqlError, ExecutionError) as error:
         findings.append(GK005.at(
             f"query example fails execution: {error}", example,

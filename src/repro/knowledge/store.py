@@ -9,10 +9,17 @@ examples and instructions (§4.1), plus snapshot/restore for the history and
 checkpointing machinery (§4.2.2).
 
 :meth:`KnowledgeSet.clone` builds the staging environments of that loop. It
-deep-copies each component once and clones the four retrieval indexes
+shallow-copies each component and clones the four retrieval indexes
 copy-on-write, so a clone starts from its parent's fitted state and only
-the indexes its edits touch are refit. Snapshot/restore are for
-checkpoints and are not the clone path.
+the indexes its edits touch are refit. A shallow copy is enough because
+components are values: every field is a scalar (str, number or date), a
+tuple of those, or the frozen :class:`~repro.knowledge.models.Provenance`,
+and every edit replaces a component (``add_*``/``update_*``/``delete_*``)
+instead of mutating it. The only attribute written onto a live component,
+``SchemaElement._link_signature`` (``llm/simulated.py``), is an immutable
+tuple derived from the element's fields, so a clone may share it.
+Snapshot/restore still deep-copy: they are for checkpoints and are not
+the clone path.
 """
 
 from __future__ import annotations
@@ -242,19 +249,25 @@ class KnowledgeSet:
     def clone(self):
         """Independent copy (used to build staging environments).
 
-        Components are deep-copied once, so edits to either set's models
-        never reach the other. The retrieval indexes are copy-on-write
-        clones (:meth:`RetrievalIndex.clone`): they share the parent's
-        fitted tables and cached tokens, and each refits on its own only
-        after an edit to it.
+        Each component is a shallow ``copy.copy``: its fields are immutable
+        values and edits replace components rather than mutate them (see
+        the module docstring), so a clone shares no mutable object with
+        its parent. The retrieval indexes are copy-on-write clones
+        (:meth:`RetrievalIndex.clone`): they share the parent's fitted
+        tables and cached tokens, and each refits on its own only after an
+        edit to it.
         """
         clone = KnowledgeSet(self.name)
-        clone._intents = copy.deepcopy(self._intents)
-        clone._examples = copy.deepcopy(self._examples)
-        clone._instructions = copy.deepcopy(self._instructions)
-        clone._schema_elements = copy.deepcopy(self._schema_elements)
+        clone._intents = _copy_components(self._intents)
+        clone._examples = _copy_components(self._examples)
+        clone._instructions = _copy_components(self._instructions)
+        clone._schema_elements = _copy_components(self._schema_elements)
         clone._example_index = self._example_index.clone()
         clone._instruction_index = self._instruction_index.clone()
         clone._schema_index = self._schema_index.clone()
         clone._intent_index = self._intent_index.clone()
         return clone
+
+
+def _copy_components(components):
+    return {key: copy.copy(value) for key, value in components.items()}

@@ -90,10 +90,10 @@ def knowledge_fingerprint(knowledge):
     fingerprint is insertion-order independent and changes exactly when a
     component is added, removed, or edited.
     """
-    snapshot = knowledge.snapshot()
-    parts = [snapshot.get("name", "")]
-    for kind in ("intents", "examples", "instructions", "schema_elements"):
-        parts.extend(sorted(repr(item) for item in snapshot.get(kind, ())))
+    parts = [knowledge.name]
+    for components in (knowledge.intents(), knowledge.examples(),
+                       knowledge.instructions(), knowledge.schema_elements()):
+        parts.extend(sorted(repr(item) for item in components))
     return stable_digest(parts, size=8)
 
 

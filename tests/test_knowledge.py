@@ -1,5 +1,9 @@
 """Knowledge-set tests: models, store, mining, versioning, library."""
 
+import dataclasses
+import datetime
+from unittest import mock
+
 import pytest
 
 from repro.knowledge import (
@@ -227,6 +231,123 @@ class TestClone:
             assert _searches(edited) == _searches(rebuilt)
         assert child.example("ex1") is not None
         assert knowledge.example("ex3") is None
+
+
+def _immutable(value):
+    """A scalar, None, a tuple or frozenset of those, or a Provenance.
+
+    Scalars are str, numbers and dates (``top_values`` of date columns);
+    frozensets appear in a cached ``SchemaElement._link_signature``.
+    """
+    if value is None or isinstance(
+        value, (str, int, float, bool, datetime.date)
+    ):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(_immutable(item) for item in value)
+    if isinstance(value, Provenance):
+        return all(
+            _immutable(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        )
+    return False
+
+
+def _components(knowledge):
+    return [
+        *knowledge.intents(), *knowledge.examples(),
+        *knowledge.instructions(), *knowledge.schema_elements(),
+    ]
+
+
+def _mutable_objects(knowledge):
+    """id -> object for every mutable object a set holds its components in."""
+    found = {}
+    for held in (knowledge._intents, knowledge._examples,
+                 knowledge._instructions, knowledge._schema_elements):
+        found[id(held)] = held
+        for component in held.values():
+            found[id(component)] = component
+            found[id(vars(component))] = vars(component)
+            for value in vars(component).values():
+                if not _immutable(value):
+                    found[id(value)] = value
+    return found
+
+
+class TestShallowCloneAudit:
+    """Why ``clone`` may copy components shallowly (see ``store.py``)."""
+
+    @pytest.fixture(scope="class")
+    def seed41_context(self):
+        from repro.bench.harness import ExperimentContext
+
+        return ExperimentContext(41)
+
+    @pytest.fixture(scope="class")
+    def edit_payloads(self, experiment_context, seed41_context):
+        """Every ``generate_edits`` payload of the seed-7 and -41 sessions."""
+        import repro.feedback.solver as solver_module
+        from repro.bench.feedback_sim import simulate_feedback_sessions
+
+        payloads = []
+        original = solver_module.generate_edits
+
+        def recording(*args, **kwargs):
+            recommendations = original(*args, **kwargs)
+            payloads.extend(
+                edit.payload for edit in recommendations
+                if edit.payload is not None
+            )
+            return recommendations
+
+        with mock.patch.object(solver_module, "generate_edits", recording):
+            for context in (experiment_context, seed41_context):
+                simulate_feedback_sessions(seed=context.seed, context=context)
+        return payloads
+
+    def test_mined_components_are_immutable(
+        self, experiment_context, seed41_context
+    ):
+        for context in (experiment_context, seed41_context):
+            for knowledge in context.knowledge_sets.values():
+                for component in _components(knowledge):
+                    for name, value in vars(component).items():
+                        assert _immutable(value), (component, name)
+
+    def test_edit_payloads_are_immutable(self, edit_payloads):
+        assert len(edit_payloads) > 80
+        for payload in edit_payloads:
+            for name, value in vars(payload).items():
+                assert _immutable(value), (payload, name)
+
+    def test_clone_shares_no_mutable_object(self, experiment_context):
+        for knowledge in experiment_context.knowledge_sets.values():
+            clone = knowledge.clone()
+            assert [repr(c) for c in _components(clone)] == [
+                repr(c) for c in _components(knowledge)
+            ]
+            assert not (
+                _mutable_objects(knowledge).keys()
+                & _mutable_objects(clone).keys()
+            )
+
+    def test_cached_link_signature_is_valid_on_the_clone(
+        self, experiment_context
+    ):
+        from repro.llm.simulated import SimulatedLLM
+
+        parent = experiment_context.knowledge_sets["sports_holdings"].clone()
+        llm = SimulatedLLM()
+        llm.link_schema("How many organisations are in Canada?",
+                        parent.schema_elements())
+        clone = parent.clone()
+        for element in clone.schema_elements():
+            cached = vars(element)["_link_signature"]
+            fresh = dataclasses.replace(element)
+            assert "_link_signature" not in vars(fresh)
+            llm.link_schema("Which teams play in Toronto?", [fresh])
+            assert fresh._link_signature == cached
 
 
 class TestCloneRefits:

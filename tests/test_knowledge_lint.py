@@ -1,11 +1,15 @@
 """Knowledge-set lint (``GK0xx``): per-rule golden tests, gate, CLI."""
 
+import gc
+import importlib.util
 import io
 import json
 import pathlib
+import weakref
 
 import pytest
 
+from repro.engine import Column, Database, Table
 from repro.knowledge import (
     DecomposedExample,
     Instruction,
@@ -23,6 +27,7 @@ from repro.knowledge.lint import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "knowledge_corpus"
+SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
 
 def codes(findings):
@@ -429,6 +434,142 @@ class TestSolverGate:
         submission = solver.submit()
         assert submission.knowledge_gate.passed
         assert submission.status == SUBMISSION_PENDING_APPROVAL
+
+
+def _memo_counters():
+    from repro.obs.metrics import get_metrics
+
+    metrics = get_metrics()
+    return (metrics.counter_value("knowledge_lint.memo_hits"),
+            metrics.counter_value("knowledge_lint.memo_misses"))
+
+
+def _region_db(regions, name="regions"):
+    """One-table database whose REGION column holds ``regions``."""
+    db = Database(name)
+    db.create_table(
+        "DEPT",
+        [Column("DEPT_ID", "INTEGER"), Column("REGION", "TEXT")],
+        rows=list(enumerate(regions)),
+        description="Each row is a department.",
+    )
+    return db
+
+
+def _top_value_set(*top_values):
+    knowledge = KnowledgeSet("top")
+    knowledge.add_schema_element(SchemaElement(
+        "se-region", "DEPT", column="REGION", data_type="TEXT",
+        top_values=top_values, provenance=Provenance("manual"),
+    ))
+    return knowledge
+
+
+def _stale_top_value(knowledge, database, value_k=5):
+    return "GK013" in codes(lint_knowledge(knowledge, database, value_k))
+
+
+class TestLintMemo:
+    """The per-component memo: equal to a cold lint, invalidated by data."""
+
+    def test_warm_lint_equals_cold_lint_over_feedback_sessions(
+        self, experiment_context
+    ):
+        spec = importlib.util.spec_from_file_location(
+            "check_gate_memo", SCRIPTS / "check_gate_memo.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        hits_before, _misses = _memo_counters()
+        gates, mismatches = module.check_seed(7, context=experiment_context)
+        assert gates == 43
+        assert mismatches == []
+        assert _memo_counters()[0] > hits_before
+
+    def test_staged_lint_checks_only_the_delta(self, demo_db):
+        from repro.feedback.regression import run_knowledge_gate
+        from repro.obs.tracing import Tracer
+
+        live = base_knowledge()
+        lint_knowledge(live, demo_db)
+        staged = live.clone()
+        staged.add_example(DecomposedExample(
+            "ex-new", "Department regions.",
+            "SELECT DEPT_NAME, REGION FROM DEPT", kind="query",
+            tables=("DEPT",), provenance=Provenance("feedback"),
+        ))
+        tracer = Tracer()
+        hits, misses = _memo_counters()
+        assert run_knowledge_gate(demo_db, live, staged, tracer).passed
+        # live: 4 components memoised; staged: the same 4, plus 1 new.
+        assert _memo_counters() == (hits + 8, misses + 1)
+        (span,) = [s for s in tracer.finished_spans()
+                   if s.name == "knowledge_gate"]
+        assert span.attributes["knowledge_lint.memo_hits"] == 8
+        assert span.attributes["knowledge_lint.memo_misses"] == 1
+
+    def test_insert_brings_gk013_back(self):
+        db = _region_db(["West", "West", "East"])
+        knowledge = _top_value_set("West", "East")
+        assert not _stale_top_value(knowledge, db)
+        table = db.table("DEPT")
+        for number, region in enumerate(
+            ["North", "South", "Central", "Coast", "Inland"] * 2, start=10
+        ):
+            table.insert((number, region))
+        assert _stale_top_value(knowledge, db)
+
+    def test_add_table_changes_catalog_verdicts(self):
+        db = _region_db(["West"])
+        knowledge = _top_value_set("West")
+        knowledge.add_schema_element(SchemaElement(
+            "se-legacy", "LEGACY", provenance=Provenance("manual"),
+        ))
+        assert "GK001" in codes(lint_knowledge(knowledge, db))
+        db.add_table(Table("LEGACY", [Column("ID", "INTEGER")]))
+        assert "GK001" not in codes(lint_knowledge(knowledge, db))
+
+    def test_replacing_a_table_never_reuses_entries(self):
+        # DEPT (3 rows) replaced by a same-named 2-row table: the table
+        # versions alone would sum back to the old database version.
+        db = _region_db(["West", "West", "East"])
+        knowledge = _top_value_set("West", "East")
+        before = db.version
+        assert not _stale_top_value(knowledge, db)
+        db.add_table(Table(
+            "DEPT", [Column("DEPT_ID", "INTEGER"), Column("REGION", "TEXT")],
+            rows=[(1, "North"), (2, "North")],
+        ))
+        assert db.version > before
+        assert _stale_top_value(knowledge, db)
+
+    def test_value_k_is_part_of_the_key(self):
+        db = _region_db(["West", "West", "East"])
+        knowledge = _top_value_set("East")
+        assert not _stale_top_value(knowledge, db, value_k=5)
+        assert _stale_top_value(knowledge, db, value_k=1)
+        assert not _stale_top_value(knowledge, db, value_k=5)
+
+    def test_same_named_database_never_reuses_entries(self):
+        first = _region_db(["West", "West", "East"], name="twin")
+        second = _region_db(["North", "North", "South"], name="twin")
+        assert first.version == second.version
+        knowledge = _top_value_set("West", "East")
+        assert not _stale_top_value(knowledge, first)
+        assert _stale_top_value(knowledge, second)
+
+    def test_entries_dropped_with_their_database(self):
+        from repro.knowledge.lint import checker
+
+        db = _region_db(["West"])
+        lint_knowledge(base_knowledge(), db)
+        assert db in checker._MEMO
+        alive = weakref.ref(db)
+        held = len(checker._MEMO)
+        del db
+        gc.collect()
+        assert alive() is None
+        assert len(checker._MEMO) <= held - 1
 
 
 class TestCli:

@@ -93,6 +93,27 @@ class TestFingerprints:
             knowledge
         )
 
+    def test_knowledge_fingerprint_pinned_for_seed7(self, monkeypatch):
+        import itertools
+
+        import repro.knowledge.models as models
+        from repro.bench.harness import ExperimentContext
+
+        # Mined component ids come from a process-wide counter.
+        monkeypatch.setattr(models, "_id_counter", itertools.count(1))
+        knowledge_sets = ExperimentContext(7).knowledge_sets
+        assert {
+            name: knowledge_fingerprint(knowledge)
+            for name, knowledge in knowledge_sets.items()
+        } == {
+            "energy_grid": "553d0d98446b98c6",
+            "global_logistics": "23b94270149bc022",
+            "healthcare_network": "f75c125f427b3bd4",
+            "retail_chain": "99fdd773a239a2ca",
+            "sports_holdings": "96ad55521a17c445",
+            "university": "c133d0de41d2b643",
+        }
+
     def test_config_fingerprint_tracks_config_and_seed(self):
         base = config_fingerprint(DEFAULT_CONFIG, 7)
         assert base == config_fingerprint(DEFAULT_CONFIG, 7)
