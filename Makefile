@@ -15,7 +15,8 @@
 #                   fix 43 generations with no rejected edit; guards the
 #                   staging clone path end to end. Every session of seeds
 #                   7 and 41 must also gate identically with the knowledge
-#                   lint memo warm and cold
+#                   lint memo warm and cold, and give the same regression
+#                   report from the outcome memo as generated afresh
 #   make chaos-smoke - run Table 1 under fault injection; every question
 #                   must still produce an outcome and retries must register
 #   make ledger-smoke - record the same bench run twice into a scratch

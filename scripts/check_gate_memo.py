@@ -1,12 +1,21 @@
-"""Cold-vs-warm equivalence of the memoised knowledge lint over SME sessions.
+"""Cold-vs-warm equivalence of the submit memos over SME sessions.
 
 Replays every simulated feedback session of each seed (the sessions
-``repro bench feedback`` runs). At each submit the knowledge gate runs as
-it does in production, with the lint memo warm from earlier lints. The
-script then lints the live and the staged set again, warm, and once more
-with the memo cleared before every lint, and requires identical findings
-in identical order and an identical gate report. Exits 1 on any
-difference.
+``repro bench feedback`` runs). Two memos serve a submit, and the script
+checks both at each one:
+
+* The knowledge gate runs as it does in production, with the lint memo
+  warm from earlier lints. The script then lints the live and the staged
+  set again, warm, and once more with the memo cleared before every lint,
+  and requires identical findings in identical order and an identical
+  gate report.
+* The regression run goes through the golden-query outcome memo, warm
+  from earlier submits. The script recomputes it cold, the way it was run
+  before the memo existed: fresh live and staged pipelines generate every
+  golden query, with no memo read. It requires an identical report,
+  result by result.
+
+Exits 1 on any difference.
 
     PYTHONPATH=src python scripts/check_gate_memo.py 7 41
 """
@@ -19,7 +28,15 @@ from unittest import mock
 import repro.feedback.solver as solver_module
 import repro.knowledge.lint as lint_package
 from repro.bench.feedback_sim import simulate_feedback_sessions
+from repro.bench.metrics import execution_match
+from repro.feedback.regression import (
+    RegressionReport,
+    RegressionResult,
+    _error_codes,
+)
 from repro.knowledge.lint import checker
+from repro.pipeline.pipeline import GenEditPipeline
+from repro.sql.diagnostics import DiagnosticsEngine
 
 
 def _cold_lint(knowledge, database, value_k=5):
@@ -27,11 +44,38 @@ def _cold_lint(knowledge, database, value_k=5):
     return checker.lint_knowledge(knowledge, database, value_k)
 
 
+def _cold_regression(database, live, staged, golden_queries, config=None):
+    """The regression report with every golden query generated afresh."""
+    before = GenEditPipeline(database, live, config=config)
+    after = GenEditPipeline(database, staged, config=config)
+    engine = DiagnosticsEngine(database)
+    report = RegressionReport()
+    for golden in golden_queries:
+        sql_before = before.generate(golden.question).sql
+        sql_after = after.generate(golden.question).sql
+        codes_before = _error_codes(engine, sql_before)
+        codes_after = _error_codes(engine, sql_after)
+        report.results.append(RegressionResult(
+            question=golden.question,
+            correct_before=execution_match(database, sql_before,
+                                           golden.gold_sql),
+            correct_after=execution_match(database, sql_after,
+                                          golden.gold_sql),
+            new_error_codes=tuple(sorted(codes_after - codes_before)),
+        ))
+    return report
+
+
 def check_seed(seed, context=None):
-    """Replay ``seed``'s sessions; returns ``(gates checked, mismatches)``."""
+    """Replay ``seed``'s sessions; returns ``(submits checked, mismatches)``.
+
+    Each mismatch line names its check: ``gate`` or ``regression``.
+    """
     mismatches = []
     gates = 0
+    regressions = 0
     real_gate = solver_module.run_knowledge_gate
+    real_regression = solver_module.run_regression
 
     def checked_gate(database, live, staged, tracer=None):
         nonlocal gates
@@ -54,9 +98,30 @@ def check_seed(seed, context=None):
                               f"{cold_gate.summary()})")
         return warm_gate
 
+    def checked_regression(database, live, staged, golden_queries,
+                           config=None, tracer=None, baseline=None):
+        nonlocal regressions
+        regressions += 1
+        if baseline is not None:
+            raise ValueError("the replayed sessions have no baseline record")
+        warm = real_regression(database, live, staged, golden_queries,
+                               config=config, tracer=tracer)
+        cold = _cold_regression(database, live, staged, golden_queries,
+                                config=config)
+        if warm.results != cold.results or warm.passed != cold.passed:
+            mismatches.append(f"seed {seed} regression {regressions}: "
+                              f"reports differ ({warm.summary()} vs "
+                              f"{cold.summary()})")
+        return warm
+
     with mock.patch.object(solver_module, "run_knowledge_gate",
-                           checked_gate):
+                           checked_gate), \
+            mock.patch.object(solver_module, "run_regression",
+                              checked_regression):
         simulate_feedback_sessions(seed=seed, context=context)
+    if regressions != gates:
+        mismatches.append(f"seed {seed}: {gates} gate(s) but "
+                          f"{regressions} regression run(s)")
     return gates, mismatches
 
 
@@ -64,11 +129,17 @@ def main(argv):
     seeds = [int(arg) for arg in argv] or [7]
     failed = False
     for seed in seeds:
-        gates, mismatches = check_seed(seed)
+        submits, mismatches = check_seed(seed)
         for line in mismatches:
             print(line)
-        failed = failed or bool(mismatches) or not gates
-        print(f"seed {seed}: {gates} gate(s), {len(mismatches)} mismatch(es)")
+        counts = {
+            kind: sum(1 for line in mismatches if f" {kind} " in line)
+            for kind in ("gate", "regression")
+        }
+        failed = failed or bool(mismatches) or not submits
+        print(f"seed {seed}: {submits} submit(s), "
+              f"{counts['gate']} gate mismatch(es), "
+              f"{counts['regression']} regression mismatch(es)")
     return 1 if failed else 0
 
 

@@ -15,19 +15,44 @@ which the review queue gates on.
 When a *baseline* run record from the ledger (DESIGN.md §6d) is supplied,
 the "before" side is read straight out of the record for every golden
 query the baseline already evaluated: recorded correctness and lint codes
-stand in for a fresh live-pipeline generation, the live pipeline is built
-lazily only for baseline misses, and the report cites the baseline run id.
+stand in for a fresh live-pipeline generation, and the report cites the
+baseline run id.
+
+Every other outcome, live or staged, comes from one memo (DESIGN.md
+§6d). A golden query's outcome — ``(correct, error codes)`` — is a pure
+function of the database contents, the knowledge set's contents and
+order, the pipeline config and the golden query itself, so the memo is
+held per ``Database`` object (a ``WeakKeyDictionary``) under
+``database.version`` and keyed on ``(knowledge.revision, config,
+golden)``. :attr:`~repro.knowledge.store.KnowledgeSet.revision` changes
+on every edit made through the knowledge set's mutators and is shared by
+a clone, so the many submits against one deployed set generate its
+"before" side once, and a submit generates only what its staged edits
+can have changed. The contract is the knowledge store's: edits go
+through the mutators, and code that changes ``table.rows`` directly bumps
+the table's version. Both pipelines are built lazily, only on a miss.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 from ..bench.metrics import execution_match
 from ..obs.metrics import get_metrics
 from ..obs.tracing import Tracer
+from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from ..sql.diagnostics import DiagnosticsEngine
+
+#: Golden-query outcomes memoised per database; a database's memo is
+#: cleared once it holds this many entries. Reads are lock-free (dict.get
+#: is atomic and entries never mutate); stores take _MEMO_LOCK.
+_MEMO_CAP = 4096
+#: database -> (version, {(revision, config, golden): (correct, codes)}).
+_MEMO = weakref.WeakKeyDictionary()
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -110,15 +135,21 @@ def run_regression(database, live_knowledge, staged_knowledge,
 
     The run is traced: a ``regression`` root span with one
     ``regression.golden`` child per golden query (annotated with
-    regressed/improved and any new lint codes) lands on ``tracer`` — the
-    feedback solver passes its session tracer; standalone calls get a
-    private one.
+    regressed/improved, any new lint codes, and where each side's outcome
+    came from: ``before``/``after`` is ``baseline``, ``memo`` or
+    ``generated``) lands on ``tracer`` — the feedback solver passes its
+    session tracer; standalone calls get a private one. The root span and
+    the registry get ``regression.memo_hits``/``regression.memo_misses``.
 
     ``baseline`` is an optional ledger run record (the dict shape of
     ``record.json``): golden queries the baseline already evaluated reuse
-    its recorded correctness and lint codes for the "before" side, so the
-    live pipeline only runs for baseline misses — and the report names the
-    run it was compared against.
+    its recorded correctness and lint codes for the "before" side ahead of
+    the memo, and the report names the run it was compared against.
+
+    Both sides are generated by a default :class:`GenEditPipeline` (a
+    ``SimulatedLLM``, no fault injector), which is why the memo key holds
+    no LLM state. A parameter added later that changes generation (an LLM,
+    a fault injector) must join the memo key.
     """
     baseline_outcomes = {}
     baseline_run_id = ""
@@ -127,17 +158,7 @@ def run_regression(database, live_knowledge, staged_knowledge,
 
         baseline_outcomes = outcomes_by_question(baseline)
         baseline_run_id = baseline.get("run_id", "")
-    before = None
-
-    def before_pipeline():
-        # Built lazily: with a full-coverage baseline it never exists.
-        nonlocal before
-        if before is None:
-            before = GenEditPipeline(database, live_knowledge, config=config)
-        return before
-
-    after = GenEditPipeline(database, staged_knowledge, config=config)
-    engine = DiagnosticsEngine(database)
+    outcomes = _GoldenOutcomes(database, config)
     report = RegressionReport(baseline_run_id=baseline_run_id)
     tracer = tracer or Tracer()
     with tracer.span("regression", golden=len(golden_queries)) as root:
@@ -149,24 +170,24 @@ def run_regression(database, live_knowledge, staged_knowledge,
                 if recorded is not None:
                     report.baseline_hits += 1
                     span.set_attr("baseline", baseline_run_id)
+                    source_before = "baseline"
                     correct_before = bool(recorded["correct"])
-                    codes_before = set(recorded.get("lint_codes", ()))
+                    codes_before = frozenset(recorded.get("lint_codes", ()))
                 else:
-                    result_before = before_pipeline().generate(golden.question)
-                    correct_before = execution_match(
-                        database, result_before.sql, golden.gold_sql
+                    source_before, (correct_before, codes_before) = (
+                        outcomes.get(live_knowledge, golden)
                     )
-                    codes_before = _error_codes(engine, result_before.sql)
-                result_after = after.generate(golden.question)
-                codes_after = _error_codes(engine, result_after.sql)
+                source_after, (correct_after, codes_after) = outcomes.get(
+                    staged_knowledge, golden
+                )
                 result = RegressionResult(
                     question=golden.question,
                     correct_before=correct_before,
-                    correct_after=execution_match(
-                        database, result_after.sql, golden.gold_sql
-                    ),
+                    correct_after=correct_after,
                     new_error_codes=tuple(sorted(codes_after - codes_before)),
                 )
+                span.set_attr("before", source_before)
+                span.set_attr("after", source_after)
                 span.set_attr("regressed", result.regressed)
                 span.set_attr("improved", result.improved)
                 if result.new_error_codes:
@@ -175,13 +196,69 @@ def run_regression(database, live_knowledge, staged_knowledge,
                     )
                 report.results.append(result)
         root.set_attr("passed", report.passed)
+        root.set_attr("regression.memo_hits", outcomes.hits)
+        root.set_attr("regression.memo_misses", outcomes.misses)
     metrics = get_metrics()
     metrics.inc("regression.runs")
     metrics.inc("regression.regressions", len(report.regressions))
     metrics.inc("regression.improvements", len(report.improvements))
+    metrics.inc("regression.memo_hits", outcomes.hits)
+    metrics.inc("regression.memo_misses", outcomes.misses)
     if report.baseline_hits:
         metrics.inc("regression.baseline_hits", report.baseline_hits)
     return report
+
+
+class _GoldenOutcomes:
+    """One regression run's view of the database, with the outcome memo.
+
+    :meth:`get` returns a golden query's ``(correct, error codes)`` on a
+    knowledge set from the memo, or generates it on a miss. A knowledge
+    set's pipeline and the diagnostics engine are built on the first miss
+    that needs them.
+    """
+
+    def __init__(self, database, config):
+        self.database = database
+        self.config = config or DEFAULT_CONFIG
+        self.hits = 0
+        self.misses = 0
+        self._engine = None
+        self._pipelines = {}
+        version = database.version
+        with _MEMO_LOCK:
+            held = _MEMO.get(database)
+            if held is None or held[0] != version:
+                held = (version, {})
+                _MEMO[database] = held
+        self._memo = held[1]
+
+    def get(self, knowledge, golden):
+        """``(source, (correct, codes))``; source is memo or generated."""
+        key = (knowledge.revision, self.config, golden)
+        cached = self._memo.get(key)
+        if cached is not None:
+            self.hits += 1
+            return "memo", cached
+        self.misses += 1
+        pipeline = self._pipelines.get(id(knowledge))
+        if pipeline is None:
+            pipeline = GenEditPipeline(
+                self.database, knowledge, config=self.config
+            )
+            self._pipelines[id(knowledge)] = pipeline
+        if self._engine is None:
+            self._engine = DiagnosticsEngine(self.database)
+        sql = pipeline.generate(golden.question).sql
+        cached = (
+            execution_match(self.database, sql, golden.gold_sql),
+            frozenset(_error_codes(self._engine, sql)),
+        )
+        with _MEMO_LOCK:
+            if len(self._memo) >= _MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = cached
+        return "generated", cached
 
 
 def _error_codes(engine, sql):

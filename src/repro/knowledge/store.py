@@ -20,6 +20,17 @@ instead of mutating it. The only attribute written onto a live component,
 tuple derived from the element's fields, so a clone may share it.
 Snapshot/restore still deep-copy: they are for checkpoints and are not
 the clone path.
+
+:attr:`KnowledgeSet.revision` is an opaque token for the set's contents.
+Every mutator (``add_*`` and a ``delete_*`` that removes something;
+``update_*`` and :meth:`~KnowledgeSet.restore` go through them) replaces
+it, and :meth:`~KnowledgeSet.clone` copies it, so two sets with the same
+revision hold the same components in the same insertion order. Memos of
+results computed from a set's contents, such as the regression outcomes
+of ``repro.feedback.regression``, key on it. Edits must therefore go
+through the mutators: writing a component dict directly, or mutating a
+component in place, leaves the revision (and the retrieval indexes)
+stale.
 """
 
 from __future__ import annotations
@@ -40,6 +51,8 @@ class KnowledgeSet:
 
     def __init__(self, name="knowledge"):
         self.name = name
+        #: Opaque content token; see the module docstring.
+        self.revision = object()
         self._intents = {}
         self._examples = {}
         self._instructions = {}
@@ -53,6 +66,7 @@ class KnowledgeSet:
 
     def add_intent(self, intent: Intent):
         self._intents[intent.intent_id] = intent
+        self.revision = object()
         self._intent_index.add(
             intent.intent_id,
             f"{intent.name}\n{intent.description}",
@@ -73,6 +87,7 @@ class KnowledgeSet:
 
     def add_example(self, example: DecomposedExample):
         self._examples[example.example_id] = example
+        self.revision = object()
         self._example_index.add(
             example.example_id,
             example.retrieval_text,
@@ -86,7 +101,8 @@ class KnowledgeSet:
         return self.add_example(example)
 
     def delete_example(self, example_id):
-        self._examples.pop(example_id, None)
+        if self._examples.pop(example_id, None) is not None:
+            self.revision = object()
         self._example_index.remove(example_id)
 
     def example(self, example_id):
@@ -113,6 +129,7 @@ class KnowledgeSet:
 
     def add_instruction(self, instruction: Instruction):
         self._instructions[instruction.instruction_id] = instruction
+        self.revision = object()
         self._instruction_index.add(
             instruction.instruction_id,
             instruction.retrieval_text,
@@ -128,7 +145,8 @@ class KnowledgeSet:
         return self.add_instruction(instruction)
 
     def delete_instruction(self, instruction_id):
-        self._instructions.pop(instruction_id, None)
+        if self._instructions.pop(instruction_id, None) is not None:
+            self.revision = object()
         self._instruction_index.remove(instruction_id)
 
     def instruction(self, instruction_id):
@@ -163,6 +181,7 @@ class KnowledgeSet:
 
     def add_schema_element(self, element: SchemaElement):
         self._schema_elements[element.element_id] = element
+        self.revision = object()
         self._schema_index.add(
             element.element_id,
             element.retrieval_text,
@@ -171,7 +190,8 @@ class KnowledgeSet:
         return element
 
     def delete_schema_element(self, element_id):
-        self._schema_elements.pop(element_id, None)
+        if self._schema_elements.pop(element_id, None) is not None:
+            self.revision = object()
         self._schema_index.remove(element_id)
 
     def schema_element(self, element_id):
@@ -228,6 +248,7 @@ class KnowledgeSet:
     def restore(self, snapshot):
         """Replace all contents with ``snapshot`` (from :meth:`snapshot`)."""
         self.name = snapshot["name"]
+        self.revision = object()  # even when the snapshot is empty
         self._intents = {}
         self._examples = {}
         self._instructions = {}
@@ -255,9 +276,11 @@ class KnowledgeSet:
         its parent. The retrieval indexes are copy-on-write clones
         (:meth:`RetrievalIndex.clone`): they share the parent's fitted
         tables and cached tokens, and each refits on its own only after an
-        edit to it.
+        edit to it. The clone shares its parent's :attr:`revision` until
+        either side is edited.
         """
         clone = KnowledgeSet(self.name)
+        clone.revision = self.revision
         clone._intents = _copy_components(self._intents)
         clone._examples = _copy_components(self._examples)
         clone._instructions = _copy_components(self._instructions)

@@ -84,3 +84,38 @@ def sports_pipeline(experiment_context):
     profile = experiment_context.profiles["sports_holdings"]
     knowledge = experiment_context.knowledge_sets["sports_holdings"]
     return GenEditPipeline(profile.database, knowledge)
+
+
+@pytest.fixture(scope="session")
+def check_gate_memo():
+    """``scripts/check_gate_memo.py``, imported as a module."""
+    import importlib.util
+    import pathlib
+
+    script = (pathlib.Path(__file__).parent.parent / "scripts"
+              / "check_gate_memo.py")
+    spec = importlib.util.spec_from_file_location("check_gate_memo", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def seed7_memo_replay(check_gate_memo, experiment_context):
+    """The memo replay script over the seed-7 sessions, run once.
+
+    Returns the script's ``(submits, mismatches)`` and how much the lint
+    and regression memo-hit counters grew during the replay.
+    """
+    from repro.obs.metrics import get_metrics
+
+    metrics = get_metrics()
+    names = ("knowledge_lint.memo_hits", "regression.memo_hits")
+    before = {name: metrics.counter_value(name) for name in names}
+    submits, mismatches = check_gate_memo.check_seed(
+        7, context=experiment_context
+    )
+    grown = {
+        name: metrics.counter_value(name) - before[name] for name in names
+    }
+    return submits, mismatches, grown

@@ -20,7 +20,7 @@ from repro.feedback import (
     plan_edits,
 )
 from repro.feedback.models import Feedback, next_feedback_id
-from repro.knowledge import KnowledgeSet, KnowledgeSetHistory
+from repro.knowledge import Instruction, KnowledgeSet, KnowledgeSetHistory
 
 
 def make_feedback(text):
@@ -328,3 +328,226 @@ class TestStagingClone:
         assert summary.sessions > 0
         assert len(compared) >= summary.sessions
         assert sum(compared) > 0
+
+
+def _regression_db(name="regression"):
+    """One-table database for golden queries about employees."""
+    from repro.engine import Column, Database
+
+    db = Database(name)
+    db.create_table(
+        "EMP",
+        [
+            Column("EMP_ID", "INTEGER", "Unique employee id."),
+            Column("EMP_NAME", "TEXT", "Employee name."),
+            Column("SALARY", "FLOAT", "Annual salary."),
+        ],
+        rows=[(1, "Ada", 120.0), (2, "Grace", 140.0)],
+        description="Each row is an employee.",
+    )
+    return db
+
+
+def _regression_knowledge():
+    from repro.knowledge import SchemaElement
+
+    knowledge = KnowledgeSet("regression")
+    knowledge.add_schema_element(SchemaElement(
+        "se-emp", "EMP", description="Each row is an employee.",
+    ))
+    return knowledge
+
+
+COUNT_EMPLOYEES = GoldenQuery(
+    "How many employees are there?", "SELECT COUNT(*) FROM EMP"
+)
+
+
+def _traced_regression(database, live, staged, golden, **options):
+    """``(report, [(before, after) per golden query], root attributes)``."""
+    from repro.feedback.regression import run_regression
+    from repro.obs.tracing import Tracer
+
+    tracer = Tracer()
+    report = run_regression(database, live, staged, golden, tracer=tracer,
+                            **options)
+    spans = tracer.finished_spans()
+    sources = [
+        (span.attributes["before"], span.attributes["after"])
+        for span in spans if span.name == "regression.golden"
+    ]
+    (root,) = [span for span in spans if span.name == "regression"]
+    return report, sources, root.attributes
+
+
+class TestRegressionMemo:
+    """Golden-query outcomes memoised per (database, revision, config)."""
+
+    def test_warm_report_equals_cold_over_seed7_sessions(
+        self, seed7_memo_replay
+    ):
+        submits, mismatches, grown = seed7_memo_replay
+        assert submits == 43
+        assert mismatches == []
+        assert grown["regression.memo_hits"] > 0
+
+    def test_repeat_submit_regenerates_only_the_staged_side(self):
+        from repro.obs.metrics import get_metrics
+
+        db = _regression_db()
+        live = _regression_knowledge()
+        metrics = get_metrics()
+        hits = metrics.counter_value("regression.memo_hits")
+        misses = metrics.counter_value("regression.memo_misses")
+        _report, sources, root = _traced_regression(
+            db, live, live.clone(), [COUNT_EMPLOYEES]
+        )
+        # A clone shares the live revision: the staged side hits.
+        assert sources == [("generated", "memo")]
+        assert (root["regression.memo_hits"],
+                root["regression.memo_misses"]) == (1, 1)
+        assert metrics.counter_value("regression.memo_hits") == hits + 1
+        assert metrics.counter_value("regression.memo_misses") == misses + 1
+        staged = live.clone()
+        staged.add_instruction(
+            Instruction("in-new", "Count employees.", tables=("EMP",))
+        )
+        _report, sources, _root = _traced_regression(
+            db, live, staged, [COUNT_EMPLOYEES]
+        )
+        assert sources == [("memo", "generated")]
+
+    def test_edit_that_changes_the_outcome_is_not_served_stale(
+        self, experiment_context, check_gate_memo
+    ):
+        profile = experiment_context.profiles["sports_holdings"]
+        live = experiment_context.knowledge_sets["sports_holdings"]
+        golden = [
+            GoldenQuery(entry.question, entry.sql)
+            for entry in experiment_context.workload.training_logs[
+                "sports_holdings"
+            ][:3]
+        ]
+        warm_up, _sources, _root = _traced_regression(
+            profile.database, live, live.clone(), golden
+        )
+        assert warm_up.passed
+        staged = live.clone()
+        for element in staged.schema_elements():
+            staged.delete_schema_element(element.element_id)
+        report, sources, _root = _traced_regression(
+            profile.database, live, staged, golden
+        )
+        assert sources == [("memo", "generated")] * len(golden)
+        assert report.results == check_gate_memo._cold_regression(
+            profile.database, live, staged, golden
+        ).results
+        assert not report.passed
+
+    def test_table_insert_causes_misses(self):
+        db = _regression_db()
+        live = _regression_knowledge()
+        first, _sources, _root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES]
+        )
+        db.table("EMP").insert((3, "Alan", 90.0))
+        report, sources, _root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES]
+        )
+        assert sources == [("generated", "memo")]
+        assert report.results == first.results
+
+    def test_add_table_causes_misses(self):
+        from repro.engine import Column, Table
+
+        db = _regression_db()
+        live = _regression_knowledge()
+        _traced_regression(db, live, live, [COUNT_EMPLOYEES])
+        db.add_table(Table("DEPT", [Column("DEPT_ID", "INTEGER")]))
+        _report, sources, _root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES]
+        )
+        assert sources == [("generated", "memo")]
+
+    def test_config_is_part_of_the_key(self):
+        from repro.pipeline import DEFAULT_CONFIG
+
+        db = _regression_db()
+        live = _regression_knowledge()
+        _traced_regression(db, live, live, [COUNT_EMPLOYEES])
+        _report, sources, _root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES],
+            config=DEFAULT_CONFIG.without("instructions"),
+        )
+        assert sources == [("generated", "memo")]
+        # No config is the default config.
+        _report, sources, _root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES], config=DEFAULT_CONFIG
+        )
+        assert sources == [("memo", "memo")]
+
+    def test_gold_sql_is_part_of_the_key(self):
+        db = _regression_db()
+        live = _regression_knowledge()
+        first, _sources, _root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES]
+        )
+        wrong_gold = GoldenQuery(COUNT_EMPLOYEES.question,
+                                 "SELECT COUNT(*) + 1 FROM EMP")
+        report, sources, _root = _traced_regression(
+            db, live, live, [wrong_gold]
+        )
+        assert sources == [("generated", "memo")]
+        assert report.results[0].correct_before is not (
+            first.results[0].correct_before
+        )
+
+    def test_same_named_database_never_reuses_entries(self):
+        first = _regression_db(name="twin")
+        second = _regression_db(name="twin")
+        assert first.version == second.version
+        live = _regression_knowledge()
+        _traced_regression(first, live, live, [COUNT_EMPLOYEES])
+        _report, sources, _root = _traced_regression(
+            second, live, live, [COUNT_EMPLOYEES]
+        )
+        assert sources == [("generated", "memo")]
+
+    def test_entries_dropped_with_their_database(self):
+        import gc
+        import weakref
+
+        from repro.feedback import regression
+
+        db = _regression_db()
+        live = _regression_knowledge()
+        _traced_regression(db, live, live, [COUNT_EMPLOYEES])
+        assert db in regression._MEMO
+        alive = weakref.ref(db)
+        held = len(regression._MEMO)
+        del db
+        gc.collect()
+        assert alive() is None
+        assert len(regression._MEMO) <= held - 1
+
+    def test_baseline_record_takes_precedence(self):
+        db = _regression_db()
+        live = _regression_knowledge()
+        _traced_regression(db, live, live, [COUNT_EMPLOYEES])
+        baseline = {
+            "run_id": "run-baseline",
+            "systems": {"GenEdit": {"outcomes": [{
+                "question": COUNT_EMPLOYEES.question,
+                "correct": False,
+                "lint_codes": ["GE002"],
+            }]}},
+        }
+        report, sources, root = _traced_regression(
+            db, live, live, [COUNT_EMPLOYEES], baseline=baseline
+        )
+        assert report.baseline_hits == 1
+        assert sources == [("baseline", "memo")]
+        assert report.results[0].correct_before is False
+        assert (root["regression.memo_hits"],
+                root["regression.memo_misses"]) == (1, 0)
+

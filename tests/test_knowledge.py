@@ -18,6 +18,7 @@ from repro.knowledge import (
     KnowledgeSetHistory,
     LoggedQuery,
     Provenance,
+    SchemaElement,
     build_examples,
     build_full_query_example,
     describe_unit,
@@ -230,6 +231,86 @@ class TestClone:
             rebuilt = KnowledgeSet(edited.name).restore(edited.snapshot())
             assert _searches(edited) == _searches(rebuilt)
         assert child.example("ex1") is not None
+        assert knowledge.example("ex3") is None
+
+
+NEW_SCHEMA_ELEMENT = SchemaElement("se-new", "ORGS", column="COUNTRY")
+
+
+class TestRevision:
+    """``revision`` changes with the contents; see ``store.py``."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda ks: ks.add_intent(Intent("i2", "ops", "operations")),
+        lambda ks: ks.add_example(NEW_EXAMPLE),
+        lambda ks: ks.update_example(
+            dataclasses.replace(ks.example("ex1"), description="changed")
+        ),
+        lambda ks: ks.delete_example("ex1"),
+        lambda ks: ks.add_instruction(
+            Instruction("in2", "Use fiscal quarters.")
+        ),
+        lambda ks: ks.update_instruction(
+            dataclasses.replace(ks.instruction("in1"), text="changed")
+        ),
+        lambda ks: ks.delete_instruction("in1"),
+        lambda ks: ks.add_schema_element(NEW_SCHEMA_ELEMENT),
+        lambda ks: ks.restore(ks.snapshot()),
+        lambda ks: ks.restore(KnowledgeSet("empty").snapshot()),
+    ], ids=[
+        "add_intent", "add_example", "update_example", "delete_example",
+        "add_instruction", "update_instruction", "delete_instruction",
+        "add_schema_element", "restore", "restore_empty",
+    ])
+    def test_every_mutator_replaces_the_revision(self, knowledge, edit):
+        before = knowledge.revision
+        edit(knowledge)
+        assert knowledge.revision is not before
+
+    def test_delete_schema_element_replaces_the_revision(self, knowledge):
+        knowledge.add_schema_element(NEW_SCHEMA_ELEMENT)
+        before = knowledge.revision
+        knowledge.delete_schema_element("se-new")
+        assert knowledge.revision is not before
+
+    def test_delete_of_an_absent_id_keeps_the_revision(self, knowledge):
+        before = knowledge.revision
+        knowledge.delete_example("missing")
+        knowledge.delete_instruction("missing")
+        knowledge.delete_schema_element("missing")
+        assert knowledge.revision is before
+
+    def test_reads_keep_the_revision(self, knowledge):
+        before = knowledge.revision
+        _searches(knowledge)
+        knowledge.snapshot()
+        knowledge.stats()
+        assert knowledge.revision is before
+
+    def test_clone_shares_the_revision_until_either_side_edits(
+        self, knowledge
+    ):
+        parent = knowledge.revision
+        clone = knowledge.clone()
+        assert clone.revision is parent
+        clone.add_example(NEW_EXAMPLE)
+        assert clone.revision is not parent
+        assert knowledge.revision is parent
+        second = knowledge.clone()
+        knowledge.delete_example("ex1")
+        assert second.revision is parent
+        assert knowledge.revision is not parent
+
+    def test_distinct_sets_have_distinct_revisions(self):
+        assert KnowledgeSet().revision is not KnowledgeSet().revision
+
+    def test_revert_yields_a_new_revision(self, knowledge):
+        history = KnowledgeSetHistory(knowledge)
+        (initial,) = history.checkpoints()
+        knowledge.add_example(NEW_EXAMPLE)
+        edited = knowledge.revision
+        history.revert_to(initial.checkpoint_id)
+        assert knowledge.revision is not edited
         assert knowledge.example("ex3") is None
 
 

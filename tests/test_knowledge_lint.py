@@ -1,7 +1,6 @@
 """Knowledge-set lint (``GK0xx``): per-rule golden tests, gate, CLI."""
 
 import gc
-import importlib.util
 import io
 import json
 import pathlib
@@ -27,7 +26,6 @@ from repro.knowledge.lint import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "knowledge_corpus"
-SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
 
 def codes(findings):
@@ -473,18 +471,12 @@ class TestLintMemo:
     """The per-component memo: equal to a cold lint, invalidated by data."""
 
     def test_warm_lint_equals_cold_lint_over_feedback_sessions(
-        self, experiment_context
+        self, seed7_memo_replay
     ):
-        spec = importlib.util.spec_from_file_location(
-            "check_gate_memo", SCRIPTS / "check_gate_memo.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        hits_before, _misses = _memo_counters()
-        gates, mismatches = module.check_seed(7, context=experiment_context)
+        gates, mismatches, grown = seed7_memo_replay
         assert gates == 43
         assert mismatches == []
-        assert _memo_counters()[0] > hits_before
+        assert grown["knowledge_lint.memo_hits"] > 0
 
     def test_staged_lint_checks_only_the_delta(self, demo_db):
         from repro.feedback.regression import run_knowledge_gate

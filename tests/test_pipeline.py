@@ -201,3 +201,128 @@ class TestEndToEnd:
         )
         result = pipeline.generate("How many sports organisations are there?")
         assert result.success
+
+
+
+def golden_generations(profiles, knowledge_sets, golden):
+    """``[database, question, sql, operator digests]`` per golden query.
+
+    ``golden`` maps each database name to its golden questions.
+    """
+    generated = []
+    for name in sorted(golden):
+        pipeline = GenEditPipeline(
+            profiles[name].database, knowledge_sets[name]
+        )
+        for question in golden[name]:
+            result = pipeline.generate(question)
+            generated.append([
+                name, question, result.sql,
+                [list(pair) for pair in result.operator_digests],
+            ])
+    return generated
+
+
+def rebuilt_knowledge(name, components):
+    """A fresh set holding ``components`` in their recorded order."""
+    from repro.knowledge import KnowledgeSet
+
+    knowledge = KnowledgeSet(name)
+    adders = (knowledge.add_intent, knowledge.add_example,
+              knowledge.add_instruction, knowledge.add_schema_element)
+    for add, items in zip(adders, components):
+        for item in items:
+            add(item)
+    return knowledge
+
+
+def _recorded_components(knowledge):
+    """Each component kind in insertion order, as fresh field-only copies.
+
+    ``dataclasses.replace`` drops attributes cached on a live component
+    (``SchemaElement._link_signature``), so the fresh process derives them.
+    """
+    import dataclasses
+
+    return [
+        [dataclasses.replace(component) for component in held.values()]
+        for held in (knowledge._intents, knowledge._examples,
+                     knowledge._instructions, knowledge._schema_elements)
+    ]
+
+
+_FRESH_PROCESS = """
+import json, pickle, sys
+from repro.bench.harness import ExperimentContext
+from tests.test_pipeline import golden_generations, rebuilt_knowledge
+generated = []
+for seed, sets, golden in pickle.load(open(sys.argv[1], "rb")):
+    knowledge_sets = {
+        name: rebuilt_knowledge(*recorded) for name, recorded in sets.items()
+    }
+    generated.append(golden_generations(
+        ExperimentContext(seed).profiles, knowledge_sets, golden
+    ))
+print(json.dumps(generated))
+"""
+
+
+class TestGenerationPurity:
+    """Generation is a function of its inputs, not of process history.
+
+    The regression memo (``repro.feedback.regression``) reuses a golden
+    query's outcome across submits, keyed on the knowledge set's revision,
+    the database version and the config. That is sound only if
+    process-wide memos (DESIGN.md §6d) never leak into what ``generate``
+    returns.
+    """
+
+    def test_golden_queries_match_a_fresh_process(
+        self, experiment_context, tmp_path
+    ):
+        import json
+        import os
+        import pathlib
+        import pickle
+        import subprocess
+        import sys
+
+        from repro.bench.feedback_sim import simulate_feedback_sessions
+        from repro.bench.harness import ExperimentContext
+
+        # Warm the process-wide memos on other seeds first.
+        simulate_feedback_sessions(seed=8, limit=5)
+        ExperimentContext(9).knowledge_sets
+        payload = []
+        warm = []
+        for context in (experiment_context, ExperimentContext(41)):
+            live = {
+                name: knowledge.clone()
+                for name, knowledge in context.knowledge_sets.items()
+            }
+            golden = {
+                name: [entry.question
+                       for entry in context.workload.training_logs[name][:3]]
+                for name in live
+            }
+            payload.append((
+                context.seed,
+                {name: (knowledge.name, _recorded_components(knowledge))
+                 for name, knowledge in live.items()},
+                golden,
+            ))
+            warm.append(golden_generations(context.profiles, live, golden))
+        inputs = tmp_path / "inputs.pickle"
+        inputs.write_bytes(pickle.dumps(payload))
+        root = pathlib.Path(__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS, str(inputs)],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        assert [seed for seed, _sets, _golden in payload] == [7, 41]
+        assert [len(generated) for generated in warm] == [18, 18]
+        assert warm == json.loads(fresh.stdout)

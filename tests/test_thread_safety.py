@@ -331,3 +331,50 @@ class TestLedgerConcurrentWriters:
         assert seen == set(run_ids)
         with pytest.raises(KeyError):
             ledger.resolve(f"latest~{THREADS}")
+
+
+class TestRegressionMemo:
+    def test_concurrent_submits_match_a_serial_run(
+        self, demo_db, monkeypatch
+    ):
+        """N threads regress N clones of one live set on one database.
+
+        A cap of 3 makes cap-clears race stores; every report must still
+        equal the serial one, and the memo must stay within its cap.
+        """
+        import sys
+
+        from repro.feedback import regression
+        from repro.feedback.regression import GoldenQuery, run_regression
+        from repro.knowledge import KnowledgeSet, SchemaElement
+
+        live = KnowledgeSet("live")
+        for table in ("DEPT", "EMP"):
+            live.add_schema_element(SchemaElement(f"se-{table}", table))
+        golden = [
+            GoldenQuery("How many employees are there?",
+                        "SELECT COUNT(*) FROM EMP"),
+            GoldenQuery("How many departments are there?",
+                        "SELECT COUNT(*) FROM DEPT"),
+            GoldenQuery("What is the total budget?",
+                        "SELECT SUM(BUDGET) FROM DEPT"),
+        ]
+        expected = run_regression(demo_db, live, live.clone(), golden)
+        monkeypatch.setattr(regression, "_MEMO_CAP", 3)
+        reports = [None] * THREADS
+
+        def worker(index):
+            reports[index] = run_regression(
+                demo_db, live.clone(), live.clone(), golden
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [report.results for report in reports] == (
+            [expected.results] * THREADS
+        )
+        assert len(regression._MEMO[demo_db][1]) <= 3
