@@ -3,7 +3,7 @@
 Not a paper table — these keep the substrate performance honest: SQL
 parsing, the Appendix-A-shaped query execution, knowledge retrieval, and a
 full single-question pipeline pass; plus the evaluation fast path
-(cached ``execution_match``, norm-precomputed retrieval), each asserted
+(memoised ``execution_match``, norm-precomputed retrieval), each asserted
 against an inline replica of the seed implementation.
 """
 
@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.bench.cache import EvaluationCache
 from repro.bench.metrics import execution_match
 from repro.engine import Executor
 from repro.pipeline import GenEditPipeline
@@ -136,20 +135,17 @@ def _timed(fn, rounds):
 
 
 def test_execution_match_cached(benchmark, context):
-    """Pretty numbers for the cached EX check (steady-state: all hits)."""
+    """Pretty numbers for the memoised EX check (steady-state: all hits)."""
     question = context.workload.questions[0]
     database = context.profiles[question.database].database
-    cache = EvaluationCache()
-    execution_match(database, question.gold_sql, question.gold_sql,
-                    cache=cache)  # warm
+    execution_match(database, question.gold_sql, question.gold_sql)  # warm
     assert benchmark(
         execution_match, database, question.gold_sql, question.gold_sql,
-        cache=cache,
     )
 
 
 def test_execution_match_cached_vs_seed_speedup(context):
-    """Repeated EX checks through the cache must beat the seed path >=2x.
+    """Repeated memoised EX checks must beat the seed path >=2x.
 
     This is the Table 1 access pattern: every system re-checks the same
     (gold, predicted) statements on the same database.
@@ -164,11 +160,8 @@ def test_execution_match_cached_vs_seed_speedup(context):
         lambda: [_seed_execution_match(db, sql, sql) for db, sql in pairs],
         rounds,
     )
-    cache = EvaluationCache()
     fast_s = _timed(
-        lambda: [
-            execution_match(db, sql, sql, cache=cache) for db, sql in pairs
-        ],
+        lambda: [execution_match(db, sql, sql) for db, sql in pairs],
         rounds,
     )
     assert fast_s * 2 < seed_s, (

@@ -6,14 +6,14 @@ checks both at each one:
 
 * The knowledge gate runs as it does in production, with the lint memo
   warm from earlier lints. The script then lints the live and the staged
-  set again, warm, and once more with the memo cleared before every lint,
-  and requires identical findings in identical order and an identical
-  gate report.
+  set again, warm, and once more with the database's lint memo cleared
+  before every lint, and requires identical findings in identical order
+  and an identical gate report.
 * The regression run goes through the golden-query outcome memo, warm
-  from earlier submits. The script recomputes it cold, the way it was run
-  before the memo existed: fresh live and staged pipelines generate every
-  golden query, with no memo read. It requires an identical report,
-  result by result.
+  from earlier submits. The script recomputes it cold, with no memo read:
+  fresh live and staged pipelines generate every golden query, and fresh
+  executors compare each result with the gold one. It requires an
+  identical report, result by result.
 
 Exits 1 on any difference.
 
@@ -28,7 +28,8 @@ from unittest import mock
 import repro.feedback.solver as solver_module
 import repro.knowledge.lint as lint_package
 from repro.bench.feedback_sim import simulate_feedback_sessions
-from repro.bench.metrics import execution_match
+from repro.engine.errors import ExecutionError
+from repro.engine.executor import Executor
 from repro.feedback.regression import (
     RegressionReport,
     RegressionResult,
@@ -37,11 +38,26 @@ from repro.feedback.regression import (
 from repro.knowledge.lint import checker
 from repro.pipeline.pipeline import GenEditPipeline
 from repro.sql.diagnostics import DiagnosticsEngine
+from repro.sql.errors import SqlError
 
 
 def _cold_lint(knowledge, database, value_k=5):
-    checker._MEMO.clear()
+    # Only the lint memo: clear_memos() would also drop the regression
+    # memo each submit reads next, and the replay would never run warm.
+    database.memo("knowledge_lint").clear()
     return checker.lint_knowledge(knowledge, database, value_k)
+
+
+def _cold_match(database, predicted_sql, gold_sql):
+    """Execution match through fresh executors, reading no memo."""
+    gold = Executor(database).execute(gold_sql).comparable()
+    if not predicted_sql:
+        return False
+    try:
+        predicted = Executor(database).execute(predicted_sql).comparable()
+    except (SqlError, ExecutionError):
+        return False
+    return predicted == gold
 
 
 def _cold_regression(database, live, staged, golden_queries, config=None):
@@ -57,10 +73,9 @@ def _cold_regression(database, live, staged, golden_queries, config=None):
         codes_after = _error_codes(engine, sql_after)
         report.results.append(RegressionResult(
             question=golden.question,
-            correct_before=execution_match(database, sql_before,
-                                           golden.gold_sql),
-            correct_after=execution_match(database, sql_after,
-                                          golden.gold_sql),
+            correct_before=_cold_match(database, sql_before,
+                                       golden.gold_sql),
+            correct_after=_cold_match(database, sql_after, golden.gold_sql),
             new_error_codes=tuple(sorted(codes_after - codes_before)),
         ))
     return report

@@ -1,7 +1,6 @@
 """Benchmark substrate: databases, workloads, baselines, harness."""
 
 from .bird import build_knowledge_sets, build_workload
-from .cache import CachedExecutionError, EvaluationCache
 from .enterprise import build_enterprise_workload
 from .harness import (
     ExperimentContext,
@@ -21,10 +20,8 @@ from .workloads import BUCKET_SIZES, BenchmarkQuestion, SchemaInfo, Workload
 __all__ = [
     "BUCKET_SIZES",
     "BenchmarkQuestion",
-    "CachedExecutionError",
     "DATABASE_NAMES",
     "DEFAULT_SEED",
-    "EvaluationCache",
     "EvaluationReport",
     "ExperimentContext",
     "QuestionOutcome",

@@ -7,9 +7,10 @@ per-experiment index); no target runs ``all``. Its argv is parsed by the
 harness is also the library API the benchmark suite under ``benchmarks/``
 calls into.
 
-Evaluation runs on a fast path: one :class:`~repro.bench.cache.EvaluationCache`
-per :class:`ExperimentContext` memoizes gold result sets across all systems
-and experiments, and :func:`evaluate_system` fans the workload out across
+Evaluation runs on a fast path: :func:`~repro.bench.metrics.execution_match`
+memoizes gold result sets on each database (``database.memo("comparable")``),
+so all systems and experiments of an :class:`ExperimentContext` share
+them, and :func:`evaluate_system` fans the workload out across
 per-database worker threads (results are reassembled in workload order, so
 the report is bit-identical regardless of completion order). Append
 ``--profile`` to any harness target — or run the ``profile`` target, with
@@ -62,7 +63,6 @@ from ..obs.render import render_metrics_snapshot, rollup_spans, write_trace
 from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from .bird import build_knowledge_sets, build_workload
-from .cache import EvaluationCache
 from .metrics import EvaluationReport, QuestionOutcome, execution_match
 from .schemas import DEFAULT_SEED, build_all
 
@@ -73,21 +73,18 @@ PROFILE_SCHEMA_VERSION = 4
 
 
 def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
-                    system_name, questions=None, cache=None,
-                    max_workers=None, trace_sink=None, fault_config=None,
-                    ledger=None, ledger_meta=None, telemetry=None):
+                    system_name, questions=None, max_workers=None,
+                    trace_sink=None, fault_config=None, ledger=None,
+                    ledger_meta=None, telemetry=None):
     """Run one system over the workload and return an EvaluationReport.
 
     ``make_pipeline(database, knowledge)`` builds the system under test for
     one database; it must expose ``generate(question) -> GenerationResult``.
 
-    ``cache`` is an :class:`EvaluationCache` shared with other runs (pass
-    ``False`` to disable caching entirely and restore the one-shot seed
-    path; ``None`` builds a fresh private cache). Questions are grouped by
-    database and the groups run on a thread pool (``max_workers=None``
-    sizes it to ``min(#databases, cpu_count)``; ``0``/``1`` forces
-    sequential). Outcomes are always reassembled in workload order, so the
-    report does not depend on scheduling.
+    Questions are grouped by database and the groups run on a thread pool
+    (``max_workers=None`` sizes it to ``min(#databases, cpu_count)``;
+    ``0``/``1`` forces sequential). Outcomes are always reassembled in
+    workload order, so the report does not depend on scheduling.
 
     ``trace_sink`` (a list) receives every question's span records — again
     in workload order regardless of scheduling — with the root span
@@ -120,10 +117,6 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
     question_list = list(
         questions if questions is not None else workload.questions
     )
-    if cache is None:
-        cache = EvaluationCache()
-    elif cache is False:
-        cache = None
     started = time.perf_counter()
     metrics = get_metrics()
     report = EvaluationReport(system=system_name)
@@ -148,8 +141,7 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
     def run_question(pipeline, profile, question):
         result = pipeline.generate(question.question)
         correct = execution_match(
-            profile.database, result.sql, question.gold_sql,
-            cache=cache,
+            profile.database, result.sql, question.gold_sql
         )
         if correct:
             error_text = ""
@@ -371,13 +363,12 @@ def format_table(title, headers, rows, precision=2):
 class ExperimentContext:
     """Shared, lazily-built workload + knowledge sets for all experiments.
 
-    Also owns the shared :class:`EvaluationCache`, so every experiment run
-    against the same context reuses gold result sets.
+    Its databases memoize gold result sets, so every experiment run
+    against the same context reuses them.
     """
 
     def __init__(self, seed=DEFAULT_SEED):
         self.seed = seed
-        self.cache = EvaluationCache()
         self.trace_sink = None      # set to a list to collect span records
         self.fault_config = None    # set to a FaultConfig to inject chaos
         self.telemetry_sink = None  # set to a TelemetrySink to stream metrics
@@ -425,7 +416,6 @@ def run_genedit(context, config=None, questions=None, system_name="GenEdit",
         knowledge_sets or context.knowledge_sets,
         system_name,
         questions=questions,
-        cache=context.cache,
         trace_sink=context.trace_sink,
         fault_config=context.fault_config,
         telemetry=context.telemetry_sink,
@@ -460,7 +450,6 @@ def table1(context=None, include_baselines=True, verbose=True):
                     context.profiles,
                     knowledge,
                     spec.name,
-                    cache=context.cache,
                     trace_sink=context.trace_sink,
                     fault_config=context.fault_config,
                     telemetry=context.telemetry_sink,
@@ -544,7 +533,6 @@ def crossover(context=None, verbose=True):
         dev_report = evaluate_system(
             builder, context.workload, context.profiles,
             context.knowledge_sets, system_name,
-            cache=context.cache,
             trace_sink=context.trace_sink,
             fault_config=context.fault_config,
             telemetry=context.telemetry_sink,
@@ -553,7 +541,6 @@ def crossover(context=None, verbose=True):
             builder, enterprise, context.profiles,
             context.knowledge_sets, system_name,
             questions=enterprise.questions,
-            cache=context.cache,
             trace_sink=context.trace_sink,
             fault_config=context.fault_config,
             telemetry=context.telemetry_sink,
@@ -602,7 +589,6 @@ def model_selection(context=None, verbose=True):
             context.profiles,
             context.knowledge_sets,
             label,
-            cache=context.cache,
             trace_sink=context.trace_sink,
             fault_config=context.fault_config,
             telemetry=context.telemetry_sink,
@@ -670,16 +656,23 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
     One ``profile`` root span (``wall_s``) has four stage children:
     ``build`` (databases + workload), ``mine`` (knowledge sets),
     ``generate`` (the question loop) and ``execute`` (EX checks through
-    the shared cache); a stage the context built earlier reads near 0.
+    the databases' memos); a stage the context built earlier reads near 0.
     ``operators`` folds the pipeline runs' own spans apart from those to
-    ``{calls, self_ms, total_ms}`` per name. ``limit`` keeps the first N
-    questions. Returns the payload (schema v4; v2/v3 snapshots such as
-    ``BENCH_baseline.json`` still load); ``as_json`` prints it as JSON.
+    ``{calls, self_ms, total_ms}`` per name, and ``cache`` the growth of
+    the ``eval_cache.hits``/``misses`` registry counters over the run.
+    ``limit`` keeps the first N questions. Returns the payload (schema
+    v4; v2/v3 snapshots such as ``BENCH_baseline.json`` still load);
+    ``as_json`` prints it as JSON.
     """
     from ..engine.stats import engine_snapshot, reset_engine_stats
     from ..obs.tracing import Tracer
 
     reset_engine_stats()
+    metrics = get_metrics()
+    lookups = ("hits", "misses")
+    before = {
+        key: metrics.counter_value(f"eval_cache.{key}") for key in lookups
+    }
     context = context or ExperimentContext()
     tracer = Tracer()
     with tracer.span("profile"):
@@ -715,7 +708,7 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
             for question, result in zip(questions, results):
                 correct += execution_match(
                     profiles[question.database].database,
-                    result.sql, question.gold_sql, cache=context.cache,
+                    result.sql, question.gold_sql,
                 )
 
     stages = rollup_spans(tracer.to_records())
@@ -743,7 +736,10 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
             for name, entry in operators.items()
         },
         "engine": engine_snapshot(),
-        "cache": context.cache.stats(),
+        "cache": {
+            key: metrics.counter_value(f"eval_cache.{key}") - before[key]
+            for key in lookups
+        },
         "diagnostics": {
             "lint_caught": sum(
                 result.context.lint_caught for result in results
@@ -815,7 +811,7 @@ def run_bench(args):
 
         context.telemetry_sink = TelemetrySink(
             args.telemetry_out,
-            snapshot_fn=lambda: global_snapshot(context.cache),
+            snapshot_fn=global_snapshot,
         )
     sampler = None
     if args.profile_sample is not None:
@@ -896,7 +892,7 @@ def _finish(context, args, reports=(), profile_payload=None, ledger=None,
         )
     if args.metrics:
         print()
-        print(render_metrics_snapshot(global_snapshot(context.cache)))
+        print(render_metrics_snapshot(global_snapshot()))
     run_id = None
     if ledger is not None:
         from ..obs.ledger import build_run_record, build_timing
@@ -930,7 +926,7 @@ def _finish(context, args, reports=(), profile_payload=None, ledger=None,
         count = write_trace(
             trace_out,
             context.trace_sink or [],
-            metrics=global_snapshot(context.cache),
+            metrics=global_snapshot(),
             meta=meta,
         )
         print(

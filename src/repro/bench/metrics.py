@@ -11,48 +11,43 @@ from dataclasses import dataclass, field
 
 from ..engine.errors import ExecutionError
 from ..engine.executor import Executor
+from ..obs.metrics import get_metrics
 from ..sql.errors import SqlError
-from .cache import CachedExecutionError
 
 
-def execution_match(database, predicted_sql, gold_sql, cache=None,
-                    executor=None):
+def execution_match(database, predicted_sql, gold_sql):
     """True when ``predicted_sql`` and ``gold_sql`` agree on ``database``.
 
-    ``cache`` (an :class:`~repro.bench.cache.EvaluationCache`) memoizes the
-    comparable result set of every statement, so the gold side — identical
-    for all ~7 systems of a Table 1 run — executes once per workload rather
-    than once per system per question. ``executor`` merely reuses one
-    executor per database without memoization. With neither, behaviour
-    matches the original one-shot path (fresh executor per call).
+    Each statement's comparable result set, or its failure, is memoised in
+    ``database.memo("comparable")`` under its text, so the gold side —
+    identical for all ~7 systems of a Table 1 run — executes once per
+    database version rather than once per system per question, and a
+    failing prediction does not re-parse and re-fail on every retry.
+    Lookups count into the ``eval_cache.hits``/``eval_cache.misses``
+    registry counters.
     """
-    if cache is not None:
-        try:
-            gold = cache.comparable(database, gold_sql)
-        except CachedExecutionError as error:  # pragma: no cover - gold must run
-            raise AssertionError(
-                f"Gold SQL failed: {error}\n{gold_sql}"
-            ) from error
-        if not predicted_sql:
-            return False
-        try:
-            predicted = cache.comparable(database, predicted_sql)
-        except CachedExecutionError:
-            return False
-        return predicted == gold
-    if executor is None:
-        executor = Executor(database)
-    try:
-        gold = executor.execute(gold_sql)
-    except (SqlError, ExecutionError) as error:  # pragma: no cover - gold must run
-        raise AssertionError(f"Gold SQL failed: {error}\n{gold_sql}") from error
+    memo = database.memo("comparable")
+    ran, gold = _comparable(database, memo, gold_sql)
+    if not ran:  # pragma: no cover - gold must run
+        raise AssertionError(f"Gold SQL failed: {gold}\n{gold_sql}")
     if not predicted_sql:
         return False
+    ran, predicted = _comparable(database, memo, predicted_sql)
+    return ran and predicted == gold
+
+
+def _comparable(database, memo, sql):
+    """``(True, comparable rows)`` or ``(False, error text)`` for ``sql``."""
+    entry = memo.get(sql)
+    if entry is not None:
+        get_metrics().inc("eval_cache.hits")
+        return entry
+    get_metrics().inc("eval_cache.misses")
     try:
-        predicted = executor.execute(predicted_sql)
-    except (SqlError, ExecutionError):
-        return False
-    return predicted.comparable() == gold.comparable()
+        entry = (True, Executor(database).execute(sql).comparable())
+    except (SqlError, ExecutionError) as error:
+        entry = (False, str(error))
+    return memo.store(sql, entry)
 
 
 @dataclass

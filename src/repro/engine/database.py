@@ -4,12 +4,42 @@ The catalog is the boundary between the engine and the rest of the system:
 the executor resolves table names here, and GenEdit's pre-processing reads
 :meth:`Database.schema_text` / :meth:`Database.profiles` to build schema
 elements (augmented with top-5 frequent values per attribute, §2.1).
+
+It is also where results that hold for one database at one version are
+memoised: :meth:`Database.memo` returns a named dict (the EX check's
+``comparable`` result sets, ``knowledge_lint`` findings, ``regression``
+golden-query outcomes) scoped to the current :attr:`Database.version`.
+A version bump drops every named memo at once, and the memos are freed
+with the database, so no module-level table keyed by database identity or
+name is needed. Reads are plain ``dict.get`` calls: entries never mutate
+after :meth:`Memo.store`, which takes one module lock and clears a memo
+that has reached :data:`_MEMO_CAP` entries.
 """
 
 from __future__ import annotations
 
+import threading
+
 from .errors import UnknownTableError
 from .table import Table, profile_table
+
+#: Entries one named memo holds before a store clears it.
+_MEMO_CAP = 8192
+_MEMO_LOCK = threading.Lock()
+
+
+class Memo(dict):
+    """One named memo of a :class:`Database` (see :meth:`Database.memo`)."""
+
+    __slots__ = ()
+
+    def store(self, key, value):
+        """Store ``value`` under ``key`` and return it; clears at the cap."""
+        with _MEMO_LOCK:
+            if len(self) >= _MEMO_CAP:
+                self.clear()
+            self[key] = value
+        return value
 
 
 class Database:
@@ -20,6 +50,8 @@ class Database:
         self.description = description
         self._tables = {}
         self._catalog_version = 0
+        self._catalog_key = (None, ())
+        self._memos = (None, {})
         for table in tables or []:
             self.add_table(table)
 
@@ -53,14 +85,56 @@ class Database:
         """Monotonic mutation counter over the catalog and its rows.
 
         Any sanctioned mutation — adding a table or inserting a row — bumps
-        it, which is what lets the evaluation result cache key gold result
-        sets on ``(database, version, sql)`` and drop them the moment data
-        changes. Code that mutates ``table.rows`` directly bypasses the
-        counter and must invalidate caches itself.
+        it, which is what scopes every :meth:`memo` to the data it was
+        computed on. Code that mutates ``table.rows`` directly bypasses the
+        counter and must call :meth:`clear_memos` itself.
         """
         return self._catalog_version + sum(
             table.version for table in self._tables.values()
         )
+
+    @property
+    def catalog_key(self):
+        """Hashable ``((TABLE, ((COLUMN, type), ...)), ...)`` of the catalog.
+
+        It changes only when a table is added or replaced, and two
+        databases with the same tables and columns have equal keys, so a
+        plan that reads only the schema can be shared between them.
+        """
+        version, key = self._catalog_key
+        if version != self._catalog_version:
+            key = tuple(
+                (name, tuple(
+                    (column.name.upper(), column.type)
+                    for column in table.columns
+                ))
+                for name, table in self._tables.items()
+            )
+            self._catalog_key = (self._catalog_version, key)
+        return key
+
+    def memo(self, name):
+        """The :class:`Memo` called ``name`` for the current ``version``.
+
+        The first call after a version bump replaces every named memo at
+        once, so an entry never outlives the data it was computed on. Two
+        threads racing here can at worst each start a memo, and one of
+        them loses its entries: a recomputation, never a stale read.
+        """
+        version = self.version
+        held, memos = self._memos
+        if held != version:
+            memos = {}
+            self._memos = (version, memos)
+        memo = memos.get(name)
+        if memo is None:
+            memo = memos.setdefault(name, Memo())
+        return memo
+
+    def clear_memos(self):
+        """Drop every named memo: after editing ``table.rows`` in place,
+        which the version cannot see, or before a cold timing."""
+        self._memos = (None, {})
 
     @property
     def tables(self):

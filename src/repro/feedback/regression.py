@@ -22,21 +22,20 @@ Every other outcome, live or staged, comes from one memo (DESIGN.md
 §6d). A golden query's outcome — ``(correct, error codes)`` — is a pure
 function of the database contents, the knowledge set's contents and
 order, the pipeline config and the golden query itself, so the memo is
-held per ``Database`` object (a ``WeakKeyDictionary``) under
+the database's ``database.memo("regression")``, scoped to
 ``database.version`` and keyed on ``(knowledge.revision, config,
 golden)``. :attr:`~repro.knowledge.store.KnowledgeSet.revision` changes
 on every edit made through the knowledge set's mutators and is shared by
 a clone, so the many submits against one deployed set generate its
 "before" side once, and a submit generates only what its staged edits
 can have changed. The contract is the knowledge store's: edits go
-through the mutators, and code that changes ``table.rows`` directly bumps
-the table's version. Both pipelines are built lazily, only on a miss.
+through the mutators, and code that changes ``table.rows`` directly calls
+``database.clear_memos()``. Both pipelines are built lazily, only on a
+miss.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 
 from ..bench.metrics import execution_match
@@ -45,14 +44,6 @@ from ..obs.tracing import Tracer
 from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from ..sql.diagnostics import DiagnosticsEngine
-
-#: Golden-query outcomes memoised per database; a database's memo is
-#: cleared once it holds this many entries. Reads are lock-free (dict.get
-#: is atomic and entries never mutate); stores take _MEMO_LOCK.
-_MEMO_CAP = 4096
-#: database -> (version, {(revision, config, golden): (correct, codes)}).
-_MEMO = weakref.WeakKeyDictionary()
-_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -225,13 +216,7 @@ class _GoldenOutcomes:
         self.misses = 0
         self._engine = None
         self._pipelines = {}
-        version = database.version
-        with _MEMO_LOCK:
-            held = _MEMO.get(database)
-            if held is None or held[0] != version:
-                held = (version, {})
-                _MEMO[database] = held
-        self._memo = held[1]
+        self._memo = database.memo("regression")
 
     def get(self, knowledge, golden):
         """``(source, (correct, codes))``; source is memo or generated."""
@@ -250,15 +235,10 @@ class _GoldenOutcomes:
         if self._engine is None:
             self._engine = DiagnosticsEngine(self.database)
         sql = pipeline.generate(golden.question).sql
-        cached = (
+        return "generated", self._memo.store(key, (
             execution_match(self.database, sql, golden.gold_sql),
             frozenset(_error_codes(self._engine, sql)),
-        )
-        with _MEMO_LOCK:
-            if len(self._memo) >= _MEMO_CAP:
-                self._memo.clear()
-            self._memo[key] = cached
-        return "generated", cached
+        ))
 
 
 def _error_codes(engine, sql):

@@ -23,22 +23,21 @@ Calibration notes (mined sets must lint clean of errors):
 
 The two checks that read the database — examples (parse, ``GE0xx``,
 execution) and schema elements (a ``top_values`` scan) — are memoised per
-component (DESIGN.md §6f). The memo is held per database in a
-``WeakKeyDictionary``, keyed on ``(database.version, value_k)`` and then on
-``repr(component)``: every field those checks read is a dataclass field, so
-equal reprs mean equal findings. Linting a staged set right after its live
-parent therefore only checks the components the edits changed. The
-set-level rules (intent refs, provenance, contradictions, near-duplicates,
-coverage) run in full every time. Code that mutates ``table.rows`` without
-going through ``Table.insert`` must bump the table's version, or the memo
-serves stale findings — the contract the evaluation cache already has.
+component (DESIGN.md §6f). The memo is the database's
+``database.memo("knowledge_lint")``, scoped to ``database.version`` and
+keyed on ``(value_k, repr(component))``: every field those checks read is
+a dataclass field, so equal reprs mean equal findings. Linting a staged
+set right after its live parent therefore only checks the components the
+edits changed. The set-level rules (intent refs, provenance,
+contradictions, near-duplicates, coverage) run in full every time. Code
+that mutates ``table.rows`` without going through ``Table.insert`` must
+call ``database.clear_memos()``, or the memo serves stale findings — the
+contract every database memo has.
 """
 
 from __future__ import annotations
 
 import re
-import threading
-import weakref
 
 from ...engine.errors import ExecutionError
 from ...engine.executor import Executor
@@ -71,14 +70,6 @@ KNOWN_PROVENANCE = frozenset({"query_log", "document", "feedback", "manual"})
 NEAR_DUPLICATE_THRESHOLD = 0.9
 
 _INLINE_ALIAS = re.compile(r"\bAS\s+([A-Za-z_][A-Za-z0-9_]*)", re.IGNORECASE)
-
-#: Per-component findings memoised per database; a database's memo is
-#: cleared once it holds this many entries. Reads are lock-free (dict.get
-#: is atomic and entries never mutate); stores take _MEMO_LOCK.
-_MEMO_CAP = 8192
-#: database -> ((version, value_k), {repr(component): findings tuple}).
-_MEMO = weakref.WeakKeyDictionary()
-_MEMO_LOCK = threading.Lock()
 
 
 def lint_knowledge(knowledge, database, value_k=5):
@@ -155,13 +146,7 @@ class _DatabaseChecks:
         self.misses = 0
         self._engine = None
         self._executor = None
-        key = (database.version, value_k)
-        with _MEMO_LOCK:
-            held = _MEMO.get(database)
-            if held is None or held[0] != key:
-                held = (key, {})
-                _MEMO[database] = held
-        self._memo = held[1]
+        self._memo = database.memo("knowledge_lint")
 
     @property
     def engine(self):
@@ -176,7 +161,7 @@ class _DatabaseChecks:
         return self._executor
 
     def run(self, check, component):
-        key = repr(component)
+        key = (self.value_k, repr(component))
         cached = self._memo.get(key)
         if cached is not None:
             self.hits += 1
@@ -184,12 +169,7 @@ class _DatabaseChecks:
         self.misses += 1
         found = []
         check(component, self, found)
-        cached = tuple(found)
-        with _MEMO_LOCK:
-            if len(self._memo) >= _MEMO_CAP:
-                self._memo.clear()
-            self._memo[key] = cached
-        return cached
+        return self._memo.store(key, tuple(found))
 
 
 

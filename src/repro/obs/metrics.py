@@ -219,15 +219,12 @@ def get_metrics():
     return METRICS
 
 
-def global_snapshot(eval_cache=None):
+def global_snapshot():
     """Snapshot :data:`METRICS` with shared-cache stats folded in as gauges.
 
     ``parse_cached``'s LRU keeps its own ``cache_info()`` (no per-call hook
     is worth the contention), so its numbers are synced here at snapshot
-    time, as is the live size of the engine's compiled-predicate cache;
-    ``eval_cache`` is an optional
-    :class:`~repro.bench.cache.EvaluationCache` whose per-instance stats
-    are exported the same way.
+    time, as is the live size of the engine's compiled-predicate cache.
     """
     # Lazy imports: obs stays standalone.
     from ..engine.evaluator import compiled_cache_size
@@ -239,7 +236,4 @@ def global_snapshot(eval_cache=None):
     metrics.set_gauge("parse_cache.misses", info.misses)
     metrics.set_gauge("parse_cache.currsize", info.currsize)
     metrics.set_gauge("engine.predicate_cache.entries", compiled_cache_size())
-    if eval_cache is not None:
-        for key, value in eval_cache.stats().items():
-            metrics.set_gauge(f"eval_cache.{key}", value)
     return metrics.snapshot()

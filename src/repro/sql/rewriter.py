@@ -184,24 +184,23 @@ _SAFE_COMPARISONS = frozenset(("=", "<>", "<", ">", "<=", ">="))
 def optimize_for_execution(query, database):
     """Rewrite ``query`` for faster execution against ``database``.
 
-    The result is memoized on the query node keyed by database identity and
-    version — parse-cache sharing means the same AST serves generation,
+    The result is memoized on the query node keyed by
+    :attr:`~repro.engine.database.Database.catalog_key` — the table names
+    and columns, which is all the optimizer reads of the database.
+    Parse-cache sharing means the same AST serves generation,
     self-correction, the final check, and the EX metric, so the rewrite is
-    paid once per (query, catalog state).
+    paid once per (query, schema), and databases with one schema share it.
     """
+    catalog = database.catalog_key
     cached = getattr(query, "_optimized_plan", None)
-    if (
-        cached is not None
-        and cached[0] == database.name
-        and cached[1] == database.version
-    ):
-        return cached[2]
+    if cached is not None and cached[0] == catalog:
+        return cached[1]
     started = perf_counter()
     cte_names = _collect_cte_names(query)
     optimized = _Optimizer(database, cte_names).rewrite_query(query)
     METRICS.inc("engine.rewrite_s", perf_counter() - started)
     try:
-        query._optimized_plan = (database.name, database.version, optimized)
+        query._optimized_plan = (catalog, optimized)
     except AttributeError:  # pragma: no cover - nodes are plain objects
         pass
     return optimized

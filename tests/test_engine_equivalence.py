@@ -17,10 +17,20 @@ import pathlib
 
 import pytest
 
-from repro.engine import ExecutionError, Executor, Result, engine_snapshot
+from repro.engine import (
+    Column,
+    Database,
+    ExecutionError,
+    Executor,
+    Result,
+    engine_snapshot,
+)
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.values import _stable_key, comparable_cell
 from repro.sql.errors import SqlError
+from repro.sql.parser import parse, parse_cached
+from repro.sql.printer import to_sql
+from repro.sql.rewriter import optimize_for_execution
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "fixtures" / "sql_corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.sql"))
@@ -277,3 +287,35 @@ class TestExecutionPaths:
         assert outcome[0] == "error"
         assert deltas["error_reruns"] == 1
         assert outcome == _outcome(ReferenceExecutor, demo_db, sql)
+
+    def test_same_named_twin_catalog_gets_its_own_plan(self):
+        # Same name, same version, different columns: A sits in T in the
+        # first database and in U in the second, so the pushdown differs.
+        def twin(t_column, u_column, name="twin"):
+            db = Database(name)
+            db.create_table(
+                "T", [Column("ID", "INTEGER"), Column(t_column, "INTEGER")],
+                rows=[(1, 10), (2, 20)],
+            )
+            db.create_table(
+                "U", [Column("TID", "INTEGER"), Column(u_column, "INTEGER")],
+                rows=[(1, 10), (2, 30)],
+            )
+            return db
+
+        first, second = twin("A", "B"), twin("B", "A")
+        assert first.name == second.name
+        assert first.version == second.version
+        sql = "SELECT T.ID FROM T JOIN U ON T.ID = U.TID WHERE A = 10"
+        Executor(first).execute(sql)  # memoises first's plan on the AST
+        outcome, deltas = _path_deltas(second, sql)
+        assert outcome == _outcome(ReferenceExecutor, second, sql)
+        assert deltas["error_reruns"] == 0
+        warm = optimize_for_execution(parse_cached(sql), second)
+        fresh = optimize_for_execution(parse(sql), second)
+        assert to_sql(warm) == to_sql(fresh)
+        # A database with the first's schema shares its plan, whatever
+        # its name.
+        other = twin("A", "B", name="other")
+        assert optimize_for_execution(parse_cached(sql), other) is \
+            optimize_for_execution(parse_cached(sql), first)

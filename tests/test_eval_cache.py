@@ -1,18 +1,21 @@
-"""Evaluation fast path: cache correctness and cached/uncached equivalence."""
+"""Evaluation fast path: the database memos, and memoised/fresh equivalence."""
 
+import gc
 import json
 import pathlib
 import sys
 import threading
+import weakref
 
 import pytest
 
-from repro.bench.cache import CachedExecutionError, EvaluationCache
 from repro.bench.harness import evaluate_system, profile
 from repro.bench.metrics import execution_match
-from repro.engine import Column, Database
+from repro.engine import Column, Database, ExecutionError, Executor
+from repro.obs import get_metrics
 from repro.pipeline import GenEditPipeline
 from repro.sql import to_cte_form
+from repro.sql.errors import SqlError
 from repro.sql.parser import parse, parse_cached
 
 
@@ -27,96 +30,150 @@ def tiny_db():
     return db
 
 
+def _memo_counts():
+    registry = get_metrics()
+    return (registry.counter_value("eval_cache.hits"),
+            registry.counter_value("eval_cache.misses"))
+
+
+def _fresh_match(database, predicted_sql, gold_sql):
+    """Execution match through fresh executors, reading no memo."""
+    gold = Executor(database).execute(gold_sql).comparable()
+    if not predicted_sql:
+        return False
+    try:
+        predicted = Executor(database).execute(predicted_sql).comparable()
+    except (SqlError, ExecutionError):
+        return False
+    return predicted == gold
+
+
+class TestDatabaseMemo:
+    def test_contract(self, tiny_db, monkeypatch):
+        from repro.engine import database as database_module
+        from repro.feedback.regression import GoldenQuery, run_regression
+        from repro.knowledge import KnowledgeSet, SchemaElement
+        from repro.knowledge.lint import lint_knowledge
+
+        names = ("comparable", "knowledge_lint", "regression")
+
+        def fill(db):
+            for name in names:
+                db.memo(name).store("key", name)
+
+        def held(db):
+            return [name for name in names if "key" in db.memo(name)]
+
+        fill(tiny_db)
+        assert held(tiny_db) == list(names)
+        # Table.insert and add_table each drop every named memo.
+        tiny_db.table("T").insert((3, "z"))
+        assert held(tiny_db) == []
+        fill(tiny_db)
+        tiny_db.create_table("U", [Column("C", "INTEGER", "")])
+        assert held(tiny_db) == []
+        # The cap clears a full memo before the next store.
+        monkeypatch.setattr(database_module, "_MEMO_CAP", 2)
+        memo = tiny_db.memo("comparable")
+        for number in range(3):
+            memo.store(number, number)
+        assert dict(memo) == {2: 2}
+        # clear_memos() empties them all.
+        fill(tiny_db)
+        tiny_db.clear_memos()
+        assert held(tiny_db) == []
+        # The memos go with their database.
+        monkeypatch.undo()
+        db = Database("gc")
+        db.create_table("EMP", [Column("EMP_ID", "INTEGER", "")],
+                        rows=[(1,), (2,)])
+        live = KnowledgeSet("live")
+        live.add_schema_element(SchemaElement("se-EMP", "EMP"))
+        gold = "SELECT COUNT(*) FROM EMP"
+        execution_match(db, "SELECT 2", gold)
+        lint_knowledge(live, db)
+        run_regression(db, live, live.clone(), [
+            GoldenQuery("How many employees are there?", gold),
+        ])
+        assert all(db.memo(name) for name in names)
+        alive = weakref.ref(db)
+        del db
+        gc.collect()
+        assert alive() is None
+
+
 class TestEvaluationCache:
-    def test_executor_reused_per_database(self, tiny_db):
-        cache = EvaluationCache()
-        assert cache.executor(tiny_db) is cache.executor(tiny_db)
+    """The EX check's memo: ``database.memo("comparable")``."""
 
     def test_gold_result_memoized(self, tiny_db):
-        cache = EvaluationCache()
-        first = cache.comparable(tiny_db, "SELECT A FROM T")
-        second = cache.comparable(tiny_db, "SELECT A FROM T")
-        assert first == second == [(1,), (2,)]
-        assert cache.hits == 1 and cache.misses == 1
+        before = _memo_counts()
+        sql = "SELECT A FROM T"
+        assert execution_match(tiny_db, sql, sql)
+        assert execution_match(tiny_db, sql, sql)
+        assert tiny_db.memo("comparable")[sql] == (True, [(1,), (2,)])
+        hits, misses = _memo_counts()
+        assert (hits - before[0], misses - before[1]) == (3, 1)
 
     def test_failure_memoized_and_replayed(self, tiny_db):
-        cache = EvaluationCache()
+        before = _memo_counts()
+        gold, bad = "SELECT A FROM T", "SELECT NOPE FROM T"
         for _ in range(2):
-            with pytest.raises(CachedExecutionError):
-                cache.comparable(tiny_db, "SELECT NOPE FROM T")
-        assert cache.hits == 1 and cache.misses == 1
+            assert not execution_match(tiny_db, bad, gold)
+        ran, error = tiny_db.memo("comparable")[bad]
+        assert not ran and "NOPE" in error
+        hits, misses = _memo_counts()
+        assert (hits - before[0], misses - before[1]) == (2, 2)
 
     def test_row_insert_invalidates(self, tiny_db):
-        cache = EvaluationCache()
         sql = "SELECT COUNT(*) AS N FROM T"
-        assert cache.comparable(tiny_db, sql) == [(2,)]
+        assert execution_match(tiny_db, "SELECT 2", sql)
         tiny_db.table("T").insert((3, "z"))
-        assert cache.comparable(tiny_db, sql) == [(3,)]
-        assert cache.misses == 2
+        assert execution_match(tiny_db, "SELECT 3", sql)
+        assert not execution_match(tiny_db, "SELECT 2", sql)
 
     def test_add_table_invalidates(self, tiny_db):
-        cache = EvaluationCache()
         sql = "SELECT COUNT(*) AS N FROM T"
-        cache.comparable(tiny_db, sql)
+        execution_match(tiny_db, sql, sql)
         before = tiny_db.version
         tiny_db.create_table("U", [Column("C", "INTEGER", "")], rows=[(9,)])
         assert tiny_db.version > before
-        cache.comparable(tiny_db, sql)
-        assert cache.hits == 0 and cache.misses == 2
+        assert sql not in tiny_db.memo("comparable")
+        hits, misses = _memo_counts()
+        execution_match(tiny_db, sql, sql)
+        assert _memo_counts() == (hits + 1, misses + 1)
 
     def test_stale_versions_evicted(self, tiny_db):
-        cache = EvaluationCache()
         sql = "SELECT A FROM T"
-        cache.comparable(tiny_db, sql)
+        execution_match(tiny_db, sql, sql)
         tiny_db.table("T").insert((3, "z"))
-        cache.comparable(tiny_db, sql)
-        assert cache.stats()["entries"] == 1
+        execution_match(tiny_db, sql, sql)
+        assert list(tiny_db.memo("comparable")) == [sql]
 
     def test_explicit_invalidate(self, tiny_db):
-        cache = EvaluationCache()
         sql = "SELECT A FROM T"
-        cache.comparable(tiny_db, sql)
+        execution_match(tiny_db, sql, sql)
         # Out-of-band mutation the version counter cannot see.
         tiny_db.table("T").rows.append((3, "z"))
-        cache.invalidate(tiny_db)
-        assert cache.comparable(tiny_db, sql) == [(1,), (2,), (3,)]
-
-    def test_cache_info_mirrors_lru_cache_shape(self, tiny_db):
-        cache = EvaluationCache()
-        sql = "SELECT A FROM T"
-        cache.comparable(tiny_db, sql)
-        cache.comparable(tiny_db, sql)
-        info = cache.cache_info()
-        assert info.hits == 1 and info.misses == 1
-        assert info.maxsize is None and info.currsize == 1
+        tiny_db.clear_memos()
+        assert execution_match(tiny_db, sql, sql)
+        assert tiny_db.memo("comparable")[sql] == (True, [(1,), (2,), (3,)])
 
     def test_hit_miss_counters_feed_metrics_registry(self, tiny_db):
-        from repro.obs import get_metrics
-
-        registry = get_metrics()
-        hits_before = registry.counter_value("eval_cache.hits")
-        misses_before = registry.counter_value("eval_cache.misses")
-        cache = EvaluationCache()
-        sql = "SELECT B FROM T"
-        cache.comparable(tiny_db, sql)
-        cache.comparable(tiny_db, sql)
-        assert registry.counter_value("eval_cache.hits") == hits_before + 1
-        assert (
-            registry.counter_value("eval_cache.misses") == misses_before + 1
-        )
+        hits, misses = _memo_counts()
+        execution_match(tiny_db, "", "SELECT B FROM T")
+        execution_match(tiny_db, "", "SELECT B FROM T")
+        assert _memo_counts() == (hits + 1, misses + 1)
 
     def test_concurrent_misses_on_separate_databases(self):
-        # The harness shares one cache across per-database worker threads.
-        # Many concurrent misses with a tiny switch interval must neither
-        # raise (e.g. "dictionary changed size during iteration") nor lose
-        # an entry.
+        # The harness runs per-database worker threads. Many concurrent
+        # misses with a tiny switch interval must neither raise (e.g.
+        # "dictionary changed size during iteration") nor lose an entry.
         threads_n, statements = 8, 300
         databases = []
         for index in range(threads_n):
             db = Database(f"race{index}")
             db.create_table("T", [Column("A", "INTEGER", "")], rows=[(1,)])
             databases.append(db)
-        cache = EvaluationCache()
         barrier = threading.Barrier(threads_n)
         errors = []
 
@@ -124,7 +181,8 @@ class TestEvaluationCache:
             try:
                 barrier.wait()
                 for number in range(statements):
-                    cache.comparable(db, f"SELECT A + {number} AS V FROM T")
+                    sql = f"SELECT A + {number} AS V FROM T"
+                    assert execution_match(db, sql, sql)
             except Exception as error:  # pragma: no cover - the bug
                 errors.append(error)
 
@@ -143,12 +201,13 @@ class TestEvaluationCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert cache.stats()["entries"] == threads_n * statements
+        assert [len(db.memo("comparable")) for db in databases] == (
+            [statements] * threads_n
+        )
 
 
 class TestExecutionMatchFastPath:
     def test_cached_equals_uncached(self, tiny_db):
-        cache = EvaluationCache()
         cases = [
             ("SELECT A FROM T", "SELECT A FROM T ORDER BY A DESC", True),
             ("SELECT A FROM T WHERE A = 1", "SELECT A FROM T", False),
@@ -156,18 +215,9 @@ class TestExecutionMatchFastPath:
             ("SELECT NOPE FROM T", "SELECT A FROM T", False),
         ]
         for predicted, gold, expected in cases:
-            assert execution_match(tiny_db, predicted, gold) is expected
-            assert execution_match(
-                tiny_db, predicted, gold, cache=cache
-            ) is expected
-
-    def test_executor_reuse_without_memoization(self, tiny_db):
-        from repro.engine import Executor
-
-        executor = Executor(tiny_db)
-        assert execution_match(
-            tiny_db, "SELECT A FROM T", "SELECT A FROM T", executor=executor
-        )
+            assert _fresh_match(tiny_db, predicted, gold) is expected
+            for _ in range(2):  # a miss, then a hit
+                assert execution_match(tiny_db, predicted, gold) is expected
 
 
 class TestEvaluateSystemEquivalence:
@@ -183,15 +233,15 @@ class TestEvaluateSystemEquivalence:
         )
 
     def test_cached_and_uncached_rows_identical(self, experiment_context):
-        cached = self._run(experiment_context, cache=EvaluationCache())
-        uncached = self._run(experiment_context, cache=False)
-        assert cached.row() == uncached.row()
-        assert [o.correct for o in cached.outcomes] == [
-            o.correct for o in uncached.outcomes
+        report = self._run(experiment_context)
+        fresh = [
+            _fresh_match(
+                experiment_context.profiles[outcome.database].database,
+                outcome.predicted_sql, outcome.gold_sql,
+            )
+            for outcome in report.outcomes
         ]
-        assert [o.predicted_sql for o in cached.outcomes] == [
-            o.predicted_sql for o in uncached.outcomes
-        ]
+        assert [o.correct for o in report.outcomes] == fresh
 
     def test_parallel_and_sequential_identical(self, experiment_context):
         sequential = self._run(experiment_context, max_workers=1)
@@ -202,12 +252,12 @@ class TestEvaluateSystemEquivalence:
         ]
 
     def test_shared_cache_hits_across_systems(self, experiment_context):
-        cache = EvaluationCache()
-        self._run(experiment_context, cache=cache)
-        misses_after_first = cache.misses
-        self._run(experiment_context, cache=cache)
-        assert cache.misses == misses_after_first  # second system: all hits
-        assert cache.hits > 0
+        self._run(experiment_context)
+        hits, misses = _memo_counts()
+        self._run(experiment_context)
+        after_hits, after_misses = _memo_counts()
+        assert after_misses == misses  # second system: all hits
+        assert after_hits > hits
 
 
 class TestParseCache:
@@ -246,15 +296,14 @@ class TestParseCache:
     def test_global_snapshot_reports_cache_gauges(self, tiny_db):
         from repro.obs import global_snapshot
 
-        cache = EvaluationCache()
         sql = "SELECT A FROM T"
-        cache.comparable(tiny_db, sql)
-        cache.comparable(tiny_db, sql)
+        execution_match(tiny_db, "", sql)
         parse_cached(sql)
         parse_cached(sql)
-        snapshot = global_snapshot(eval_cache=cache)
-        assert snapshot["gauges"]["eval_cache.hits"] == 1
-        assert snapshot["gauges"]["eval_cache.misses"] == 1
+        snapshot = global_snapshot()
+        assert snapshot["counters"]["eval_cache.misses"] >= 1
+        assert not any(key.startswith("eval_cache.")
+                       for key in snapshot["gauges"])
         assert snapshot["gauges"]["parse_cache.hits"] >= 1
 
 

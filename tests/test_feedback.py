@@ -517,18 +517,14 @@ class TestRegressionMemo:
         import gc
         import weakref
 
-        from repro.feedback import regression
-
         db = _regression_db()
         live = _regression_knowledge()
         _traced_regression(db, live, live, [COUNT_EMPLOYEES])
-        assert db in regression._MEMO
+        assert db.memo("regression")
         alive = weakref.ref(db)
-        held = len(regression._MEMO)
         del db
         gc.collect()
         assert alive() is None
-        assert len(regression._MEMO) <= held - 1
 
     def test_baseline_record_takes_precedence(self):
         db = _regression_db()

@@ -45,7 +45,6 @@ def _evaluate(experiment_context, make_pipeline, questions,
         experiment_context.knowledge_sets,
         "hardened",
         questions=questions,
-        cache=experiment_context.cache,
         trace_sink=trace_sink,
         max_workers=max_workers,
     )

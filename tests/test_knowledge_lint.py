@@ -551,17 +551,13 @@ class TestLintMemo:
         assert _stale_top_value(knowledge, second)
 
     def test_entries_dropped_with_their_database(self):
-        from repro.knowledge.lint import checker
-
         db = _region_db(["West"])
         lint_knowledge(base_knowledge(), db)
-        assert db in checker._MEMO
+        assert db.memo("knowledge_lint")
         alive = weakref.ref(db)
-        held = len(checker._MEMO)
         del db
         gc.collect()
         assert alive() is None
-        assert len(checker._MEMO) <= held - 1
 
 
 class TestCli:

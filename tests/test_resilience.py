@@ -420,7 +420,6 @@ class TestChaosEvaluation:
             experiment_context.knowledge_sets,
             "chaos",
             questions=self._subset(experiment_context),
-            cache=experiment_context.cache,
             fault_config=fault_config,
         )
 

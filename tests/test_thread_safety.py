@@ -344,7 +344,7 @@ class TestRegressionMemo:
         """
         import sys
 
-        from repro.feedback import regression
+        from repro.engine import database as database_module
         from repro.feedback.regression import GoldenQuery, run_regression
         from repro.knowledge import KnowledgeSet, SchemaElement
 
@@ -360,7 +360,7 @@ class TestRegressionMemo:
                         "SELECT SUM(BUDGET) FROM DEPT"),
         ]
         expected = run_regression(demo_db, live, live.clone(), golden)
-        monkeypatch.setattr(regression, "_MEMO_CAP", 3)
+        monkeypatch.setattr(database_module, "_MEMO_CAP", 3)
         reports = [None] * THREADS
 
         def worker(index):
@@ -377,4 +377,4 @@ class TestRegressionMemo:
         assert [report.results for report in reports] == (
             [expected.results] * THREADS
         )
-        assert len(regression._MEMO[demo_db][1]) <= 3
+        assert len(demo_db.memo("regression")) <= 3

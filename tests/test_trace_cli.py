@@ -3,7 +3,6 @@
 import io
 import json
 
-from repro.bench.cache import EvaluationCache
 from repro.bench.harness import evaluate_system
 from repro.cli import build_arg_parser, cmd_trace
 from repro.obs import METRICS_SCHEMA_VERSION, global_snapshot, load_trace, write_trace
@@ -105,7 +104,6 @@ class TestHarnessTracing:
             context.knowledge_sets,
             "traced",
             questions=context.workload.questions[:12],
-            cache=EvaluationCache(),
             trace_sink=trace_sink,
             **kwargs,
         )
