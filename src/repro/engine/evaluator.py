@@ -790,9 +790,10 @@ def compile_vector(node, schema, has_outer, bound_ids=frozenset()):
 # GenEdit's loop executes the same (or near-identical) candidate SQL against
 # the same database over and over — generation, self-correction, the final
 # check, and the EX metric each pay an execution. Compiled closures are pure
-# with respect to everything except the schema they were resolved against,
-# so they are cached per (database name+version, FROM-schema signature,
-# expression digest) and shared across executor instances.
+# with respect to everything except the schema they were resolved against
+# (table data is read when a closure runs, not when it compiles), so they
+# are cached per (FROM-schema signature, outer-scope flag, expression
+# digest) and shared across executor instances and databases.
 #
 # The serving layer executes on a thread pool, so cache lookups, the
 # cap-triggered clear, and reset_engine_stats() can all race. _CACHE_LOCK
@@ -827,27 +828,20 @@ def _schema_signature(schema):
     )
 
 
-def compiled_expression(node, database, schema, has_outer,
-                        bound_ids=frozenset()):
+def compiled_expression(node, schema, has_outer, bound_ids=frozenset()):
     """Cached vector closure for ``node`` against ``schema``.
 
     Closures that gather bound aggregate arrays are keyed by node identity
     and therefore never cached. Fallback verdicts are cached too, so an
     unvectorizable WHERE clause pays the compile attempt only once per
-    database version.
+    schema.
     """
     if bound_ids:
         closure, _cacheable = compile_vector(
             node, schema, has_outer, bound_ids
         )
         return closure
-    key = (
-        database.name,
-        database.version,
-        _schema_signature(schema),
-        has_outer,
-        _expr_digest(node),
-    )
+    key = (_schema_signature(schema), has_outer, _expr_digest(node))
     with _CACHE_LOCK:
         cached = _COMPILED_CACHE.get(key)
         if cached is None and len(_COMPILED_CACHE) >= _COMPILED_CACHE_CAP:

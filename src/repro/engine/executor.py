@@ -93,14 +93,11 @@ class Executor(ReferenceExecutor):
         if select.where is not None:
             try:
                 closure = compiled_expression(
-                    select.where, self.database, relation.schema, has_outer
+                    select.where, relation.schema, has_outer
                 )
             except VectorFallback:
-                METRICS.inc("engine.row_fallback_selects")
-                return self._select_rows(
-                    select, relation.schema,
-                    self._relation_envs(relation, outer_env),
-                    outer_env, apply_where=True,
+                return self._row_fallback(
+                    select, relation, outer_env, apply_where=True
                 )
             if relation.count:
                 selection = list(range(relation.count))
@@ -114,21 +111,15 @@ class Executor(ReferenceExecutor):
                 if len(keep) != relation.count:
                     relation = relation.take(keep)
         if self._window_nodes(select):
-            METRICS.inc("engine.row_fallback_selects")
-            return self._select_rows(
-                select, relation.schema,
-                self._relation_envs(relation, outer_env),
-                outer_env, apply_where=False,
+            return self._row_fallback(
+                select, relation, outer_env, apply_where=False
             )
         if self._needs_grouping(select):
             try:
                 result = self._grouped_columnar(select, relation, outer_env)
             except VectorFallback:
-                METRICS.inc("engine.row_fallback_selects")
-                return self._select_rows(
-                    select, relation.schema,
-                    self._relation_envs(relation, outer_env),
-                    outer_env, apply_where=False,
+                return self._row_fallback(
+                    select, relation, outer_env, apply_where=False
                 )
             METRICS.inc("engine.columnar_selects")
             return result
@@ -140,14 +131,20 @@ class Executor(ReferenceExecutor):
                 bound_ids=frozenset(),
             )
         except VectorFallback:
-            METRICS.inc("engine.row_fallback_selects")
-            return self._select_rows(
-                select, relation.schema,
-                self._relation_envs(relation, outer_env),
-                outer_env, apply_where=False,
+            return self._row_fallback(
+                select, relation, outer_env, apply_where=False
             )
         METRICS.inc("engine.columnar_selects")
         return result
+
+    def _row_fallback(self, select, relation, outer_env, apply_where):
+        """Finish ``select`` on the inherited row path over ``relation``."""
+        METRICS.inc("engine.row_fallback_selects")
+        return self._select_rows(
+            select, relation.schema,
+            self._relation_envs(relation, outer_env),
+            outer_env, apply_where=apply_where,
+        )
 
     def _relation_envs(self, relation, outer_env):
         return [
@@ -276,8 +273,7 @@ class Executor(ReferenceExecutor):
         pair_relation = ColumnarRelation.join(left, right, candidates)
         try:
             closure = compiled_expression(
-                residual_expr, self.database, pair_relation.schema,
-                outer_env is not None,
+                residual_expr, pair_relation.schema, outer_env is not None
             )
         except VectorFallback:
             evaluate = self._evaluator.evaluate_predicate
@@ -349,11 +345,11 @@ class Executor(ReferenceExecutor):
                 closure = None
             else:
                 closure = compiled_expression(
-                    node.args[0], self.database, relation.schema, has_outer
+                    node.args[0], relation.schema, has_outer
                 )
             specs[id(node)] = (node, closure)
         key_closures = [
-            compiled_expression(expr, self.database, relation.schema, has_outer)
+            compiled_expression(expr, relation.schema, has_outer)
             for expr in group_exprs
         ]
         context = VectorContext(relation, outer_env)
@@ -418,8 +414,7 @@ class Executor(ReferenceExecutor):
         bound_ids = frozenset(specs)
         if select.having is not None:
             having_closure = compiled_expression(
-                select.having, self.database, grouped.schema, has_outer,
-                bound_ids,
+                select.having, grouped.schema, has_outer, bound_ids
             )
             group_selection = list(range(grouped.count))
             values = having_closure(
@@ -483,9 +478,7 @@ class Executor(ReferenceExecutor):
             columns.append(self._output_name(item, position))
             plans.append((
                 "closure",
-                compiled_expression(
-                    item.expr, self.database, schema, has_outer, bound_ids
-                ),
+                compiled_expression(item.expr, schema, has_outer, bound_ids),
             ))
         upper_columns = [column.upper() for column in columns]
         order_plans = []
@@ -508,9 +501,7 @@ class Executor(ReferenceExecutor):
                 continue
             order_plans.append((
                 "closure",
-                compiled_expression(
-                    expr, self.database, schema, has_outer, bound_ids
-                ),
+                compiled_expression(expr, schema, has_outer, bound_ids),
             ))
         context = VectorContext(relation, outer_env, bound)
         selection = list(range(relation.count))

@@ -10,6 +10,7 @@ date part extraction. New functions register with :func:`scalar_function`.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 
 from .errors import TypeMismatchError, UnknownFunctionError
@@ -248,11 +249,8 @@ def _date(value):
 
 #: TO_CHAR renders the same (date, mask) pair for every row of a period
 #: grouping — the formatting loop is pure, so memoize it.
-_TO_CHAR_CACHE = {}
-_TO_CHAR_CACHE_CAP = 8192
-
-
 @scalar_function("TO_CHAR", 2)
+@functools.lru_cache(maxsize=8192)
 def _to_char(value, mask):
     """Oracle/Snowflake-style date formatting.
 
@@ -260,14 +258,7 @@ def _to_char(value, mask):
     ``MON``, and double-quoted literal sections (so ``YYYY"Q"Q`` renders
     ``2023Q2`` — the idiom in the paper's Appendix A query).
     """
-    try:
-        cached = _TO_CHAR_CACHE.get((value, mask))
-    except TypeError:
-        cached = None
-    if cached is not None:
-        return cached
     date = _require_date(value, "TO_CHAR")
-    original = (value, mask)
     mask = _require_text(mask, "TO_CHAR")
     output = []
     index = 0
@@ -298,11 +289,7 @@ def _to_char(value, mask):
         else:
             output.append(char)
             index += 1
-    rendered = "".join(output)
-    if len(_TO_CHAR_CACHE) >= _TO_CHAR_CACHE_CAP:
-        _TO_CHAR_CACHE.clear()
-    _TO_CHAR_CACHE[original] = rendered
-    return rendered
+    return "".join(output)
 
 
 @scalar_function("STRFTIME", 2)

@@ -5,7 +5,7 @@ straight into :data:`repro.obs.metrics.METRICS` under the ``engine.``
 prefix (``engine.columnar_selects``, ``engine.rewrite_s``,
 ``engine.predicate_cache.hits`` …), so a live server's ``/metrics`` shows
 them and the registry's lock keeps them exact under the serving layer's
-worker pool. :func:`engine_snapshot` is the bench profile's (schema v3)
+worker pool. :func:`engine_snapshot` is the bench profile's (schema v4)
 view of them; :func:`reset_engine_stats` zeroes them at profile
 boundaries (they are process-global because compiled closures and
 rewritten plans are shared across executor instances).

@@ -18,33 +18,19 @@ Capability contract (what the "model" can and cannot do):
 
 from __future__ import annotations
 
-import threading
+import functools
 
 from ..pipeline.nlparse import canonicalize, parse_question
 from ..text.normalize import normalize
 from .grounding import Grounder, GroundingInput
 from .interface import GPT_4O, GPT_4O_MINI, Prompt
 
+
 #: Token sets for texts that recur across calls (schema-element retrieval
-#: texts score against every question). Keyed by the text itself, so equal
-#: texts share one frozenset; bounded the same way the normalize cache is.
-_TOKEN_SET_CACHE = {}
-_TOKEN_SET_CACHE_CAP = 8192
-_TOKEN_SET_LOCK = threading.Lock()
-
-
+#: texts score against every question); values are immutable frozensets.
+@functools.lru_cache(maxsize=8192)
 def _token_set(text):
-    # Reads stay lock-free (values are immutable frozensets); only the
-    # insert takes the lock so the cap-clear can't interleave with a store
-    # when the serving pool links schemas concurrently.
-    cached = _TOKEN_SET_CACHE.get(text)
-    if cached is None:
-        cached = frozenset(normalize(text))
-        with _TOKEN_SET_LOCK:
-            if len(_TOKEN_SET_CACHE) >= _TOKEN_SET_CACHE_CAP:
-                _TOKEN_SET_CACHE.clear()
-            _TOKEN_SET_CACHE[text] = cached
-    return cached
+    return frozenset(normalize(text))
 
 
 class SimulatedLLM:

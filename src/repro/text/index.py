@@ -242,9 +242,8 @@ class RetrievalIndex:
         cached = self._query_cache.get(query_text)
         if cached is not None:
             return cached
-        tokens = normalize(query_text)
-        vector = self._vectorizer.transform(query_text, tokens=tokens)
-        entry = (vector, l2_norm(vector), set(tokens))
+        vector = self._vectorizer.transform(query_text)
+        entry = (vector, l2_norm(vector), set(normalize(query_text)))
         if len(self._query_cache) >= QUERY_CACHE_SIZE:
             self._query_cache.clear()
         self._query_cache[query_text] = entry
@@ -290,19 +289,17 @@ class RetrievalIndex:
     def _do_refresh(self):
         # One normalisation pass per document, cached on the document so a
         # refresh triggered by adding a handful of documents only pays to
-        # tokenize those; the token list is shared by the vectorizer fit,
-        # the document embedding, and the inverted index. Built into
-        # locals and published by attribute assignment, so readers that
-        # raced past the dirty check see either the old complete tables or
-        # the new ones — never a half-built postings list.
+        # tokenize those; the terms feed the vectorizer fit, their counts
+        # the document embedding, and the tokens the inverted index. Built
+        # into locals and published by attribute assignment, so readers
+        # that raced past the dirty check see either the old complete
+        # tables or the new ones — never a half-built postings list.
         started = perf_counter()
         vectorizer = TfIdfVectorizer()
         for document in self._documents.values():
             if document.tokens is None:
                 document.tokens = normalize(document.text)
-                document.terms = vectorizer.terms_for(
-                    document.text, tokens=document.tokens
-                )
+                document.terms = vectorizer.terms_for(document.text)
                 document.term_counts = Counter(document.terms)
             vectorizer.fit_one(document.text, terms=document.terms)
         inverted = {}

@@ -8,6 +8,7 @@ without dragging in a full Porter implementation.
 
 from __future__ import annotations
 
+import functools
 import re
 
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_%']+")
@@ -34,26 +35,13 @@ def tokenize_text(text):
 
 _ES_PLURAL = re.compile(r"(ss|x|z|ch|sh)es$")
 
-#: Word -> stem memo. The vocabulary across questions, documents, and schema
-#: texts is small and heavily repeated, while stemming walks a suffix table
-#: per call — cache the verdict per distinct word.
-_STEM_CACHE = {}
-_STEM_CACHE_CAP = 16384
 
-
+#: Memoised per distinct word: the vocabulary across questions, documents
+#: and schema texts is small and heavily repeated, while stemming walks a
+#: suffix table per call.
+@functools.lru_cache(maxsize=16384)
 def stem(token):
     """Strip one common suffix, keeping at least 3 leading characters."""
-    cached = _STEM_CACHE.get(token)
-    if cached is not None:
-        return cached
-    stemmed = _stem_uncached(token)
-    if len(_STEM_CACHE) >= _STEM_CACHE_CAP:
-        _STEM_CACHE.clear()
-    _STEM_CACHE[token] = stemmed
-    return stemmed
-
-
-def _stem_uncached(token):
     if token.endswith("uses") and len(token) >= 6:
         return token[:-2]  # statuses -> status, campuses -> campus
     for suffix in _SUFFIXES:
@@ -70,29 +58,24 @@ def _stem_uncached(token):
     return token
 
 
-#: Memoized normalisations. normalize() is pure and its callers hammer the
-#: same texts (every schema element per question, every indexed document per
-#: refresh), so the token pipeline runs once per distinct text. Values are
-#: tuples; callers get a fresh list each time so mutation stays safe.
-_NORMALIZE_CACHE = {}
-_NORMALIZE_CACHE_CAP = 8192
+def normalize(text):
+    """Full pipeline: tokenize, drop stopwords, stem. Returns token list.
+
+    A fresh list per call, built from a memoised tuple, so callers may
+    mutate it.
+    """
+    return list(_normalized(text))
 
 
-def normalize(text, remove_stopwords=True, apply_stem=True):
-    """Full pipeline: tokenize, drop stopwords, stem. Returns token list."""
-    key = (text, remove_stopwords, apply_stem)
-    cached = _NORMALIZE_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-    tokens = tokenize_text(text)
-    if remove_stopwords:
-        tokens = [token for token in tokens if token not in STOPWORDS]
-    if apply_stem:
-        tokens = [stem(token) for token in tokens]
-    if len(_NORMALIZE_CACHE) >= _NORMALIZE_CACHE_CAP:
-        _NORMALIZE_CACHE.clear()
-    _NORMALIZE_CACHE[key] = tuple(tokens)
-    return tokens
+#: normalize() is pure and its callers hammer the same texts (every schema
+#: element per question, every indexed document per refresh), so the token
+#: pipeline runs once per distinct text.
+@functools.lru_cache(maxsize=8192)
+def _normalized(text):
+    return tuple(
+        stem(token) for token in tokenize_text(text)
+        if token not in STOPWORDS
+    )
 
 
 def ngrams(tokens, n=2):

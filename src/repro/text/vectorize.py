@@ -11,30 +11,29 @@ is applied to both sides.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections import Counter
 
 from .normalize import char_ngrams, ngrams, normalize
 
-#: Memoized term lists keyed by (text, bigram flag, char-ngram flag). Term
-#: extraction is pure and the same text crosses several vectorizers (one
-#: question embeds against the example, instruction, and schema indexes; a
-#: mined document is fit and then transformed), so share the expansion.
-#: Values are tuples — treat them as immutable. Lock-free reads are safe
-#: (dict.get is atomic and values never mutate); the insert path takes
-#: _TERMS_LOCK so a cap-triggered clear can't interleave with a store.
-_TERMS_CACHE = {}
-_TERMS_CACHE_CAP = 8192
-_TERMS_LOCK = threading.Lock()
+
+@functools.lru_cache(maxsize=8192)
+def _terms(text):
+    """The term tuple of ``text``: tokens, word bigrams, character trigrams.
+
+    Memoised because the same text crosses several vectorizers (one
+    question embeds against the example, instruction and schema indexes;
+    a mined document is fit and then transformed).
+    """
+    tokens = normalize(text)
+    return tuple(tokens + ngrams(tokens, 2) + char_ngrams(text, 3))
 
 
 class TfIdfVectorizer:
     """Fit on a corpus of texts; transform texts to sparse weight dicts."""
 
-    def __init__(self, use_bigrams=True, use_char_ngrams=True):
-        self.use_bigrams = use_bigrams
-        self.use_char_ngrams = use_char_ngrams
+    def __init__(self):
         self._document_frequency = Counter()
         self._document_count = 0
         self._idf_by_frequency = {}
@@ -47,17 +46,14 @@ class TfIdfVectorizer:
             self.fit_one(text)
         return self
 
-    def fit_one(self, text, tokens=None, terms=None):
+    def fit_one(self, text, terms=None):
         """Accumulate document frequencies from one text. Returns self.
 
-        ``tokens`` is an optional precomputed ``normalize(text)`` result so
-        callers that already tokenized the text (the retrieval index does,
-        for its inverted index) don't pay for normalisation twice; ``terms``
-        goes further and supplies the full term list (tokens + n-grams).
+        ``terms`` optionally supplies the text's :meth:`terms_for` result.
         """
         self._document_count += 1
         self._idf_by_frequency = {}
-        for term in set(self._terms(text, tokens, terms)):
+        for term in set(_terms(text) if terms is None else terms):
             self._document_frequency[term] += 1
         return self
 
@@ -67,22 +63,24 @@ class TfIdfVectorizer:
 
     # -- transforming ----------------------------------------------------------
 
-    def transform(self, text, tokens=None, terms=None, counts=None):
+    def transform(self, text, counts=None):
         """Embed ``text`` as a sparse, L2-normalised TF-IDF dict.
 
-        ``tokens`` optionally carries a precomputed ``normalize(text)``;
-        ``terms`` a precomputed full term list; ``counts`` a precomputed
-        ``Counter`` of that term list (re-transforms after a refresh reuse
-        it — only the IDF side changes between refreshes).
+        ``counts`` optionally carries a precomputed ``Counter`` of the
+        text's terms (re-transforms after a refresh reuse it — only the IDF
+        side changes between refreshes).
         """
         if counts is None:
-            counts = Counter(self._terms(text, tokens, terms))
+            counts = Counter(_terms(text))
         if not counts:
             return {}
-        # Inlined :meth:`_idf` — transform dominates refresh cost and the
-        # method-call overhead is measurable at ~100 weights per document.
-        # ``count == 1`` (the common case) makes the TF factor exactly 1.0,
-        # so the weight is the IDF itself, bit-for-bit.
+        # Smoothed IDF; unseen terms get the maximum weight so novel
+        # domain words (e.g. 'qoqfp') dominate similarity when present.
+        # Only the document frequency varies per term, so the log is
+        # computed once per distinct frequency (reset whenever fitting
+        # another document changes the count). ``count == 1`` (the common
+        # case) makes the TF factor exactly 1.0, so the weight is the IDF
+        # itself, bit-for-bit.
         document_frequency = self._document_frequency
         idf_by_frequency = self._idf_by_frequency
         log = math.log
@@ -107,45 +105,10 @@ class TfIdfVectorizer:
             vector[term] /= norm
         return vector
 
-    def _idf(self, term):
-        # Smoothed IDF; unseen terms get the maximum weight so novel
-        # domain words (e.g. 'qoqfp') dominate similarity when present.
-        # Only the document frequency varies per term, so the log is
-        # computed once per distinct frequency (reset whenever fitting
-        # another document changes the count).
-        frequency = self._document_frequency.get(term, 0)
-        weight = self._idf_by_frequency.get(frequency)
-        if weight is None:
-            weight = math.log(
-                (1 + self._document_count) / (1 + frequency)
-            ) + 1.0
-            self._idf_by_frequency[frequency] = weight
-        return weight
-
-    def terms_for(self, text, tokens=None):
-        """The full term list (tokens + n-grams) this vectorizer would use.
+    def terms_for(self, text):
+        """The term tuple (tokens + n-grams) this vectorizer would use.
 
         Callers that index many documents cache this per document and feed
-        it back through ``fit_one(terms=...)`` / ``transform(terms=...)``.
+        it back through ``fit_one(terms=...)``.
         """
-        return self._terms(text, tokens)
-
-    def _terms(self, text, tokens=None, terms=None):
-        if terms is not None:
-            return terms
-        key = (text, self.use_bigrams, self.use_char_ngrams)
-        cached = _TERMS_CACHE.get(key)
-        if cached is not None:
-            return cached
-        if tokens is None:
-            tokens = normalize(text)
-        terms = list(tokens)
-        if self.use_bigrams:
-            terms.extend(ngrams(tokens, 2))
-        if self.use_char_ngrams:
-            terms.extend(char_ngrams(text, 3))
-        with _TERMS_LOCK:
-            if len(_TERMS_CACHE) >= _TERMS_CACHE_CAP:
-                _TERMS_CACHE.clear()
-            _TERMS_CACHE[key] = tuple(terms)
-        return terms
+        return _terms(text)

@@ -25,6 +25,7 @@ from repro.engine import (
     Result,
     engine_snapshot,
 )
+from repro.engine.evaluator import reset_vector_cache
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.values import _stable_key, comparable_cell
 from repro.sql.errors import SqlError
@@ -319,3 +320,50 @@ class TestExecutionPaths:
         other = twin("A", "B", name="other")
         assert optimize_for_execution(parse_cached(sql), other) is \
             optimize_for_execution(parse_cached(sql), first)
+
+
+def _misses():
+    return engine_snapshot()["predicate_cache"]["misses"]
+
+
+class TestCompiledExpressionKey:
+    """Compiled closures are keyed on the FROM schema, not the database."""
+
+    SQL = "SELECT ID, A + 1 FROM T WHERE A = 10 ORDER BY ID"
+
+    @staticmethod
+    def _db(name, columns, rows):
+        db = Database(name)
+        db.create_table(
+            "T", [Column(column, "INTEGER") for column in columns], rows=rows
+        )
+        return db
+
+    def test_same_schema_databases_share_one_compiled_entry(self):
+        first = self._db("first", ("ID", "A"), [(1, 10), (2, 20)])
+        second = self._db("second", ("ID", "A"), [(1, 30), (2, 10)])
+        second.table("T").insert((3, 10))
+        assert first.name != second.name
+        assert first.version != second.version
+        reset_vector_cache()  # no cap-triggered clear between the runs
+        Executor(first).execute(self.SQL)
+        misses = _misses()
+        outcome = _outcome(Executor, second, self.SQL)
+        assert _misses() == misses
+        assert outcome == _outcome(ReferenceExecutor, second, self.SQL)
+        assert outcome[2] == [(2, 11), (3, 11)]
+
+    def test_same_named_database_with_other_columns_gets_its_own_entry(
+        self
+    ):
+        first = self._db("twin", ("ID", "A"), [(1, 10), (2, 20)])
+        second = self._db("twin", ("ID", "B", "A"), [(1, 10, 20), (2, 0, 10)])
+        assert first.name == second.name
+        assert first.version == second.version
+        reset_vector_cache()
+        Executor(first).execute(self.SQL)
+        misses = _misses()
+        outcome = _outcome(Executor, second, self.SQL)
+        assert _misses() > misses
+        assert outcome == _outcome(ReferenceExecutor, second, self.SQL)
+        assert outcome[2] == [(2, 11)]

@@ -28,6 +28,14 @@ class TestNormalize:
     def test_stopwords_removed(self):
         assert "the" not in normalize("the revenue of the org")
 
+    def test_mutating_the_result_leaves_the_next_call_intact(self):
+        first = normalize("regional sales leagues")
+        first.append("x")
+        first[0] = "y"
+        assert normalize("regional sales leagues") == [
+            "regional", "sale", "league",
+        ]
+
     def test_our_is_not_a_stopword(self):
         # 'our' carries enterprise meaning (ownership) — must survive.
         assert "our" in normalize("our organisations")
@@ -68,7 +76,7 @@ class TestVectorizer:
 
     def test_rare_term_weighs_more(self):
         corpus = ["common word here"] * 5 + ["rare qoqfp metric"]
-        vectorizer = TfIdfVectorizer(use_char_ngrams=False).fit(corpus)
+        vectorizer = TfIdfVectorizer().fit(corpus)
         vector = vectorizer.transform("common qoqfp")
         assert vector["qoqfp"] > vector["common"]
 
