@@ -26,7 +26,9 @@
 #                   repro watch over a fresh two-run ledger must report
 #                   zero level shifts
 #   make perf-smoke - columnar micro-ops vs the row oracle; fails if any
-#                   executor op drops below the 1.5x speedup gate
+#                   executor op drops below the 1.5x speedup gate. Also
+#                   the batch retrieval refit vs the per-document one:
+#                   bit-identical tables and at least 1.2x faster
 #   make bench-selftest - the benchmark's own tests (perf/tests); the
 #                   benchmark imports and patches engine internals, so an
 #                   engine refactor can break it while tier-1 stays green
@@ -125,7 +127,7 @@ telemetry-smoke:
 
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_columnar_micro.py \
-		-q -s -p no:cacheprovider
+		benchmarks/test_retrieval_micro.py -q -s -p no:cacheprovider
 
 bench-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest -q perf/tests

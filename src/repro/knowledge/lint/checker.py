@@ -38,6 +38,7 @@ contract every database memo has.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from ...engine.errors import ExecutionError
 from ...engine.executor import Executor
@@ -392,11 +393,13 @@ def _check_near_duplicates(examples, findings):
     if not edited:
         return
     vectorizer = TfIdfVectorizer()
-    vectorizer.fit(example.retrieval_text for example in examples)
-    vectors = {
-        example.example_id: vectorizer.transform(example.retrieval_text)
-        for example in examples
-    }
+    vectors = dict(zip(
+        [example.example_id for example in examples],
+        vectorizer.fit_transform(
+            Counter(vectorizer.terms_for(example.retrieval_text))
+            for example in examples
+        ),
+    ))
     for example in edited:
         vector = vectors[example.example_id]
         for other in examples:

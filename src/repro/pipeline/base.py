@@ -97,6 +97,10 @@ class PipelineContext:
     #: Name of the required operator whose failure ended the run ("" if
     #: the run reached the final check).
     failed_operator: str = ""
+    #: ``(sql, database version)`` of the candidate self-correction last
+    #: executed cleanly, or ``None``. The final check trusts that run
+    #: instead of executing the same SQL on the same version again.
+    clean_execution: tuple = None
     #: ``callable(database) -> executor`` supplied by the pipeline so
     #: fault injection covers self-correction and the final check; ``None``
     #: (standalone operator tests) falls back to a plain ``Executor``.
@@ -133,18 +137,11 @@ class Operator:
 _DIGEST_PAYLOADS = {
     "reformulate": lambda c: c.reformulated,
     "classify_intents": lambda c: tuple(c.intent_ids),
-    "select_examples": lambda c: tuple(
-        getattr(example, "example_id", repr(example))
-        for example in c.examples
+    "select_examples": lambda c: _component_ids(c.examples, "example_id"),
+    "select_instructions": lambda c: _component_ids(
+        c.instructions, "instruction_id"
     ),
-    "select_instructions": lambda c: tuple(
-        getattr(instruction, "instruction_id", repr(instruction))
-        for instruction in c.instructions
-    ),
-    "link_schema": lambda c: tuple(
-        getattr(element, "element_id", repr(element))
-        for element in c.schema_elements
-    ),
+    "link_schema": lambda c: _component_ids(c.schema_elements, "element_id"),
     "plan": lambda c: c.plan.render() if c.plan is not None else "",
     "lint_plan": lambda c: tuple(
         (finding.code, finding.step) for finding in c.plan_findings
@@ -152,6 +149,22 @@ _DIGEST_PAYLOADS = {
     "generate_sql": lambda c: (tuple(c.candidates), c.sql),
     "self_correct": lambda c: (c.sql, tuple(c.attempts)),
 }
+
+
+def _component_ids(components, attribute):
+    """Each component's ``attribute``, or its repr when it has none.
+
+    The repr is built only for a component that lacks the id: building it
+    eagerly, as a ``getattr`` default, would format every dataclass only
+    to discard the string.
+    """
+    ids = []
+    for component in components:
+        try:
+            ids.append(getattr(component, attribute))
+        except AttributeError:
+            ids.append(repr(component))
+    return tuple(ids)
 
 
 def operator_output_digest(name, context):

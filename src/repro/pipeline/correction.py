@@ -119,6 +119,7 @@ class SelfCorrectionOperator(Operator):
                 self.name,
                 f"candidate executed cleanly on attempt {tried}",
             )
+            context.clean_execution = (sql, context.database.version)
             return context
         context.attempts = attempts
         context.add_trace(

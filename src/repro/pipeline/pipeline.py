@@ -71,8 +71,8 @@ def _degrade_plan_lint(context):
 
 def _degrade_self_correct(context):
     # The generated candidate stands un-corrected; the final check still
-    # decides whether the run succeeded.
-    pass
+    # decides whether the run succeeded, by executing it.
+    context.clean_execution = None
 
 
 #: Degradation matrix: optional operators and the fallback that leaves the
@@ -271,8 +271,22 @@ class GenEditPipeline:
         return Executor(self.database).execute(sql)
 
     def _final_check(self, context):
+        """``(success, error text)`` for the run's final SQL.
+
+        Executes ``context.sql`` unless self-correction already executed
+        that SQL cleanly on the current database version with no fault
+        injector armed (DESIGN.md §6c): the engine is deterministic, so a
+        second execution could only repeat that verdict. An armed injector
+        always executes, because its fault decisions count occurrences.
+        """
         if not context.sql:
             return False, "no SQL generated"
+        if (
+            self.fault_injector is None
+            and context.clean_execution
+            == (context.sql, context.database.version)
+        ):
+            return True, ""
         try:
             self._make_executor(context.database).execute(context.sql)
         except (SqlError, ExecutionError) as error:

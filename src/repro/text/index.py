@@ -7,20 +7,26 @@ by cosine similarity, optionally restricted to a candidate subset (which is
 how intent-keyed retrieval composes with similarity re-ranking).
 
 The index pays its embedding cost once per refresh: each document's vector
-*and* L2 norm are precomputed, the per-document token and term lists are
-normalised a single time and cached on the document (so refreshes after an
-``add`` only re-tokenize the new documents), and query-vector transforms are
-memoized until the next mutation — so context-expansion re-ranks that reuse
-the same expanded query text never re-embed it.
+*and* L2 norm are precomputed, the per-document token set and term counts
+are normalised a single time and cached on the document (so refreshes
+after an ``add`` only re-tokenize the new documents), and query-vector
+transforms are memoized until the next mutation — so context-expansion
+re-ranks that reuse the same expanded query text never re-embed it.
+
+A refit is one batch pass: :meth:`TfIdfVectorizer.fit_transform` fits the
+document frequencies on every document's cached term counts and returns
+all vectors at once, with each term's IDF computed once per refit rather
+than once per document it occurs in. Refits stay lazy: the first search
+after a mutation pays for them, never construction.
 
 Clones are copy-on-write (:meth:`RetrievalIndex.clone`): a clone shares its
 parent's fitted vectorizer, inverted index and postings, and holds shallow
-copies of the parent's documents, so their cached tokens and terms are
-shared too. A refresh never mutates those tables — it builds new ones and
-publishes them by assignment — and writes vectors and norms only onto the
-refreshing index's own document copies. So a clone that no edit touches is
-never refit, and an edited clone refits from cached tokens: only the new
-documents are normalised again. Each refit increments the
+copies of the parent's documents, so their cached token sets and term
+counts are shared too. A refresh never mutates those tables — it builds
+new ones and publishes them by assignment — and writes vectors and norms
+only onto the refreshing index's own document copies. So a clone that no
+edit touches is never refit, and an edited clone refits from cached
+tokens: only the new documents are normalised again. Each refit increments the
 ``retrieval.refits`` counter and, inside a span, that span's
 ``retrieval.refits`` and ``retrieval.refit_ms`` attributes.
 
@@ -31,12 +37,14 @@ instead of one sparse-dict intersection per document. The accumulation
 visits exactly the nonzero terms the per-document cosine would, in the same
 order, so scores are bit-identical to :func:`cosine_with_norms` — documents
 with fewer terms than the query (where that helper iterates the document
-side instead) are scored individually the legacy way.
+side instead) are scored individually the legacy way. Ranking keeps the k
+smallest ``(-score, doc_id)`` keys, so ties break by id.
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 import logging
 import threading
 from collections import Counter
@@ -77,8 +85,7 @@ class Document:
     metadata: dict = field(default_factory=dict)
     vector: dict = field(default_factory=dict)
     norm: float = 0.0
-    tokens: list = None
-    terms: list = None
+    tokens: set = None
     term_counts: dict = None
 
 
@@ -131,8 +138,8 @@ class RetrievalIndex:
 
         The fitted tables are shared: a refresh publishes new ones by
         assignment and never mutates them. Each document is a shallow copy,
-        so its cached tokens and terms are shared while a refit in either
-        index writes vectors and norms only to its own copies. A clean
+        so its cached token set and term counts are shared while a refit in
+        either index writes vectors and norms only to its own copies. A clean
         parent gives a clean clone; a dirty one gives a dirty clone.
         """
         clone = RetrievalIndex()
@@ -166,10 +173,12 @@ class RetrievalIndex:
         scores = self._batched_scores(query_vector, query_norm, pool)
         # Rank plain (−score, id) tuples and only build SearchHit objects
         # for the k survivors — the pool is often much larger than k.
-        ranked = sorted((-scores[doc_id], doc_id) for doc_id in pool)
+        ranked = heapq.nsmallest(
+            k, [(-scores[doc_id], doc_id) for doc_id in pool]
+        )
         return [
             SearchHit(doc_id, -negated, self._documents[doc_id])
-            for negated, doc_id in ranked[:k]
+            for negated, doc_id in ranked
         ]
 
     def score(self, query, doc_id):
@@ -289,30 +298,40 @@ class RetrievalIndex:
     def _do_refresh(self):
         # One normalisation pass per document, cached on the document so a
         # refresh triggered by adding a handful of documents only pays to
-        # tokenize those; the terms feed the vectorizer fit, their counts
-        # the document embedding, and the tokens the inverted index. Built
-        # into locals and published by attribute assignment, so readers
-        # that raced past the dirty check see either the old complete
-        # tables or the new ones — never a half-built postings list.
+        # tokenize those; the term counts feed the batch fit and the token
+        # set the inverted index. Built into locals and published by
+        # attribute assignment, so readers that raced past the dirty check
+        # see either the old complete tables or the new ones — never a
+        # half-built postings list.
         started = perf_counter()
         vectorizer = TfIdfVectorizer()
-        for document in self._documents.values():
+        documents = list(self._documents.items())
+        for _doc_id, document in documents:
             if document.tokens is None:
-                document.tokens = normalize(document.text)
-                document.terms = vectorizer.terms_for(document.text)
-                document.term_counts = Counter(document.terms)
-            vectorizer.fit_one(document.text, terms=document.terms)
+                document.tokens = set(normalize(document.text))
+                document.term_counts = Counter(
+                    vectorizer.terms_for(document.text)
+                )
+        vectors = vectorizer.fit_transform(
+            [document.term_counts for _doc_id, document in documents]
+        )
         inverted = {}
         postings = {}
-        for doc_id, document in self._documents.items():
-            document.vector = vectorizer.transform(
-                document.text, counts=document.term_counts
-            )
-            document.norm = l2_norm(document.vector)
-            for term in set(document.tokens):
-                inverted.setdefault(term, set()).add(doc_id)
-            for term, weight in document.vector.items():
-                postings.setdefault(term, []).append((doc_id, weight))
+        for (doc_id, document), vector in zip(documents, vectors):
+            document.vector = vector
+            document.norm = l2_norm(vector)
+            for term in document.tokens:
+                ids = inverted.get(term)
+                if ids is None:
+                    inverted[term] = {doc_id}
+                else:
+                    ids.add(doc_id)
+            for term, weight in vector.items():
+                entries = postings.get(term)
+                if entries is None:
+                    postings[term] = [(doc_id, weight)]
+                else:
+                    entries.append((doc_id, weight))
         self._vectorizer = vectorizer
         self._inverted = inverted
         self._postings = postings

@@ -7,6 +7,14 @@ trigrams, so both lexical and fuzzy matches contribute. The vectoriser is
 fit once over a corpus (the knowledge set) and then embeds queries against
 that corpus's document frequencies — mirroring how a fixed embedding model
 is applied to both sides.
+
+An index refit uses :meth:`TfIdfVectorizer.fit_transform`: one pass counts
+document frequencies from each document's term ``Counter``, the IDF of
+every vocabulary term is computed once, and each vector is built and then
+normalised by a dict comprehension. Its vectors are bit-identical to
+fitting document by document and transforming each text, and the query
+side (:meth:`TfIdfVectorizer.transform`) computes IDF through the same
+helper.
 """
 
 from __future__ import annotations
@@ -46,16 +54,68 @@ class TfIdfVectorizer:
             self.fit_one(text)
         return self
 
-    def fit_one(self, text, terms=None):
-        """Accumulate document frequencies from one text. Returns self.
-
-        ``terms`` optionally supplies the text's :meth:`terms_for` result.
-        """
+    def fit_one(self, text):
+        """Accumulate document frequencies from one text. Returns self."""
         self._document_count += 1
         self._idf_by_frequency = {}
-        for term in set(_terms(text) if terms is None else terms):
+        for term in set(_terms(text)):
             self._document_frequency[term] += 1
         return self
+
+    def fit_transform(self, term_counts):
+        """Fit on per-document term ``Counter``s; return their vectors.
+
+        The batch form of :meth:`fit_one` over every document followed by
+        :meth:`transform` of each: the same document frequencies, the same
+        IDF per term and the same weights and divisions in the same order,
+        so every vector is bit-identical. Each term's IDF is looked up once
+        per fit instead of once per document it occurs in. Every fitted
+        term has IDF >= 1, so no weight is dropped as non-positive.
+        """
+        term_counts = list(term_counts)
+        document_frequency = self._document_frequency
+        for counts in term_counts:
+            document_frequency.update(counts.keys())
+        self._document_count += len(term_counts)
+        self._idf_by_frequency = {}
+        idf_by_frequency = {
+            frequency: self._idf(frequency)
+            for frequency in set(document_frequency.values())
+        }
+        idf = {
+            term: idf_by_frequency[frequency]
+            for term, frequency in document_frequency.items()
+        }
+        log = math.log
+        sqrt = math.sqrt
+        vectors = []
+        for counts in term_counts:
+            vector = {
+                term: idf[term] if count == 1
+                else (1.0 + log(count)) * idf[term]
+                for term, count in counts.items()
+            }
+            norm = sqrt(sum([value * value for value in vector.values()]))
+            vectors.append(
+                {term: value / norm for term, value in vector.items()}
+            )
+        return vectors
+
+    def _idf(self, frequency):
+        """Smoothed IDF of a term in ``frequency`` fitted documents.
+
+        Unseen terms (frequency 0) get the maximum weight so novel domain
+        words (e.g. 'qoqfp') dominate similarity when present. Only the
+        frequency varies per term, so the log is computed once per distinct
+        frequency (the memo resets whenever fitting changes the count).
+        """
+        idf = self._idf_by_frequency.get(frequency)
+        if idf is None:
+            idf = math.log(
+                (1 + self._document_count) / (1 + frequency)
+            ) + 1.0
+            self._idf_by_frequency[frequency] = idf
+        return idf
 
     @property
     def is_fitted(self):
@@ -63,35 +123,22 @@ class TfIdfVectorizer:
 
     # -- transforming ----------------------------------------------------------
 
-    def transform(self, text, counts=None):
-        """Embed ``text`` as a sparse, L2-normalised TF-IDF dict.
-
-        ``counts`` optionally carries a precomputed ``Counter`` of the
-        text's terms (re-transforms after a refresh reuse it — only the IDF
-        side changes between refreshes).
-        """
-        if counts is None:
-            counts = Counter(_terms(text))
+    def transform(self, text):
+        """Embed ``text`` as a sparse, L2-normalised TF-IDF dict."""
+        counts = Counter(_terms(text))
         if not counts:
             return {}
-        # Smoothed IDF; unseen terms get the maximum weight so novel
-        # domain words (e.g. 'qoqfp') dominate similarity when present.
-        # Only the document frequency varies per term, so the log is
-        # computed once per distinct frequency (reset whenever fitting
-        # another document changes the count). ``count == 1`` (the common
-        # case) makes the TF factor exactly 1.0, so the weight is the IDF
-        # itself, bit-for-bit.
+        # ``count == 1`` (the common case) makes the TF factor exactly 1.0,
+        # so the weight is the IDF itself, bit-for-bit.
         document_frequency = self._document_frequency
         idf_by_frequency = self._idf_by_frequency
         log = math.log
-        numerator = 1 + self._document_count
         vector = {}
         for term, count in counts.items():
             frequency = document_frequency.get(term, 0)
             idf = idf_by_frequency.get(frequency)
             if idf is None:
-                idf = log(numerator / (1 + frequency)) + 1.0
-                idf_by_frequency[frequency] = idf
+                idf = self._idf(frequency)
             weight = idf if count == 1 else (1.0 + log(count)) * idf
             if weight > 0:
                 vector[term] = weight
@@ -108,7 +155,7 @@ class TfIdfVectorizer:
     def terms_for(self, text):
         """The term tuple (tokens + n-grams) this vectorizer would use.
 
-        Callers that index many documents cache this per document and feed
-        it back through ``fit_one(terms=...)``.
+        Callers that index many documents count these once per document
+        and fit on the counts with :meth:`fit_transform`.
         """
         return _terms(text)

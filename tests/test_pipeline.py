@@ -326,3 +326,126 @@ class TestGenerationPurity:
         assert [seed for seed, _sets, _golden in payload] == [7, 41]
         assert [len(generated) for generated in warm] == [18, 18]
         assert warm == json.loads(fresh.stdout)
+
+
+class TestFinalCheck:
+    """The final check trusts self-correction's clean run, and only it."""
+
+    QUESTION = "How many sports organisations are in Canada?"
+
+    @pytest.fixture()
+    def executions(self, monkeypatch):
+        from repro.engine.executor import Executor
+
+        calls = []
+        original = Executor.execute
+
+        def counting(executor, query):
+            calls.append(query)
+            return original(executor, query)
+
+        monkeypatch.setattr(Executor, "execute", counting)
+        return calls
+
+    @pytest.fixture()
+    def pipeline(self, experiment_context):
+        # A fresh database, so a test that inserts rows changes no other
+        # test's data.
+        from repro.bench.schemas import build_all
+
+        database = build_all(experiment_context.seed)[
+            "sports_holdings"
+        ].database
+        knowledge = experiment_context.knowledge_sets["sports_holdings"]
+        return GenEditPipeline(database, knowledge)
+
+    def test_clean_question_executes_once(self, pipeline, executions):
+        result = pipeline.generate(self.QUESTION)
+        assert result.success and not result.context.attempts
+        assert executions == [result.sql]
+        check = [
+            record for record in result.trace_records()
+            if record["name"] == "final_check"
+        ]
+        assert check and check[0]["attributes"]["success"] is True
+
+    def test_armed_injector_executes_again(self, pipeline, executions):
+        from repro.resilience import FaultConfig
+
+        pipeline.enable_faults(FaultConfig(rate=0.0, seed=7))
+        result = pipeline.generate(self.QUESTION)
+        assert result.success
+        assert executions == [result.sql, result.sql]
+
+    def test_version_bump_executes_again(
+        self, pipeline, executions, monkeypatch
+    ):
+        from repro.pipeline.correction import SelfCorrectionOperator
+
+        original = SelfCorrectionOperator.run
+
+        def run_then_insert(operator, context):
+            original(operator, context)
+            table = context.database.tables[0]
+            table.insert(table.rows[0])
+            return context
+
+        monkeypatch.setattr(SelfCorrectionOperator, "run", run_then_insert)
+        result = pipeline.generate(self.QUESTION)
+        assert result.success
+        assert executions == [result.sql, result.sql]
+
+    def test_degraded_self_correct_executes(
+        self, pipeline, executions, monkeypatch
+    ):
+        from repro.pipeline.correction import SelfCorrectionOperator
+
+        original = SelfCorrectionOperator.run
+
+        def run_then_fail(operator, context):
+            original(operator, context)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SelfCorrectionOperator, "run", run_then_fail)
+        result = pipeline.generate(self.QUESTION)
+        assert result.degraded_operators == ("self_correct",)
+        assert result.success
+        assert executions == [result.sql, result.sql]
+
+
+class TestOperatorDigest:
+    def test_component_repr_is_built_only_without_an_id(self):
+        from types import SimpleNamespace
+
+        from repro.pipeline.base import operator_output_digest
+
+        class Unprintable:
+            def __init__(self, **ids):
+                self.__dict__.update(ids)
+
+            def __repr__(self):
+                raise AssertionError("repr built for a component with an id")
+
+        def digests(examples, instructions, elements):
+            context = SimpleNamespace(
+                examples=examples, instructions=instructions,
+                schema_elements=elements,
+            )
+            return [
+                operator_output_digest(name, context)
+                for name in (
+                    "select_examples", "select_instructions", "link_schema"
+                )
+            ]
+
+        assert digests(
+            [Unprintable(example_id="e1")],
+            [Unprintable(instruction_id="i1")],
+            [Unprintable(element_id="s1")],
+        ) == digests(
+            [SimpleNamespace(example_id="e1")],
+            [SimpleNamespace(instruction_id="i1")],
+            [SimpleNamespace(element_id="s1")],
+        )
+        # A component without its id still digests by its repr.
+        assert digests(["x"], [], []) != digests(["y"], [], [])
