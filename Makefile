@@ -28,7 +28,10 @@
 #   make perf-smoke - columnar micro-ops vs the row oracle; fails if any
 #                   executor op drops below the 1.5x speedup gate. Also
 #                   the batch retrieval refit vs the per-document one:
-#                   bit-identical tables and at least 1.2x faster
+#                   bit-identical tables and at least 1.2x faster; and the
+#                   executor (column kernels included) against the row
+#                   engine by type and repr of every cell, over every
+#                   sql_scaled statement of seeds 8-11 at scale 4
 #   make bench-selftest - the benchmark's own tests (perf/tests); the
 #                   benchmark imports and patches engine internals, so an
 #                   engine refactor can break it while tier-1 stays green
@@ -127,7 +130,8 @@ telemetry-smoke:
 
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_columnar_micro.py \
-		benchmarks/test_retrieval_micro.py -q -s -p no:cacheprovider
+		benchmarks/test_retrieval_micro.py \
+		benchmarks/test_engine_differential.py -q -s -p no:cacheprovider
 
 bench-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest -q perf/tests

@@ -55,11 +55,9 @@ def compute_aggregate(name, values, distinct=False, count_star=False):
 
 
 def _distinct(values):
-    seen = []
-    for value in values:
-        if value not in seen:
-            seen.append(value)
-    return seen
+    """First occurrence of each value, in order; ``is`` or ``==`` decides,
+    as ``in`` on a list does, but in one hash pass."""
+    return list(dict.fromkeys(values))
 
 
 def _sum(values):

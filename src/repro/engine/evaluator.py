@@ -8,13 +8,21 @@ ride along on the environment.
 
 Subquery execution is delegated back to the executor through a callback so
 this module stays free of relational logic.
+
+The second half compiles expressions into closures over whole columns for
+the columnar executor. There, comparisons and IN-lists over a batch of one
+plain type run as column kernels (``map(operator.lt, ...)`` and friends),
+picked by :func:`value_kinds`; the row evaluator never uses one, so it
+stays an independent oracle for them.
 """
 
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 import threading
+from itertools import compress
 from time import perf_counter
 
 from ..obs.metrics import METRICS
@@ -406,6 +414,58 @@ class VectorContext:
         self.bound = bound
 
 
+# -- column kernels ------------------------------------------------------------
+#
+# A batch whose values all have one plain type can be compared by C
+# builtins (``map(operator.lt, ...)``) instead of one ``compare`` call per
+# pair. The kernel is picked by one observable property of the batch, its
+# exact set of types (:func:`value_kinds`), and only where the builtin does
+# the same comparisons ``compare``/``equals`` would: ``type`` is exact, so a
+# bool never passes for an int nor a datetime for a date, and a NaN (which
+# ``compare`` calls equal to everything) keeps a batch generic. The row
+# evaluator above never uses a kernel, so it stays an independent oracle.
+
+_NULL_KIND = frozenset({type(None)})
+_NUMBER_KINDS = frozenset({int, float})
+#: Kinds whose builtin order is ``compare``'s: one exact type a side.
+_ORDERED_KINDS = frozenset(
+    {frozenset({str}), frozenset({datetime.date})}
+)
+#: Kinds whose builtin ``==`` is ``equals`` (IN-list needles and items).
+_EQUALITY_KINDS = frozenset({frozenset({int}), frozenset({str})})
+
+_ORDER_OPERATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def value_kinds(array):
+    """The exact set of types in ``array``: what picks a column kernel."""
+    return frozenset(map(type, array))
+
+
+def _has_nan(array, kinds):
+    return float in kinds and any(map(operator.ne, array, array))
+
+
+def _plain_comparison(left_values, right_values):
+    """True when builtin comparison operators order every pair of the two
+    batches exactly as :func:`~repro.engine.values.compare` does."""
+    left_kinds = value_kinds(left_values)
+    right_kinds = value_kinds(right_values)
+    if left_kinds <= _NUMBER_KINDS and right_kinds <= _NUMBER_KINDS:
+        return not (
+            _has_nan(left_values, left_kinds)
+            or _has_nan(right_values, right_kinds)
+        )
+    return left_kinds == right_kinds and left_kinds in _ORDERED_KINDS
+
+
 def _vector_negate(value):
     if value is None:
         return None
@@ -532,11 +592,15 @@ class _VectorCompiler:
             return run_or
         check = Evaluator._COMPARISONS.get(node.op)
         if check is not None:
+            operation = _ORDER_OPERATORS[node.op]
+
             def run_compare(ctx, sel):
+                left_values = left(ctx, sel)
+                right_values = right(ctx, sel)
+                if _plain_comparison(left_values, right_values):
+                    return list(map(operation, left_values, right_values))
                 output = []
-                for left_value, right_value in zip(
-                    left(ctx, sel), right(ctx, sel)
-                ):
+                for left_value, right_value in zip(left_values, right_values):
                     # Same-class pairs (the overwhelmingly common case)
                     # order exactly as compare()'s aligned comparison does;
                     # everything else — NULLs, bools, cross-type coercions —
@@ -684,21 +748,31 @@ class _VectorCompiler:
                 position for position, needle in enumerate(needles)
                 if needle is not None
             ]
+            needle_kinds = value_kinds(needles) - _NULL_KIND
+            plain = needle_kinds in _EQUALITY_KINDS
             for item in items:
                 if not undecided:
                     break
                 narrowed = [sel[position] for position in undecided]
                 item_values = item(ctx, narrowed)
-                remaining = []
-                for position, value in zip(undecided, item_values):
-                    verdict = equals(needles[position], value)
-                    if verdict is True:
-                        output[position] = not negated if negated else True
-                    else:
+                if plain and value_kinds(item_values) == needle_kinds:
+                    matched = list(map(
+                        operator.eq,
+                        map(needles.__getitem__, undecided),
+                        item_values,
+                    ))
+                else:
+                    matched = []
+                    for position, value in zip(undecided, item_values):
+                        verdict = equals(needles[position], value)
                         if verdict is None:
                             saw_null[position] = True
-                        remaining.append(position)
-                undecided = remaining
+                        matched.append(verdict is True)
+                for position in compress(undecided, matched):
+                    output[position] = not negated
+                undecided = list(
+                    compress(undecided, map(operator.not_, matched))
+                )
             for position in undecided:
                 if negated:
                     output[position] = None if saw_null[position] else True

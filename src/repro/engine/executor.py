@@ -15,6 +15,13 @@ the fallback and the differential-testing oracle are the same code. Because
 the row path reaches subqueries and derived tables through the overridden
 :meth:`Executor._execute_select`, they still run columnar first.
 
+Column kernels: where a batch's exact set of value types
+(:func:`~repro.engine.evaluator.value_kinds`) is plain, grouped SUM/AVG/
+TOTAL/MIN/MAX, group keys and hash-join keys go through C builtins
+instead of one Python call per value; any other batch takes the generic
+code. Results are bit-identical either way, and the inherited row path
+never uses a kernel (DESIGN.md §6e).
+
 Error fidelity: the row path is definitive. If anything raises during
 columnar execution of a statement, the whole statement is re-executed by a
 plain :class:`~repro.engine.reference.ReferenceExecutor` against the
@@ -30,6 +37,8 @@ DISTINCT, ORDER BY (expressions, output aliases, ordinals), LIMIT/OFFSET.
 from __future__ import annotations
 
 import datetime
+import operator
+from functools import partial, reduce
 from operator import itemgetter
 
 from ..obs.metrics import METRICS
@@ -40,14 +49,17 @@ from .aggregates import compute_aggregate, is_aggregate_function
 from .columnar import ColumnarRelation
 from .errors import ExecutionError
 from .evaluator import (
+    _NULL_KIND,
+    _NUMBER_KINDS,
     Environment,
     VectorContext,
     VectorFallback,
     compiled_expression,
     contains_aggregate,
+    value_kinds,
 )
 from .reference import ReferenceExecutor, _row_key
-from .values import Result, comparable_cell, sort_key
+from .values import Result, group_key, sort_key
 
 _EMPTY_MATCHES = ()
 
@@ -222,23 +234,10 @@ class Executor(ReferenceExecutor):
         residual = conjuncts[len(keys):]
         if keys:
             METRICS.inc("engine.hash_joins")
-            left_arrays = [left.array(*left_key) for left_key, _ in keys]
-            right_arrays = [right.array(*right_key) for _, right_key in keys]
-            index = {}
-            for right_index in range(right.count):
-                key = tuple(array[right_index] for array in right_arrays)
-                if any(value is None for value in key):
-                    continue
-                index.setdefault(key, []).append(right_index)
-            matches_per_left = []
-            for left_index in range(left.count):
-                key = tuple(array[left_index] for array in left_arrays)
-                if any(value is None for value in key):
-                    matches_per_left.append(_EMPTY_MATCHES)
-                else:
-                    matches_per_left.append(
-                        index.get(key, _EMPTY_MATCHES)
-                    )
+            matches_per_left = _hash_matches(
+                [left.array(*left_key) for left_key, _ in keys],
+                [right.array(*right_key) for _, right_key in keys],
+            )
         else:
             METRICS.inc("engine.loop_joins")
             all_right = list(range(right.count))
@@ -355,33 +354,9 @@ class Executor(ReferenceExecutor):
         context = VectorContext(relation, outer_env)
         selection = list(range(relation.count))
         if group_exprs:
-            key_arrays = [closure(context, selection) for closure in key_closures]
-            groups = {}
-            order = []
-            if len(key_arrays) == 1:
-                # Single-key grouping is the dominant shape; skip the
-                # per-row generator for it.
-                array = key_arrays[0]
-                for index in selection:
-                    key = (comparable_cell(array[index]),)
-                    members = groups.get(key)
-                    if members is None:
-                        groups[key] = [index]
-                        order.append(key)
-                    else:
-                        members.append(index)
-            else:
-                for index in selection:
-                    key = tuple([
-                        comparable_cell(array[index]) for array in key_arrays
-                    ])
-                    members = groups.get(key)
-                    if members is None:
-                        groups[key] = [index]
-                        order.append(key)
-                    else:
-                        members.append(index)
-            member_lists = [groups[key] for key in order]
+            member_lists = _group_members([
+                closure(context, selection) for closure in key_closures
+            ])
             grouped = relation.take([members[0] for members in member_lists])
         elif relation.count:
             member_lists = [selection]
@@ -403,14 +378,9 @@ class Executor(ReferenceExecutor):
                     for members in member_lists
                 ]
             else:
-                values = closure(context, selection)
-                bound[node_id] = [
-                    compute_aggregate(
-                        node.name, [values[index] for index in members],
-                        distinct=node.distinct, count_star=False,
-                    )
-                    for members in member_lists
-                ]
+                bound[node_id] = _aggregate_groups(
+                    node, closure(context, selection), member_lists
+                )
         bound_ids = frozenset(specs)
         if select.having is not None:
             having_closure = compiled_expression(
@@ -636,23 +606,130 @@ def _hashable_key_columns(keys, left, right):
     return True
 
 
+#: Hash-join key class of each kind: number, text or date.
+_KEY_CLASSES = ((int, "n"), (float, "n"), (str, "s"), (datetime.date, "d"))
+
+
 def _scan_key_class(array, classes):
-    for value in array:
-        if value is None:
-            continue
-        if isinstance(value, bool) or isinstance(value, int):
-            classes.add("n")
-        elif isinstance(value, float):
-            if value != value:
-                return False
-            classes.add("n")
-        elif isinstance(value, str):
-            classes.add("s")
-        elif isinstance(value, datetime.date):
-            classes.add("d")
+    """Add the key classes of ``array``'s values to ``classes``; False when
+    a value cannot key a hash join (a NaN, or a kind outside the three)."""
+    kinds = value_kinds(array) - _NULL_KIND
+    for kind in kinds:
+        for base, key_class in _KEY_CLASSES:
+            if issubclass(kind, base):
+                classes.add(key_class)
+                break
         else:
             return False
-    return True
+    floats = any(issubclass(kind, float) for kind in kinds)
+    return not (floats and any(map(operator.ne, array, array)))
+
+
+# -- column kernels --------------------------------------------------------------
+#
+# As in the evaluator: a batch's exact set of types (value_kinds) picks a
+# C-builtin kernel where one does exactly what the generic code does, and
+# anything else keeps the generic code. The row path never sees a kernel.
+
+def _hash_matches(left_arrays, right_arrays):
+    """Per left row, the right rows whose key columns equal its own.
+
+    Build on the right, probe from the left; a key with a NULL in it
+    matches nothing. ``zip`` builds the key tuples in C.
+    """
+    index = {}
+    for right_index, key in enumerate(zip(*right_arrays)):
+        if None in key:
+            continue
+        members = index.get(key)
+        if members is None:
+            index[key] = [right_index]
+        else:
+            members.append(right_index)
+    return [
+        _EMPTY_MATCHES if None in key else index.get(key, _EMPTY_MATCHES)
+        for key in zip(*left_arrays)
+    ]
+
+
+#: Key kinds for which group_key is the identity.
+_PLAIN_KEY_KINDS = frozenset({int, str, type(None)})
+#: Kinds on which builtin min/max replace on strict < / > as _extreme does.
+_MIN_MAX_KINDS = frozenset(map(frozenset, (
+    {int}, {float}, {int, float}, {str}, {datetime.date},
+)))
+_is_present = partial(operator.is_not, None)
+
+
+def _sum_present(present):
+    # The additions _sum makes, in its order, without its per-value checks.
+    return reduce(operator.add, present, 0)
+
+
+_AGGREGATE_KERNELS = {
+    "SUM": lambda present: _sum_present(present) if present else None,
+    "TOTAL": lambda present: (
+        float(_sum_present(present)) if present else 0.0
+    ),
+    "AVG": lambda present: (
+        _sum_present(present) / len(present) if present else None
+    ),
+    "MIN": lambda present: min(present, default=None),
+    "MAX": lambda present: max(present, default=None),
+}
+
+
+def _aggregate_groups(node, values, member_lists):
+    """``node`` (a non-COUNT(*) aggregate) over each group of ``values``.
+
+    SUM/AVG/TOTAL over numbers and MIN/MAX over one ordered kind run as
+    C builtins per group; everything else, DISTINCT included, goes
+    through :func:`compute_aggregate` per group.
+    """
+    name = node.name.upper()
+    kinds = value_kinds(values)
+    present_kinds = kinds - _NULL_KIND
+    plain = not node.distinct and (
+        (name in ("SUM", "AVG", "TOTAL") and present_kinds <= _NUMBER_KINDS)
+        or (name in ("MIN", "MAX") and present_kinds in _MIN_MAX_KINDS)
+    )
+    if not plain:
+        return [
+            compute_aggregate(
+                node.name, [values[index] for index in members],
+                distinct=node.distinct, count_star=False,
+            )
+            for members in member_lists
+        ]
+    kernel = _AGGREGATE_KERNELS[name]
+    gather = values.__getitem__
+    if kinds == present_kinds:
+        return [kernel(list(map(gather, members))) for members in member_lists]
+    return [
+        kernel(list(filter(_is_present, map(gather, members))))
+        for members in member_lists
+    ]
+
+
+def _group_members(key_arrays):
+    """Row indices of each group, in first-appearance order.
+
+    A key column whose kinds are all plain (int, str, NULL) keys as it is,
+    since :func:`group_key` would return every value unchanged.
+    """
+    columns = [
+        array if value_kinds(array) <= _PLAIN_KEY_KINDS
+        else list(map(group_key, array))
+        for array in key_arrays
+    ]
+    groups = {}
+    for index, key in enumerate(zip(*columns)):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [index]
+        else:
+            members.append(index)
+    return list(groups.values())
 
 
 def _collect_aggregates(node, out):

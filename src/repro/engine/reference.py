@@ -42,7 +42,7 @@ from .evaluator import (
     contains_aggregate,
     find_window_functions,
 )
-from .values import Result, comparable_cell, sort_key
+from .values import Result, group_key, sort_key
 from .window import evaluate_window, order_key_tuple
 
 
@@ -333,7 +333,7 @@ class ReferenceExecutor:
         order = []
         for env in row_envs:
             key = tuple(
-                _hashable(self._evaluator.evaluate(expr, env))
+                group_key(self._evaluator.evaluate(expr, env))
                 for expr in group_exprs
             )
             if key not in groups:
@@ -404,7 +404,7 @@ class ReferenceExecutor:
         for env in row_envs:
             partition_keys.append(
                 tuple(
-                    _hashable(self._evaluator.evaluate(expr, env))
+                    group_key(self._evaluator.evaluate(expr, env))
                     for expr in node.window.partition_by
                 )
             )
@@ -544,12 +544,8 @@ def _null_bindings(schema):
     }
 
 
-def _hashable(value):
-    return comparable_cell(value)
-
-
 def _row_key(row):
-    return tuple(comparable_cell(value) for value in row)
+    return tuple(map(group_key, row))
 
 
 def _dedupe(rows):

@@ -363,6 +363,22 @@ def comparable_cell(value, float_places=6):
     return value
 
 
+def group_key(value):
+    """Hash key under which GROUP BY, DISTINCT, set operations and window
+    partitions put equal values together.
+
+    It unifies what :func:`comparable_cell` unifies — bool, int and
+    integral float (Python's ``==`` and ``hash`` already agree on those),
+    and a date with its ISO text — but does not round: ``0.1234561`` and
+    ``0.1234564`` are two groups, as in SQLite. A NaN is a group of its own.
+    """
+    if isinstance(value, float):
+        return value if value == value else float("nan")
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Query results
 # ---------------------------------------------------------------------------

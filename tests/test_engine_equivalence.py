@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import pathlib
+import sqlite3
 
 import pytest
 
@@ -220,6 +221,36 @@ class TestComparableContract:
         # the same normalised tuple and the multiset keeps both copies.
         assert comparable.count((1.0, "x")) == 2
         assert len(comparable) == 3
+
+
+class TestGroupKeysAgainstSqlite:
+    """GROUP BY, DISTINCT and UNION keep floats that differ past the sixth
+    place apart, as SQLite does; only EX comparison rounds."""
+
+    STATEMENTS = (
+        "SELECT X, COUNT(*) FROM T GROUP BY X",
+        "SELECT DISTINCT X FROM T",
+        "SELECT X FROM T UNION SELECT X FROM T",
+    )
+    VALUES = (0.1234561, 0.1234564, 0.1234564, 2.0)
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_matches_sqlite(self, sql):
+        db = Database("float_keys")
+        db.create_table(
+            "T", [Column("X", "FLOAT", "A measure.")],
+            rows=[(value,) for value in self.VALUES],
+        )
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE T (X REAL)")
+        connection.executemany(
+            "INSERT INTO T VALUES (?)", [(value,) for value in self.VALUES]
+        )
+        expected = sorted(connection.execute(sql).fetchall())
+        connection.close()
+        assert len(expected) == 3
+        for engine in (Executor, ReferenceExecutor):
+            assert sorted(engine(db).execute(sql).rows) == expected
 
 
 _PATH_COUNTERS = (

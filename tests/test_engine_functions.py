@@ -4,7 +4,11 @@ import datetime
 
 import pytest
 
-from repro.engine.aggregates import compute_aggregate, is_aggregate_function
+from repro.engine.aggregates import (
+    _distinct,
+    compute_aggregate,
+    is_aggregate_function,
+)
 from repro.engine.errors import TypeMismatchError, UnknownFunctionError
 from repro.engine.functions import call_scalar, is_scalar_function
 from repro.engine.window import evaluate_window, is_window_capable
@@ -167,6 +171,29 @@ class TestAggregates:
     def test_unknown_aggregate_raises(self):
         with pytest.raises(UnknownFunctionError):
             compute_aggregate("MEDIAN", [1])
+
+    def test_distinct_keeps_what_the_list_scan_kept(self):
+        def list_distinct(values):
+            seen = []
+            for value in values:
+                if value not in seen:
+                    seen.append(value)
+            return seen
+
+        nan = float("nan")
+        values = [
+            1, 1.0, True, 0, -0.0, 0.0, False, nan, nan, float("nan"),
+            datetime.date(2020, 1, 2), datetime.date(2020, 1, 2),
+            datetime.datetime(2020, 1, 2), "1", 2.5, 2.5, None,
+        ]
+        for start in range(len(values)):
+            rotated = values[start:] + values[:start]
+            expected = list_distinct(rotated)
+            deduped = _distinct(rotated)
+            assert [(type(v), repr(v)) for v in deduped] == [
+                (type(v), repr(v)) for v in expected
+            ]
+            assert all(a is b for a, b in zip(deduped, expected))
 
 
 class TestWindow:
