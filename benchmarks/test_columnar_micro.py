@@ -150,16 +150,14 @@ def _retrieval_row():
             f"quarterly revenue report {region} region period {n % 12} "
             f"metric {n % 37} viewership trend {'up' if n % 3 else 'down'}",
         )
-    index._refresh()
+    state = index._fitted()
     query = "revenue trend for the west region this quarter"
-    query_vector, query_norm, _terms = index._embed_query(query)
+    query_vector, query_norm, _terms = state.embed(query)
 
     def before():
         hits = []
-        for doc_id, document in index._documents.items():
-            score = cosine_with_norms(
-                query_vector, document.vector, query_norm, document.norm
-            )
+        for doc_id, (vector, norm) in state.vectors.items():
+            score = cosine_with_norms(query_vector, vector, query_norm, norm)
             hits.append((-score, doc_id))
         hits.sort()
         return [(doc_id, -negated) for negated, doc_id in hits[:8]]

@@ -117,12 +117,12 @@ def _seed_index_search(index, query, k):
     """The seed RetrievalIndex.search: re-embed the query on every call and
     recompute both norms per candidate (the inverted-index pre-filter was
     already present in the seed, so it is reused here for fairness)."""
-    index._refresh()
-    query_vector = index._vectorizer.transform(query)
+    state = index._fitted()
+    query_vector = state.vectorizer.transform(query)
     hits = []
-    for doc_id in index._candidate_pool(query, None):
-        document = index._documents[doc_id]
-        hits.append((-_seed_cosine(query_vector, document.vector), doc_id))
+    for doc_id in index._candidate_pool(state, query, None):
+        vector, _norm = state.vectors[doc_id]
+        hits.append((-_seed_cosine(query_vector, vector), doc_id))
     hits.sort()
     return hits[:k]
 

@@ -14,12 +14,16 @@ documents. It holds four component kinds, all grouped by *user intents*:
 
 Every component records :class:`Provenance` so the Knowledge Set Library can
 show where an entry came from and support audit/reversion (§4.2.2).
+
+All four component kinds are frozen values: an edit builds a new component
+(``dataclasses.replace``) and hands it to the knowledge set's mutators, so
+knowledge sets and their staging clones can share component objects.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 _id_counter = itertools.count(1)
 
@@ -45,7 +49,7 @@ class Provenance:
     note: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Intent:
     """A mined and SME-verified user intent."""
 
@@ -57,11 +61,8 @@ class Intent:
         default_factory=lambda: Provenance("manual")
     )
 
-    def copy(self):
-        return replace(self, tables=tuple(self.tables))
 
-
-@dataclass
+@dataclass(frozen=True)
 class DecomposedExample:
     """A decomposed example: SQL sub-statement plus NL description.
 
@@ -94,14 +95,6 @@ class DecomposedExample:
         """Text used for indexing/re-ranking this example."""
         return f"{self.description}\n{self.sql}"
 
-    def copy(self):
-        return replace(
-            self,
-            intent_ids=tuple(self.intent_ids),
-            tables=tuple(self.tables),
-            columns=tuple(self.columns),
-        )
-
 
 #: Instruction kinds.
 INSTRUCTION_GUIDELINE = "guideline"
@@ -109,7 +102,7 @@ INSTRUCTION_TERM = "term_definition"
 INSTRUCTION_RETRIEVAL_HINT = "retrieval_hint"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instruction:
     """A natural-language generation guideline (paper §3.2.2).
 
@@ -139,13 +132,8 @@ class Instruction:
             parts.append(self.sql_pattern)
         return "\n".join(parts)
 
-    def copy(self):
-        return replace(
-            self, intent_ids=tuple(self.intent_ids), tables=tuple(self.tables)
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class SchemaElement:
     """A table or column entry of the knowledge set's schema component."""
 
@@ -180,10 +168,3 @@ class SchemaElement:
         if self.top_values:
             parts.append(" ".join(str(value) for value in self.top_values))
         return "\n".join(parts)
-
-    def copy(self):
-        return replace(
-            self,
-            top_values=tuple(self.top_values),
-            intent_ids=tuple(self.intent_ids),
-        )

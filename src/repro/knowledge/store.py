@@ -9,15 +9,16 @@ examples and instructions (§4.1), plus snapshot/restore for the history and
 checkpointing machinery (§4.2.2).
 
 :meth:`KnowledgeSet.clone` builds the staging environments of that loop. It
-shallow-copies each component and clones the four retrieval indexes
+copies the four id -> component dicts and clones the four retrieval indexes
 copy-on-write, so a clone starts from its parent's fitted state and only
-the indexes its edits touch are refit. A shallow copy is enough because
-components are values: every field is a scalar (str, number or date), a
-tuple of those, or the frozen :class:`~repro.knowledge.models.Provenance`,
-and every edit replaces a component (``add_*``/``update_*``/``delete_*``)
-instead of mutating it. The only attribute written onto a live component,
-``SchemaElement._link_signature`` (``llm/simulated.py``), is an immutable
-tuple derived from the element's fields, so a clone may share it.
+the indexes its edits touch are refit. The components themselves are
+shared: they are frozen dataclasses (:mod:`repro.knowledge.models`) whose
+fields are scalars (str, number or date), tuples of those, or the frozen
+:class:`~repro.knowledge.models.Provenance`, and every edit replaces a
+component (``add_*``/``update_*``/``delete_*``) instead of mutating it. The
+only value stored onto a live component, ``SchemaElement._link_signature``
+(``llm/simulated.py``), is an immutable tuple derived from the element's
+fields and written into its ``__dict__``, so a clone may share it.
 Snapshot/restore still deep-copy: they are for checkpoints and are not
 the clone path.
 
@@ -28,9 +29,9 @@ it, and :meth:`~KnowledgeSet.clone` copies it, so two sets with the same
 revision hold the same components in the same insertion order. Memos of
 results computed from a set's contents, such as the regression outcomes
 of ``repro.feedback.regression``, key on it. Edits must therefore go
-through the mutators: writing a component dict directly, or mutating a
-component in place, leaves the revision (and the retrieval indexes)
-stale.
+through the mutators: writing a component dict directly leaves the
+revision (and the retrieval indexes) stale; a component itself cannot be
+written in place.
 """
 
 from __future__ import annotations
@@ -270,27 +271,22 @@ class KnowledgeSet:
     def clone(self):
         """Independent copy (used to build staging environments).
 
-        Each component is a shallow ``copy.copy``: its fields are immutable
-        values and edits replace components rather than mutate them (see
-        the module docstring), so a clone shares no mutable object with
-        its parent. The retrieval indexes are copy-on-write clones
-        (:meth:`RetrievalIndex.clone`): they share the parent's fitted
-        tables and cached tokens, and each refits on its own only after an
-        edit to it. The clone shares its parent's :attr:`revision` until
-        either side is edited.
+        The component dicts are copied and the frozen components in them
+        shared (see the module docstring), so an edit on either side
+        replaces entries in its own dict only. The retrieval indexes are
+        copy-on-write clones (:meth:`RetrievalIndex.clone`): they share the
+        parent's documents and fitted state, and each refits on its own
+        only after an edit to it. The clone shares its parent's
+        :attr:`revision` until either side is edited.
         """
         clone = KnowledgeSet(self.name)
         clone.revision = self.revision
-        clone._intents = _copy_components(self._intents)
-        clone._examples = _copy_components(self._examples)
-        clone._instructions = _copy_components(self._instructions)
-        clone._schema_elements = _copy_components(self._schema_elements)
+        clone._intents = dict(self._intents)
+        clone._examples = dict(self._examples)
+        clone._instructions = dict(self._instructions)
+        clone._schema_elements = dict(self._schema_elements)
         clone._example_index = self._example_index.clone()
         clone._instruction_index = self._instruction_index.clone()
         clone._schema_index = self._schema_index.clone()
         clone._intent_index = self._intent_index.clone()
         return clone
-
-
-def _copy_components(components):
-    return {key: copy.copy(value) for key, value in components.items()}

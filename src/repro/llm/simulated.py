@@ -112,10 +112,12 @@ class SimulatedLLM:
         for position, element in enumerate(schema_elements):
             # The element-side scoring inputs (retrieval-text tokens, name
             # tokens, lowered values) never change; computed once per
-            # element and kept on the instance across questions. Concurrent
-            # linkers may each compute the tuple, but publication is a
-            # single attribute store of an immutable value (atomic swap),
-            # so every reader sees either nothing or the full signature.
+            # element and kept on the instance across questions, stored
+            # straight into its ``__dict__`` (the ``cached_property`` idiom:
+            # elements are frozen). Concurrent linkers may each compute the
+            # tuple, but publication is a single store of an immutable
+            # value, so every reader sees either nothing or the full
+            # signature.
             cached = element.__dict__.get("_link_signature")
             if cached is None:
                 cached = (
@@ -125,7 +127,7 @@ class SimulatedLLM:
                     ),
                     tuple(str(value).lower() for value in element.top_values),
                 )
-                element._link_signature = cached
+                element.__dict__["_link_signature"] = cached
             tokens, name_tokens, lowered_values = cached
             overlap = len(question_tokens & tokens)
             score = float(overlap)

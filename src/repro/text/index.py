@@ -6,44 +6,47 @@ added with an id, text, and optional metadata; queries return the top-k ids
 by cosine similarity, optionally restricted to a candidate subset (which is
 how intent-keyed retrieval composes with similarity re-ranking).
 
-The index pays its embedding cost once per refresh: each document's vector
-*and* L2 norm are precomputed, the per-document token set and term counts
-are normalised a single time and cached on the document (so refreshes
-after an ``add`` only re-tokenize the new documents), and query-vector
-transforms are memoized until the next mutation — so context-expansion
-re-ranks that reuse the same expanded query text never re-embed it.
+Everything a refit computes lives on one :class:`FittedState`: the fitted
+vectorizer, each document's ``(vector, norm)``, the inverted index, the
+postings table and the memo of query embeddings. A refit builds a new state
+and publishes it by a single assignment; a mutation drops it, and the
+first search after that refits. A search reads the published state once, so
+it scores against one consistent set of tables even if another thread
+refits meanwhile. A document's token set and term counts are normalised
+once and cached on its :class:`Document`, so a refit after an ``add`` only
+tokenizes the new documents.
 
 A refit is one batch pass: :meth:`TfIdfVectorizer.fit_transform` fits the
 document frequencies on every document's cached term counts and returns
 all vectors at once, with each term's IDF computed once per refit rather
-than once per document it occurs in. Refits stay lazy: the first search
-after a mutation pays for them, never construction.
+than once per document it occurs in.
 
-Clones are copy-on-write (:meth:`RetrievalIndex.clone`): a clone shares its
-parent's fitted vectorizer, inverted index and postings, and holds shallow
-copies of the parent's documents, so their cached token sets and term
-counts are shared too. A refresh never mutates those tables — it builds
-new ones and publishes them by assignment — and writes vectors and norms
-only onto the refreshing index's own document copies. So a clone that no
-edit touches is never refit, and an edited clone refits from cached
-tokens: only the new documents are normalised again. Each refit increments the
+Clones are copy-on-write (:meth:`RetrievalIndex.clone`): a clone copies the
+id -> :class:`Document` dict and shares its parent's documents and
+published state. Nothing a refit publishes is written afterwards, except
+the state's query memo and its postings table, which are filled lazily with
+values every reader would compute alike. So a clone that no edit touches is
+never refit, and an edited clone refits into a state of its own from cached
+tokens: only its new documents are normalised. Each refit increments the
 ``retrieval.refits`` counter and, inside a span, that span's
 ``retrieval.refits`` and ``retrieval.refit_ms`` attributes.
 
-Scoring is batched: a refresh also packs every document vector into a
-term -> [(doc_id, weight)] postings table, and a search accumulates dot
-products for the whole candidate pool in one pass over the query's terms
-instead of one sparse-dict intersection per document. The accumulation
-visits exactly the nonzero terms the per-document cosine would, in the same
-order, so scores are bit-identical to :func:`cosine_with_norms` — documents
-with fewer terms than the query (where that helper iterates the document
-side instead) are scored individually the legacy way. Ranking keeps the k
-smallest ``(-score, doc_id)`` keys, so ties break by id.
+Scoring is batched: a search whose pool holds more than
+``POSTINGS_MIN_POOL`` accumulating documents sums dot products for the
+whole pool in one pass over the query's terms through a term -> [(doc_id,
+weight)] postings table instead of one sparse-dict intersection per
+document. The state builds that table on the first such search, so an
+edited staging clone whose searches are all candidate-restricted never
+builds it. The accumulation visits exactly the nonzero terms the
+per-document cosine would, in the same order, so scores are bit-identical
+to :func:`cosine_with_norms` — documents with fewer terms than the query
+(where that helper iterates the document side instead) are scored
+individually the legacy way. Ranking keeps the k smallest ``(-score,
+doc_id)`` keys, so ties break by id.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import logging
 import threading
@@ -64,27 +67,34 @@ logger = logging.getLogger(__name__)
 #: so a single no-overlap query can't go quadratic on a large index.
 FALLBACK_SCAN_CAP = 512
 
-#: Memoized query transforms kept per index between mutations.
+#: Memoized query transforms kept per fitted state.
 QUERY_CACHE_SIZE = 256
 
-#: Serialises lazy refreshes and clones. Module-level (not per-instance) so
-#: an index and its copy-on-write clones need no lock plumbing; refreshes
-#: are rare (warmup and post-edit), so one process-wide lock costs nothing
-#: while guaranteeing two concurrent first searches can't both rebuild and
-#: interleave partially-built postings tables, and a clone never copies
-#: documents a refresh is half-way through re-embedding.
+#: Pools of at most this many accumulating documents are scored per
+#: document; larger ones take one pass over the postings table.
+POSTINGS_MIN_POOL = 24
+
+#: Serialises refits. Module-level (not per-instance) so an index and its
+#: copy-on-write clones, which share :class:`Document` objects, need no lock
+#: plumbing: refits are rare (warmup and post-edit), so one process-wide
+#: lock costs nothing while guaranteeing that two concurrent first searches
+#: can't both refit, and that no refit reads a shared document's cached
+#: normalisation while another is writing it.
 _REFRESH_LOCK = threading.Lock()
 
 
 @dataclass
 class Document:
-    """An indexed document."""
+    """An indexed document.
+
+    ``tokens`` and ``term_counts`` are its normalisation, written once by
+    the first refit that sees it (under the refit lock) and then shared by
+    every clone that holds the document.
+    """
 
     doc_id: str
     text: str
     metadata: dict = field(default_factory=dict)
-    vector: dict = field(default_factory=dict)
-    norm: float = 0.0
     tokens: set = None
     term_counts: dict = None
 
@@ -98,17 +108,66 @@ class SearchHit:
     document: Document
 
 
+class FittedState:
+    """One refit's tables, published whole by a single assignment.
+
+    ``vectors`` maps each doc id, in document order, to its ``(vector,
+    norm)`` and ``inverted`` maps each normalised token to the ids that hold
+    it; neither is written after publication. The postings table and the
+    query memo are filled lazily. Two racing readers may both build the
+    postings, but each publishes an equal table by one assignment, so every
+    reader sees either none or a whole one.
+    """
+
+    __slots__ = (
+        "vectorizer", "vectors", "inverted", "_postings", "_queries",
+        "fallback_warned",
+    )
+
+    def __init__(self, vectorizer, vectors, inverted):
+        self.vectorizer = vectorizer
+        self.vectors = vectors
+        self.inverted = inverted
+        self._postings = None
+        self._queries = {}
+        self.fallback_warned = False
+
+    def postings(self):
+        """term -> [(doc_id, weight)] in document order, built on first use."""
+        postings = self._postings
+        if postings is None:
+            postings = {}
+            for doc_id, (vector, _norm) in self.vectors.items():
+                for term, weight in vector.items():
+                    entries = postings.get(term)
+                    if entries is None:
+                        postings[term] = [(doc_id, weight)]
+                    else:
+                        entries.append((doc_id, weight))
+            self._postings = postings
+        return postings
+
+    def embed(self, query_text):
+        """Memoized ``(vector, norm, term set)`` of a query."""
+        cached = self._queries.get(query_text)
+        if cached is not None:
+            return cached
+        vector = self.vectorizer.transform(query_text)
+        entry = (vector, l2_norm(vector), set(normalize(query_text)))
+        if len(self._queries) >= QUERY_CACHE_SIZE:
+            self._queries.clear()
+        self._queries[query_text] = entry
+        return entry
+
+
 class RetrievalIndex:
     """Inverted index + vector re-ranking over a document collection."""
 
     def __init__(self):
         self._documents = {}
-        self._inverted = {}
-        self._postings = {}
-        self._vectorizer = TfIdfVectorizer()
-        self._query_cache = {}
-        self._dirty = False
-        self._fallback_warned = False
+        #: The published :class:`FittedState`, or ``None`` after a mutation
+        #: until the next search refits.
+        self._state = FittedState(TfIdfVectorizer(), {}, {})
 
     def __len__(self):
         return len(self._documents)
@@ -121,11 +180,11 @@ class RetrievalIndex:
         self._documents[doc_id] = Document(
             doc_id=doc_id, text=text, metadata=dict(metadata or {})
         )
-        self._dirty = True
+        self._state = None
 
     def remove(self, doc_id):
         if self._documents.pop(doc_id, None) is not None:
-            self._dirty = True
+            self._state = None
 
     def get(self, doc_id):
         return self._documents.get(doc_id)
@@ -136,23 +195,14 @@ class RetrievalIndex:
     def clone(self):
         """Copy-on-write copy that starts from this index's fitted state.
 
-        The fitted tables are shared: a refresh publishes new ones by
-        assignment and never mutates them. Each document is a shallow copy,
-        so its cached token set and term counts are shared while a refit in
-        either index writes vectors and norms only to its own copies. A clean
-        parent gives a clean clone; a dirty one gives a dirty clone.
+        The clone shares this index's documents and published state: a
+        refit publishes a new state instead of writing the old one, and a
+        document's only writes are its cached normalisation. A clean parent
+        gives a clean clone; a dirty one gives a dirty clone.
         """
         clone = RetrievalIndex()
-        with _REFRESH_LOCK:
-            clone._documents = {
-                doc_id: copy.copy(document)
-                for doc_id, document in self._documents.items()
-            }
-            clone._vectorizer = self._vectorizer
-            clone._inverted = self._inverted
-            clone._postings = self._postings
-            clone._query_cache = dict(self._query_cache)
-            clone._dirty = self._dirty
+        clone._documents = dict(self._documents)
+        clone._state = self._state
         return clone
 
     # -- search ----------------------------------------------------------
@@ -161,148 +211,88 @@ class RetrievalIndex:
         """Top-k documents for ``query`` by cosine similarity.
 
         ``candidates`` restricts scoring to those ids (used for intent-keyed
-        retrieval followed by re-ranking). ``extra_text`` is appended to the
-        query before embedding — this implements the paper's *context
-        expansion*, where previously selected knowledge (e.g. the chosen
-        examples) expands the query used to re-rank the next component.
+        retrieval followed by re-ranking); a repeated id is scored once.
+        ``extra_text`` is appended to the query before embedding — this
+        implements the paper's *context expansion*, where previously
+        selected knowledge (e.g. the chosen examples) expands the query used
+        to re-rank the next component.
         """
-        self._refresh()
+        state = self._fitted()
         query_text = query if not extra_text else f"{query}\n{extra_text}"
-        query_vector, query_norm, query_terms = self._embed_query(query_text)
-        pool = self._candidate_pool(query_text, candidates, query_terms)
-        scores = self._batched_scores(query_vector, query_norm, pool)
+        query_vector, query_norm, query_terms = state.embed(query_text)
+        pool = self._candidate_pool(state, query_text, candidates, query_terms)
+        scores = _batched_scores(state, query_vector, query_norm, pool)
         # Rank plain (−score, id) tuples and only build SearchHit objects
         # for the k survivors — the pool is often much larger than k.
         ranked = heapq.nsmallest(
             k, [(-scores[doc_id], doc_id) for doc_id in pool]
         )
+        documents = self._documents
         return [
-            SearchHit(doc_id, -negated, self._documents[doc_id])
+            SearchHit(doc_id, -negated, documents[doc_id])
             for negated, doc_id in ranked
         ]
 
     def score(self, query, doc_id):
         """Similarity of one document to ``query``."""
-        self._refresh()
-        document = self._documents.get(doc_id)
-        if document is None:
+        state = self._fitted()
+        fitted = state.vectors.get(doc_id)
+        if fitted is None:
             return 0.0
-        query_vector, query_norm, _terms = self._embed_query(query)
-        return cosine_with_norms(
-            query_vector, document.vector, query_norm, document.norm
-        )
+        query_vector, query_norm, _terms = state.embed(query)
+        vector, norm = fitted
+        return cosine_with_norms(query_vector, vector, query_norm, norm)
 
-    def _batched_scores(self, query_vector, query_norm, pool):
-        """Cosine scores for every doc in ``pool``, one postings pass.
-
-        Bit-identical to per-document :func:`cosine_with_norms`: that
-        helper iterates the smaller of the two sparse dicts, so documents
-        at least as large as the query accumulate query-term order dot
-        products here (skipped zero terms contribute exactly ``+0.0``),
-        and strictly smaller documents fall back to the per-document call.
-        """
-        scores = {}
-        accumulating = {}
-        query_len = len(query_vector)
-        for doc_id in pool:
-            document = self._documents[doc_id]
-            if (
-                not query_vector
-                or not document.vector
-                or query_norm == 0
-                or document.norm == 0
-            ):
-                scores[doc_id] = 0.0
-            elif len(document.vector) < query_len:
-                scores[doc_id] = cosine_with_norms(
-                    query_vector, document.vector, query_norm, document.norm
-                )
-            else:
-                accumulating[doc_id] = 0
-        if accumulating:
-            if len(accumulating) <= 24:
-                # Candidate-restricted pools: a postings pass would touch
-                # every indexed document sharing a query term, almost all
-                # outside the pool. Per-document products in query-term
-                # order accumulate identically (each skipped posting is an
-                # exact ``+0.0``), so this is the same score bit-for-bit.
-                for doc_id in accumulating:
-                    document = self._documents[doc_id]
-                    get = document.vector.get
-                    dot = sum([
-                        query_weight * get(term, 0.0)
-                        for term, query_weight in query_vector.items()
-                    ])
-                    scores[doc_id] = dot / (query_norm * document.norm)
-            else:
-                postings = self._postings
-                for term, query_weight in query_vector.items():
-                    for doc_id, doc_weight in postings.get(term, ()):
-                        if doc_id in accumulating:
-                            accumulating[doc_id] += query_weight * doc_weight
-                for doc_id, dot in accumulating.items():
-                    scores[doc_id] = dot / (
-                        query_norm * self._documents[doc_id].norm
-                    )
-        return scores
-
-    def _embed_query(self, query_text):
-        """Memoized ``(vector, norm, term set)``; valid until mutation."""
-        cached = self._query_cache.get(query_text)
-        if cached is not None:
-            return cached
-        vector = self._vectorizer.transform(query_text)
-        entry = (vector, l2_norm(vector), set(normalize(query_text)))
-        if len(self._query_cache) >= QUERY_CACHE_SIZE:
-            self._query_cache.clear()
-        self._query_cache[query_text] = entry
-        return entry
-
-    def _candidate_pool(self, query_text, candidates, query_terms=None):
+    def _candidate_pool(self, state, query_text, candidates, query_terms=None):
         if candidates is not None:
-            return [doc_id for doc_id in candidates if doc_id in self._documents]
+            vectors = state.vectors
+            return [
+                doc_id for doc_id in dict.fromkeys(candidates)
+                if doc_id in vectors
+            ]
         # Inverted-index pre-filter: documents sharing at least one term.
         if query_terms is None:
             query_terms = set(normalize(query_text))
+        inverted = state.inverted
         pool = set()
         for term in query_terms:
-            pool.update(self._inverted.get(term, ()))
+            pool.update(inverted.get(term, ()))
         if not pool:
             # Fall back to scanning the collection, but never unboundedly:
             # on a large index a no-overlap query would otherwise score
             # every document only to find nothing better than noise.
-            if len(self._documents) > FALLBACK_SCAN_CAP:
-                if not self._fallback_warned:
-                    self._fallback_warned = True
+            if len(state.vectors) > FALLBACK_SCAN_CAP:
+                if not state.fallback_warned:
+                    state.fallback_warned = True
                     logger.warning(
                         "empty pre-filter for query %r: capping fallback "
                         "scan at %d of %d documents (repeats suppressed "
                         "until the next index refresh)",
                         query_text[:80], FALLBACK_SCAN_CAP,
-                        len(self._documents),
+                        len(state.vectors),
                     )
-                return list(self._documents)[:FALLBACK_SCAN_CAP]
-            return list(self._documents)
+                return list(state.vectors)[:FALLBACK_SCAN_CAP]
+            return list(state.vectors)
         return sorted(pool)
 
-    def _refresh(self):
-        if not self._dirty:
-            return
-        with _REFRESH_LOCK:
-            # Double-check: a concurrent searcher may have finished the
-            # rebuild while this thread waited on the lock.
-            if not self._dirty:
-                return
-            self._do_refresh()
+    def _fitted(self):
+        """The published state, refit first if a mutation dropped it."""
+        state = self._state
+        if state is None:
+            with _REFRESH_LOCK:
+                # Double-check: a concurrent searcher may have finished the
+                # refit while this thread waited on the lock.
+                state = self._state
+                if state is None:
+                    state = self._state = self._refit()
+        return state
 
-    def _do_refresh(self):
+    def _refit(self):
+        """Fit a new :class:`FittedState` over the current documents."""
         # One normalisation pass per document, cached on the document so a
-        # refresh triggered by adding a handful of documents only pays to
+        # refit triggered by adding a handful of documents only pays to
         # tokenize those; the term counts feed the batch fit and the token
-        # set the inverted index. Built into locals and published by
-        # attribute assignment, so readers that raced past the dirty check
-        # see either the old complete tables or the new ones — never a
-        # half-built postings list.
+        # set the inverted index.
         started = perf_counter()
         vectorizer = TfIdfVectorizer()
         documents = list(self._documents.items())
@@ -315,29 +305,16 @@ class RetrievalIndex:
         vectors = vectorizer.fit_transform(
             [document.term_counts for _doc_id, document in documents]
         )
+        fitted = {}
         inverted = {}
-        postings = {}
         for (doc_id, document), vector in zip(documents, vectors):
-            document.vector = vector
-            document.norm = l2_norm(vector)
+            fitted[doc_id] = (vector, l2_norm(vector))
             for term in document.tokens:
                 ids = inverted.get(term)
                 if ids is None:
                     inverted[term] = {doc_id}
                 else:
                     ids.add(doc_id)
-            for term, weight in vector.items():
-                entries = postings.get(term)
-                if entries is None:
-                    postings[term] = [(doc_id, weight)]
-                else:
-                    entries.append((doc_id, weight))
-        self._vectorizer = vectorizer
-        self._inverted = inverted
-        self._postings = postings
-        self._query_cache = {}
-        self._dirty = False
-        self._fallback_warned = False
         METRICS.inc("retrieval.refits")
         span = current_span()
         if span is not None:
@@ -345,3 +322,54 @@ class RetrievalIndex:
             span.inc_attr(
                 "retrieval.refit_ms", (perf_counter() - started) * 1000.0
             )
+        return FittedState(vectorizer, fitted, inverted)
+
+
+def _batched_scores(state, query_vector, query_norm, pool):
+    """Cosine scores for every doc in ``pool``, one postings pass.
+
+    Bit-identical to per-document :func:`cosine_with_norms`: that helper
+    iterates the smaller of the two sparse dicts, so documents at least as
+    large as the query accumulate query-term order dot products here
+    (skipped zero terms contribute exactly ``+0.0``), and strictly smaller
+    documents fall back to the per-document call.
+    """
+    scores = {}
+    accumulating = {}
+    vectors = state.vectors
+    query_len = len(query_vector)
+    for doc_id in pool:
+        vector, norm = vectors[doc_id]
+        if not query_vector or not vector or query_norm == 0 or norm == 0:
+            scores[doc_id] = 0.0
+        elif len(vector) < query_len:
+            scores[doc_id] = cosine_with_norms(
+                query_vector, vector, query_norm, norm
+            )
+        else:
+            accumulating[doc_id] = 0
+    if not accumulating:
+        return scores
+    if len(accumulating) <= POSTINGS_MIN_POOL:
+        # Candidate-restricted pools: a postings pass would touch every
+        # indexed document sharing a query term, almost all outside the
+        # pool. Per-document products in query-term order accumulate
+        # identically (each skipped posting is an exact ``+0.0``), so this
+        # is the same score bit-for-bit.
+        for doc_id in accumulating:
+            vector, norm = vectors[doc_id]
+            get = vector.get
+            dot = sum([
+                query_weight * get(term, 0.0)
+                for term, query_weight in query_vector.items()
+            ])
+            scores[doc_id] = dot / (query_norm * norm)
+        return scores
+    postings = state.postings()
+    for term, query_weight in query_vector.items():
+        for doc_id, doc_weight in postings.get(term, ()):
+            if doc_id in accumulating:
+                accumulating[doc_id] += query_weight * doc_weight
+    for doc_id, dot in accumulating.items():
+        scores[doc_id] = dot / (query_norm * vectors[doc_id][1])
+    return scores

@@ -1,5 +1,7 @@
 """Continuous-improvement tests: directives, operators, solver, review."""
 
+from unittest import mock
+
 import pytest
 
 from repro.feedback import (
@@ -328,6 +330,68 @@ class TestStagingClone:
         assert summary.sessions > 0
         assert len(compared) >= summary.sessions
         assert sum(compared) > 0
+
+    def test_sessions_on_clones_match_sessions_on_rebuilds(
+        self, experiment_context
+    ):
+        """Every seeded session staged on clones, then on full rebuilds.
+
+        A rebuild (``restore(snapshot())``) shares nothing with its source
+        and gets a new revision, so its submits also miss the regression
+        memo. Per-round SQL, gate reports, regression reports and
+        submission statuses must not tell the two apart.
+        """
+        on_clones = _recorded_sessions(experiment_context)
+        with mock.patch.object(KnowledgeSet, "clone", _rebuild):
+            on_rebuilds = _recorded_sessions(experiment_context)
+        assert on_clones == on_rebuilds
+        kinds = [record[0] for record in on_clones]
+        assert kinds.count("submit") > 10
+        assert kinds.count("regenerate") > kinds.count("ask") > 10
+
+
+def _rebuild(knowledge):
+    return KnowledgeSet(knowledge.name).restore(knowledge.snapshot())
+
+
+def _recorded_sessions(context):
+    """What each seeded session showed the SME, in order."""
+    from repro.bench.feedback_sim import simulate_feedback_sessions
+
+    for profile in context.profiles.values():
+        profile.database.clear_memos()
+    records = []
+    ask, regenerate, submit = (
+        FeedbackSolver.ask, FeedbackSolver.regenerate, FeedbackSolver.submit
+    )
+
+    def recorded_ask(solver, question):
+        result = ask(solver, question)
+        records.append(("ask", question, result.sql))
+        return result
+
+    def recorded_regenerate(solver):
+        result = regenerate(solver)
+        records.append(("regenerate", solver.feedback.text, result.sql))
+        return result
+
+    def recorded_submit(solver):
+        submission = submit(solver)
+        gate = submission.knowledge_gate
+        regression = submission.regression_report
+        records.append((
+            "submit", submission.status, gate, gate.passed,
+            regression.results, regression.passed,
+        ))
+        return submission
+
+    with mock.patch.object(FeedbackSolver, "ask", recorded_ask), \
+            mock.patch.object(FeedbackSolver, "regenerate",
+                              recorded_regenerate), \
+            mock.patch.object(FeedbackSolver, "submit", recorded_submit):
+        summary = simulate_feedback_sessions(context=context)
+    records.append(("summary", summary))
+    return records
 
 
 def _regression_db(name="regression"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime
+import struct
 from unittest import mock
 
 import pytest
@@ -136,7 +137,9 @@ class TestStore:
 
     def test_snapshot_deep_copies(self, knowledge):
         snapshot = knowledge.snapshot()
-        snapshot["examples"][0].description = "mutated"
+        assert snapshot["examples"][0] is not knowledge.example("ex1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot["examples"][0].description = "mutated"
         assert knowledge.example("ex1").description != "mutated"
 
     def test_add_example_invalidates_index_norms(self, knowledge):
@@ -149,8 +152,8 @@ class TestStore:
         )
         hits = knowledge.search_examples("wombat census", k=1)
         assert hits[0].doc_id == "ex-new"
-        document = knowledge._example_index.get("ex-new")
-        assert document.norm == pytest.approx(l2_norm(document.vector))
+        vector, norm = knowledge._example_index._state.vectors["ex-new"]
+        assert norm == pytest.approx(l2_norm(vector))
 
     def test_delete_example_invalidates_cached_search(self, knowledge):
         assert any(
@@ -181,21 +184,78 @@ def _searches(knowledge):
     ]
 
 
-def _index_state(knowledge):
+def _bits(value):
+    return struct.pack("d", value)
+
+
+def _search_bits(knowledge):
+    """``_searches`` with every score as its exact bits."""
     return [
-        {doc.doc_id: (dict(doc.vector), doc.norm) for doc in index.documents()}
-        for index in (
-            knowledge._example_index,
-            knowledge._instruction_index,
-            knowledge._schema_index,
-            knowledge._intent_index,
-        )
+        [(doc_id, _bits(score)) for doc_id, score in hits]
+        for hits in _searches(knowledge)
     ]
+
+
+INDEXES = (
+    "_example_index", "_instruction_index", "_schema_index", "_intent_index",
+)
+
+
+def _index_state(knowledge):
+    """The published state of each index: vector and norm bits, inverted."""
+    states = []
+    for name in INDEXES:
+        state = getattr(knowledge, name)._state
+        states.append((
+            {
+                doc_id: ([(t, _bits(w)) for t, w in vector.items()],
+                         _bits(norm))
+                for doc_id, (vector, norm) in state.vectors.items()
+            },
+            state.inverted,
+        ))
+    return states
 
 
 NEW_EXAMPLE = DecomposedExample(
     "ex3", "Count organisations per country", "COUNT(*)", kind="aggregate"
 )
+
+NEW_SCHEMA_ELEMENT = SchemaElement("se-new", "ORGS", column="COUNTRY")
+
+#: Every mutator, for each of the four component kinds, over
+#: ``with_schema`` (the ``knowledge`` fixture plus two schema elements).
+MUTATORS = {
+    "add_intent": lambda ks: ks.add_intent(Intent("i2", "ops", "operations")),
+    "add_example": lambda ks: ks.add_example(NEW_EXAMPLE),
+    "update_example": lambda ks: ks.update_example(dataclasses.replace(
+        ks.example("ex1"), description="Keep organisations with revenue"
+    )),
+    "delete_example": lambda ks: ks.delete_example("ex1"),
+    "add_instruction": lambda ks: ks.add_instruction(
+        Instruction("in2", "Report revenue per fiscal quarter.")
+    ),
+    "update_instruction": lambda ks: ks.update_instruction(
+        dataclasses.replace(ks.instruction("in1"), text="RPV is revenue")
+    ),
+    "delete_instruction": lambda ks: ks.delete_instruction("in1"),
+    "add_schema_element": lambda ks: ks.add_schema_element(
+        NEW_SCHEMA_ELEMENT
+    ),
+    "delete_schema_element": lambda ks: ks.delete_schema_element("se2"),
+}
+
+
+@pytest.fixture()
+def with_schema(knowledge):
+    knowledge.add_schema_element(
+        SchemaElement("se1", "ORGS", description="sports organisations")
+    )
+    knowledge.add_schema_element(SchemaElement(
+        "se2", "ORGS", column="REVENUE",
+        description="annual revenue per organisation",
+    ))
+    return knowledge
 
 
 class TestClone:
@@ -205,7 +265,8 @@ class TestClone:
         clone = knowledge.clone()
         clone.add_example(NEW_EXAMPLE)
         clone.delete_instruction("in1")
-        clone.example("ex2").description = "mutated"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.example("ex2").description = "mutated"
         _searches(clone)
         assert _index_state(knowledge) == state
         assert _searches(knowledge) == expected
@@ -233,8 +294,47 @@ class TestClone:
         assert child.example("ex1") is not None
         assert knowledge.example("ex3") is None
 
+    def test_clone_shares_components_and_documents(self, with_schema):
+        knowledge = with_schema
+        _searches(knowledge)
+        clone = knowledge.clone()
+        for original, copied in zip(
+            _components(knowledge), _components(clone)
+        ):
+            assert copied is original
+        for name in INDEXES:
+            parent, child = getattr(knowledge, name), getattr(clone, name)
+            assert parent.documents()
+            for original, copied in zip(
+                parent.documents(), child.documents()
+            ):
+                assert copied is original
+            assert child._state is parent._state
 
-NEW_SCHEMA_ELEMENT = SchemaElement("se-new", "ORGS", column="COUNTRY")
+    @pytest.mark.parametrize("edit", list(MUTATORS), ids=list(MUTATORS))
+    def test_mutator_on_clone_leaves_parent_hits_unchanged(
+        self, with_schema, edit
+    ):
+        knowledge = with_schema
+        expected = _search_bits(knowledge)
+        clone = knowledge.clone()
+        MUTATORS[edit](clone)
+        assert clone.revision is not knowledge.revision
+        _searches(clone)
+        assert _search_bits(knowledge) == expected
+
+    @pytest.mark.parametrize("edit", list(MUTATORS), ids=list(MUTATORS))
+    def test_mutator_on_parent_leaves_clone_hits_unchanged(
+        self, with_schema, edit
+    ):
+        knowledge = with_schema
+        _searches(knowledge)
+        clone = knowledge.clone()
+        expected = _search_bits(clone)
+        MUTATORS[edit](knowledge)
+        assert clone.revision is not knowledge.revision
+        _searches(knowledge)
+        assert _search_bits(clone) == expected
 
 
 class TestRevision:
@@ -342,14 +442,16 @@ def _components(knowledge):
 
 
 def _mutable_objects(knowledge):
-    """id -> object for every mutable object a set holds its components in."""
+    """id -> object for every mutable object a set holds its components in.
+
+    The id -> component dicts, and any field value that is not immutable.
+    Components are frozen, so they themselves may be shared.
+    """
     found = {}
     for held in (knowledge._intents, knowledge._examples,
                  knowledge._instructions, knowledge._schema_elements):
         found[id(held)] = held
         for component in held.values():
-            found[id(component)] = component
-            found[id(vars(component))] = vars(component)
             for value in vars(component).values():
                 if not _immutable(value):
                     found[id(value)] = value
@@ -357,7 +459,7 @@ def _mutable_objects(knowledge):
 
 
 class TestShallowCloneAudit:
-    """Why ``clone`` may copy components shallowly (see ``store.py``)."""
+    """Why ``clone`` may share components (see ``store.py``)."""
 
     @pytest.fixture(scope="class")
     def seed41_context(self):
@@ -412,6 +514,12 @@ class TestShallowCloneAudit:
                 _mutable_objects(knowledge).keys()
                 & _mutable_objects(clone).keys()
             )
+            expected = [repr(c) for c in _components(knowledge)]
+            for component in _components(clone):
+                name = dataclasses.fields(component)[1].name
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(component, name, "mutated")
+            assert [repr(c) for c in _components(knowledge)] == expected
 
     def test_cached_link_signature_is_valid_on_the_clone(
         self, experiment_context
@@ -470,11 +578,11 @@ class TestCloneRefits:
         before = self._refits()
         _searches(staged)
         assert self._refits() == before + 1
-        assert (staged._example_index._vectorizer
-                is not knowledge._example_index._vectorizer)
+        assert (staged._example_index._state
+                is not knowledge._example_index._state)
         for name in ("_instruction_index", "_schema_index", "_intent_index"):
-            assert (getattr(staged, name)._vectorizer
-                    is getattr(knowledge, name)._vectorizer)
+            assert (getattr(staged, name)._state
+                    is getattr(knowledge, name)._state)
 
 
 class TestDecompositionBuilders:

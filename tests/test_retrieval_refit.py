@@ -76,20 +76,23 @@ class TestBatchRefit:
         for label, documents in corpora:
             index = _fresh_index(documents)
             index.search("warm up")  # the lazy refit
+            state = index._state
             _vectorizer, vectors, norms, inverted, postings = (
                 reference_refit(documents)
             )
-            for doc_id, document in index._documents.items():
-                assert _vector_bits(document.vector) == _vector_bits(
+            assert list(state.vectors) == list(vectors), label
+            for doc_id, (vector, norm) in state.vectors.items():
+                assert _vector_bits(vector) == _vector_bits(
                     vectors[doc_id]
                 ), (label, doc_id)
-                assert _bits(document.norm) == _bits(norms[doc_id]), label
-            assert index._inverted == inverted, label
-            assert list(index._postings) == list(postings), label
+                assert _bits(norm) == _bits(norms[doc_id]), label
+            assert state.inverted == inverted, label
+            fitted_postings = state.postings()  # built on first use
+            assert list(fitted_postings) == list(postings), label
             for term, entries in postings.items():
                 assert [
                     (doc_id, _bits(weight))
-                    for doc_id, weight in index._postings[term]
+                    for doc_id, weight in fitted_postings[term]
                 ] == [
                     (doc_id, _bits(weight)) for doc_id, weight in entries
                 ], (label, term)

@@ -1,5 +1,7 @@
 """Text substrate tests: normalisation, TF-IDF, similarity, index."""
 
+import struct
+
 import pytest
 
 from repro.text import (
@@ -175,16 +177,19 @@ class TestRetrievalIndex:
 
     def test_norms_precomputed_on_refresh(self, index):
         index.search("revenue", k=1)  # forces a refresh
-        for document in index.documents():
-            assert document.norm == pytest.approx(l2_norm(document.vector))
-            assert document.norm > 0
+        vectors = index._state.vectors
+        assert list(vectors) == [doc.doc_id for doc in index.documents()]
+        for vector, norm in vectors.values():
+            assert norm == pytest.approx(l2_norm(vector))
+            assert norm > 0
 
     def test_add_invalidates_norms_and_query_cache(self, index):
         index.search("sponsors", k=3)  # warm query cache + norms
         index.add("d4", "sponsors sponsors sponsors everywhere")
+        assert index._state is None
         hits = index.search("sponsors", k=1)
         assert hits[0].doc_id == "d4"
-        assert index.get("d4").norm > 0
+        assert index._state.vectors["d4"][1] > 0
 
     def test_remove_invalidates_norms_and_query_cache(self, index):
         assert index.search("revenue", k=1)[0].doc_id == "d1"
@@ -198,7 +203,7 @@ class TestRetrievalIndex:
         assert [(h.doc_id, h.score) for h in first] == [
             (h.doc_id, h.score) for h in second
         ]
-        assert "revenue of organisations" in index._query_cache
+        assert "revenue of organisations" in index._state._queries
 
     def test_fallback_scan_capped_on_large_collection(self, caplog):
         from repro.text.index import FALLBACK_SCAN_CAP
@@ -210,19 +215,42 @@ class TestRetrievalIndex:
         import logging
 
         with caplog.at_level(logging.WARNING, logger="repro.text.index"):
-            pool = big._candidate_pool("zzzz qqqq", None)
+            pool = big._candidate_pool(big._state, "zzzz qqqq", None)
         assert len(pool) == FALLBACK_SCAN_CAP
         assert "capping fallback scan" in caplog.text
 
     def test_fallback_scan_uncapped_on_small_collection(self, index):
-        assert len(index._candidate_pool("zzzz qqqq", None)) == len(index)
+        pool = index._candidate_pool(index._fitted(), "zzzz qqqq", None)
+        assert len(pool) == len(index)
 
     def test_remove_absent_id_keeps_index_fitted(self, index):
         index.search("revenue", k=1)  # fit
+        state = index._state
         index.remove("zzz")
-        assert not index._dirty
+        assert index._state is state
         index.remove("d1")
-        assert index._dirty
+        assert index._state is None
+
+    def test_repeated_candidates_give_one_hit_each(self, index):
+        hits = index.search("revenue", k=10, candidates=["d1", "d1", "d3"])
+        assert [hit.doc_id for hit in hits] == ["d1", "d3"]
+        once = index.search("revenue", k=10, candidates=["d1", "d3"])
+        assert [(hit.doc_id, hit.score) for hit in hits] == [
+            (hit.doc_id, hit.score) for hit in once
+        ]
+
+    def test_postings_built_on_first_large_pool_search(self):
+        index = RetrievalIndex()
+        for position in range(40):
+            index.add(f"doc-{position}", f"revenue report {position}")
+        index.search("revenue", k=3, candidates=["doc-1", "doc-2"])
+        assert index._state._postings is None
+        index.search("revenue", k=3)
+        assert index._state._postings is not None
+
+
+def _bits(value):
+    return struct.pack("d", value)
 
 
 def _ranking(index, queries):
@@ -258,21 +286,34 @@ class TestRetrievalIndexClone:
 
     @staticmethod
     def _fitted_state(index):
-        return {
-            document.doc_id: (dict(document.vector), document.norm)
-            for document in index.documents()
-        }
+        """The published tables, with every float as its exact bits."""
+        state = index._state
+        return (
+            {
+                doc_id: ([(t, _bits(w)) for t, w in vector.items()],
+                         _bits(norm))
+                for doc_id, (vector, norm) in state.vectors.items()
+            },
+            state.inverted,
+            {
+                term: [(doc_id, _bits(w)) for doc_id, w in entries]
+                for term, entries in state.postings().items()
+            },
+        )
 
     def test_clone_of_fitted_index_shares_tables_and_needs_no_refit(
         self, index
     ):
         expected = _ranking(index, self.QUERIES)
+        state = index._state
         clone = index.clone()
-        assert not clone._dirty
-        assert clone._vectorizer is index._vectorizer
-        assert clone._postings is index._postings
+        assert clone._state is state
+        assert all(
+            copied is original for copied, original
+            in zip(clone.documents(), index.documents())
+        )
         assert _ranking(clone, self.QUERIES) == expected
-        assert clone._vectorizer is index._vectorizer
+        assert clone._state is state
 
     def test_clone_matches_a_freshly_built_index(self, index):
         index.search("revenue", k=1)
@@ -310,7 +351,7 @@ class TestRetrievalIndexClone:
 
     def test_clone_of_dirty_index_fits_independently(self, index):
         clone = index.clone()
-        assert clone._dirty
+        assert clone._state is None
         index.add("d5", "revenue revenue revenue")
         expected_clone = _ranking(self._fresh(
             *((doc.doc_id, doc.text) for doc in clone.documents())

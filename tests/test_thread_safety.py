@@ -378,3 +378,123 @@ class TestRegressionMemo:
             [expected.results] * THREADS
         )
         assert len(demo_db.memo("regression")) <= 3
+
+
+def _rebuild(knowledge):
+    from repro.knowledge import KnowledgeSet
+
+    return KnowledgeSet(knowledge.name).restore(knowledge.snapshot())
+
+
+def _search_bits(knowledge, queries):
+    """Ids and exact score bits of every search kind over ``queries``."""
+    import struct
+
+    searches = (
+        knowledge.search_examples, knowledge.search_instructions,
+        knowledge.search_schema, knowledge.search_intents,
+    )
+    return [
+        [(hit.doc_id, struct.pack("d", hit.score))
+         for hit in search(query, k=20)]
+        for query in queries
+        for search in searches
+    ]
+
+
+def _sibling_edits(live):
+    """Edits of every component kind for the sibling clone, in order."""
+    import dataclasses
+
+    from repro.knowledge import Instruction
+
+    example = live.examples()[0]
+    instruction = live.instructions()[0]
+    element = live.schema_elements()[-1]
+    intent = live.intents()[0]
+    return [
+        lambda ks: ks.add_example(dataclasses.replace(
+            example, example_id="ex-sibling",
+            description="Organisations ranked by revenue per viewer",
+        )),
+        lambda ks: ks.delete_example(example.example_id),
+        lambda ks: ks.add_instruction(Instruction(
+            "in-sibling", "Report revenue per fiscal quarter.",
+        )),
+        lambda ks: ks.update_instruction(dataclasses.replace(
+            instruction, text="Viewers means unique monthly viewers.",
+        )),
+        lambda ks: ks.delete_schema_element(element.element_id),
+        lambda ks: ks.add_intent(dataclasses.replace(
+            intent, intent_id="intent-sibling", name="sponsorship deals",
+        )),
+    ]
+
+
+class TestSiblingClones:
+    SEARCHERS = 4
+    #: Fresh parents raced in turn: one lazy postings build is a short
+    #: window, and a torn table shows only if a reader lands inside it.
+    ROUNDS = 20
+
+    def test_searches_on_a_clone_while_a_sibling_refits(
+        self, experiment_context
+    ):
+        """Four threads search one clone; a fifth edits a sibling clone.
+
+        Both clones start from the same parent, so they share its
+        documents and its fitted state, whose postings and query memo are
+        still unbuilt. Every result must equal the serial one.
+        """
+        import sys
+
+        live = experiment_context.knowledge_sets["sports_holdings"]
+        queries = [
+            question.question for question in
+            experiment_context.workload.for_database("sports_holdings")[:6]
+        ]
+        edits = _sibling_edits(live)
+
+        def fitted_parent():
+            parent = _rebuild(live)
+            for name in ("_example_index", "_instruction_index",
+                         "_schema_index", "_intent_index"):
+                getattr(parent, name)._fitted()
+            return parent
+
+        reference = fitted_parent()
+        expected = _search_bits(reference.clone(), queries)
+        sibling = reference.clone()
+        expected_sibling = []
+        for edit in edits:
+            edit(sibling)
+            expected_sibling.append(_search_bits(sibling, queries[:2]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.ROUNDS):
+                parent = fitted_parent()
+                searched, sibling = parent.clone(), parent.clone()
+                results = [None] * self.SEARCHERS
+                sibling_results = []
+
+                def worker(index):
+                    if index < self.SEARCHERS:
+                        results[index] = _search_bits(searched, queries)
+                        return
+                    for edit in edits:
+                        edit(sibling)
+                        sibling_results.append(
+                            _search_bits(sibling, queries[:2])
+                        )
+
+                _hammer(worker, threads=self.SEARCHERS + 1)
+                assert results == [expected] * self.SEARCHERS
+                assert sibling_results == expected_sibling
+                shared = searched._schema_index._state
+                assert shared is parent._schema_index._state
+                assert shared._postings is not None  # built in the race
+                assert _search_bits(parent, queries) == expected
+        finally:
+            sys.setswitchinterval(interval)
