@@ -36,8 +36,6 @@ written in place.
 
 from __future__ import annotations
 
-import copy
-
 from ..text.index import RetrievalIndex
 from .models import (
     DecomposedExample,
@@ -235,15 +233,18 @@ class KnowledgeSet:
     # -- snapshot / restore ----------------------------------------------------------
 
     def snapshot(self):
-        """Deep, immutable-enough copy of all components (for checkpoints)."""
+        """All components, as lists (for checkpoints).
+
+        The components are frozen values, so the snapshot shares them: a
+        later edit replaces entries in this set's dicts and leaves the
+        snapshot's lists as they were.
+        """
         return {
             "name": self.name,
-            "intents": [copy.deepcopy(i) for i in self.intents()],
-            "examples": [copy.deepcopy(e) for e in self.examples()],
-            "instructions": [copy.deepcopy(i) for i in self.instructions()],
-            "schema_elements": [
-                copy.deepcopy(s) for s in self.schema_elements()
-            ],
+            "intents": self.intents(),
+            "examples": self.examples(),
+            "instructions": self.instructions(),
+            "schema_elements": self.schema_elements(),
         }
 
     def restore(self, snapshot):
@@ -259,13 +260,13 @@ class KnowledgeSet:
         self._schema_index = RetrievalIndex()
         self._intent_index = RetrievalIndex()
         for intent in snapshot["intents"]:
-            self.add_intent(copy.deepcopy(intent))
+            self.add_intent(intent)
         for example in snapshot["examples"]:
-            self.add_example(copy.deepcopy(example))
+            self.add_example(example)
         for instruction in snapshot["instructions"]:
-            self.add_instruction(copy.deepcopy(instruction))
+            self.add_instruction(instruction)
         for element in snapshot["schema_elements"]:
-            self.add_schema_element(copy.deepcopy(element))
+            self.add_schema_element(element)
         return self
 
     def clone(self):

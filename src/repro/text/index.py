@@ -33,13 +33,17 @@ tokens: only its new documents are normalised. Each refit increments the
 
 Scoring is batched: a search whose pool holds more than
 ``POSTINGS_MIN_POOL`` accumulating documents sums dot products for the
-whole pool in one pass over the query's terms through a term -> [(doc_id,
-weight)] postings table instead of one sparse-dict intersection per
-document. The state builds that table on the first such search, so an
-edited staging clone whose searches are all candidate-restricted never
-builds it. The accumulation visits exactly the nonzero terms the
-per-document cosine would, in the same order, so scores are bit-identical
-to :func:`cosine_with_norms` — documents with fewer terms than the query
+whole pool in one pass over the query's terms through a term ->
+[(doc_id, weight)] postings table instead of one sparse-dict
+intersection per document. The state builds that table on the first such
+search, and most states never get one. An instruction or intent index
+holds a few documents. A staged example refit is searched wide as well
+as candidate-restricted, but the inverted pre-filter keeps only
+documents that share a query token, so its pools mostly hold 24
+accumulating documents or fewer (DESIGN.md §6e has the counts). The
+accumulation visits exactly the nonzero terms the per-document cosine
+would, in the same order, so scores are bit-identical to
+:func:`cosine_with_norms` — documents with fewer terms than the query
 (where that helper iterates the document side instead) are scored
 individually the legacy way. Ranking keeps the k smallest ``(-score,
 doc_id)`` keys, so ties break by id.
