@@ -125,8 +125,10 @@ telemetry-smoke:
 		--ledger-dir /tmp/repro-telemetry-smoke/runs \
 		> /tmp/repro-telemetry-smoke/watch.json
 	grep -q '"alerts": \[\]' /tmp/repro-telemetry-smoke/watch.json
-	PYTHONPATH=src $(PYTHON) -m repro slo examples/slo.yaml \
-		--ledger-dir /tmp/repro-telemetry-smoke/runs > /dev/null
+	PYTHONPATH=src $(PYTHON) -m repro slo examples/slo.json \
+		--ledger-dir /tmp/repro-telemetry-smoke/runs \
+		> /tmp/repro-telemetry-smoke/slo.txt
+	grep -q "all 4 SLO(s) met" /tmp/repro-telemetry-smoke/slo.txt
 
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_columnar_micro.py \

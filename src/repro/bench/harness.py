@@ -38,13 +38,12 @@ runs|diff|triage``. The record notice goes to stderr; stdout stays
 byte-identical. See DESIGN.md §6d.
 
 Continuous telemetry (DESIGN.md §6g): ``--telemetry-out PATH`` streams
-registry snapshots to ``PATH`` *while the experiment runs* — Prometheus
-text format by default, OTLP-shaped JSON when the path ends in ``.json``
-— refreshed after every finished question-group through a push
-:class:`~repro.obs.telemetry.TelemetrySink` (bounded queue, atomic
-replace-writes, drops counted). ``--profile-sample HZ`` arms the
-wall-clock sampling profiler (:mod:`repro.obs.profiler`) for the whole
-invocation and writes collapsed stacks to ``--profile-out PATH``
+registry snapshots to ``PATH`` *while the experiment runs*, in the
+Prometheus text format, refreshed after every finished question-group
+through a push :class:`~repro.obs.telemetry.TelemetrySink` (bounded
+queue, atomic replace-writes, drops counted). ``--profile-sample HZ``
+arms the wall-clock sampling profiler (:mod:`repro.obs.profiler`) for the
+whole invocation and writes collapsed stacks to ``--profile-out PATH``
 (default ``repro-profile.collapsed``). ``--limit N`` truncates the
 workload to its first N questions for quick smokes. All notices land on
 stderr; the printed tables stay byte-identical.

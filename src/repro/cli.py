@@ -19,8 +19,7 @@ within an analytics engine" (§1, §4.2). This CLI is that thin engine:
     python -m repro diff RUN_A RUN_B               # EX flips + cost deltas
     python -m repro triage RUN                     # cluster a run's failures
     python -m repro watch [--json]                 # ledger watchdog (§6g)
-    python -m repro dash [--out dash.html]         # self-contained dashboard
-    python -m repro slo slo.yaml                   # SLO/error-budget gate
+    python -m repro slo examples/slo.json          # SLO/error-budget gate
     python -m repro bench table1 --telemetry-out m.prom  # live exporter
 
 Databases are the six benchmark profiles; their knowledge sets are mined
@@ -620,26 +619,6 @@ def cmd_watch(args, out=sys.stdout):
     return 1 if regressions else 0
 
 
-def cmd_dash(args, out=sys.stdout):
-    """Render the ledger as a self-contained HTML dashboard."""
-    from .obs.timeseries import dashboard_from_ledger
-
-    ledger = _open_ledger(args)
-    series, alerts, html = dashboard_from_ledger(
-        ledger, system=args.system, kind=args.kind,
-        window=args.window, z_threshold=args.threshold,
-        limit=args.limit,
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(html)
-    print(
-        f"wrote {len(series)} metric card(s), {len(alerts)} alert(s) "
-        f"-> {args.out}",
-        file=out,
-    )
-    return 0
-
-
 def cmd_slo(args, out=sys.stdout):
     """Evaluate declarative SLOs; CI exit semantics (1 breach, 2 bad spec).
 
@@ -949,62 +928,49 @@ def build_arg_parser():
     )
     triage.set_defaults(func=cmd_triage)
 
-    def _watch_common(sub):
-        sub.add_argument(
-            "--system", default=None,
-            help="track this system's series (default: GenEdit when "
-                 "present, else each record's first system)",
-        )
-        sub.add_argument(
-            "--kind", default="bench",
-            help="only fold records of this kind (default 'bench'; "
-                 "pass '' for all)",
-        )
-        sub.add_argument(
-            "--window", type=int, default=20,
-            help="baseline window: prior runs per metric (default 20)",
-        )
-        sub.add_argument(
-            "--threshold", type=float, default=3.5,
-            help="robust z-score alert threshold (default 3.5)",
-        )
-        sub.add_argument(
-            "--limit", type=int, default=None,
-            help="only consider the newest N runs",
-        )
-        sub.add_argument(
-            "--ledger-dir", dest="ledger_dir", metavar="PATH",
-            default=None,
-            help="ledger root (default .repro/runs, or $REPRO_LEDGER_DIR)",
-        )
-
     watch = commands.add_parser(
         "watch",
         help="watch the run ledger for metric level shifts (DESIGN.md §6g)",
     )
-    _watch_common(watch)
+    watch.add_argument(
+        "--system", default=None,
+        help="track this system's series (default: GenEdit when "
+             "present, else each record's first system)",
+    )
+    watch.add_argument(
+        "--kind", default="bench",
+        help="only fold records of this kind (default 'bench'; "
+             "pass '' for all)",
+    )
+    watch.add_argument(
+        "--window", type=int, default=20,
+        help="baseline window: prior runs per metric (default 20)",
+    )
+    watch.add_argument(
+        "--threshold", type=float, default=3.5,
+        help="robust z-score alert threshold (default 3.5)",
+    )
+    watch.add_argument(
+        "--limit", type=int, default=None,
+        help="only consider the newest N runs",
+    )
+    watch.add_argument(
+        "--ledger-dir", dest="ledger_dir", metavar="PATH",
+        default=None,
+        help="ledger root (default .repro/runs, or $REPRO_LEDGER_DIR)",
+    )
     watch.add_argument(
         "--json", action="store_true",
         help="emit the full watch payload (series + alerts) as JSON",
     )
     watch.set_defaults(func=cmd_watch)
 
-    dash = commands.add_parser(
-        "dash", help="write a self-contained HTML dashboard of the ledger"
-    )
-    _watch_common(dash)
-    dash.add_argument(
-        "--out", metavar="PATH", default="repro-dash.html",
-        help="output HTML path (default repro-dash.html)",
-    )
-    dash.set_defaults(func=cmd_dash)
-
     slo = commands.add_parser(
         "slo",
         help="evaluate SLOs/error budgets (exit 1 breach, 2 bad spec)",
     )
     slo.add_argument(
-        "spec", help="SLO spec file (JSON or the documented YAML subset)"
+        "spec", help="SLO spec file (JSON)"
     )
     slo.add_argument(
         "--system", default=None,
@@ -1075,7 +1041,7 @@ def build_arg_parser():
         "--telemetry-out", dest="telemetry_out", metavar="PATH",
         default=None,
         help="stream registry snapshots to PATH while the experiment "
-             "runs (Prometheus text; OTLP JSON when PATH ends in .json)",
+             "runs (Prometheus text format)",
     )
     bench.add_argument(
         "--profile-sample", dest="profile_sample", metavar="HZ",
@@ -1123,7 +1089,7 @@ def build_arg_parser():
     serve.add_argument(
         "--telemetry-out", dest="telemetry_out", metavar="PATH",
         default=None,
-        help="stream the metrics snapshot to PATH (.prom or .json)",
+        help="stream the metrics snapshot to PATH (Prometheus text)",
     )
     serve.add_argument(
         "--trace-out", dest="trace_out", metavar="PATH", default=None,

@@ -1,17 +1,20 @@
 """The knowledge set: a materialised view with retrieval indexes.
 
 :class:`KnowledgeSet` stores intents, decomposed examples, instructions,
-and schema elements, and maintains retrieval indexes over each component so
-the pipeline's compounding retrieval operators can do intent-keyed lookup
-followed by cosine re-ranking. It supports the full edit vocabulary of the
-paper's continuous-improvement module: insert, update, and delete of
-examples and instructions (§4.1), plus snapshot/restore for the history and
-checkpointing machinery (§4.2.2).
+and schema elements, and maintains retrieval indexes over the intents,
+examples and instructions so the pipeline's compounding retrieval
+operators can do intent-keyed lookup followed by cosine re-ranking.
+Schema elements have no index: schema linking ranks all of them in the
+LLM (``SimulatedLLM.link_schema``), the paper's LLM-identified relevant
+elements plus re-ranker. The set supports the full edit vocabulary of
+the paper's continuous-improvement module: insert, update, and delete of
+examples and instructions (§4.1), plus snapshot/restore for the history
+and checkpointing machinery (§4.2.2).
 
 :meth:`KnowledgeSet.clone` builds the staging environments of that loop. It
-copies the four id -> component dicts and clones the four retrieval indexes
-copy-on-write, so a clone starts from its parent's fitted state and only
-the indexes its edits touch are refit. The components themselves are
+copies the four id -> component dicts and clones the three retrieval
+indexes copy-on-write, so a clone starts from its parent's fitted state
+and only the indexes its edits touch are refit. The components themselves are
 shared: they are frozen dataclasses (:mod:`repro.knowledge.models`) whose
 fields are scalars (str, number or date), tuples of those, or the frozen
 :class:`~repro.knowledge.models.Provenance`, and every edit replaces a
@@ -19,8 +22,9 @@ component (``add_*``/``update_*``/``delete_*``) instead of mutating it. The
 only value stored onto a live component, ``SchemaElement._link_signature``
 (``llm/simulated.py``), is an immutable tuple derived from the element's
 fields and written into its ``__dict__``, so a clone may share it.
-Snapshot/restore still deep-copy: they are for checkpoints and are not
-the clone path.
+Snapshot/restore share the components the same way: a snapshot holds the
+sorted component lists, and a restore re-adds them to fresh dicts and
+indexes.
 
 :attr:`KnowledgeSet.revision` is an opaque token for the set's contents.
 Every mutator (``add_*`` and a ``delete_*`` that removes something;
@@ -58,7 +62,6 @@ class KnowledgeSet:
         self._schema_elements = {}
         self._example_index = RetrievalIndex()
         self._instruction_index = RetrievalIndex()
-        self._schema_index = RetrievalIndex()
         self._intent_index = RetrievalIndex()
 
     # -- intents ----------------------------------------------------------
@@ -181,17 +184,11 @@ class KnowledgeSet:
     def add_schema_element(self, element: SchemaElement):
         self._schema_elements[element.element_id] = element
         self.revision = object()
-        self._schema_index.add(
-            element.element_id,
-            element.retrieval_text,
-            {"kind": "schema"},
-        )
         return element
 
     def delete_schema_element(self, element_id):
         if self._schema_elements.pop(element_id, None) is not None:
             self.revision = object()
-        self._schema_index.remove(element_id)
 
     def schema_element(self, element_id):
         return self._schema_elements.get(element_id)
@@ -214,11 +211,6 @@ class KnowledgeSet:
             element for element in self.schema_elements()
             if element.table.upper() == upper
         ]
-
-    def search_schema(self, query, k=20, candidates=None, extra_text=""):
-        return self._schema_index.search(
-            query, k=k, candidates=candidates, extra_text=extra_text
-        )
 
     # -- bulk / stats ----------------------------------------------------------
 
@@ -257,7 +249,6 @@ class KnowledgeSet:
         self._schema_elements = {}
         self._example_index = RetrievalIndex()
         self._instruction_index = RetrievalIndex()
-        self._schema_index = RetrievalIndex()
         self._intent_index = RetrievalIndex()
         for intent in snapshot["intents"]:
             self.add_intent(intent)
@@ -288,6 +279,5 @@ class KnowledgeSet:
         clone._schema_elements = dict(self._schema_elements)
         clone._example_index = self._example_index.clone()
         clone._instruction_index = self._instruction_index.clone()
-        clone._schema_index = self._schema_index.clone()
         clone._intent_index = self._intent_index.clone()
         return clone

@@ -17,15 +17,14 @@ any further performance work can be trusted:
   records under ``.repro/runs/``), run-to-run diffing with
   first-divergence attribution, cost/token accounting, and failure
   triage, behind ``python -m repro runs|diff|triage``;
-* :mod:`repro.obs.telemetry` — streaming exporters: Prometheus text
-  format and OTLP-shaped JSON snapshots of the metrics registry, plus
-  the push-based :class:`~repro.obs.telemetry.TelemetrySink` the harness
-  flushes as it runs;
-* :mod:`repro.obs.timeseries` — the ledger watchdog: folds recorded runs
-  into per-metric time series, flags level shifts with robust z-scores,
-  and renders the self-contained HTML dashboard behind ``python -m repro
-  watch|dash``;
-* :mod:`repro.obs.slo` — declarative SLO specs, error budgets and
+* :mod:`repro.obs.telemetry` — streaming export: Prometheus text format
+  snapshots of the metrics registry, plus the push-based
+  :class:`~repro.obs.telemetry.TelemetrySink` the harness flushes as it
+  runs;
+* :mod:`repro.obs.timeseries` — the ledger watchdog behind ``python -m
+  repro watch``: folds recorded runs into per-metric time series and
+  flags level shifts with robust z-scores;
+* :mod:`repro.obs.slo` — declarative JSON SLO specs, error budgets and
   multi-window burn rates evaluated against the ledger or a live
   registry snapshot, with CI exit-code semantics (``python -m repro
   slo``);
@@ -93,18 +92,14 @@ from .slo import (
 from .telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetrySink,
-    render_otlp,
     render_promtext,
-    render_snapshot,
     split_metric_key,
 )
 from .timeseries import (
     TIMESERIES_SCHEMA_VERSION,
-    dashboard_from_ledger,
     detect_shifts,
     ledger_series,
     record_metrics,
-    render_dashboard,
     render_watch,
     robust_zscore,
     watch_payload,
@@ -153,7 +148,6 @@ __all__ = [
     "config_fingerprint",
     "current_span",
     "current_trace_id",
-    "dashboard_from_ledger",
     "detect_shifts",
     "diff_records",
     "evaluate_ledger",
@@ -174,13 +168,10 @@ __all__ = [
     "parse_slo_text",
     "parse_traceparent",
     "record_metrics",
-    "render_dashboard",
     "render_diff",
     "render_metrics_snapshot",
-    "render_otlp",
     "render_promtext",
     "render_slo_results",
-    "render_snapshot",
     "render_span_tree",
     "render_trace_payload",
     "render_triage",

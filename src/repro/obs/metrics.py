@@ -26,7 +26,7 @@ import threading
 
 #: Version of the metrics-snapshot schema (see DESIGN.md §6g). v2 added
 #: the cumulative ``buckets`` list (with the ``+Inf`` bucket) to histogram
-#: snapshots so Prometheus/OTLP export is well-formed.
+#: snapshots so Prometheus export is well-formed.
 METRICS_SCHEMA_VERSION = 2
 
 #: Default latency buckets, in milliseconds.

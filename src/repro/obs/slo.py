@@ -19,11 +19,9 @@ against two sources:
   cannot observe (EX needs gold SQL) report ``"no data"`` rather than
   pass or fail.
 
-Specs load from JSON or a small YAML subset (flat maps, ``- `` list
-items, inline ``[a, b]`` lists — no anchors, no nesting beyond the
-``slos:`` list) so no YAML dependency is required; real PyYAML is used
-when importable. ``python -m repro slo SPEC`` exits 1 on breach, 2 on a
-bad spec — CI alert semantics. See DESIGN.md §6g.
+Specs are JSON (``examples/slo.json``): a ``slos`` list of flat maps.
+``python -m repro slo SPEC`` exits 1 on breach, 2 on a bad spec — CI
+alert semantics. See DESIGN.md §6g.
 """
 
 from __future__ import annotations
@@ -114,88 +112,6 @@ class SloSpec:
 # -- spec loading ------------------------------------------------------------
 
 
-def _parse_inline_list(text):
-    inner = text.strip()[1:-1].strip()
-    if not inner:
-        return []
-    return [_coerce(part.strip()) for part in inner.split(",")]
-
-
-def _coerce(text):
-    if text.startswith("[") and text.endswith("]"):
-        return _parse_inline_list(text)
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    lowered = text.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    if lowered in ("null", "none", "~", ""):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_simple_yaml(text):
-    """Parse the YAML subset SLO specs use (see module docstring).
-
-    Supported: a top-level map, values that are scalars, inline lists,
-    or a list of flat maps introduced by ``- `` items; ``#`` comments.
-    Raises :class:`SloSpecError` on anything deeper.
-    """
-    root = {}
-    current_list = None
-    current_item = None
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        indent = len(line) - len(line.lstrip())
-        stripped = line.strip()
-        if indent == 0:
-            current_item = None
-            key, colon, rest = stripped.partition(":")
-            if not colon:
-                raise SloSpecError(
-                    f"line {line_number}: expected 'key:' at top level"
-                )
-            rest = rest.strip()
-            if rest:
-                root[key.strip()] = _coerce(rest)
-                current_list = None
-            else:
-                current_list = root.setdefault(key.strip(), [])
-            continue
-        if stripped.startswith("- "):
-            if current_list is None:
-                raise SloSpecError(
-                    f"line {line_number}: list item outside a list key"
-                )
-            current_item = {}
-            current_list.append(current_item)
-            stripped = stripped[2:].strip()
-            if not stripped:
-                continue
-        if current_item is None:
-            raise SloSpecError(
-                f"line {line_number}: nested value outside a '- ' item"
-            )
-        key, colon, rest = stripped.partition(":")
-        if not colon:
-            raise SloSpecError(
-                f"line {line_number}: expected 'key: value' in list item"
-            )
-        current_item[key.strip()] = _coerce(rest.strip())
-    return root
-
-
 def _payload_to_specs(payload):
     if isinstance(payload, list):
         entries = payload
@@ -232,32 +148,26 @@ def _payload_to_specs(payload):
     return specs
 
 
+def _parse_json(text, source):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise SloSpecError(
+            f"{source}: invalid JSON at line {error.lineno}, column "
+            f"{error.colno}: {error.msg}"
+        ) from None
+
+
 def load_slo_specs(path):
-    """Load SLO specs from a JSON or YAML(-subset) file."""
+    """Load SLO specs from a JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            import yaml  # optional; the subset parser is the fallback
-        except ImportError:
-            payload = parse_simple_yaml(text)
-        else:
-            try:
-                payload = yaml.safe_load(text)
-            except yaml.YAMLError as error:
-                raise SloSpecError(f"{path}: {error}") from None
-    return _payload_to_specs(payload)
+    return _payload_to_specs(_parse_json(text, path))
 
 
 def parse_slo_text(text):
-    """Specs from in-memory JSON/YAML text (tests, embedded configs)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        payload = parse_simple_yaml(text)
-    return _payload_to_specs(payload)
+    """Specs from in-memory JSON text (tests, embedded configs)."""
+    return _payload_to_specs(_parse_json(text, "spec"))
 
 
 # -- evaluation: ledger ------------------------------------------------------

@@ -1,20 +1,13 @@
-"""Streaming metric exporters: Prometheus text, OTLP JSON, push sink.
+"""Streaming metric export: Prometheus text and a push sink.
 
 PR 3 gave the process a :class:`~repro.obs.metrics.MetricsRegistry`, but
 its snapshots only ever left the process as an end-of-run dump. This
-module is the *streaming* side (DESIGN.md §6g): registry snapshots render
-to the two wire formats serving stacks actually scrape —
-
-* :func:`render_promtext` — Prometheus text exposition format v0.0.4
-  (``# TYPE`` comments, ``_total`` counters, ``_bucket``/``_sum``/
-  ``_count`` histogram families with a ``+Inf`` bucket). The output
-  round-trips through ``scripts/check_promtext.py`` in CI.
-* :func:`render_otlp` — an OTLP-shaped JSON payload (``resourceMetrics``
-  → ``scopeMetrics`` → ``metrics`` with ``sum``/``gauge``/``histogram``
-  data points). "Shaped" because no protobuf toolchain ships with the
-  repo: the JSON mirrors ``ExportMetricsServiceRequest`` closely enough
-  for collectors in JSON mode, with ``timeUnixNano`` pinned to ``"0"``
-  so payloads from identical registries are byte-identical.
+module is the *streaming* side (DESIGN.md §6g). :func:`render_promtext`
+renders a registry snapshot in the Prometheus text exposition format
+v0.0.4 (``# TYPE`` comments, ``_total`` counters, ``_bucket``/``_sum``/
+``_count`` histogram families with a ``+Inf`` bucket); the output
+round-trips through ``scripts/check_promtext.py`` in CI, and ``/metrics``
+serves the same text.
 
 :class:`TelemetrySink` is the push half: a bounded-queue background
 thread that writes the newest snapshot to a file atomically (tmp +
@@ -32,15 +25,14 @@ Like the rest of :mod:`repro.obs`, nothing here imports the wider repo.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import threading
 
-from .metrics import METRICS_SCHEMA_VERSION, get_metrics
+from .metrics import get_metrics
 
-#: Version of the telemetry payload contract (file layout + field names
-#: shared by both exporters). Bump on rename/meaning change.
+#: Version of the telemetry payload contract (file layout + metric
+#: names). Bump on rename/meaning change.
 TELEMETRY_SCHEMA_VERSION = 1
 
 _CLOSE = object()
@@ -167,96 +159,6 @@ def render_promtext(snapshot):
     return "\n".join(lines) + "\n"
 
 
-# -- OTLP-shaped JSON --------------------------------------------------------
-
-
-def _otlp_attributes(labels):
-    return [
-        {"key": label, "value": {"stringValue": str(value)}}
-        for label, value in sorted(labels.items())
-    ]
-
-
-def _otlp_number(value):
-    if isinstance(value, float):
-        return {"asDouble": value}
-    return {"asInt": str(value)}
-
-
-def render_otlp(snapshot):
-    """An OTLP ``ExportMetricsServiceRequest``-shaped dict (JSON-ready).
-
-    Counters become monotonic cumulative ``sum`` metrics, gauges become
-    ``gauge``, histograms become cumulative ``histogram`` data points
-    with *non*-cumulative ``bucketCounts`` (the OTLP convention, length
-    ``len(explicitBounds) + 1``) derived from the snapshot's cumulative
-    buckets. ``timeUnixNano`` is pinned to ``"0"`` for determinism —
-    stamp real times at ingest if a collector needs them.
-    """
-    groups = {}
-
-    def data_point(labels, body):
-        point = {"attributes": _otlp_attributes(labels),
-                 "timeUnixNano": "0"}
-        point.update(body)
-        return point
-
-    for key, value in (snapshot.get("counters") or {}).items():
-        name, labels = split_metric_key(key)
-        metric = groups.setdefault(("sum", name), {
-            "name": sanitize_metric_name(name),
-            "sum": {"dataPoints": [], "aggregationTemporality": 2,
-                    "isMonotonic": True},
-        })
-        metric["sum"]["dataPoints"].append(
-            data_point(labels, _otlp_number(value))
-        )
-    for key, value in (snapshot.get("gauges") or {}).items():
-        name, labels = split_metric_key(key)
-        metric = groups.setdefault(("gauge", name), {
-            "name": sanitize_metric_name(name),
-            "gauge": {"dataPoints": []},
-        })
-        metric["gauge"]["dataPoints"].append(
-            data_point(labels, _otlp_number(value))
-        )
-    for key, entry in (snapshot.get("histograms") or {}).items():
-        name, labels = split_metric_key(key)
-        metric = groups.setdefault(("histogram", name), {
-            "name": sanitize_metric_name(name),
-            "histogram": {"dataPoints": [], "aggregationTemporality": 2},
-        })
-        cumulative = entry.get("buckets") or []
-        bounds = [float(le) for le, _count in cumulative if le != "+Inf"]
-        counts = []
-        previous = 0
-        for _le, running in cumulative:
-            counts.append(running - previous)
-            previous = running
-        metric["histogram"]["dataPoints"].append(data_point(labels, {
-            "count": str(entry.get("count", 0)),
-            "sum": entry.get("sum", 0.0),
-            "bucketCounts": [str(count) for count in counts],
-            "explicitBounds": bounds,
-        }))
-    metrics = [groups[group_key] for group_key in sorted(groups)]
-    return {
-        "resourceMetrics": [{
-            "resource": {"attributes": [{
-                "key": "service.name",
-                "value": {"stringValue": "repro"},
-            }]},
-            "scopeMetrics": [{
-                "scope": {
-                    "name": "repro.obs",
-                    "version": str(METRICS_SCHEMA_VERSION),
-                },
-                "metrics": metrics,
-            }],
-        }],
-    }
-
-
 # -- the push sink -----------------------------------------------------------
 
 
@@ -272,21 +174,6 @@ def atomic_write_text(path, text):
     os.replace(tmp_path, path)
 
 
-def render_snapshot(snapshot, fmt):
-    """Render a snapshot in ``"prom"`` or ``"otlp"`` format."""
-    if fmt == "prom":
-        return render_promtext(snapshot)
-    if fmt == "otlp":
-        return json.dumps(render_otlp(snapshot), indent=1, sort_keys=True) \
-            + "\n"
-    raise ValueError(f"unknown telemetry format {fmt!r}")
-
-
-def format_for_path(path):
-    """``"otlp"`` for ``.json`` paths, ``"prom"`` otherwise."""
-    return "otlp" if str(path).endswith(".json") else "prom"
-
-
 class TelemetrySink:
     """Bounded-queue push exporter: newest snapshot wins, writes atomic.
 
@@ -299,11 +186,8 @@ class TelemetrySink:
     (so the file always reflects end-of-run state), and joins the worker.
     """
 
-    def __init__(self, path, fmt=None, snapshot_fn=None, maxsize=8,
-                 registry=None):
+    def __init__(self, path, snapshot_fn=None, maxsize=8, registry=None):
         self.path = str(path)
-        self.fmt = fmt or format_for_path(path)
-        render_snapshot({}, self.fmt)  # validate fmt eagerly
         self._snapshot_fn = snapshot_fn
         self._registry = registry or get_metrics()
         self._queue = queue.Queue(maxsize=maxsize)
@@ -361,7 +245,7 @@ class TelemetrySink:
 
     def _write(self, snapshot):
         try:
-            atomic_write_text(self.path, render_snapshot(snapshot, self.fmt))
+            atomic_write_text(self.path, render_promtext(snapshot))
         except OSError:
             with self._lock:
                 self._write_errors += 1

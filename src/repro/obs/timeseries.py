@@ -1,4 +1,4 @@
-"""Ledger time-series: per-metric run history, level shifts, dashboard.
+"""Ledger time-series: per-metric run history and level shifts.
 
 The run ledger (§6d) makes every harness invocation durable; this module
 makes the *sequence* of runs legible. :func:`ledger_series` folds the
@@ -20,15 +20,12 @@ departure from the constant is a shift. This catches level shifts after
 a single bad run — the acceptance case is a perturbed-knowledge run
 dropping EX — without alerting on reordered-but-identical history.
 
-``python -m repro watch`` prints/JSONs the alerts and exits 1 on breach;
-``python -m repro dash`` renders :func:`render_dashboard` — a static,
-self-contained HTML page with inline SVG sparklines, no external assets.
+``python -m repro watch`` prints/JSONs the alerts and exits 1 on breach.
 See DESIGN.md §6g.
 """
 
 from __future__ import annotations
 
-import html
 import json
 
 from .render import _exact_quantile
@@ -269,106 +266,6 @@ def render_watch(payload):
             f"at run {alert['run_id']}"
         )
     return "\n".join(lines)
-
-
-# -- dashboard ---------------------------------------------------------------
-
-
-_DASH_STYLE = """
-body { font-family: -apple-system, 'Segoe UI', sans-serif; margin: 2rem;
-       background: #fafafa; color: #1a1a1a; }
-h1 { font-size: 1.3rem; } .sub { color: #666; font-size: 0.85rem; }
-.grid { display: flex; flex-wrap: wrap; gap: 1rem; margin-top: 1rem; }
-.card { background: #fff; border: 1px solid #ddd; border-radius: 6px;
-        padding: 0.8rem 1rem; width: 260px; }
-.card h2 { font-size: 0.9rem; margin: 0 0 0.3rem; font-weight: 600; }
-.value { font-size: 1.4rem; font-variant-numeric: tabular-nums; }
-.alert { border-color: #c0392b; background: #fdf3f2; }
-.badge { display: inline-block; font-size: 0.7rem; padding: 0.1rem 0.4rem;
-         border-radius: 4px; background: #c0392b; color: #fff; }
-.badge.ok { background: #27ae60; }
-svg { display: block; margin-top: 0.4rem; }
-.spark { stroke: #2c6fbb; stroke-width: 1.5; fill: none; }
-.spark-fill { fill: #2c6fbb22; stroke: none; }
-.latest-dot { fill: #c0392b; }
-"""
-
-
-def _sparkline(values, width=228, height=40, pad=3):
-    """Inline SVG sparkline for a value series (polyline + latest dot)."""
-    if not values:
-        return "<svg width='228' height='40'></svg>"
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    inner_w = width - 2 * pad
-    inner_h = height - 2 * pad
-    step = inner_w / max(1, len(values) - 1)
-    points = []
-    for index, value in enumerate(values):
-        x = pad + (index * step if len(values) > 1 else inner_w / 2)
-        y = pad + inner_h * (1.0 - (value - low) / span)
-        points.append((round(x, 1), round(y, 1)))
-    path = " ".join(f"{x},{y}" for x, y in points)
-    fill = (
-        f"{pad},{height - pad} {path} "
-        f"{points[-1][0]},{height - pad}"
-    )
-    last_x, last_y = points[-1]
-    return (
-        f"<svg width='{width}' height='{height}' "
-        f"viewBox='0 0 {width} {height}'>"
-        f"<polygon class='spark-fill' points='{fill}'/>"
-        f"<polyline class='spark' points='{path}'/>"
-        f"<circle class='latest-dot' cx='{last_x}' cy='{last_y}' r='2.5'/>"
-        f"</svg>"
-    )
-
-
-def render_dashboard(series, alerts=(), title="repro telemetry"):
-    """A static, self-contained HTML dashboard (no external assets).
-
-    One card per metric: latest value, run count, an inline SVG
-    sparkline, and a red badge when the watchdog flagged that metric.
-    """
-    alert_metrics = {alert["metric"]: alert for alert in alerts}
-    cards = []
-    for metric, points in sorted(series.items()):
-        values = [value for _run, value in points]
-        alert = alert_metrics.get(metric)
-        badge = (
-            f"<span class='badge'>{html.escape(alert['severity'])}</span>"
-            if alert else "<span class='badge ok'>ok</span>"
-        )
-        latest = values[-1] if values else 0.0
-        cards.append(
-            f"<div class='card{' alert' if alert else ''}'>"
-            f"<h2>{html.escape(metric)} {badge}</h2>"
-            f"<div class='value'>{latest:g}</div>"
-            f"<div class='sub'>{len(values)} run(s), "
-            f"min {min(values):g}, max {max(values):g}</div>"
-            f"{_sparkline(values)}"
-            f"</div>"
-        )
-    runs = max((len(points) for points in series.values()), default=0)
-    return (
-        "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_DASH_STYLE}</style></head><body>"
-        f"<h1>{html.escape(title)}</h1>"
-        f"<div class='sub'>{runs} run(s), {len(series)} metric(s), "
-        f"{len(alert_metrics)} alert(s)</div>"
-        f"<div class='grid'>{''.join(cards)}</div>"
-        "</body></html>\n"
-    )
-
-
-def dashboard_from_ledger(ledger, system=None, kind="bench", window=20,
-                          z_threshold=DEFAULT_Z_THRESHOLD, limit=None):
-    """Series + alerts + rendered HTML for ``python -m repro dash``."""
-    series = ledger_series(ledger, system=system, kind=kind, limit=limit)
-    alerts = detect_shifts(series, window=window, z_threshold=z_threshold)
-    title = f"repro telemetry — {ledger.root}"
-    return series, alerts, render_dashboard(series, alerts, title=title)
 
 
 def to_json(payload):

@@ -1,8 +1,8 @@
 """Retrieval index combining an inverted index with TF-IDF re-ranking.
 
 :class:`RetrievalIndex` is the workhorse behind every knowledge-set
-retrieval operator: documents (examples, instructions, schema elements) are
-added with an id, text, and optional metadata; queries return the top-k ids
+retrieval operator: documents (intents, examples, instructions) are added
+with an id, text, and optional metadata; queries return the top-k ids
 by cosine similarity, optionally restricted to a candidate subset (which is
 how intent-keyed retrieval composes with similarity re-ranking).
 

@@ -288,13 +288,12 @@ class TestApprovalQueue:
 
 
 def _all_searches(knowledge, queries):
-    """Ids and ``==``-comparable scores of all four search methods."""
+    """Ids and ``==``-comparable scores of all three search methods."""
     return [
         [(hit.doc_id, hit.score) for hit in search(query, k=1000)]
         for search in (
             knowledge.search_examples,
             knowledge.search_instructions,
-            knowledge.search_schema,
             knowledge.search_intents,
         )
         for query in queries

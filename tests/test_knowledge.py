@@ -170,13 +170,12 @@ QUERIES = ("filter by country", "rank organisations", "revenue per viewer")
 
 
 def _searches(knowledge):
-    """Ids and scores of all four search methods over ``QUERIES``."""
+    """Ids and scores of all three search methods over ``QUERIES``."""
     return [
         [(hit.doc_id, hit.score) for hit in search(query, k=50)]
         for search in (
             knowledge.search_examples,
             knowledge.search_instructions,
-            knowledge.search_schema,
             knowledge.search_intents,
         )
         for query in QUERIES
@@ -195,9 +194,7 @@ def _search_bits(knowledge):
     ]
 
 
-INDEXES = (
-    "_example_index", "_instruction_index", "_schema_index", "_intent_index",
-)
+INDEXES = ("_example_index", "_instruction_index", "_intent_index")
 
 
 def _index_state(knowledge):
@@ -548,7 +545,7 @@ class TestCloneRefits:
         knowledge = KnowledgeSet(live.name).restore(live.snapshot())
         before = self._refits()
         _searches(knowledge)  # a restored set starts unfitted
-        assert self._refits() == before + 4
+        assert self._refits() == before + 3
         GenEditPipeline(profile.database, knowledge).generate(self.QUESTION)
         return profile.database, knowledge
 
@@ -579,7 +576,7 @@ class TestCloneRefits:
         assert self._refits() == before + 1
         assert (staged._example_index._state
                 is not knowledge._example_index._state)
-        for name in ("_instruction_index", "_schema_index", "_intent_index"):
+        for name in ("_instruction_index", "_intent_index"):
             assert (getattr(staged, name)._state
                     is getattr(knowledge, name)._state)
 

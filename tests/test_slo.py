@@ -1,7 +1,7 @@
 """SLO engine tests: spec parsing, burn rates, both evaluators, the CLI.
 
-Covers DESIGN.md §6g's error-budget half — the dependency-free YAML
-subset loader, :class:`SloSpec` validation, multi-window burn-rate
+Covers DESIGN.md §6g's error-budget half — the JSON spec loader,
+:class:`SloSpec` validation, multi-window burn-rate
 semantics (breach only when fast AND slow windows burn), ledger and
 live-registry evaluation, and ``repro slo``/``repro watch`` exit codes.
 """
@@ -26,27 +26,42 @@ from repro.obs.slo import (
     evaluate_registry,
     evaluate_slo,
     load_slo_specs,
-    parse_simple_yaml,
     parse_slo_text,
     render_slo_results,
 )
 
 _EXAMPLE_SPEC = os.path.join(
-    os.path.dirname(__file__), "..", "examples", "slo.yaml"
+    os.path.dirname(__file__), "..", "examples", "slo.json"
 )
 
-_YAML_SPEC = """\
-# comment at the top
+#: The objectives of ``examples/slo.json`` in the YAML form the loader
+#: read before specs became JSON-only.
+_OLD_YAML_EXAMPLE = """\
 slos:
-  - name: ex-rate          # trailing comment
+  - name: ex-rate
     metric: ex
     objective: 60.0
-    windows: [2, 4]
+    bound: lower
+    description: "execution accuracy stays at or above 60% EX"
+    windows: [5, 20]
     max_burn_rate: 1.0
   - name: p99-latency
     metric: latency_p99_ms
-    objective: 2000
+    objective: 30000
     bound: upper
+    description: "p99 simulated question latency under 30s"
+  - name: cost-per-question
+    metric: cost_usd_per_question
+    objective: 0.02
+    bound: upper
+    description: "average spend per question under 2 cents"
+  - name: error-rate
+    metric: error_rate
+    objective: 0.40
+    bound: upper
+    windows: [5, 20]
+    max_burn_rate: 1.0
+    description: "at most 40% of questions may fail outright"
 """
 
 
@@ -84,45 +99,16 @@ def ex_points(values):
     return [(f"run-{index}", value) for index, value in enumerate(values)]
 
 
-class TestYamlSubset:
-    def test_parses_the_spec_shape(self):
-        payload = parse_simple_yaml(_YAML_SPEC)
-        assert len(payload["slos"]) == 2
-        first = payload["slos"][0]
-        assert first["name"] == "ex-rate"
-        assert first["objective"] == 60.0
-        assert first["windows"] == [2, 4]
-
-    def test_scalar_coercion(self):
-        payload = parse_simple_yaml(
-            "a: 3\nb: 1.5\nc: yes\nd: null\ne: 'quoted'\nf: plain\n"
-        )
-        assert payload == {
-            "a": 3, "b": 1.5, "c": True, "d": None,
-            "e": "quoted", "f": "plain",
-        }
-
-    def test_rejects_orphan_list_items(self):
-        with pytest.raises(SloSpecError, match="outside a list"):
-            parse_simple_yaml("  - name: x\n")
-
-    def test_rejects_nesting_it_cannot_represent(self):
-        with pytest.raises(SloSpecError, match="outside a '- ' item"):
-            parse_simple_yaml("slos:\n    nested: oops\n")
-
-
 class TestSpecLoading:
-    def test_parse_slo_text_accepts_json_and_yaml(self):
-        from_yaml = parse_slo_text(_YAML_SPEC)
-        from_json = parse_slo_text(json.dumps({"slos": [
+    def test_parse_slo_text_accepts_json(self):
+        specs = parse_slo_text(json.dumps({"slos": [
             {"name": "ex-rate", "metric": "ex", "objective": 60.0,
              "windows": [2, 4], "max_burn_rate": 1.0},
             {"name": "p99-latency", "metric": "latency_p99_ms",
              "objective": 2000, "bound": "upper"},
         ]}))
-        assert [spec.name for spec in from_yaml] \
-            == [spec.name for spec in from_json]
-        assert from_yaml[0].windows == (2, 4)
+        assert [spec.name for spec in specs] == ["ex-rate", "p99-latency"]
+        assert specs[0].windows == (2, 4)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SloSpecError, match="unknown key"):
@@ -389,13 +375,16 @@ class TestSloCli:
         assert code == 1
         assert "ALERT [regression] ex drop" in out
 
-    def test_dash_writes_html(self, tmp_path):
+    @pytest.mark.parametrize("text, where", [
+        ('{"slos": [\n  {"name": "x",}\n]}\n', "line 2, column 16"),
+        (_OLD_YAML_EXAMPLE, "line 1, column 1"),
+    ], ids=["invalid-json", "yaml"])
+    def test_unparsable_spec_exits_two(self, tmp_path, text, where):
         ledger_dir = self._seed_ledger(tmp_path)
-        out_path = tmp_path / "dash.html"
-        code, out = run_cli(["dash", "--ledger-dir", str(ledger_dir),
-                             "--out", str(out_path)])
-        assert code == 0
-        assert "metric card(s)" in out
-        page = out_path.read_text()
-        assert page.startswith("<!DOCTYPE html>")
-        assert "ex" in page
+        spec = tmp_path / "slo.spec"
+        spec.write_text(text)
+        code, out = run_cli(["slo", str(spec), "--ledger-dir",
+                             str(ledger_dir)])
+        assert code == 2
+        assert out.startswith("error: ")
+        assert f"invalid JSON at {where}" in out

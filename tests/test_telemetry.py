@@ -1,28 +1,22 @@
-"""Streaming exporter tests: promtext, OTLP shape, the push sink.
+"""Streaming exporter tests: promtext and the push sink.
 
 Covers DESIGN.md §6g's exporter half — Prometheus text that round-trips
-through ``scripts/check_promtext.py``, OTLP-shaped JSON with
-non-cumulative bucket counts, and the :class:`TelemetrySink` lifecycle
-(atomic writes, coalescing, drop accounting, final-snapshot flush).
+through ``scripts/check_promtext.py``, and the :class:`TelemetrySink`
+lifecycle (atomic writes, coalescing, drop accounting, final-snapshot
+flush).
 """
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 import threading
-
-import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetrySink,
-    format_for_path,
-    render_otlp,
     render_promtext,
-    render_snapshot,
     sanitize_metric_name,
     split_metric_key,
 )
@@ -127,54 +121,6 @@ class TestPromtext:
         assert problems
 
 
-class TestOtlp:
-    def test_counter_becomes_monotonic_sum(self):
-        payload = render_otlp(make_registry().snapshot())
-        metrics = payload["resourceMetrics"][0]["scopeMetrics"][0][
-            "metrics"
-        ]
-        sums = {
-            metric["name"]: metric["sum"]
-            for metric in metrics if "sum" in metric
-        }
-        assert sums["pipeline_runs"]["isMonotonic"] is True
-        assert sums["pipeline_runs"]["aggregationTemporality"] == 2
-        assert sums["pipeline_runs"]["dataPoints"][0]["asInt"] == "3"
-
-    def test_histogram_bucket_counts_are_non_cumulative(self):
-        payload = render_otlp(make_registry().snapshot())
-        metrics = payload["resourceMetrics"][0]["scopeMetrics"][0][
-            "metrics"
-        ]
-        (histogram,) = [
-            metric["histogram"] for metric in metrics
-            if "histogram" in metric
-        ]
-        (point,) = histogram["dataPoints"]
-        assert point["explicitBounds"] == [10.0, 50.0]
-        # 5ms -> first bucket, 70ms -> overflow: [1, 0, 1].
-        assert point["bucketCounts"] == ["1", "0", "1"]
-        assert len(point["bucketCounts"]) == \
-            len(point["explicitBounds"]) + 1
-        assert point["count"] == "2"
-        assert point["timeUnixNano"] == "0"
-
-    def test_identical_registries_render_identically(self):
-        text_a = render_snapshot(make_registry().snapshot(), "otlp")
-        text_b = render_snapshot(make_registry().snapshot(), "otlp")
-        assert text_a == text_b
-        json.loads(text_a)  # valid JSON
-
-    def test_format_for_path(self):
-        assert format_for_path("metrics.json") == "otlp"
-        assert format_for_path("metrics.prom") == "prom"
-        assert format_for_path("metrics") == "prom"
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="unknown telemetry format"):
-            render_snapshot({}, "xml")
-
-
 class TestTelemetrySink:
     def test_publish_and_close_write_final_state(self, tmp_path):
         registry = make_registry()
@@ -188,14 +134,6 @@ class TestTelemetrySink:
         assert "pipeline_runs_total 4" in text
         assert sink.stats()["writes"] >= 1
         assert sink.stats()["write_errors"] == 0
-
-    def test_otlp_sink_writes_valid_json(self, tmp_path):
-        registry = make_registry()
-        path = tmp_path / "metrics.json"
-        with TelemetrySink(path, registry=registry) as sink:
-            sink.publish()
-        payload = json.loads(path.read_text())
-        assert payload["resourceMetrics"]
 
     def test_full_queue_drops_and_counts(self, tmp_path):
         registry = MetricsRegistry()

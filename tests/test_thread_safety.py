@@ -392,7 +392,7 @@ def _search_bits(knowledge, queries):
 
     searches = (
         knowledge.search_examples, knowledge.search_instructions,
-        knowledge.search_schema, knowledge.search_intents,
+        knowledge.search_intents,
     )
     return [
         [(hit.doc_id, struct.pack("d", hit.score))
@@ -451,14 +451,14 @@ class TestSiblingClones:
         live = experiment_context.knowledge_sets["sports_holdings"]
         queries = [
             question.question for question in
-            experiment_context.workload.for_database("sports_holdings")[:6]
+            experiment_context.workload.for_database("sports_holdings")[:12]
         ]
         edits = _sibling_edits(live)
 
         def fitted_parent():
             parent = _rebuild(live)
             for name in ("_example_index", "_instruction_index",
-                         "_schema_index", "_intent_index"):
+                         "_intent_index"):
                 getattr(parent, name)._fitted()
             return parent
 
@@ -492,8 +492,8 @@ class TestSiblingClones:
                 _hammer(worker, threads=self.SEARCHERS + 1)
                 assert results == [expected] * self.SEARCHERS
                 assert sibling_results == expected_sibling
-                shared = searched._schema_index._state
-                assert shared is parent._schema_index._state
+                shared = searched._example_index._state
+                assert shared is parent._example_index._state
                 assert shared._postings is not None  # built in the race
                 assert _search_bits(parent, queries) == expected
         finally:

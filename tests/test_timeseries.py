@@ -1,10 +1,9 @@
-"""Watchdog tests: ledger series, robust z-scores, level shifts, dash.
+"""Watchdog tests: ledger series, robust z-scores, level shifts.
 
 Covers DESIGN.md §6g's time-series half — folding ledger records into
 per-metric series, median/MAD level-shift detection (silent on
 identical-seed history, ±inf z on any real departure from a constant
-baseline), the ``repro watch`` payload/rendering, and the static HTML
-dashboard.
+baseline), and the ``repro watch`` payload/rendering.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ from repro.bench.metrics import EvaluationReport, QuestionOutcome
 from repro.obs.ledger import RunLedger, build_run_record
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA_VERSION,
-    dashboard_from_ledger,
     detect_shifts,
     ledger_series,
     record_metrics,
-    render_dashboard,
     render_watch,
     robust_zscore,
     to_json,
@@ -245,30 +242,3 @@ class TestWatchPayload:
 
     def test_to_json_maps_nan(self):
         assert json.loads(to_json({"x": float("nan")})) == {"x": "nan"}
-
-
-class TestDashboard:
-    def test_render_dashboard_cards_and_badges(self):
-        series = {
-            "ex": [("r1", 65.15), ("r2", 65.15), ("r3", 40.0)],
-            "errors": [("r1", 0), ("r2", 0), ("r3", 0)],
-        }
-        alerts = detect_shifts(series)
-        page = render_dashboard(series, alerts)
-        assert page.startswith("<!DOCTYPE html>")
-        assert page.count("<div class='card") == 2
-        assert "class='card alert'" in page
-        assert "<span class='badge'>regression</span>" in page
-        assert "<span class='badge ok'>ok</span>" in page
-        assert "<polyline class='spark'" in page
-        # Self-contained: no external fetches.
-        assert "http://" not in page and "https://" not in page
-
-    def test_dashboard_from_ledger(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs")
-        for _ in range(2):
-            ledger.record_run(make_record([make_outcome()]))
-        series, alerts, page = dashboard_from_ledger(ledger)
-        assert alerts == []
-        assert "ex" in series
-        assert "repro telemetry" in page
