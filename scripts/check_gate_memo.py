@@ -6,9 +6,11 @@ checks both at each one:
 
 * The knowledge gate runs as it does in production, with the lint memo
   warm from earlier lints. The script then lints the live and the staged
-  set again, warm, and once more with the database's lint memo cleared
-  before every lint, and requires identical findings in identical order
-  and an identical gate report.
+  set again, warm, and once more cold: with the database's lint memo and
+  the ``parses`` cache cleared before every lint, and near-duplicates
+  scored on a fresh TF-IDF fit rather than the example index's vectors.
+  It requires identical findings in identical order and an identical
+  gate report.
 * The regression run goes through the golden-query outcome memo, warm
   from earlier submits. The script recomputes it cold, with no memo read:
   fresh live and staged pipelines generate every golden query, and fresh
@@ -23,6 +25,7 @@ Exits 1 on any difference.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from unittest import mock
 
 import repro.feedback.solver as solver_module
@@ -35,17 +38,38 @@ from repro.feedback.regression import (
     RegressionResult,
     _error_codes,
 )
+from repro.knowledge import KnowledgeSet
 from repro.knowledge.lint import checker
 from repro.pipeline.pipeline import GenEditPipeline
 from repro.sql.diagnostics import DiagnosticsEngine
 from repro.sql.errors import SqlError
+from repro.sql.parser import parses
+from repro.text.similarity import l2_norm
+from repro.text.vectorize import TfIdfVectorizer
+
+
+def _fresh_example_vectors(knowledge):
+    """Example vectors from a fresh TF-IDF fit, not the example index."""
+    examples = knowledge.examples()
+    vectorizer = TfIdfVectorizer()
+    fitted = vectorizer.fit_transform(
+        Counter(vectorizer.terms_for(example.retrieval_text))
+        for example in examples
+    )
+    return {
+        example.example_id: (vector, l2_norm(vector))
+        for example, vector in zip(examples, fitted)
+    }
 
 
 def _cold_lint(knowledge, database, value_k=5):
     # Only the lint memo: clear_memos() would also drop the regression
     # memo each submit reads next, and the replay would never run warm.
     database.memo("knowledge_lint").clear()
-    return checker.lint_knowledge(knowledge, database, value_k)
+    parses.cache_clear()
+    with mock.patch.object(KnowledgeSet, "example_vectors",
+                           _fresh_example_vectors):
+        return checker.lint_knowledge(knowledge, database, value_k)
 
 
 def _cold_match(database, predicted_sql, gold_sql):

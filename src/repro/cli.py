@@ -644,9 +644,6 @@ def cmd_slo(args, out=sys.stdout):
     except SloSpecError as error:
         print(f"error: {error}", file=out)
         return 2
-    if not specs:
-        print(f"error: {args.spec} defines no objectives", file=out)
-        return 2
     if args.trace:
         from .obs import load_trace
 

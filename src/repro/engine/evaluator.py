@@ -433,6 +433,10 @@ _ORDERED_KINDS = frozenset(
 )
 #: Kinds whose builtin ``==`` is ``equals`` (IN-list needles and items).
 _EQUALITY_KINDS = frozenset({frozenset({int}), frozenset({str})})
+#: Kinds whose values are equal only when they are the same value of the
+#: same type (unlike ``1 == 1.0 == True`` or ``0.0 == -0.0``), so a scalar
+#: call memoised on equal arguments gives every row its own result.
+_MEMO_KINDS = frozenset({int, str, datetime.date, type(None)})
 
 _ORDER_OPERATORS = {
     "=": operator.eq,
@@ -657,21 +661,33 @@ class _VectorCompiler:
         if not is_scalar_function(name):
             raise VectorFallback(name)  # unknown — row path raises
         arg_closures = [self.compile(arg) for arg in node.args]
+        # A literal's batch repeats one value, so only the other arguments
+        # can hold equal values of different types.
+        varying = [
+            position for position, arg in enumerate(node.args)
+            if not isinstance(arg, ast.Literal)
+        ]
 
         def run_call(ctx, sel):
             arg_values = [closure(ctx, sel) for closure in arg_closures]
             if not arg_closures:
                 return [call_scalar(name, []) for _position in range(len(sel))]
+            if not all(
+                value_kinds(arg_values[position]) <= _MEMO_KINDS
+                for position in varying
+            ):
+                return [
+                    call_scalar(name, list(row_args))
+                    for row_args in zip(*arg_values)
+                ]
             # Registered scalars are pure, and column values repeat heavily
             # (dates through TO_CHAR, codes through UPPER), so memoize per
-            # batch on the argument tuple; unhashable arguments call through.
+            # batch on the argument tuple when equal tuples are identical.
             memo = {}
             output = []
             for row_args in zip(*arg_values):
                 try:
                     value = memo[row_args]
-                except TypeError:
-                    value = call_scalar(name, list(row_args))
                 except KeyError:
                     value = call_scalar(name, list(row_args))
                     memo[row_args] = value

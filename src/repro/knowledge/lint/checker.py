@@ -6,7 +6,7 @@ of :class:`~repro.knowledge.lint.core.KnowledgeFinding`. The checks are
 deliberately schema-aware and engine-backed: stale references are judged
 against the *current* catalog, full-query examples are linted with the
 ``GE0xx`` engine and executed on the current executor, and near-duplicate
-detection reuses the retrieval layer's TF-IDF vectoriser — the same
+detection scores the example index's own TF-IDF vectors — the same
 machinery the runtime pipeline trusts.
 
 Calibration notes (mined sets must lint clean of errors):
@@ -21,24 +21,35 @@ Calibration notes (mined sets must lint clean of errors):
   construction, so near-duplicate detection only examines examples added
   by the improvement loop (``feedback``/``manual`` provenance).
 
-The two checks that read the database — examples (parse, ``GE0xx``,
-execution) and schema elements (a ``top_values`` scan) — are memoised per
-component (DESIGN.md §6f). The memo is the database's
-``database.memo("knowledge_lint")``, scoped to ``database.version`` and
-keyed on ``(value_k, repr(component))``: every field those checks read is
-a dataclass field, so equal reprs mean equal findings. Linting a staged
-set right after its live parent therefore only checks the components the
-edits changed. The set-level rules (intent refs, provenance,
-contradictions, near-duplicates, coverage) run in full every time. Code
-that mutates ``table.rows`` without going through ``Table.insert`` must
-call ``database.clear_memos()``, or the memo serves stale findings — the
+Linting is memoised in the database's ``database.memo("knowledge_lint")``,
+scoped to ``database.version``, on two levels (DESIGN.md §6f):
+
+* The whole findings tuple, keyed on ``("set", value_k,
+  knowledge.revision)``. The revision names the set's contents and their
+  order, the memo's version names the data and catalog, so a set linted
+  once is not linted again until one of them changes: the live set of a
+  submit is linted once per revision.
+* The two checks that read the database — examples (parse, ``GE0xx``,
+  execution) and schema elements (a ``top_values`` scan) — per
+  component, keyed on ``(value_k, id(component))``. The entry holds the
+  component and a hit requires the very same object, so the id cannot
+  be reused while the entry lives. Components are frozen, so one object
+  always has the same fields. A staged clone shares its parent's
+  components, so linting it right after its parent only checks the
+  components the edits added or replaced.
+
+Near-duplicate detection reads the vectors the example index has already
+fit (:meth:`~repro.knowledge.store.KnowledgeSet.example_vectors`) rather
+than fitting them again, and the fragment-parse checks go through the
+memoised :func:`~repro.sql.parser.parses`. Code that mutates ``table.rows``
+without going through ``Table.insert`` must call
+``database.clear_memos()``, or the memo serves stale findings — the
 contract every database memo has.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from ...engine.errors import ExecutionError
 from ...engine.executor import Executor
@@ -52,9 +63,8 @@ from ...sql.decompose import (
 )
 from ...sql.diagnostics import DiagnosticsEngine
 from ...sql.errors import SqlError
-from ...sql.parser import parse
-from ...text.similarity import cosine
-from ...text.vectorize import TfIdfVectorizer
+from ...sql.parser import parse, parses
+from ...text.similarity import cosine_with_norms
 from ..models import INSTRUCTION_TERM
 from .core import (
     GK001, GK002, GK003, GK004, GK005, GK006, GK007, GK008, GK009,
@@ -74,8 +84,39 @@ _INLINE_ALIAS = re.compile(r"\bAS\s+([A-Za-z_][A-Za-z0-9_]*)", re.IGNORECASE)
 
 
 def lint_knowledge(knowledge, database, value_k=5):
-    """Run all ``GK0xx`` rules; returns findings in deterministic order."""
-    checks = _DatabaseChecks(database, value_k)
+    """Run all ``GK0xx`` rules; returns findings in deterministic order.
+
+    The whole findings tuple is memoised per ``knowledge.revision`` (see the
+    module docstring); each call returns a fresh list.
+    """
+    memo = database.memo("knowledge_lint")
+    key = ("set", value_k, knowledge.revision)
+    findings = memo.get(key)
+    hits = misses = set_hits = 0
+    if findings is None:
+        checks = _DatabaseChecks(database, value_k, memo)
+        findings = memo.store(key, tuple(_lint(knowledge, checks)))
+        hits, misses = checks.hits, checks.misses
+    else:
+        set_hits = 1
+    metrics = get_metrics()
+    metrics.inc("knowledge_lint.runs")
+    span = current_span()
+    for name, count in (("knowledge_lint.memo_hits", hits),
+                        ("knowledge_lint.memo_misses", misses),
+                        ("knowledge_lint.set_hits", set_hits)):
+        metrics.inc(name, count)
+        if span is not None:
+            span.inc_attr(name, count)
+    if findings:
+        metrics.inc("knowledge_lint.findings", len(findings))
+        errors = sum(1 for finding in findings if finding.is_error)
+        if errors:
+            metrics.inc("knowledge_lint.errors", errors)
+    return list(findings)
+
+
+def _lint(knowledge, checks):
     intent_ids = {intent.intent_id for intent in knowledge.intents()}
     findings = []
     for intent in knowledge.intents():
@@ -91,25 +132,13 @@ def lint_knowledge(knowledge, database, value_k=5):
         _check_intent_refs(instruction, intent_ids, findings)
         _check_provenance(instruction, findings)
     _check_contradictions(knowledge.instructions(), findings)
-    for example in knowledge.examples():
+    examples = knowledge.examples()
+    for example in examples:
         findings.extend(checks.run(_check_example, example))
         _check_intent_refs(example, intent_ids, findings)
         _check_provenance(example, findings)
-    _check_near_duplicates(knowledge.examples(), findings)
+    _check_near_duplicates(examples, knowledge, findings)
     _check_coverage(knowledge, checks.catalog, findings)
-    metrics = get_metrics()
-    metrics.inc("knowledge_lint.runs")
-    metrics.inc("knowledge_lint.memo_hits", checks.hits)
-    metrics.inc("knowledge_lint.memo_misses", checks.misses)
-    span = current_span()
-    if span is not None:
-        span.inc_attr("knowledge_lint.memo_hits", checks.hits)
-        span.inc_attr("knowledge_lint.memo_misses", checks.misses)
-    if findings:
-        metrics.inc("knowledge_lint.findings", len(findings))
-        errors = sum(1 for finding in findings if finding.is_error)
-        if errors:
-            metrics.inc("knowledge_lint.errors", errors)
     return findings
 
 
@@ -137,7 +166,7 @@ class _DatabaseChecks:
     executor are built on the first miss that needs them.
     """
 
-    def __init__(self, database, value_k):
+    def __init__(self, database, value_k, memo):
         self.database = database
         self.value_k = value_k
         self.catalog = {
@@ -147,7 +176,7 @@ class _DatabaseChecks:
         self.misses = 0
         self._engine = None
         self._executor = None
-        self._memo = database.memo("knowledge_lint")
+        self._memo = memo
 
     @property
     def engine(self):
@@ -162,15 +191,15 @@ class _DatabaseChecks:
         return self._executor
 
     def run(self, check, component):
-        key = (self.value_k, repr(component))
-        cached = self._memo.get(key)
-        if cached is not None:
+        key = (self.value_k, id(component))
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] is component:
             self.hits += 1
-            return cached
+            return entry[1]
         self.misses += 1
         found = []
         check(component, self, found)
-        return self._memo.store(key, tuple(found))
+        return self._memo.store(key, (component, tuple(found)))[1]
 
 
 
@@ -373,18 +402,12 @@ def _fragment_candidates(sql, kind):
 
 
 def _fragment_parses(sql, kind):
-    if not sql.strip():
-        return False
-    for candidate in _fragment_candidates(sql, kind):
-        try:
-            parse(candidate)
-            return True
-        except SqlError:
-            continue
-    return False
+    return bool(sql.strip()) and any(
+        map(parses, _fragment_candidates(sql, kind))
+    )
 
 
-def _check_near_duplicates(examples, findings):
+def _check_near_duplicates(examples, knowledge, findings):
     edited = [
         example for example in examples
         if getattr(example.provenance, "source_kind", "")
@@ -392,22 +415,19 @@ def _check_near_duplicates(examples, findings):
     ]
     if not edited:
         return
-    vectorizer = TfIdfVectorizer()
-    vectors = dict(zip(
-        [example.example_id for example in examples],
-        vectorizer.fit_transform(
-            Counter(vectorizer.terms_for(example.retrieval_text))
-            for example in examples
-        ),
-    ))
+    # The example index has fit exactly these retrieval texts.
+    vectors = knowledge.example_vectors()
     for example in edited:
-        vector = vectors[example.example_id]
+        vector, norm = vectors[example.example_id]
         for other in examples:
             if other.example_id == example.example_id:
                 continue
             if other.kind != example.kind:
                 continue
-            similarity = cosine(vector, vectors[other.example_id])
+            other_vector, other_norm = vectors[other.example_id]
+            similarity = cosine_with_norms(
+                vector, other_vector, norm, other_norm
+            )
             if similarity >= NEAR_DUPLICATE_THRESHOLD:
                 findings.append(GK006.at(
                     f"near-duplicates example {other.example_id} "

@@ -122,6 +122,18 @@ class KnowledgeSet:
             if wanted & set(example.intent_ids)
         ]
 
+    def example_vectors(self):
+        """Example id -> ``(vector, norm)`` from the example index's fit.
+
+        Read-only: the example index's fitted vectors
+        (:meth:`RetrievalIndex.vectors`). Its documents are the examples'
+        ``retrieval_text`` values, and document frequencies do not depend
+        on order, so each vector is bit-identical to the one a fresh
+        :meth:`~repro.text.vectorize.TfIdfVectorizer.fit_transform` over
+        :meth:`examples` gives.
+        """
+        return self._example_index.vectors()
+
     def search_examples(self, query, k=10, candidates=None, extra_text=""):
         return self._example_index.search(
             query, k=k, candidates=candidates, extra_text=extra_text

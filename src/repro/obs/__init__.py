@@ -90,7 +90,6 @@ from .slo import (
     render_slo_results,
 )
 from .telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
     TelemetrySink,
     render_promtext,
     split_metric_key,
@@ -128,7 +127,6 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "PROFILE_SAMPLE_SCHEMA_VERSION",
     "SLO_SCHEMA_VERSION",
-    "TELEMETRY_SCHEMA_VERSION",
     "TIMESERIES_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "Histogram",

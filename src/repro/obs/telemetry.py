@@ -31,10 +31,6 @@ import threading
 
 from .metrics import get_metrics
 
-#: Version of the telemetry payload contract (file layout + metric
-#: names). Bump on rename/meaning change.
-TELEMETRY_SCHEMA_VERSION = 1
-
 _CLOSE = object()
 
 

@@ -28,8 +28,7 @@ from ..sql.diagnostics.core import (
     error_count,
     severity_score,
 )
-from ..sql.errors import SqlError
-from ..sql.parser import parse
+from ..sql.parser import parses
 from .base import Operator
 
 __all__ = [
@@ -288,12 +287,8 @@ def _fragment_candidates(pseudo):
 def _check_step_parses(pseudo, number, findings):
     if not pseudo:
         return
-    for candidate in _fragment_candidates(pseudo):
-        try:
-            parse(candidate)
-            return
-        except SqlError:
-            continue
+    if any(map(parses, _fragment_candidates(pseudo))):
+        return
     findings.append(GP005.at(
         f"pseudo-SQL does not parse: {pseudo!r}", step=number,
     ))

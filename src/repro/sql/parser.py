@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 
 from . import ast_nodes as ast
-from .errors import SqlSyntaxError
+from .errors import SqlError, SqlSyntaxError
 from .tokens import Span, Token, TokenType, tokenize
 
 _COMPARISON_OPERATORS = frozenset({"=", "<>", "<", ">", "<=", ">="})
@@ -72,6 +72,22 @@ def parse_cached(sql):
     Parse failures are not cached; failing text re-raises on every call.
     """
     return parse(sql)
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def parses(sql):
+    """Whether ``sql`` parses, memoised on the text (failures included).
+
+    The lint checks try the same wrapped fragment text over and over, and
+    most of it does not parse, which :func:`parse_cached` never caches. Only
+    :class:`~repro.sql.errors.SqlError` counts as "does not parse"; any
+    other exception propagates and is not cached.
+    """
+    try:
+        parse(sql)
+    except SqlError:
+        return False
+    return True
 
 
 def parse_cache_info():

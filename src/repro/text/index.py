@@ -237,6 +237,10 @@ class RetrievalIndex:
             for negated, doc_id in ranked
         ]
 
+    def vectors(self):
+        """Doc id -> ``(vector, norm)`` of the published fit (read-only)."""
+        return self._fitted().vectors
+
     def score(self, query, doc_id):
         """Similarity of one document to ``query``."""
         state = self._fitted()

@@ -405,3 +405,50 @@ def test_executor_matches_row_engine_cell_for_cell():
     mismatches, compared = exact_mismatches(seed=7, scale=4)
     assert compared > 200
     assert mismatches == []
+
+
+# -- the per-batch scalar memo ---------------------------------------------------
+
+
+def _scalar_db():
+    db = Database("scalar_memo")
+    db.create_table(
+        "T",
+        [Column("I", "INTEGER", "Key."), Column("D", "DATE", "Day.")],
+        rows=[
+            (n, datetime.date(2020, 1, 1 + n % 2)) for n in range(8)
+        ],
+        description="Scalar memo table.",
+    )
+    return db
+
+
+def test_scalar_memo_keeps_equal_values_of_other_types_apart():
+    # 1 == 1.0 == True: a memo keyed on the argument tuple would give the
+    # float (or bool) rows the first row's result.
+    db = _scalar_db()
+    for sql in (
+        "SELECT CAST(ABS(CASE WHEN I = 1 THEN 1 ELSE 1.0 END) AS TEXT)"
+        " FROM T",
+        "SELECT CAST(COALESCE(CASE WHEN I = 1 THEN TRUE ELSE 1 END, 0)"
+        " AS TEXT) FROM T",
+    ):
+        assert _exact(Executor(db), sql) == _exact(ReferenceExecutor(db), sql)
+
+
+def test_to_char_over_dates_stays_memoised():
+    sql = "SELECT TO_CHAR(D, 'YYYY-MM-DD') FROM T"
+    db = _scalar_db()
+    real = evaluator.call_scalar
+    calls = []
+
+    def spy(name, args):
+        calls.append(name)
+        return real(name, args)
+
+    with mock.patch.object(evaluator, "call_scalar", spy):
+        result = Executor(db).execute(sql)
+    assert calls == ["TO_CHAR", "TO_CHAR"]  # two distinct dates, eight rows
+    assert _typed(result.rows) == _typed(
+        ReferenceExecutor(db).execute(sql).rows
+    )

@@ -1,10 +1,14 @@
 """Knowledge-set lint (``GK0xx``): per-rule golden tests, gate, CLI."""
 
+import dataclasses
 import gc
 import io
 import json
 import pathlib
+import struct
 import weakref
+from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -439,7 +443,8 @@ def _memo_counters():
 
     metrics = get_metrics()
     return (metrics.counter_value("knowledge_lint.memo_hits"),
-            metrics.counter_value("knowledge_lint.memo_misses"))
+            metrics.counter_value("knowledge_lint.memo_misses"),
+            metrics.counter_value("knowledge_lint.set_hits"))
 
 
 def _region_db(regions, name="regions"):
@@ -491,14 +496,57 @@ class TestLintMemo:
             tables=("DEPT",), provenance=Provenance("feedback"),
         ))
         tracer = Tracer()
-        hits, misses = _memo_counters()
+        hits, misses, set_hits = _memo_counters()
         assert run_knowledge_gate(demo_db, live, staged, tracer).passed
-        # live: 4 components memoised; staged: the same 4, plus 1 new.
-        assert _memo_counters() == (hits + 8, misses + 1)
+        # live: one whole-set hit, no component lookups; staged: the 4
+        # shared components hit by identity, the new one misses.
+        assert _memo_counters() == (hits + 4, misses + 1, set_hits + 1)
         (span,) = [s for s in tracer.finished_spans()
                    if s.name == "knowledge_gate"]
-        assert span.attributes["knowledge_lint.memo_hits"] == 8
+        assert span.attributes["knowledge_lint.memo_hits"] == 4
         assert span.attributes["knowledge_lint.memo_misses"] == 1
+        assert span.attributes["knowledge_lint.set_hits"] == 1
+
+    def test_unchanged_revision_runs_no_component_check(self, demo_db):
+        from repro.knowledge.lint import checker
+
+        knowledge = base_knowledge()
+        first = lint_knowledge(knowledge, demo_db)
+        before = _memo_counters()
+        refuse = mock.Mock(side_effect=AssertionError("component check ran"))
+        with mock.patch.object(checker, "_check_example", refuse), \
+                mock.patch.object(checker, "_check_schema_element", refuse):
+            second = lint_knowledge(knowledge, demo_db)
+            second.append("scribble")
+            third = lint_knowledge(knowledge, demo_db)
+        assert second[:-1] == first == third
+        assert first is not third
+        hits, misses, set_hits = before
+        assert _memo_counters() == (hits, misses, set_hits + 2)
+
+    def test_edit_version_bump_or_clear_misses(self, demo_db):
+        knowledge = base_knowledge()
+        lint_knowledge(knowledge, demo_db)
+
+        def relint():
+            before = _memo_counters()
+            lint_knowledge(knowledge, demo_db)
+            return tuple(
+                after - earlier
+                for after, earlier in zip(_memo_counters(), before)
+            )
+
+        assert relint() == (0, 0, 1)
+        knowledge.add_instruction(Instruction(
+            "in-new", "Budgets are annual.", tables=("DEPT",),
+            provenance=Provenance("manual"),
+        ))
+        assert relint() == (4, 0, 0)  # new revision, same 4 components
+        demo_db.table("DEPT").insert((4, "Legal", "East", 50.0))
+        assert relint() == (0, 4, 0)  # new version
+        demo_db.clear_memos()
+        assert relint() == (0, 4, 0)
+        assert relint() == (0, 0, 1)
 
     def test_insert_brings_gk013_back(self):
         db = _region_db(["West", "West", "East"])
@@ -617,3 +665,37 @@ class TestCli:
         ])
         assert code == 0
         assert json.loads(output) == []
+
+
+class TestExampleVectors:
+    """GK006 reads the example index's vectors instead of fitting again."""
+
+    def test_index_vectors_equal_a_fresh_fit_bit_for_bit(
+        self, experiment_context
+    ):
+        from repro.text.similarity import l2_norm
+        from repro.text.vectorize import TfIdfVectorizer
+
+        def bits(values):
+            return [struct.pack("d", value) for value in values]
+
+        for name, live in sorted(experiment_context.knowledge_sets.items()):
+            staged = live.clone()
+            source = staged.examples()[0]
+            staged.add_example(dataclasses.replace(
+                source, example_id="ex-loop-added",
+                provenance=Provenance("feedback"),
+            ))
+            examples = staged.examples()
+            vectorizer = TfIdfVectorizer()
+            fresh = vectorizer.fit_transform(
+                Counter(vectorizer.terms_for(example.retrieval_text))
+                for example in examples
+            )
+            published = staged.example_vectors()
+            assert sorted(published) == [e.example_id for e in examples]
+            for example, vector in zip(examples, fresh):
+                got, norm = published[example.example_id]
+                assert list(got) == list(vector), (name, example.example_id)
+                assert bits(got.values()) == bits(vector.values())
+                assert bits([norm]) == bits([l2_norm(vector)])

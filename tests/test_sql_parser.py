@@ -1,10 +1,13 @@
 """Parser tests: every construct of the dialect."""
 
+from unittest import mock
+
 import pytest
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlSyntaxError
-from repro.sql.parser import parse, parse_expression
+from repro.sql import parser as parser_module
+from repro.sql.parser import parse, parse_expression, parses
 
 
 def body(sql):
@@ -338,3 +341,21 @@ class TestWalk:
             if isinstance(node, ast.TableRef)
         }
         assert tables == {"t", "c", "u"}
+
+
+class TestParses:
+    def test_answers_and_caches_failures(self):
+        parses.cache_clear()
+        assert parses("SELECT 1") is True
+        assert parses("SELECT FROM WHERE") is False
+        assert parses("SELECT FROM WHERE") is False
+        info = parses.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_other_exceptions_propagate_uncached(self):
+        parses.cache_clear()
+        with mock.patch.object(parser_module, "parse",
+                               side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError, match="boom"):
+                parses("SELECT 2")
+        assert parses("SELECT 2") is True

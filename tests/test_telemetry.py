@@ -14,7 +14,6 @@ import threading
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
     TelemetrySink,
     render_promtext,
     sanitize_metric_name,
@@ -56,9 +55,6 @@ class TestKeyHandling:
         assert sanitize_metric_name("pipeline.generate_ms") \
             == "pipeline_generate_ms"
         assert sanitize_metric_name("9lives") == "_9lives"
-
-    def test_schema_version_pinned(self):
-        assert TELEMETRY_SCHEMA_VERSION == 1
 
 
 class TestPromtext:
