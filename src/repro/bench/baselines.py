@@ -134,7 +134,6 @@ SCHEMA_MAXIMAL_CONFIG = PipelineConfig(
     use_schema_linking=False,
     use_intent_classification=False,
     use_context_expansion=False,
-    use_decomposition=False,
     instruction_top_k=12,
     candidate_count=2,
     max_retries=2,

@@ -12,10 +12,11 @@ memoizes gold result sets on each database (``database.memo("comparable")``),
 so all systems and experiments of an :class:`ExperimentContext` share
 them, and :func:`evaluate_system` fans the workload out across
 per-database worker threads (results are reassembled in workload order, so
-the report is bit-identical regardless of completion order). Append
-``--profile`` to any harness target — or run the ``profile`` target, with
-``--json`` for machine-readable output — for a span-derived profile: the
-measured wall clock, its stages, and each operator's self time.
+the report is bit-identical regardless of completion order). The
+``profile`` target, with ``--json`` for machine-readable output, prints a
+span-derived profile: the measured wall clock, its stages, and each
+operator's self time. Below span level, ``python -m cProfile -o run.prof
+-m repro bench profile`` profiles the same pipeline on the main thread.
 
 Observability: every pipeline run is traced (see :mod:`repro.obs`).
 ``--trace-out PATH`` exports each question's span tree plus a final
@@ -41,11 +42,8 @@ Continuous telemetry (DESIGN.md §6g): ``--telemetry-out PATH`` streams
 registry snapshots to ``PATH`` *while the experiment runs*, in the
 Prometheus text format, refreshed after every finished question-group
 through a push :class:`~repro.obs.telemetry.TelemetrySink` (bounded
-queue, atomic replace-writes, drops counted). ``--profile-sample HZ``
-arms the wall-clock sampling profiler (:mod:`repro.obs.profiler`) for the
-whole invocation and writes collapsed stacks to ``--profile-out PATH``
-(default ``repro-profile.collapsed``). ``--limit N`` truncates the
-workload to its first N questions for quick smokes. All notices land on
+queue, atomic replace-writes, drops counted). ``--limit N`` truncates
+the workload to its first N questions for quick smokes. All notices land on
 stderr; the printed tables stay byte-identical.
 """
 
@@ -484,10 +482,14 @@ def table2(context=None, verbose=True):
     full = run_genedit(context)
     reports = [full]
     for label, component in ABLATIONS:
-        config = DEFAULT_CONFIG.without(component)
-        knowledge = None
         if component == "decomposition":
+            # The decomposition row differs only in its knowledge: the
+            # examples keep their full, undecomposed queries.
+            config = DEFAULT_CONFIG
             knowledge = context.knowledge_sets_full_queries()
+        else:
+            config = DEFAULT_CONFIG.without(component)
+            knowledge = None
         reports.append(
             run_genedit(
                 context, config=config, system_name=label,
@@ -812,13 +814,8 @@ def run_bench(args):
             args.telemetry_out,
             snapshot_fn=global_snapshot,
         )
-    sampler = None
-    if args.profile_sample is not None:
-        from ..obs.profiler import SamplingProfiler
-
-        sampler = SamplingProfiler(hz=float(args.profile_sample)).start()
     ledger = None
-    if (args.ledger or args.ledger_dir is not None) and not args.no_ledger:
+    if args.ledger or args.ledger_dir is not None:
         from ..obs.ledger import RunLedger
 
         ledger = RunLedger(args.ledger_dir)
@@ -855,40 +852,22 @@ def run_bench(args):
     if target in ("feedback", "all"):
         feedback_metrics()
     profile_payload = None
-    if target == "profile" or args.profile:
-        if target != "profile":
-            print()
+    if target == "profile":
         profile_payload = profile(context, as_json=args.json)
     _finish(context, args, reports=reports,
-            profile_payload=profile_payload, ledger=ledger,
-            sampler=sampler)
+            profile_payload=profile_payload, ledger=ledger)
     return 0
 
 
-DEFAULT_PROFILE_OUT = "repro-profile.collapsed"
-
-
-def _finish(context, args, reports=(), profile_payload=None, ledger=None,
-            sampler=None):
+def _finish(context, args, reports=(), profile_payload=None, ledger=None):
     """Handle ``--metrics`` / ``--ledger`` / ``--trace-out`` /
-    ``--telemetry-out`` / ``--profile-sample`` after the run.
+    ``--telemetry-out`` after the run.
 
     Every notice goes to stderr so experiment stdout (the tables the
     determinism tests byte-compare) is untouched. The run record is
-    written first so the trace export can be stamped with its run id; the
-    sampler stops before the telemetry sink closes so its final sample
-    counters make the last snapshot.
+    written first so the trace export can be stamped with its run id.
     """
     target, trace_out = args.experiment, args.trace_out
-    if sampler is not None:
-        sampler.stop()
-        path = args.profile_out or DEFAULT_PROFILE_OUT
-        stacks = sampler.write(path)
-        print(
-            f"sampled {sampler.sample_count} time(s) at {sampler.hz:g} Hz "
-            f"({stacks} stack(s)) -> {path}",
-            file=sys.stderr,
-        )
     if args.metrics:
         print()
         print(render_metrics_snapshot(global_snapshot()))

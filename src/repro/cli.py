@@ -999,12 +999,8 @@ def build_arg_parser():
                  "feedback", "profile", "all"],
     )
     bench.add_argument(
-        "--profile", action="store_true",
-        help="append a per-stage timing table after the experiment",
-    )
-    bench.add_argument(
         "--json", action="store_true",
-        help="emit the profile payload as JSON (with profile/--profile)",
+        help="emit the profile payload as JSON (with the profile target)",
     )
     bench.add_argument(
         "--metrics", action="store_true",
@@ -1026,10 +1022,6 @@ def build_arg_parser():
              "(DESIGN.md §6d); inspect with 'repro runs|diff|triage'",
     )
     bench.add_argument(
-        "--no-ledger", dest="no_ledger", action="store_true",
-        help="force the ledger off (overrides --ledger)",
-    )
-    bench.add_argument(
         "--ledger-dir", dest="ledger_dir", metavar="PATH", default=None,
         help="ledger root (default .repro/runs, or $REPRO_LEDGER_DIR); "
              "implies --ledger",
@@ -1039,17 +1031,6 @@ def build_arg_parser():
         default=None,
         help="stream registry snapshots to PATH while the experiment "
              "runs (Prometheus text format)",
-    )
-    bench.add_argument(
-        "--profile-sample", dest="profile_sample", metavar="HZ",
-        default=None,
-        help="sample every thread's stack at HZ for the whole run and "
-             "write collapsed stacks (see --profile-out)",
-    )
-    bench.add_argument(
-        "--profile-out", dest="profile_out", metavar="PATH", default=None,
-        help="collapsed-stack output path "
-             "(default repro-profile.collapsed)",
     )
     bench.add_argument(
         "--limit", type=int, default=None, metavar="N",

@@ -27,9 +27,7 @@ any further performance work can be trusted:
 * :mod:`repro.obs.slo` — declarative JSON SLO specs, error budgets and
   multi-window burn rates evaluated against the ledger or a live
   registry snapshot, with CI exit-code semantics (``python -m repro
-  slo``);
-* :mod:`repro.obs.profiler` — a thread-based wall-clock sampling
-  profiler emitting collapsed stacks attributed to the ambient span.
+  slo``).
 
 Nothing in this package imports the rest of the repo (one lazily-imported
 cache accessor aside), so any module — parser, engine, pipeline, harness —
@@ -63,10 +61,6 @@ from .metrics import (
     MetricsRegistry,
     get_metrics,
     global_snapshot,
-)
-from .profiler import (
-    PROFILE_SAMPLE_SCHEMA_VERSION,
-    SamplingProfiler,
 )
 from .render import (
     build_forest,
@@ -113,7 +107,6 @@ from .tracing import (
     format_traceparent,
     mint_trace_id,
     parse_traceparent,
-    span_name_for_thread,
     use_trace_context,
     w3c_span_id,
 )
@@ -125,14 +118,12 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "METRICS",
     "METRICS_SCHEMA_VERSION",
-    "PROFILE_SAMPLE_SCHEMA_VERSION",
     "SLO_SCHEMA_VERSION",
     "TIMESERIES_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "Histogram",
     "MetricsRegistry",
     "RunLedger",
-    "SamplingProfiler",
     "SloSpec",
     "SloSpecError",
     "Span",
@@ -175,7 +166,6 @@ __all__ = [
     "render_triage",
     "render_watch",
     "robust_zscore",
-    "span_name_for_thread",
     "split_metric_key",
     "triage_record",
     "use_trace_context",

@@ -29,10 +29,9 @@ from .tracing import TRACE_SCHEMA_VERSION
 #: Attributes too long to inline in the tree are truncated to this length.
 _ATTR_VALUE_LIMIT = 60
 
-#: Serializes whole-file trace exports. Concurrent exporters (a harness
-#: flush racing a profiler-session dump, two CLI threads) each write their
-#: complete record sequence instead of interleaving half-written JSONL
-#: lines into the same path.
+#: Serializes whole-file trace exports. Concurrent exporters (two threads
+#: writing the same path) each write their complete record sequence
+#: instead of interleaving half-written JSONL lines into the same path.
 _EXPORT_LOCK = threading.Lock()
 
 
@@ -40,9 +39,8 @@ def write_trace(path, records, metrics=None, meta=None):
     """Write span ``records`` (+ optional metrics snapshot) as JSONL.
 
     The export runs under a process-wide lock so records are flushed as
-    one atomic sequence — exporting while the sampling profiler (or a
-    second exporter) is running can never produce torn or interleaved
-    lines.
+    one atomic sequence — two exporters racing on one path can never
+    produce torn or interleaved lines.
     """
     header = {
         "type": "meta",

@@ -42,37 +42,12 @@ _SPAN_IDS = itertools.count(1)
 
 _AMBIENT = threading.local()
 
-#: Thread ident -> that thread's ambient span stack (the *same* list object
-#: ``_stack()`` hands out). Lets the sampling profiler
-#: (:mod:`repro.obs.profiler`) read another thread's current span name —
-#: plain dict/list reads are atomic under the GIL, so no lock is needed.
-#: Entries for dead threads linger until the ident is reused (thread count
-#: is bounded by the harness pool, so the map stays small).
-_STACKS_BY_THREAD = {}
-
 
 def _stack():
     stack = getattr(_AMBIENT, "stack", None)
     if stack is None:
         stack = _AMBIENT.stack = []
-        _STACKS_BY_THREAD[threading.get_ident()] = stack
     return stack
-
-
-def span_name_for_thread(ident):
-    """The innermost active span name on thread ``ident`` (or None).
-
-    Safe to call from any thread: a racing push/pop can at worst yield
-    the just-closed or just-opened span, never a crash — exactly the
-    tolerance a statistical sampler needs.
-    """
-    stack = _STACKS_BY_THREAD.get(ident)
-    if not stack:
-        return None
-    try:
-        return stack[-1].name
-    except IndexError:      # popped between the check and the read
-        return None
 
 
 def current_span():

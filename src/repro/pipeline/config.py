@@ -1,6 +1,8 @@
 """Pipeline configuration and ablation knobs.
 
-Each flag corresponds to a row of the paper's Table 2 ablation study; the
+The four ``use_*`` switches named in :meth:`PipelineConfig.without` are
+rows of the paper's Table 2 ablation study (its fifth row, w/o
+Decomposition, changes the knowledge sets, not the config); the
 retrieval depths and context budget control the compounding-operator
 behaviour; ``max_retries`` is the self-correction bound ``k`` from §3.
 """
@@ -19,7 +21,6 @@ class PipelineConfig:
     use_instructions: bool = True
     use_examples: bool = True
     use_pseudo_sql: bool = True
-    use_decomposition: bool = True
 
     # Whether the system can profile database content (top-value lists on
     # schema elements). CHESS-style systems read the data; pure prompting
@@ -33,7 +34,6 @@ class PipelineConfig:
     example_top_k: int = 8
     instruction_top_k: int = 4
     schema_top_k: int = 24
-    intent_top_k: int = 1
 
     # Generation behaviour.
     candidate_count: int = 2
@@ -47,7 +47,6 @@ class PipelineConfig:
             "instructions": {"use_instructions": False},
             "examples": {"use_examples": False},
             "pseudo_sql": {"use_pseudo_sql": False},
-            "decomposition": {"use_decomposition": False},
         }
         if component not in ablations:
             raise ValueError(f"Unknown ablation {component!r}")

@@ -25,7 +25,6 @@ class IntentClassificationOperator(Operator):
         context.intent_ids = self._llm.classify_intents(
             context.reformulated,
             context.knowledge,
-            k=context.config.intent_top_k,
             meter=context.meter,
         )
         names = [

@@ -25,6 +25,21 @@ class TestArgParsing:
         with pytest.raises(SystemExit):
             build_arg_parser().parse_args(["bench", "nope"])
 
+    @pytest.mark.parametrize("options", [
+        ["--profile-sample", "97"],
+        ["--profile-out", "x"],
+        ["--profile"],
+        ["--no-ledger"],
+    ], ids=["profile-sample", "profile-out", "profile", "no-ledger"])
+    def test_bench_rejects_retired_options(self, options):
+        with pytest.raises(SystemExit) as exit_info:
+            build_arg_parser().parse_args(["bench", "table1", *options])
+        assert exit_info.value.code == 2
+
+    def test_bench_profile_json(self):
+        args = build_arg_parser().parse_args(["bench", "profile", "--json"])
+        assert (args.experiment, args.json) == ("profile", True)
+
 
 class TestCommands:
     def test_unknown_database_exits(self):

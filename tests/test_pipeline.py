@@ -1,7 +1,13 @@
 """Pipeline operator and end-to-end generation tests."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
+import repro.pipeline.config
 from repro.bench.metrics import execution_match
 from repro.pipeline import (
     DEFAULT_CONFIG,
@@ -28,16 +34,36 @@ class TestConfig:
         ("instructions", "use_instructions"),
         ("examples", "use_examples"),
         ("pseudo_sql", "use_pseudo_sql"),
-        ("decomposition", "use_decomposition"),
     ])
     def test_without(self, name, flag):
         config = DEFAULT_CONFIG.without(name)
         assert getattr(config, flag) is False
         assert getattr(DEFAULT_CONFIG, flag) is True  # original untouched
 
-    def test_without_unknown_raises(self):
+    # Table 2's decomposition row swaps knowledge sets, not the config.
+    @pytest.mark.parametrize("name", ["nonsense", "decomposition"])
+    def test_without_unknown_raises(self, name):
         with pytest.raises(ValueError):
-            DEFAULT_CONFIG.without("nonsense")
+            DEFAULT_CONFIG.without(name)
+
+    def test_every_field_is_read(self):
+        """A config field no module reads is a switch that does nothing."""
+        config_path = Path(repro.pipeline.config.__file__).resolve()
+        read = set()
+        for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
+            if path == config_path:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+            )
+        unread = [
+            field.name for field in dataclasses.fields(PipelineConfig)
+            if field.name not in read
+        ]
+        assert unread == []
 
 
 class TestPlanSteps:

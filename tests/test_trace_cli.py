@@ -2,10 +2,12 @@
 
 import io
 import json
+import threading
 
 from repro.bench.harness import evaluate_system
 from repro.cli import build_arg_parser, cmd_trace
 from repro.obs import METRICS_SCHEMA_VERSION, global_snapshot, load_trace, write_trace
+from repro.obs.tracing import Tracer
 from repro.pipeline import GenEditPipeline
 
 
@@ -150,3 +152,43 @@ class TestHarnessTracing:
         assert [o.predicted_sql for o in plain.outcomes] == [
             o.predicted_sql for o in traced.outcomes
         ]
+
+
+class TestConcurrentExport:
+    def test_concurrent_write_trace_stays_parseable(self, tmp_path):
+        """The export lock keeps the JSONL whole under racing exporters.
+
+        Two exporter threads rewrite the same trace path; each write is a
+        complete record sequence, so the final parse must succeed with
+        intact span records.
+        """
+        tracer = Tracer()
+        for index in range(20):
+            with tracer.span(f"op-{index}", index=index):
+                pass
+        records = tracer.to_records()
+        path = tmp_path / "trace.jsonl"
+        errors = []
+
+        def exporter():
+            try:
+                for _ in range(30):
+                    write_trace(path, records, metrics={"counters": {}})
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=exporter, name=f"exporter-{i}")
+            for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert errors == []
+        trace = load_trace(path)
+        assert len(trace["spans"]) == 20
+        assert trace["metrics"] == {"counters": {}}
+        assert {span["name"] for span in trace["spans"]} \
+            == {f"op-{index}" for index in range(20)}
