@@ -10,7 +10,9 @@
 #                   a planted stale-column fixture must fail the linter
 #   make trace-smoke - export one traced run, render it, check the root span;
 #                   check a span-derived profile (schema v4, wall >= stages)
-#                   and that the raw harness rejects an unknown target
+#                   and that the raw harness rejects an unknown target;
+#                   cProfile a bench table1 run and check it sees at least
+#                   10 GenEditPipeline.generate calls
 #   make feedback-smoke - the simulated SME sessions (§4.2.3) must still
 #                   fix 43 generations with no rejected edit; guards the
 #                   staging clone path end to end. Every session of seeds
@@ -87,6 +89,13 @@ trace-smoke:
 		assert p['wall_s'] >= sum(p['stages'].values()), p" \
 		/tmp/repro-trace-smoke-profile.json
 	! PYTHONPATH=src $(PYTHON) -m repro.bench.harness tabel1 2> /dev/null
+	PYTHONPATH=src $(PYTHON) -m cProfile -o /tmp/repro-trace-smoke.prof \
+		-m repro bench table1 --limit 10 > /dev/null
+	$(PYTHON) -c "import pstats, sys; \
+		stats = pstats.Stats(sys.argv[1]).stats; \
+		calls = sum(row[1] for (path, _line, name), row in stats.items() \
+			if name == 'generate' and path.endswith('pipeline/pipeline.py')); \
+		assert calls >= 10, calls" /tmp/repro-trace-smoke.prof
 
 feedback-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench feedback \

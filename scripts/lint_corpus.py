@@ -49,6 +49,7 @@ from repro.knowledge.lint import (  # noqa: E402
 from repro.pipeline.base import Plan, PlanStep  # noqa: E402
 from repro.pipeline.plan_lint import PLAN_RULES, lint_plan  # noqa: E402
 from repro.sql.diagnostics import RULES, DiagnosticsEngine  # noqa: E402
+from repro.sql.diagnostics.core import error_codes  # noqa: E402
 
 SQL_CORPUS = ROOT / "tests" / "fixtures" / "sql_corpus"
 KNOWLEDGE_CORPUS = ROOT / "tests" / "fixtures" / "knowledge_corpus"
@@ -136,9 +137,7 @@ def check_fixture(name, expected, findings, registry, failures, covered):
         return
     emitted = {finding.code for finding in findings}
     if not expected:
-        errors = sorted(
-            {finding.code for finding in findings if finding.is_error}
-        )
+        errors = list(error_codes(findings))
         if errors:
             failures.append(
                 f"{name}: expected a clean lint but got error(s) {errors}"

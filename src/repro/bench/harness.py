@@ -10,13 +10,13 @@ calls into.
 Evaluation runs on a fast path: :func:`~repro.bench.metrics.execution_match`
 memoizes gold result sets on each database (``database.memo("comparable")``),
 so all systems and experiments of an :class:`ExperimentContext` share
-them, and :func:`evaluate_system` fans the workload out across
-per-database worker threads (results are reassembled in workload order, so
-the report is bit-identical regardless of completion order). The
-``profile`` target, with ``--json`` for machine-readable output, prints a
-span-derived profile: the measured wall clock, its stages, and each
-operator's self time. Below span level, ``python -m cProfile -o run.prof
--m repro bench profile`` profiles the same pipeline on the main thread.
+them. :func:`evaluate_system` runs the workload on the calling thread,
+one database group after another, and reports outcomes in workload
+order. The ``profile`` target, with ``--json`` for machine-readable
+output, prints a span-derived profile: the measured wall clock, its
+stages, and each operator's self time. Below span level, ``python -m
+cProfile -o run.prof -m repro bench table1`` (or any other target)
+profiles every pipeline call.
 
 Observability: every pipeline run is traced (see :mod:`repro.obs`).
 ``--trace-out PATH`` exports each question's span tree plus a final
@@ -25,7 +25,7 @@ stdout, so the printed tables stay byte-identical — for ``python -m repro
 trace PATH``. ``--metrics`` prints the process-wide registry snapshot
 after the experiment.
 
-Resilience: worker failures become per-question error outcomes instead of
+Resilience: pipeline failures become per-question error outcomes instead of
 aborting the experiment, and ``--faults RATE[:SEED]`` injects
 seed-deterministic chaos (transient LLM/executor errors, timeouts,
 garbled outputs) through every pipeline — ``make chaos-smoke`` proves the
@@ -50,10 +50,8 @@ stderr; the printed tables stay byte-identical.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from ..obs.metrics import get_metrics, global_snapshot
 from ..obs.render import render_metrics_snapshot, rollup_spans, write_trace
@@ -70,25 +68,24 @@ PROFILE_SCHEMA_VERSION = 4
 
 
 def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
-                    system_name, questions=None, max_workers=None,
-                    trace_sink=None, fault_config=None, ledger=None,
-                    ledger_meta=None, telemetry=None):
+                    system_name, questions=None, trace_sink=None,
+                    fault_config=None, ledger=None, ledger_meta=None,
+                    telemetry=None):
     """Run one system over the workload and return an EvaluationReport.
 
     ``make_pipeline(database, knowledge)`` builds the system under test for
     one database; it must expose ``generate(question) -> GenerationResult``.
 
-    Questions are grouped by database and the groups run on a thread pool
-    (``max_workers=None`` sizes it to ``min(#databases, cpu_count)``;
-    ``0``/``1`` forces sequential). Outcomes are always reassembled in
-    workload order, so the report does not depend on scheduling.
+    Questions are grouped by database and the groups run one after
+    another on the calling thread, so ``python -m cProfile`` sees every
+    pipeline call. Outcomes are reassembled in workload order.
 
     ``trace_sink`` (a list) receives every question's span records — again
-    in workload order regardless of scheduling — with the root span
+    in workload order — with the root span
     annotated with system/question_id/correct. Collection never touches
     generation, so the report is identical with or without it.
 
-    Resilience (DESIGN.md §6c): a worker exception — in
+    Resilience (DESIGN.md §6c): an exception — in
     ``pipeline.generate``, in the EX check, or while building the pipeline
     itself — never aborts the experiment. The affected question(s) become
     incorrect outcomes whose ``error`` field carries the rendered
@@ -96,7 +93,7 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
     :class:`~repro.resilience.FaultConfig`) arms deterministic fault
     injection on every pipeline that supports ``enable_faults`` — each
     database group gets an injector scoped by database name, so chaos runs
-    replay identically under any scheduling.
+    replay identically.
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger`) persists the run as
     a single-system run record; the assigned run id lands on
@@ -140,14 +137,6 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
         correct = execution_match(
             profile.database, result.sql, question.gold_sql
         )
-        if correct:
-            error_text = ""
-        elif not result.success:
-            error_text = result.error or "generation failed"
-        elif not result.sql:
-            error_text = "no SQL generated"
-        else:
-            error_text = "result mismatch"
         records = None
         if trace_sink is not None:
             records = result.trace_records()
@@ -157,44 +146,14 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
                     attributes["system"] = system_name
                     attributes["question_id"] = question.question_id
                     attributes["correct"] = correct
-        final_diagnostics = result.context.candidate_diagnostics.get(
-            result.sql, ()
-        )
-        return QuestionOutcome(
+        return QuestionOutcome.from_result(
+            result, correct,
             question_id=question.question_id,
             difficulty=question.difficulty,
             database=question.database,
-            correct=correct,
-            predicted_sql=result.sql,
             gold_sql=question.gold_sql,
-            features=question.features,
-            issues=tuple(result.plan.issues) if result.plan else (),
-            cost_usd=result.cost_usd,
-            latency_ms=result.latency_ms,
-            lint_caught=result.context.lint_caught,
-            execution_caught=result.context.execution_caught,
-            error=error_text,
-            degraded=result.degraded_operators
-            if hasattr(result, "degraded_operators") else (),
             question_text=question.question,
-            lint_codes=tuple(sorted({
-                diagnostic.code for diagnostic in final_diagnostics
-                if diagnostic.is_error
-            })),
-            plan_codes=tuple(sorted({
-                finding.code for finding in (
-                    result.context.candidate_plan_findings.get(result.sql)
-                    or result.context.plan_findings
-                )
-                if finding.is_error
-            })),
-            attempts=len(result.context.attempts),
-            operator_digests=tuple(result.context.operator_digests),
-            llm_calls=tuple(
-                (call.operator, call.model, call.input_tokens,
-                 call.output_tokens, round(call.cost_usd, 10))
-                for call in result.context.meter.calls
-            ),
+            features=question.features,
         ), records
 
     def run_group(database_name, items):
@@ -234,22 +193,10 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
             if telemetry is not None:
                 telemetry.publish()
 
-    if max_workers is None:
-        max_workers = min(len(groups) or 1, os.cpu_count() or 1)
-    if max_workers <= 1 or len(groups) <= 1:
-        collected = [
-            outcome for database_name, items in groups.items()
-            for outcome in safe_run_group(database_name, items)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(safe_run_group, database_name, items)
-                for database_name, items in groups.items()
-            ]
-            collected = [
-                outcome for future in futures for outcome in future.result()
-            ]
+    collected = [
+        outcome for database_name, items in groups.items()
+        for outcome in safe_run_group(database_name, items)
+    ]
     for _position, outcome, records in sorted(
         collected, key=lambda item: item[0]
     ):

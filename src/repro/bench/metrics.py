@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from ..engine.errors import ExecutionError
 from ..engine.executor import Executor
 from ..obs.metrics import get_metrics
+from ..sql.diagnostics.core import error_codes
 from ..sql.errors import SqlError
 
 
@@ -67,7 +68,7 @@ class QuestionOutcome:
     lint_caught: int = 0        # candidates the diagnostics engine rejected
     execution_caught: int = 0   # candidates only execution rejected
     #: Why an incorrect outcome is incorrect: the pipeline's error text, a
-    #: worker-thread exception rendered as ``Type: message``, or
+    #: harness exception rendered as ``Type: message``, or
     #: ``"result mismatch"`` for SQL that ran cleanly but disagreed with
     #: gold. Always "" for correct outcomes, never "" for incorrect ones.
     error: str = ""
@@ -88,6 +89,54 @@ class QuestionOutcome:
     #: One ``(operator, model, input_tokens, output_tokens, cost_usd)``
     #: tuple per LLM call of the run (the ledger's accounting source).
     llm_calls: tuple = ()
+
+    @classmethod
+    def from_result(cls, result, correct, *, question_id, difficulty,
+                    database, gold_sql, question_text, features=()):
+        """The outcome of one pipeline run (a ``GenerationResult``).
+
+        The caller decides ``correct``: the EX check for benchmark
+        questions, generation success where there is no gold SQL.
+        """
+        context = result.context
+        if correct:
+            error = ""
+        elif not result.success:
+            error = result.error or "generation failed"
+        elif not result.sql:
+            error = "no SQL generated"
+        elif gold_sql:
+            error = "result mismatch"
+        else:
+            error = "no gold SQL supplied"
+        return cls(
+            question_id=question_id,
+            difficulty=difficulty,
+            database=database,
+            correct=correct,
+            predicted_sql=result.sql,
+            gold_sql=gold_sql,
+            features=features,
+            issues=tuple(result.plan.issues) if result.plan else (),
+            cost_usd=result.cost_usd,
+            latency_ms=result.latency_ms,
+            lint_caught=context.lint_caught,
+            execution_caught=context.execution_caught,
+            error=error,
+            degraded=result.degraded_operators,
+            question_text=question_text,
+            lint_codes=error_codes(
+                context.candidate_diagnostics.get(result.sql, ())
+            ),
+            plan_codes=error_codes(context.plan_findings_for(result.sql)),
+            attempts=len(context.attempts),
+            operator_digests=result.operator_digests,
+            llm_calls=tuple(
+                (call.operator, call.model, call.input_tokens,
+                 call.output_tokens, round(call.cost_usd, 10))
+                for call in context.meter.calls
+            ),
+        )
 
 
 @dataclass

@@ -134,28 +134,13 @@ def cmd_ask(args, out=sys.stdout):
         # A one-question run record; "correct" records generation success
         # (ask has no gold SQL to check against).
         report = EvaluationReport(system="ask")
-        report.add(QuestionOutcome(
+        report.add(QuestionOutcome.from_result(
+            result, bool(result.success),
             question_id="ask-1",
             difficulty="",
             database=args.database,
-            correct=bool(result.success),
-            predicted_sql=result.sql,
             gold_sql="",
-            cost_usd=result.cost_usd,
-            latency_ms=result.latency_ms,
-            lint_caught=result.context.lint_caught,
-            execution_caught=result.context.execution_caught,
-            error="" if result.success
-            else (result.error or "generation failed"),
-            degraded=result.degraded_operators,
             question_text=args.question,
-            attempts=len(result.context.attempts),
-            operator_digests=result.operator_digests,
-            llm_calls=tuple(
-                (call.operator, call.model, call.input_tokens,
-                 call.output_tokens, round(call.cost_usd, 10))
-                for call in result.context.meter.calls
-            ),
         ))
         ledger = _open_ledger(args)
         run_id = ledger.record_run(
@@ -282,7 +267,7 @@ def cmd_lint(args, out=sys.stdout):
     database catalog and value profiles — so it starts fast enough to sit
     in editor hooks and CI.
     """
-    from .sql.diagnostics import DiagnosticsEngine, Severity
+    from .sql.diagnostics import DiagnosticsEngine, error_count, warning_count
 
     sql = args.sql
     if sql == "-":
@@ -299,9 +284,7 @@ def cmd_lint(args, out=sys.stdout):
             )
         database = build_all(args.seed)[args.db].database
     diagnostics = DiagnosticsEngine(database).run_sql(sql)
-    errors = sum(
-        1 for diag in diagnostics if diag.severity is Severity.ERROR
-    )
+    errors = error_count(diagnostics)
     if getattr(args, "json", False):
         records = [
             {
@@ -325,9 +308,7 @@ def cmd_lint(args, out=sys.stdout):
         return 1 if errors else 0
     for diagnostic in diagnostics:
         print(diagnostic.render(), file=out)
-    warnings = sum(
-        1 for diag in diagnostics if diag.severity is Severity.WARNING
-    )
+    warnings = warning_count(diagnostics)
     if diagnostics:
         print(f"{errors} error(s), {warnings} warning(s)", file=out)
     else:
@@ -345,6 +326,7 @@ def cmd_lint_knowledge(args, out=sys.stdout):
     finding.
     """
     from .knowledge.lint import lint_knowledge
+    from .sql.diagnostics import error_count, warning_count
 
     if args.db is not None and args.db not in DATABASE_NAMES:
         raise SystemExit(
@@ -376,7 +358,7 @@ def cmd_lint_knowledge(args, out=sys.stdout):
     records = []
     for label, knowledge, database in targets:
         findings = lint_knowledge(knowledge, database)
-        errors = sum(1 for finding in findings if finding.is_error)
+        errors = error_count(findings)
         total_errors += errors
         if getattr(args, "json", False):
             records.extend(
@@ -395,10 +377,7 @@ def cmd_lint_knowledge(args, out=sys.stdout):
             continue
         for finding in findings:
             print(f"{label}: {finding.render()}", file=out)
-        warnings = sum(
-            1 for finding in findings
-            if finding.severity.value == "warning"
-        )
+        warnings = warning_count(findings)
         if findings:
             print(
                 f"{label}: {errors} error(s), {warnings} warning(s), "

@@ -44,6 +44,7 @@ from ..obs.tracing import Tracer
 from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from ..sql.diagnostics import DiagnosticsEngine
+from ..sql.diagnostics.core import error_codes, error_count
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def _error_codes(engine, sql):
     """The set of error-level diagnostic codes for ``sql`` ('' lints clean)."""
     if not sql:
         return set()
-    return {diag.code for diag in engine.run_sql(sql) if diag.is_error}
+    return set(error_codes(engine.run_sql(sql)))
 
 
 # -- knowledge gate ----------------------------------------------------------
@@ -278,8 +279,7 @@ class KnowledgeGateReport:
             f"{len(self.new_findings)} new error finding(s)"
         )
         if self.new_findings:
-            codes = sorted({f.code for f in self.new_findings})
-            line += f" ({', '.join(codes)})"
+            line += f" ({', '.join(error_codes(self.new_findings))})"
         return line
 
 
@@ -306,15 +306,12 @@ def run_knowledge_gate(database, live_knowledge, staged_knowledge,
         )
         report = KnowledgeGateReport(
             new_findings=new_findings,
-            live_errors=sum(1 for f in live_findings if f.is_error),
-            staged_errors=sum(1 for f in staged_findings if f.is_error),
+            live_errors=error_count(live_findings),
+            staged_errors=error_count(staged_findings),
         )
         span.set_attr("passed", report.passed)
         if new_findings:
-            span.set_attr(
-                "codes",
-                " ".join(sorted({f.code for f in new_findings})),
-            )
+            span.set_attr("codes", " ".join(error_codes(new_findings)))
     metrics = get_metrics()
     metrics.inc("knowledge_gate.runs")
     if not report.passed:

@@ -5,37 +5,15 @@ policy. The package mirrors :mod:`repro.sql.diagnostics` but targets the
 artifacts the continuous-improvement loop edits rather than generated SQL.
 """
 
-from .checker import (
-    error_codes,
-    finding_keys,
-    lint_knowledge,
-)
-from .core import (
-    KNOWLEDGE_RULES,
-    KnowledgeFinding,
-    KnowledgeRule,
-    Severity,
-    error_count,
-    get_rule,
-    iter_rules,
-    severity_score,
-    warning_count,
-)
+from .checker import finding_keys, lint_knowledge
+from .core import KNOWLEDGE_RULES, KnowledgeFinding
 
 __all__ = [
     "KNOWLEDGE_RULES",
     "KnowledgeFinding",
-    "KnowledgeRule",
-    "Severity",
-    "error_codes",
-    "error_count",
     "finding_keys",
-    "get_rule",
-    "iter_rules",
     "lint_codes_by_set",
     "lint_knowledge",
-    "severity_score",
-    "warning_count",
 ]
 
 

@@ -62,6 +62,7 @@ from ...sql.decompose import (
     KIND_SUBQUERY,
 )
 from ...sql.diagnostics import DiagnosticsEngine
+from ...sql.diagnostics.core import error_codes, error_count
 from ...sql.errors import SqlError
 from ...sql.parser import parse, parses
 from ...text.similarity import cosine_with_norms
@@ -110,7 +111,7 @@ def lint_knowledge(knowledge, database, value_k=5):
             span.inc_attr(name, count)
     if findings:
         metrics.inc("knowledge_lint.findings", len(findings))
-        errors = sum(1 for finding in findings if finding.is_error)
+        errors = error_count(findings)
         if errors:
             metrics.inc("knowledge_lint.errors", errors)
     return list(findings)
@@ -140,11 +141,6 @@ def _lint(knowledge, checks):
     _check_near_duplicates(examples, knowledge, findings)
     _check_coverage(knowledge, checks.catalog, findings)
     return findings
-
-
-def error_codes(findings):
-    """Sorted unique error-level codes in ``findings``."""
-    return tuple(sorted({f.code for f in findings if f.is_error}))
 
 
 def finding_keys(findings):
@@ -363,7 +359,7 @@ def _check_full_query_example(example, checks, findings):
         ))
         return
     diagnostics = checks.engine.run_sql(example.sql)
-    codes = sorted({d.code for d in diagnostics if d.is_error})
+    codes = error_codes(diagnostics)
     if codes:
         findings.append(GK004.at(
             f"query example has error diagnostics: {', '.join(codes)}",

@@ -4,7 +4,8 @@ The continuous-improvement loop (§4) mutates knowledge components —
 instructions, decomposed examples, schema elements, intents — and a bad
 edit silently degrades every future query until a regression run notices.
 This registry mirrors :mod:`repro.sql.diagnostics.core` (the ``GE0xx``
-pack) for the artifacts the loop actually edits: each rule has a stable
+pack) for the artifacts the loop actually edits, with the same
+:class:`~repro.sql.diagnostics.core.Rule` model: each rule has a stable
 code, a severity, and a one-line summary; findings point at the offending
 component by kind and id instead of a source span.
 
@@ -18,115 +19,39 @@ for mined sets but useful to SMEs curating them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from ...sql.diagnostics.core import (
-    Severity,
-    error_count,
-    severity_score,
-    warning_count,
-)
+from ...sql.diagnostics.core import Finding, Severity, register
+from ..models import component_ref
 
-__all__ = [
-    "KnowledgeFinding",
-    "KnowledgeRule",
-    "KNOWLEDGE_RULES",
-    "Severity",
-    "error_count",
-    "get_rule",
-    "iter_rules",
-    "severity_score",
-    "warning_count",
-]
+__all__ = ["KNOWLEDGE_RULES", "KnowledgeFinding"]
 
 
 @dataclass(frozen=True)
-class KnowledgeFinding:
+class KnowledgeFinding(Finding):
     """One knowledge-set lint finding, anchored to a component."""
 
-    code: str
-    slug: str
-    severity: Severity
-    message: str
     component_kind: str = ""
     component_id: str = ""
-    suggestion: str = None
 
-    @property
-    def is_error(self):
-        return self.severity is Severity.ERROR
-
-    def render(self):
-        where = ""
-        if self.component_id:
-            where = f" at {self.component_kind} {self.component_id}"
-        text = f"{self.code} {self.severity.value}{where}: {self.message}"
-        if self.suggestion:
-            text += f" (did you mean {self.suggestion!r}?)"
-        return text
-
-
-@dataclass(frozen=True)
-class KnowledgeRule:
-    """A registered knowledge lint rule."""
-
-    code: str
-    slug: str
-    severity: Severity
-    summary: str
-
-    def at(self, message, component=None, kind="", suggestion=None):
-        """Build a finding for this rule against ``component``.
-
-        ``component`` is any knowledge dataclass; its id attribute is
-        discovered by kind. Pass ``kind``/``component=None`` for
-        set-level findings (coverage gaps have no single component).
-        """
-        component_kind, component_id = kind, ""
+    @staticmethod
+    def anchor(component=None, kind=""):
+        """``component`` is any knowledge dataclass; pass ``kind`` alone
+        for set-level findings (coverage gaps have no single component)."""
         if component is not None:
-            component_kind, component_id = describe_component(component)
-        return KnowledgeFinding(
-            code=self.code,
-            slug=self.slug,
-            severity=self.severity,
-            message=message,
-            component_kind=component_kind,
-            component_id=component_id,
-            suggestion=suggestion,
-        )
+            kind, identifier = component_ref(component)
+            return {"component_kind": kind, "component_id": identifier}
+        return {"component_kind": kind}
+
+    def location(self):
+        if self.component_id:
+            return f" at {self.component_kind} {self.component_id}"
+        return ""
 
 
 #: All registered knowledge rules, keyed by code.
 KNOWLEDGE_RULES = {}
-
-
-def _register(code, slug, severity, summary):
-    if code in KNOWLEDGE_RULES:  # pragma: no cover - registration bug
-        raise ValueError(f"Duplicate knowledge rule code {code}")
-    rule = KnowledgeRule(code, slug, severity, summary)
-    KNOWLEDGE_RULES[code] = rule
-    return rule
-
-
-def get_rule(code):
-    return KNOWLEDGE_RULES[code]
-
-
-def iter_rules():
-    return [KNOWLEDGE_RULES[code] for code in sorted(KNOWLEDGE_RULES)]
-
-
-def describe_component(component):
-    """``(kind, id)`` for any knowledge component dataclass."""
-    for kind, attribute in (
-        ("intent", "intent_id"),
-        ("example", "example_id"),
-        ("instruction", "instruction_id"),
-        ("schema", "element_id"),
-    ):
-        identifier = getattr(component, attribute, None)
-        if identifier is not None:
-            return kind, identifier
-    return "component", ""
+_register = partial(register, KNOWLEDGE_RULES, KnowledgeFinding)
 
 
 GK001 = _register(

@@ -33,6 +33,21 @@ def next_component_id(prefix):
     return f"{prefix}-{next(_id_counter):05d}"
 
 
+def component_ref(component):
+    """``(kind, id)`` for any knowledge component; ``("component", "")``
+    for an object that has none of the four id attributes."""
+    for kind, attribute in (
+        ("intent", "intent_id"),
+        ("example", "example_id"),
+        ("instruction", "instruction_id"),
+        ("schema", "element_id"),
+    ):
+        identifier = getattr(component, attribute, None)
+        if identifier is not None:
+            return kind, identifier
+    return "component", ""
+
+
 @dataclass(frozen=True)
 class Provenance:
     """Where a knowledge component came from.

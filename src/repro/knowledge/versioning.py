@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .models import component_ref
+
 
 @dataclass(frozen=True)
 class EditRecord:
@@ -104,15 +106,13 @@ class KnowledgeSetHistory:
 
     def revert_to(self, checkpoint_id):
         """Restore the knowledge set to a prior checkpoint's contents."""
-        for checkpoint in self._checkpoints:
-            if checkpoint.checkpoint_id == checkpoint_id:
-                self.knowledge_set.restore(checkpoint.snapshot)
-                self.record(
-                    "revert", "knowledge_set", checkpoint_id,
-                    f"Reverted to {checkpoint.label!r}",
-                )
-                return checkpoint
-        raise KeyError(f"Unknown checkpoint {checkpoint_id!r}")
+        checkpoint = self._find(checkpoint_id)
+        self.knowledge_set.restore(checkpoint.snapshot)
+        self.record(
+            "revert", "knowledge_set", checkpoint_id,
+            f"Reverted to {checkpoint.label!r}",
+        )
+        return checkpoint
 
     def diff(self, older_id, newer_id):
         """Component ids added/removed between two checkpoints."""
@@ -120,8 +120,8 @@ class KnowledgeSetHistory:
         newer = self._find(newer_id).snapshot
         report = {}
         for kind in ("examples", "instructions", "schema_elements", "intents"):
-            old_ids = {_component_id(item) for item in older[kind]}
-            new_ids = {_component_id(item) for item in newer[kind]}
+            old_ids = {component_ref(item)[1] for item in older[kind]}
+            new_ids = {component_ref(item)[1] for item in newer[kind]}
             report[kind] = {
                 "added": sorted(new_ids - old_ids),
                 "removed": sorted(old_ids - new_ids),
@@ -134,10 +134,3 @@ class KnowledgeSetHistory:
                 return checkpoint
         raise KeyError(f"Unknown checkpoint {checkpoint_id!r}")
 
-
-def _component_id(component):
-    for attribute in ("example_id", "instruction_id", "element_id", "intent_id"):
-        value = getattr(component, attribute, None)
-        if value is not None:
-            return value
-    raise AttributeError(f"Component {component!r} has no id attribute")

@@ -109,6 +109,12 @@ class PipelineContext:
     def add_trace(self, operator, summary, **detail):
         return self.tracer.add_event(operator, summary, detail)
 
+    def plan_findings_for(self, sql):
+        """GP findings of ``sql``'s grounding plan; the primary plan's
+        findings when no candidate entry was recorded for ``sql``."""
+        findings = self.candidate_plan_findings.get(sql)
+        return self.plan_findings if findings is None else findings
+
     def span(self, name, **attributes):
         """Open a timed span on this run's tracer (context manager)."""
         return self.tracer.span(name, **attributes)
@@ -245,10 +251,7 @@ class GenerationResult:
         final_diagnostics = context.candidate_diagnostics.get(
             self.sql, ()
         )
-        plan_findings = (
-            context.candidate_plan_findings.get(self.sql)
-            or context.plan_findings
-        )
+        plan_findings = context.plan_findings_for(self.sql)
         return {
             "question": self.question,
             "reformulated": context.reformulated,

@@ -136,7 +136,7 @@ class SelfCorrectionOperator(Operator):
         step that cannot be grounded explains *why* the SQL lints broken,
         which the paper's regeneration prompt wants spelled out.
         """
-        findings = context.candidate_plan_findings.get(sql)
-        if findings is None:
-            findings = context.plan_findings
-        return [finding for finding in findings if finding.is_error]
+        return [
+            finding for finding in context.plan_findings_for(sql)
+            if finding.is_error
+        ]

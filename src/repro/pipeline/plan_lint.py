@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from ..obs.metrics import get_metrics
 from ..obs.tracing import current_span
 from ..sql.diagnostics.core import (
+    Finding,
     Severity,
     error_count,
+    register,
     severity_score,
 )
 from ..sql.parser import parses
@@ -35,76 +38,24 @@ __all__ = [
     "PLAN_RULES",
     "PlanFinding",
     "PlanLintOperator",
-    "PlanRule",
-    "get_rule",
-    "iter_rules",
     "lint_plan",
-    "plan_error_codes",
     "plan_error_score",
 ]
 
 
 @dataclass(frozen=True)
-class PlanFinding:
+class PlanFinding(Finding):
     """One plan lint finding, anchored to a 1-based step number."""
 
-    code: str
-    slug: str
-    severity: Severity
-    message: str
     step: int = 0               # 0 = plan-level finding
-    suggestion: str = None
 
-    @property
-    def is_error(self):
-        return self.severity is Severity.ERROR
-
-    def render(self):
-        where = f" at step {self.step}" if self.step else ""
-        text = f"{self.code} {self.severity.value}{where}: {self.message}"
-        if self.suggestion:
-            text += f" (did you mean {self.suggestion!r}?)"
-        return text
-
-
-@dataclass(frozen=True)
-class PlanRule:
-    """A registered plan lint rule."""
-
-    code: str
-    slug: str
-    severity: Severity
-    summary: str
-
-    def at(self, message, step=0, suggestion=None):
-        return PlanFinding(
-            code=self.code,
-            slug=self.slug,
-            severity=self.severity,
-            message=message,
-            step=step,
-            suggestion=suggestion,
-        )
+    def location(self):
+        return f" at step {self.step}" if self.step else ""
 
 
 #: All registered plan rules, keyed by code.
 PLAN_RULES = {}
-
-
-def _register(code, slug, severity, summary):
-    if code in PLAN_RULES:  # pragma: no cover - registration bug
-        raise ValueError(f"Duplicate plan rule code {code}")
-    rule = PlanRule(code, slug, severity, summary)
-    PLAN_RULES[code] = rule
-    return rule
-
-
-def get_rule(code):
-    return PLAN_RULES[code]
-
-
-def iter_rules():
-    return [PLAN_RULES[code] for code in sorted(PLAN_RULES)]
+_register = partial(register, PLAN_RULES, PlanFinding)
 
 
 GP001 = _register(
@@ -199,11 +150,6 @@ def lint_plan(plan, database=None, schema_elements=None):
         _check_step_references(description, number, len(steps), findings)
     _check_spec_metrics(spec, findings)
     return findings
-
-
-def plan_error_codes(findings):
-    """Sorted unique error-level codes in ``findings``."""
-    return tuple(sorted({f.code for f in findings if f.is_error}))
 
 
 def plan_error_score(findings):

@@ -514,53 +514,13 @@ class ServeApp:
         """
         if not request.question_id:
             return
-        context = result.context
-        if correct:
-            error = ""
-        elif not result.success:
-            error = result.error or "generation failed"
-        elif not result.sql:
-            error = "no SQL generated"
-        elif request.gold_sql:
-            error = "result mismatch"
-        else:
-            error = "no gold SQL supplied"
-        final_diagnostics = context.candidate_diagnostics.get(
-            result.sql, ()
-        )
-        outcome = QuestionOutcome(
+        outcome = QuestionOutcome.from_result(
+            result, bool(correct),
             question_id=request.question_id,
             difficulty=request.difficulty,
             database=tenant.name,
-            correct=bool(correct),
-            predicted_sql=result.sql,
             gold_sql=request.gold_sql,
-            issues=tuple(result.plan.issues) if result.plan else (),
-            cost_usd=result.cost_usd,
-            latency_ms=result.latency_ms,
-            lint_caught=context.lint_caught,
-            execution_caught=context.execution_caught,
-            error=error,
-            degraded=result.degraded_operators,
             question_text=request.question,
-            lint_codes=tuple(sorted({
-                diagnostic.code for diagnostic in final_diagnostics
-                if diagnostic.is_error
-            })),
-            plan_codes=tuple(sorted({
-                finding.code for finding in (
-                    context.candidate_plan_findings.get(result.sql)
-                    or context.plan_findings
-                )
-                if finding.is_error
-            })),
-            attempts=len(context.attempts),
-            operator_digests=result.operator_digests,
-            llm_calls=tuple(
-                (call.operator, call.model, call.input_tokens,
-                 call.output_tokens, round(call.cost_usd, 10))
-                for call in context.meter.calls
-            ),
         )
         with self._outcome_lock:
             self._outcomes.append(outcome)

@@ -25,8 +25,6 @@ from .core import (
     Rule,
     Severity,
     error_count,
-    get_rule,
-    iter_rules,
     severity_score,
     warning_count,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "aggregate_functions",
     "diagnose",
     "error_count",
-    "get_rule",
-    "iter_rules",
     "severity_score",
     "warning_count",
     "window_functions",

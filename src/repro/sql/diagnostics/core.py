@@ -12,12 +12,19 @@ Rules emit :class:`Diagnostic` records carrying the offending node's source
 span (threaded from the tokenizer through the parser) and, where the engine
 can guess, a concrete suggestion — the regeneration context GenEdit's
 self-correction loop feeds back to the model (§2.1, §3).
+
+The model is shared by all three lint packs: :class:`Rule`,
+:func:`register`, the :class:`Finding` base and :func:`error_codes` serve
+the ``GK0xx`` knowledge pack (:mod:`repro.knowledge.lint`) and the
+``GP0xx`` plan pack (:mod:`repro.pipeline.plan_lint`) too. Each pack keeps
+its own registry dict and a finding subclass that adds only its anchor.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 
 class Severity(enum.Enum):
@@ -44,51 +51,102 @@ _SEVERITY_WEIGHTS = {
 
 
 @dataclass(frozen=True)
+class Finding:
+    """One problem a rule found: the base of every pack's finding.
+
+    Each pack's subclass adds only its anchor fields (a source span, a
+    knowledge component, a plan step) and the ``location`` text that
+    renders them.
+    """
+
+    code: str
+    slug: str
+    severity: Severity
+    message: str
+    suggestion: str = None
+
+    @staticmethod
+    def anchor(**fields):
+        """This finding's anchor fields from a rule's ``at`` arguments."""
+        return fields
+
+    @property
+    def is_error(self):
+        return self.severity is Severity.ERROR
+
+    def location(self):
+        return ""
+
+    def render(self):
+        """One-line rendering used by traces, the CLI, and prompts."""
+        hint = f" (did you mean {self.suggestion!r}?)" if self.suggestion else ""
+        return (
+            f"{self.code} {self.severity}{self.location()}: "
+            f"{self.message}{hint}"
+        )
+
+    def __str__(self):
+        return self.render()
+
+
+@dataclass(frozen=True)
 class Rule:
-    """One registered diagnostic rule."""
+    """One registered rule of any pack; ``finding`` is the pack's class."""
 
     code: str
     slug: str
     severity: Severity
     summary: str
+    finding: type
 
-    def at(self, message, node=None, suggestion=None):
-        """Build a :class:`Diagnostic` for this rule.
+    def at(self, message, *anchor, suggestion=None, **fields):
+        """Build this rule's finding.
 
-        ``node`` supplies the source span (when the parser attached one);
-        ``suggestion`` is a concrete replacement hint surfaced to the
-        regeneration prompt and the CLI.
+        The pack's finding class maps the anchor arguments to its anchor
+        fields; ``suggestion`` is a concrete replacement hint surfaced to
+        the regeneration prompt and the CLI.
         """
-        return Diagnostic(
+        return self.finding(
             code=self.code,
             slug=self.slug,
             severity=self.severity,
             message=message,
-            span=getattr(node, "span", None),
             suggestion=suggestion,
+            **self.finding.anchor(*anchor, **fields),
         )
+
+
+def register(rules, finding, code, slug, severity, summary):
+    """Add a rule to a pack's registry (``rules``, keyed by code)."""
+    if code in rules:
+        raise ValueError(f"Duplicate rule code {code!r}")
+    rule = Rule(code, slug, severity, summary, finding)
+    rules[code] = rule
+    return rule
+
+
+def error_codes(findings):
+    """Sorted unique error-level codes in ``findings`` (any pack)."""
+    return tuple(sorted({f.code for f in findings if f.is_error}))
+
+
+@dataclass(frozen=True)
+class Diagnostic(Finding):
+    """One problem found in a query, anchored to a source span."""
+
+    span: object = None          # repro.sql.tokens.Span | None
+
+    @staticmethod
+    def anchor(node=None):
+        return {"span": getattr(node, "span", None)}
+
+    def location(self):
+        return f" at {self.span}" if self.span is not None else ""
 
 
 #: Registry of every rule, keyed by code, in registration order.
 RULES: dict = {}
-
-
-def _register(code, slug, severity, summary):
-    if code in RULES:
-        raise ValueError(f"Duplicate diagnostic rule code {code!r}")
-    rule = Rule(code=code, slug=slug, severity=severity, summary=summary)
-    RULES[code] = rule
-    return rule
-
-
-def get_rule(code):
-    """Return the registered rule for ``code`` (KeyError when unknown)."""
-    return RULES[code]
-
-
-def iter_rules():
-    """Yield every registered rule in code order."""
-    return iter(sorted(RULES.values(), key=lambda rule: rule.code))
+_register = partial(register, RULES, Diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +230,6 @@ GE017 = _register(
     "A string literal in an equality filter is close to, but not among, "
     "the column's profiled top values.",
 )
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One problem found in a query, tagged with its rule and location."""
-
-    code: str
-    slug: str
-    severity: Severity
-    message: str
-    span: object = None          # repro.sql.tokens.Span | None
-    suggestion: str = None
-
-    @property
-    def is_error(self):
-        return self.severity is Severity.ERROR
-
-    def render(self):
-        """One-line rendering used by traces, the CLI, and prompts."""
-        location = f" at {self.span}" if self.span is not None else ""
-        hint = f" (did you mean {self.suggestion!r}?)" if self.suggestion else ""
-        return f"{self.code} {self.severity}{location}: {self.message}{hint}"
-
-    def __str__(self):
-        return self.render()
 
 
 def severity_score(diagnostics):

@@ -243,14 +243,6 @@ class TestEvaluateSystemEquivalence:
         ]
         assert [o.correct for o in report.outcomes] == fresh
 
-    def test_parallel_and_sequential_identical(self, experiment_context):
-        sequential = self._run(experiment_context, max_workers=1)
-        parallel = self._run(experiment_context, max_workers=4)
-        assert sequential.row() == parallel.row()
-        assert [o.question_id for o in sequential.outcomes] == [
-            o.question_id for o in parallel.outcomes
-        ]
-
     def test_shared_cache_hits_across_systems(self, experiment_context):
         self._run(experiment_context)
         hits, misses = _memo_counts()

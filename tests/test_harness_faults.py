@@ -7,8 +7,6 @@ building the pipeline — yields an incorrect outcome with a populated
 instead of aborting the experiment.
 """
 
-import pytest
-
 from repro.bench.harness import evaluate_system
 from repro.pipeline import GenEditPipeline
 
@@ -37,7 +35,7 @@ def _subset(experiment_context, per_db=3):
 
 
 def _evaluate(experiment_context, make_pipeline, questions,
-              trace_sink=None, max_workers=None):
+              trace_sink=None):
     return evaluate_system(
         make_pipeline,
         experiment_context.workload,
@@ -46,14 +44,12 @@ def _evaluate(experiment_context, make_pipeline, questions,
         "hardened",
         questions=questions,
         trace_sink=trace_sink,
-        max_workers=max_workers,
     )
 
 
 class TestWorkerFailureHardening:
-    @pytest.mark.parametrize("max_workers", [1, None])
     def test_generate_exception_becomes_error_outcome(
-        self, experiment_context, max_workers
+        self, experiment_context
     ):
         questions = _subset(experiment_context)
         marker = questions[0].question.split()[-1].strip("?").lower()
@@ -61,7 +57,6 @@ class TestWorkerFailureHardening:
             experiment_context,
             lambda db, ks: _ExplodingPipeline(db, ks, marker),
             questions,
-            max_workers=max_workers,
         )
         assert len(report.outcomes) == len(questions)
         assert [o.question_id for o in report.outcomes] == \

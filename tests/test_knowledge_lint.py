@@ -23,11 +23,11 @@ from repro.knowledge import (
 )
 from repro.knowledge.lint import (
     KNOWLEDGE_RULES,
-    error_codes,
     finding_keys,
     lint_codes_by_set,
     lint_knowledge,
 )
+from repro.sql.diagnostics.core import error_codes
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "knowledge_corpus"
 

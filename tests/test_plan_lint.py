@@ -3,12 +3,8 @@
 import types
 
 from repro.pipeline.base import Plan, PlanStep
-from repro.pipeline.plan_lint import (
-    PLAN_RULES,
-    lint_plan,
-    plan_error_codes,
-    plan_error_score,
-)
+from repro.pipeline.plan_lint import PLAN_RULES, lint_plan, plan_error_score
+from repro.sql.diagnostics.core import error_codes
 
 
 def codes(findings):
@@ -187,7 +183,7 @@ class TestScores:
         ), demo_db)
         assert codes(findings) == {"GP002", "GP008"}
         assert plan_error_score(findings) == 100
-        assert plan_error_codes(findings) == ("GP002",)
+        assert error_codes(findings) == ("GP002",)
 
 
 class TestPipelineWiring:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import io
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.knowledge.lint import KNOWLEDGE_RULES
 from repro.pipeline.base import Plan, PlanStep, PipelineContext
 from repro.pipeline.config import DEFAULT_CONFIG
 from repro.pipeline.correction import SelfCorrectionOperator
 from repro.pipeline.generation import GenerationOperator
+from repro.pipeline.plan_lint import PLAN_RULES
 from repro.sql.diagnostics import (
     RULES,
     DiagnosticsEngine,
@@ -22,6 +25,7 @@ from repro.sql.diagnostics import (
     warning_count,
     window_functions,
 )
+from repro.sql.diagnostics.core import Finding, error_codes
 
 # ---------------------------------------------------------------------------
 # Golden pairs: for every rule code, SQL that fires it and SQL that doesn't.
@@ -378,6 +382,75 @@ class TestLintCli:
     def test_unknown_database_exits(self):
         with pytest.raises(SystemExit, match="Unknown database"):
             self.run_cli(["lint", "SELECT 1", "--db", "nope"])
+
+    def test_json_record_shape(self):
+        code, text = self.run_cli(
+            ["lint", "SELECT ORG_NAM FROM SPORTS_ORGS",
+             "--db", "sports_holdings", "--json"]
+        )
+        assert code == 1
+        [record] = json.loads(text)
+        assert list(record) == [
+            "code", "slug", "severity", "message", "span", "suggestion",
+        ]
+        assert record == {
+            "code": "GE002",
+            "slug": "unknown-column",
+            "severity": "error",
+            "message": "Cannot resolve column 'ORG_NAM'",
+            "span": {"position": 7, "line": 1, "column": 8},
+            "suggestion": "ORG_NAME",
+        }
+        assert list(record["span"]) == ["position", "line", "column"]
+
+
+class TestOneLintModel:
+    """The GE, GK and GP packs share one rule, finding and code helper."""
+
+    PACKS = (RULES, KNOWLEDGE_RULES, PLAN_RULES)
+
+    @staticmethod
+    def anchored(rule):
+        """One finding per rule, anchored the way its pack anchors."""
+        if rule.code.startswith("GE"):
+            return rule.at("msg", node=SimpleNamespace(span="1:8"),
+                           suggestion="X"), " at 1:8"
+        if rule.code.startswith("GK"):
+            component = SimpleNamespace(example_id="ex-00001")
+            return rule.at("msg", component,
+                           suggestion="X"), " at example ex-00001"
+        return rule.at("msg", step=2, suggestion="X"), " at step 2"
+
+    def test_codes_unique_across_packs(self):
+        codes = [code for pack in self.PACKS for code in pack]
+        assert len(codes) == len(set(codes))
+        assert all(rule.code == code
+                   for pack in self.PACKS for code, rule in pack.items())
+
+    def test_every_rule_renders_one_format(self):
+        for pack in self.PACKS:
+            for rule in pack.values():
+                finding, location = self.anchored(rule)
+                assert isinstance(finding, Finding)
+                assert finding.render() == (
+                    f"{rule.code} {rule.severity.value}{location}: msg "
+                    f"(did you mean 'X'?)"
+                )
+                assert rule.at("msg").render() == (
+                    f"{rule.code} {rule.severity.value}: msg"
+                )
+
+    def test_error_codes_over_mixed_packs(self):
+        findings = [
+            RULES["GE017"].at("warning"),
+            PLAN_RULES["GP002"].at("plan", step=1),
+            KNOWLEDGE_RULES["GK002"].at("stale"),
+            RULES["GE002"].at("column"),
+            PLAN_RULES["GP002"].at("again", step=3),
+            KNOWLEDGE_RULES["GK011"].at("info", kind="table"),
+        ]
+        assert error_codes(findings) == ("GE002", "GK002", "GP002")
+        assert error_codes([]) == ()
 
 
 class TestSpanStabilityAcrossRewriter:

@@ -114,11 +114,11 @@ class TestHarnessTracing:
         self, experiment_context
     ):
         sink = []
-        report = self._run(experiment_context, trace_sink=sink, max_workers=4)
+        report = self._run(experiment_context, trace_sink=sink)
         roots = [span for span in sink if span.get("parent_id") is None]
         assert len(roots) == len(report.outcomes) == 12
         # Roots carry harness annotations and follow workload order even
-        # though per-database groups ran concurrently.
+        # though the harness runs the questions grouped by database.
         assert [r["attributes"]["question_id"] for r in roots] == [
             o.question_id for o in report.outcomes
         ]
@@ -129,7 +129,7 @@ class TestHarnessTracing:
 
     def test_spans_nest_under_their_own_root(self, experiment_context):
         sink = []
-        self._run(experiment_context, trace_sink=sink, max_workers=4)
+        self._run(experiment_context, trace_sink=sink)
         ids = {span["span_id"] for span in sink}
         assert len(ids) == len(sink)  # globally unique, no collisions
         by_id = {span["span_id"]: span for span in sink}
