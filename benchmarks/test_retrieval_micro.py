@@ -15,10 +15,8 @@ be at least ``REFIT_GATE`` times faster, best of five. Part of
 
 from __future__ import annotations
 
-import gc
 import math
 import struct
-import time
 from collections import Counter
 
 from repro.bench.bird import build_knowledge_sets, build_workload
@@ -27,6 +25,7 @@ from repro.text.index import FittedState, RetrievalIndex
 from repro.text.normalize import normalize
 from repro.text.similarity import l2_norm
 from repro.text.vectorize import TfIdfVectorizer
+from timing import best_of_interleaved
 
 #: Minimum before/after speed-up of the batch refit.
 REFIT_GATE = 1.2
@@ -159,23 +158,6 @@ def _check_identical(label, batch, reference):
     }, label
 
 
-def _best_of_interleaved(before, after, repeats=5):
-    """Best wall-clock of each side, the two timed in alternation.
-
-    Alternating lets both sides meet the same slow stretches of a shared
-    core; a full collection before each timing keeps the collector's
-    debts of one side out of the other's.
-    """
-    best = {before: float("inf"), after: float("inf")}
-    for _ in range(repeats):
-        for fn in (before, after):
-            gc.collect()
-            started = time.perf_counter()
-            fn()
-            best[fn] = min(best[fn], time.perf_counter() - started)
-    return best[before], best[after]
-
-
 def test_batch_refit_beats_per_document_refit():
     corpora = _corpora()
     for label, batch, reference in corpora:
@@ -190,7 +172,7 @@ def test_batch_refit_beats_per_document_refit():
             batch._state = batch._refit()
             batch._state.postings()
 
-    before_s, after_s = _best_of_interleaved(before, after)
+    before_s, after_s = best_of_interleaved(before, after)
     ratio = before_s / after_s
     documents = sum(len(batch) for _label, batch, _reference in corpora)
     print()

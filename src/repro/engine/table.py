@@ -16,9 +16,10 @@ from .errors import TypeMismatchError, UnknownColumnError
 from .values import canonical_type, type_of
 
 #: Exact Python type expected per canonical column type. ``type(value) is
-#: expected`` is the common-case insert check; anything else (bool-as-int,
-#: datetime-as-date, widenings) goes through the full :func:`type_of` path
-#: with identical semantics.
+#: expected`` is the common-case insert check, and the constructor's
+#: column-wise check; anything else (bool-as-int, datetime-as-date,
+#: widenings) goes through the full :func:`type_of` path with identical
+#: semantics.
 _EXACT_TYPE = {
     "INTEGER": int,
     "FLOAT": float,
@@ -49,6 +50,16 @@ class Table:
     """A named table with typed columns and tuple rows."""
 
     def __init__(self, name, columns, rows=None, description=""):
+        """Build a table holding ``rows``, as if each were ``insert``-ed.
+
+        The rows are checked column by column first (DESIGN.md §6e). When
+        every row is a tuple of the table's width and every column holds
+        only NULL and its type's exact Python type, ``insert`` would store
+        each row unchanged, so the table takes them whole: a new list of
+        the given tuples, with ``version`` at the row count. Any other
+        input goes through ``insert`` row by row, which stays the only code
+        that converts a value or raises.
+        """
         self.name = name
         self.columns = list(columns)
         self.description = description
@@ -60,11 +71,33 @@ class Table:
             raise TypeMismatchError(
                 f"Duplicate column names in table {name!r}"
             )
+        self._arrays_cache = None
+        rows = list(rows or ())
+        if self._stores_unchanged(rows):
+            self.rows = rows
+            self.version = len(rows)
+            return
         self.rows = []
         self.version = 0
-        self._arrays_cache = None
-        for row in rows or []:
+        for row in rows:
             self.insert(row)
+
+    def _stores_unchanged(self, rows):
+        """True when ``insert`` would store every one of ``rows`` as given.
+
+        One ``set(map(type, ...))`` per column instead of one Python call
+        per value: a tuple row of the right width whose values are NULL or
+        exactly their column's ``_EXACT_TYPE`` passes ``insert`` untouched.
+        """
+        if set(map(type, rows)) != {tuple}:
+            return False
+        if set(map(len, rows)) != {len(self.columns)}:
+            return False
+        for column, values in zip(self.columns, zip(*rows)):
+            allowed = {type(None), _EXACT_TYPE.get(column.type)}
+            if not set(map(type, values)) <= allowed:
+                return False
+        return True
 
     @property
     def column_names(self):

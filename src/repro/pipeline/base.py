@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ..llm.interface import CallMeter
 from ..obs.tracing import Tracer
+from ..sql.diagnostics.core import error_codes
 
 
 @dataclass
@@ -243,15 +244,12 @@ class GenerationResult:
         This is what the serving layer's flight recorder retains for a
         failed/slow/sampled request (DESIGN.md §6i): the operator digest
         trail, the rendered plan, every candidate and repair attempt,
-        diagnostics and plan-lint codes, degradations, resilience-visible
+        the final SQL's error-level diagnostics and plan-lint codes (the
+        codes a ledger outcome records), degradations, resilience-visible
         events and LLM call accounting — enough to reconstruct *why* the
         run produced what it did without re-running the question.
         """
         context = self.context
-        final_diagnostics = context.candidate_diagnostics.get(
-            self.sql, ()
-        )
-        plan_findings = context.plan_findings_for(self.sql)
         return {
             "question": self.question,
             "reformulated": context.reformulated,
@@ -273,12 +271,12 @@ class GenerationResult:
                 {"operator": name, "digest": digest}
                 for name, digest in context.operator_digests
             ],
-            "lint_codes": sorted({
-                diagnostic.code for diagnostic in final_diagnostics
-            }),
-            "plan_codes": sorted({
-                finding.code for finding in plan_findings
-            }),
+            "lint_codes": list(error_codes(
+                context.candidate_diagnostics.get(self.sql, ())
+            )),
+            "plan_codes": list(error_codes(
+                context.plan_findings_for(self.sql)
+            )),
             "events": [str(event) for event in self.trace],
             "llm_calls": [
                 {

@@ -62,33 +62,14 @@ def decompose(query):
     expression units in source order.
     """
     canonical = to_cte_form(query)
-    units = [
-        SqlUnit(
-            kind=KIND_QUERY,
-            sql=to_sql(canonical),
-            tables=_referenced_tables(canonical),
-            columns=_referenced_columns(canonical),
-        )
-    ]
+    units = [_unit(KIND_QUERY, to_sql(canonical), [canonical], None)]
     for cte in canonical.ctes:
         units.append(
-            SqlUnit(
-                kind=KIND_SUBQUERY,
-                sql=to_sql(cte.query),
-                cte_name=cte.name,
-                tables=_referenced_tables(cte.query),
-                columns=_referenced_columns(cte.query),
-            )
+            _unit(KIND_SUBQUERY, to_sql(cte.query), [cte.query], cte.name)
         )
         units.extend(_decompose_body(cte.query.body, cte.name))
     units.append(
-        SqlUnit(
-            kind=KIND_SUBQUERY,
-            sql=to_sql(canonical.body),
-            cte_name=None,
-            tables=_referenced_tables(canonical.body),
-            columns=_referenced_columns(canonical.body),
-        )
+        _unit(KIND_SUBQUERY, to_sql(canonical.body), [canonical.body], None)
     )
     units.extend(_decompose_body(canonical.body, None))
     return units
@@ -175,41 +156,20 @@ def _is_complex(expr):
 
 
 def _unit(kind, sql, nodes, cte_name):
+    """A unit over ``nodes``, with the tables and columns they reference,
+    each in first-reference order, from one walk per node."""
     tables = []
     columns = []
     for node in nodes:
-        tables.extend(_referenced_tables(node))
-        columns.extend(_referenced_columns(node))
+        for descendant in node.walk():
+            if isinstance(descendant, ast.TableRef):
+                tables.append(descendant.name.upper())
+            elif isinstance(descendant, ast.ColumnRef):
+                columns.append(descendant.name.upper())
     return SqlUnit(
         kind=kind,
         sql=sql,
         cte_name=cte_name,
-        tables=_unique(tables),
-        columns=_unique(columns),
+        tables=list(dict.fromkeys(tables)),
+        columns=list(dict.fromkeys(columns)),
     )
-
-
-def _referenced_tables(node):
-    names = []
-    for descendant in node.walk():
-        if isinstance(descendant, ast.TableRef):
-            names.append(descendant.name.upper())
-    return _unique(names)
-
-
-def _referenced_columns(node):
-    names = []
-    for descendant in node.walk():
-        if isinstance(descendant, ast.ColumnRef):
-            names.append(descendant.name.upper())
-    return _unique(names)
-
-
-def _unique(values):
-    seen = set()
-    output = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            output.append(value)
-    return output

@@ -1,5 +1,7 @@
 """Table storage, catalog, and value-profiling tests."""
 
+import datetime
+
 import pytest
 
 from repro.engine import Column, Database, Table, profile_table
@@ -79,6 +81,112 @@ class TestTable:
         assert profile.column_types == {"A": "INTEGER", "B": "TEXT"}
         assert profile.top_values["B"] == ["x"]
 
+
+
+#: One column of every canonical type, for the loader parity cases.
+LOAD_COLUMNS = [
+    Column("I", "INTEGER"),
+    Column("F", "FLOAT"),
+    Column("S", "TEXT"),
+    Column("B", "BOOLEAN"),
+    Column("D", "DATE"),
+]
+DAY = datetime.date(2024, 3, 1)
+
+
+class _Int(int):
+    pass
+
+
+def _exact_rows():
+    return [(1, 1.5, "a", True, DAY), (2, 2.5, "b", False, DAY)]
+
+
+#: ``name -> factory of the rows``; a factory, so each side of a parity
+#: check gets its own rows (a generator is used up by one load).
+LOAD_CASES = {
+    "exact": _exact_rows,
+    "exact_with_nulls": lambda: [
+        (None, 1.5, None, True, None),
+        (2, None, "b", None, DAY),
+        (None, None, None, None, None),
+    ],
+    "int_in_float": lambda: [
+        (1, 1.5, "a", True, DAY), (2, 3, "b", False, DAY),
+    ],
+    "number_in_text": lambda: [
+        (1, 1.5, 42, True, DAY), (2, 2.5, 4.5, False, DAY),
+    ],
+    "bool_in_integer": lambda: [
+        (1, 1.5, "a", True, DAY), (True, 2.5, "b", False, DAY),
+    ],
+    "text_in_integer": lambda: [("1", 1.5, "a", True, DAY)],
+    "datetime_in_date": lambda: [
+        (1, 1.5, "a", True, datetime.datetime(2024, 3, 1, 12, 30)),
+    ],
+    "int_subclass": lambda: [(_Int(7), 1.5, "a", True, DAY)],
+    "dict_rows": lambda: [
+        {"I": 1, "F": 1.5, "S": "a", "B": True, "D": DAY},
+        {"S": "b", "I": 2},
+    ],
+    "list_rows": lambda: [list(row) for row in _exact_rows()],
+    "generator": lambda: (row for row in _exact_rows()),
+    "wrong_width_in_middle": lambda: [
+        _exact_rows()[0], (3, 3.5), _exact_rows()[1],
+    ],
+    "no_rows": lambda: [],
+}
+
+
+def _loaded(build):
+    """``(rows with the type of each cell, version)`` or the exception
+    ``(type, message)`` of one way of building a table."""
+    try:
+        table = build()
+    except Exception as error:  # compared, not swallowed
+        return ("raised", type(error), str(error))
+    return (
+        [[(value, type(value)) for value in row] for row in table.rows],
+        [type(row) for row in table.rows],
+        table.version,
+    )
+
+
+class TestLoaderParity:
+    """Constructing a table equals an empty table plus one ``insert`` per
+    row: the same cells of the same types, the same version, the same
+    exception with the same message."""
+
+    @pytest.mark.parametrize("case", sorted(LOAD_CASES))
+    def test_constructor_equals_insert_loop(self, case):
+        rows = LOAD_CASES[case]
+
+        def construct():
+            return Table("T", LOAD_COLUMNS, rows())
+
+        def insert_each():
+            table = Table("T", LOAD_COLUMNS)
+            for row in rows():
+                table.insert(row)
+            return table
+
+        assert _loaded(construct) == _loaded(insert_each)
+
+    def test_exact_rows_are_taken_whole(self):
+        rows = _exact_rows()
+        table = Table("T", LOAD_COLUMNS, rows)
+        assert all(kept is given for kept, given in zip(table.rows, rows))
+        assert table.version == len(rows)
+
+    def test_caller_list_is_not_aliased(self):
+        for case in ("exact", "int_in_float"):
+            rows = LOAD_CASES[case]()
+            table = Table("T", LOAD_COLUMNS, rows)
+            before = list(table.rows)
+            rows.append((9, 9.5, "z", False, DAY))
+            rows[0] = (8, 8.5, "y", True, DAY)
+            assert table.rows == before
+            assert table.rows is not rows
 
 class TestDatabase:
     def test_create_and_lookup(self):

@@ -8,8 +8,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.metrics import QuestionOutcome
 from repro.knowledge.lint import KNOWLEDGE_RULES
-from repro.pipeline.base import Plan, PlanStep, PipelineContext
+from repro.pipeline.base import (
+    GenerationResult, Plan, PlanStep, PipelineContext,
+)
 from repro.pipeline.config import DEFAULT_CONFIG
 from repro.pipeline.correction import SelfCorrectionOperator
 from repro.pipeline.generation import GenerationOperator
@@ -270,6 +273,45 @@ class TestGenerationRanking:
             "lint score 0" in event.summary
             for event in context.tracer.iter_events()
         )
+
+    def test_debug_payload_codes_match_the_ledger_outcome(
+        self, demo_db, monkeypatch
+    ):
+        """``lint_codes``/``plan_codes`` mean error-level codes on
+        ``/debug/*`` and in the ledger alike, also when the final SQL has
+        only warnings."""
+        warned = "SELECT DEPT_NAME FROM DEPT WHERE REGION = 'west'"
+        monkeypatch.setattr(
+            "repro.pipeline.generation.build_sql", lambda spec: spec
+        )
+        monkeypatch.setattr(
+            "repro.pipeline.generation.assemble_prompt",
+            lambda *args, **kwargs: SimpleNamespace(prompt="p"),
+        )
+        context = PipelineContext(
+            question="q", database=demo_db, knowledge=None,
+            config=DEFAULT_CONFIG,
+        )
+        context.plan = Plan(steps=[PlanStep("step")])
+        context.grounding_candidates = [SimpleNamespace(spec=warned)]
+        context = GenerationOperator().run(context)
+        assert context.sql == warned
+        final = context.candidate_diagnostics[warned]
+        assert final and not error_count(final)  # warnings only
+        context.candidate_plan_findings[warned] = [
+            PLAN_RULES["GP003"].at("outside", step=1),
+        ]
+        result = GenerationResult(
+            question="q", sql=context.sql, plan=context.plan,
+            success=True, context=context,
+        )
+        outcome = QuestionOutcome.from_result(
+            result, True, question_id="q1", difficulty="simple",
+            database=demo_db.name, gold_sql="", question_text="q",
+        )
+        payload = result.debug_payload()
+        assert payload["lint_codes"] == list(outcome.lint_codes) == []
+        assert payload["plan_codes"] == list(outcome.plan_codes) == []
 
 
 class TestSelfCorrectionLintGate:
