@@ -20,7 +20,9 @@
 #                   lint memo warm and cold, and give the same regression
 #                   report from the outcome memo as generated afresh
 #   make chaos-smoke - run Table 1 under fault injection; every question
-#                   must still produce an outcome and retries must register
+#                   must still produce an outcome, and the run's faults.*
+#                   and resilience.* metric lines must equal the pinned
+#                   tests/fixtures/chaos_smoke_metrics.txt (seed 7)
 #   make ledger-smoke - record the same bench run twice into a scratch
 #                   ledger; repro diff must find zero flips (determinism)
 #   make telemetry-smoke - stream Prometheus telemetry from a short bench
@@ -111,7 +113,10 @@ chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench table1 --faults 0.2:7 --metrics \
 		> /tmp/repro-chaos-smoke.txt
 	grep -q "GenEdit" /tmp/repro-chaos-smoke.txt
-	grep -q "resilience.retries" /tmp/repro-chaos-smoke.txt
+	grep -E "^[a-z]+ +(faults|resilience)\." /tmp/repro-chaos-smoke.txt \
+		> /tmp/repro-chaos-smoke-metrics.txt
+	diff tests/fixtures/chaos_smoke_metrics.txt \
+		/tmp/repro-chaos-smoke-metrics.txt
 
 ledger-smoke:
 	rm -rf /tmp/repro-ledger-smoke

@@ -63,15 +63,9 @@ def random_date_in(rng, start_year, end_year):
     return datetime.date(year, month, day)
 
 
-def quarter_months(quarter):
-    """The three month numbers of a quarter (1..4)."""
-    start = (quarter - 1) * 3 + 1
-    return [start, start + 1, start + 2]
-
-
-def skewed_amount(rng, low, high, spread=2.0):
+def skewed_amount(rng, low, high):
     """A right-skewed amount in [low, high] — realistic money values."""
-    base = rng.random() ** spread
+    base = rng.random() ** 2.0
     return round(low + base * (high - low), 2)
 
 
@@ -85,23 +79,3 @@ def pick_weighted(rng, options):
         if point <= accumulated:
             return value
     return options[-1][0]
-
-
-def unique_names(rng, pool, count, composer=None):
-    """``count`` distinct names, composed from a pool (deterministic)."""
-    names = []
-    seen = set()
-    attempts = 0
-    while len(names) < count and attempts < count * 50:
-        attempts += 1
-        if composer is not None:
-            candidate = composer(rng)
-        else:
-            candidate = rng.choice(pool)
-        if candidate not in seen:
-            seen.add(candidate)
-            names.append(candidate)
-    if len(names) < count:
-        for index in range(count - len(names)):
-            names.append(f"{rng.choice(pool)} {index + 2}")
-    return names

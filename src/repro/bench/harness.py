@@ -371,34 +371,31 @@ def run_genedit(context, config=None, questions=None, system_name="GenEdit",
 # ---------------------------------------------------------------------------
 
 
-def table1(context=None, include_baselines=True, verbose=True):
+def table1(context=None, verbose=True):
     """Table 1: GenEdit vs prior systems on the BIRD-like dev sample."""
     from .baselines import BASELINES
     from ..pipeline.pipeline import GenEditPipeline as _Pipeline
 
     context = context or ExperimentContext()
     reports = []
-    if include_baselines:
-        for spec in BASELINES:
-            knowledge = (
-                context.knowledge_sets_full_queries()
-                if spec.knowledge == "full"
-                else context.knowledge_sets
+    for spec in BASELINES:
+        knowledge = (
+            context.knowledge_sets_full_queries()
+            if spec.knowledge == "full"
+            else context.knowledge_sets
+        )
+        reports.append(
+            evaluate_system(
+                lambda db, ks, cfg=spec.config: _Pipeline(db, ks, config=cfg),
+                context.workload,
+                context.profiles,
+                knowledge,
+                spec.name,
+                trace_sink=context.trace_sink,
+                fault_config=context.fault_config,
+                telemetry=context.telemetry_sink,
             )
-            reports.append(
-                evaluate_system(
-                    lambda db, ks, cfg=spec.config: _Pipeline(
-                        db, ks, config=cfg
-                    ),
-                    context.workload,
-                    context.profiles,
-                    knowledge,
-                    spec.name,
-                    trace_sink=context.trace_sink,
-                    fault_config=context.fault_config,
-                    telemetry=context.telemetry_sink,
-                )
-            )
+        )
     reports.append(run_genedit(context))
     reports.sort(key=lambda report: -report.accuracy())
     rows = [

@@ -51,6 +51,9 @@ CHALLENGING = "challenging"
 #: Bucket sizes of the paper's 10% BIRD-dev sample.
 BUCKET_SIZES = {SIMPLE: 93, MODERATE: 28, CHALLENGING: 11}
 
+#: A TEXT column with 2..MAX_CATEGORIES distinct values is categorical.
+MAX_CATEGORIES = 12
+
 
 @dataclass(frozen=True)
 class BenchmarkQuestion:
@@ -122,7 +125,7 @@ class SchemaInfo:
             entries.append((column.name, _surface_of(column)))
         return entries
 
-    def categorical_columns(self, table, max_distinct=12):
+    def categorical_columns(self, table):
         table_obj = self.database.table(table)
         entries = []
         for column in table_obj.columns:
@@ -135,7 +138,7 @@ class SchemaInfo:
                 row[position] for row in table_obj.rows
                 if row[position] is not None
             }
-            if 2 <= len(distinct) <= max_distinct:
+            if 2 <= len(distinct) <= MAX_CATEGORIES:
                 entries.append(
                     (column.name, _surface_of(column), sorted(distinct))
                 )

@@ -138,10 +138,6 @@ class ColumnarRelation:
             })
         return rows
 
-    def row_tuple(self, index, keys):
-        """One row as a tuple over explicit ``(binding, column)`` keys."""
-        return tuple(self.array(*key)[index] for key in keys)
-
     def __repr__(self):
         bindings = ", ".join(binding for binding, _cols in self.schema)
         return f"ColumnarRelation([{bindings}], {self.count} rows)"

@@ -345,19 +345,20 @@ class _ReverseStr:
         return self.value == other.value
 
 
-def comparable_cell(value, float_places=6):
+def comparable_cell(value):
     """Normalise a cell for result-set comparison (Execution Accuracy).
 
-    Floats are rounded so that mathematically equivalent computations with
-    different association orders still compare equal; ints and equal-valued
-    floats unify (5 == 5.0, as BIRD's EX comparison does).
+    Floats are rounded to 6 places so that mathematically equivalent
+    computations with different association orders still compare equal;
+    ints and equal-valued floats unify (5 == 5.0, as BIRD's EX comparison
+    does).
     """
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
-        return round(value, float_places)
+        return round(value, 6)
     if isinstance(value, datetime.date):
         return value.isoformat()
     return value

@@ -106,13 +106,13 @@ def _fragment_gist(sql):
 # -- example building ----------------------------------------------------------
 
 def build_examples(question, sql, intent_ids=(), source_query_id="",
-                   timestamp=0, include_full_query=False):
+                   timestamp=0):
     """Decompose one logged (question, sql) pair into knowledge examples.
 
     Returns a list of :class:`DecomposedExample`. The full-query unit is
-    skipped by default (GenEdit's representation is sub-statements, not full
-    pairs) but can be kept — the ``w/o Decomposition`` ablation stores full
-    queries instead.
+    skipped: GenEdit's representation is sub-statements, not full pairs
+    (the ``w/o Decomposition`` ablation stores
+    :func:`build_full_query_example` instead).
     """
     query = parse_cached(sql)
     provenance = Provenance(
@@ -122,16 +122,12 @@ def build_examples(question, sql, intent_ids=(), source_query_id="",
     )
     examples = []
     for unit in decompose(query):
-        if unit.kind == KIND_QUERY and not include_full_query:
-            continue
         if unit.kind == KIND_QUERY:
-            description = question
-        else:
-            description = describe_unit(unit)
+            continue
         examples.append(
             DecomposedExample(
                 example_id=next_component_id("ex"),
-                description=description,
+                description=describe_unit(unit),
                 sql=unit.sql,
                 kind=unit.kind,
                 pattern=detect_pattern(unit.sql),

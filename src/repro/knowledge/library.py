@@ -2,8 +2,10 @@
 
 This is the programmatic equivalent of the paper's library UI (§4.2.2,
 Fig. 4): browse components with provenance, list past feedback ordered by
-timestamp, make direct edits outside the context of any query, and move
-between checkpoints.
+timestamp, make direct edits outside the context of any query, and list
+checkpoints. Moving between checkpoints goes through the library's
+``history`` (:class:`~.versioning.KnowledgeSetHistory`: ``checkpoint``,
+``revert_to``, ``diff``).
 """
 
 from __future__ import annotations
@@ -118,14 +120,3 @@ class KnowledgeLibrary:
         self.history.record(
             "delete", kind, component_id, "Direct deletion", author=author
         )
-
-    # -- checkpoints ----------------------------------------------------------
-
-    def create_checkpoint(self, label):
-        return self.history.checkpoint(label)
-
-    def revert_to(self, checkpoint_id):
-        return self.history.revert_to(checkpoint_id)
-
-    def compare_checkpoints(self, older_id, newer_id):
-        return self.history.diff(older_id, newer_id)

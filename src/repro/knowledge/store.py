@@ -217,13 +217,6 @@ class KnowledgeSet:
             if wanted & set(element.intent_ids)
         ]
 
-    def schema_for_table(self, table):
-        upper = table.upper()
-        return [
-            element for element in self.schema_elements()
-            if element.table.upper() == upper
-        ]
-
     # -- bulk / stats ----------------------------------------------------------
 
     def stats(self):

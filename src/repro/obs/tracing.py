@@ -92,9 +92,9 @@ def parse_traceparent(value):
     return trace_id, parent_id
 
 
-def format_traceparent(trace_id, span_id, sampled=True):
-    """Render a version-00 ``traceparent`` header value."""
-    return f"00-{trace_id}-{span_id}-{'01' if sampled else '00'}"
+def format_traceparent(trace_id, span_id):
+    """Render a version-00 ``traceparent`` header value, flagged sampled."""
+    return f"00-{trace_id}-{span_id}-01"
 
 
 def mint_trace_id():

@@ -5,10 +5,11 @@ example selection, instruction selection, schema linking, CoT planning, SQL
 generation, self-correction — and exposes :meth:`GenEditPipeline.generate`.
 
 Resilience (DESIGN.md §6c): the LLM is always wrapped in a
-:class:`~repro.resilience.ResilientLLM` (retry/backoff/timeout per the
-pipeline's :class:`~repro.resilience.RetryPolicy`; transparent when nothing
-fails), and :meth:`GenEditPipeline.generate` never lets an operator
-exception escape. Optional operators fail *soft*: their fallback leaves a
+:class:`~repro.resilience.ResilientLLM` (retries with recorded backoff and
+the pipeline's soft per-call ``timeout_ms``, plus the fault injector once
+armed; transparent when nothing fails), and
+:meth:`GenEditPipeline.generate` never lets an operator exception escape.
+Optional operators fail *soft*: their fallback leaves a
 degraded-but-usable context, recorded on the operator span
 (``degraded=true`` + reason) and in the metrics registry. Required
 operators (schema linking, planning, generation) exhaust their retries and
@@ -25,10 +26,9 @@ from ..engine.executor import Executor
 from ..llm.simulated import SimulatedLLM
 from ..obs.metrics import get_metrics
 from ..resilience import (
-    DEFAULT_RETRY_POLICY,
+    LLM_TIMEOUT_MS,
     FaultInjector,
     FaultyExecutor,
-    FaultyLLM,
     ResilientLLM,
 )
 from ..sql.errors import SqlError
@@ -92,14 +92,14 @@ class GenEditPipeline:
     """The deployed GenEdit generation pipeline."""
 
     def __init__(self, database, knowledge, config=None, llm=None,
-                 retry_policy=None, fault_injector=None):
+                 timeout_ms=None, fault_injector=None):
         self.database = database
         self.knowledge = knowledge
         self.config = config or DEFAULT_CONFIG
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
+        self.timeout_ms = LLM_TIMEOUT_MS if timeout_ms is None else timeout_ms
         self.fault_injector = None
         self._base_llm = llm or SimulatedLLM()
-        self.llm = ResilientLLM(self._base_llm, self.retry_policy)
+        self.llm = ResilientLLM(self._base_llm, self.timeout_ms)
         self.operators = self._build_operators()
         if fault_injector is not None:
             self.enable_faults(injector=fault_injector)
@@ -122,10 +122,11 @@ class GenEditPipeline:
 
         Pass either a :class:`~repro.resilience.FaultConfig` (an injector
         scoped to ``scope`` or the database name is built) or a ready
-        :class:`~repro.resilience.FaultInjector`. The LLM is re-wrapped as
-        retry(fault(llm)) and the operators rebuilt around it; the
-        executors used by self-correction and the final check inject
-        through the same injector. Returns the injector.
+        :class:`~repro.resilience.FaultInjector`. The LLM is re-wrapped with
+        the injector, which each retry attempt consults before the call,
+        and the operators are rebuilt around it; the executors used by
+        self-correction and the final check inject through the same
+        injector. Returns the injector.
         """
         if injector is None:
             if config is None:
@@ -135,9 +136,7 @@ class GenEditPipeline:
                 scope=scope or getattr(self.database, "name", ""),
             )
         self.fault_injector = injector
-        self.llm = ResilientLLM(
-            FaultyLLM(self._base_llm, injector), self.retry_policy
-        )
+        self.llm = ResilientLLM(self._base_llm, self.timeout_ms, injector)
         self.operators = self._build_operators()
         return injector
 

@@ -19,7 +19,7 @@ pipeline recovered — the same thing BIRD's EX measures for a real LLM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,6 @@ class QuerySpec:
     order: OrderSpec | None = None
     distinct: bool = False
     ratio_delta: RatioDeltaSpec | None = None
-
-    def with_changes(self, **changes):
-        return replace(self, **changes)
 
     @property
     def tables(self):

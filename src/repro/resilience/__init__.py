@@ -2,16 +2,17 @@
 
 The paper's pipeline already budgets for *semantic* failure (up to ``k``
 self-correction retries, §2.1); this package supplies the *operational*
-half an enterprise deployment needs. :class:`RetryPolicy` bounds attempts
-with exponential backoff (deterministic seeded jitter) and a per-call
-deadline; :class:`ResilientLLM` applies the policy around every simulated
-LLM operator method, classifying errors as retryable or fatal and
-optionally tripping a :class:`CircuitBreaker`. :class:`FaultInjector`
-wraps the LLM (:class:`FaultyLLM`) and the execution engine
-(:class:`FaultyExecutor`) with seed-deterministic fault rates — transient
-errors, timeouts, truncated/garbled outputs, latency spikes — so chaos
-behaviour is reproducible in tests and benchmarks (``--faults RATE[:SEED]``
-on the harness, ``make chaos-smoke`` in CI). See DESIGN.md §6c.
+half an enterprise deployment needs. :class:`ResilientLLM` is the one
+wrapper around every simulated LLM operator method: each attempt passes
+through an optional :class:`FaultInjector`, errors are classified as
+retryable or fatal, and retryable ones are retried up to
+:data:`~.policy.MAX_ATTEMPTS` with exponential backoff (deterministic seeded
+jitter, recorded rather than slept) under a soft per-call deadline
+(``timeout_ms``). :class:`FaultyExecutor` applies the same injector to
+the execution engine, so chaos behaviour — transient errors, timeouts,
+truncated/garbled outputs, latency spikes — is reproducible in tests and
+benchmarks (``--faults RATE[:SEED]`` on the harness, ``make chaos-smoke``
+in CI). See DESIGN.md §6c.
 """
 
 from .faults import (
@@ -22,33 +23,26 @@ from .faults import (
     FaultConfig,
     FaultInjector,
     FaultyExecutor,
-    FaultyLLM,
     InjectedExecutionError,
 )
 from .policy import (
-    DEFAULT_RETRY_POLICY,
     FAILURE_CATEGORIES,
     FATAL,
+    LLM_TIMEOUT_MS,
     RETRYABLE,
-    CircuitBreaker,
-    CircuitOpenError,
     FatalLLMError,
     LLMTimeoutError,
     ResilienceError,
     RetriesExhaustedError,
-    RetryPolicy,
     TransientError,
     TransientLLMError,
     categorize_failure,
     classify_error,
     stable_unit,
 )
-from .wrapper import WRAPPED_LLM_METHODS, ResilientLLM, unwrap_llm
+from .wrapper import ResilientLLM
 
 __all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "DEFAULT_RETRY_POLICY",
     "FAILURE_CATEGORIES",
     "FATAL",
     "FAULT_ERROR",
@@ -59,19 +53,16 @@ __all__ = [
     "FaultConfig",
     "FaultInjector",
     "FaultyExecutor",
-    "FaultyLLM",
     "InjectedExecutionError",
     "LLMTimeoutError",
+    "LLM_TIMEOUT_MS",
     "RETRYABLE",
     "ResilienceError",
     "ResilientLLM",
     "RetriesExhaustedError",
-    "RetryPolicy",
     "TransientError",
     "TransientLLMError",
-    "WRAPPED_LLM_METHODS",
     "categorize_failure",
     "classify_error",
     "stable_unit",
-    "unwrap_llm",
 ]

@@ -3,21 +3,23 @@
 A :class:`FaultInjector` decides, per call site and occurrence, whether to
 inject a fault and of which kind. Decisions are a pure function of
 ``(seed, scope, site, occurrence)`` via :func:`~.policy.stable_unit`, so a
-chaos run replays bit-identically — including under the parallel harness,
-where each per-database pipeline owns its own injector (scoped by database
-name) and the per-site occurrence counters never race across questions.
+chaos run replays bit-identically — each per-database pipeline owns its
+own injector (scoped by database name), and the per-site occurrence
+counters are locked.
 
-Fault kinds, carved out of the configured overall ``rate``:
+Fault kinds, carved out of the configured overall ``rate`` in the fixed
+proportions of :data:`FAULT_SHARES`:
 
 * ``error``   — a :class:`~.policy.TransientLLMError` before the call;
 * ``timeout`` — an :class:`~.policy.LLMTimeoutError` (the call "hung"
-  past the policy deadline);
+  past its deadline);
 * ``garble``  — the call succeeds but its output is truncated/garbled;
 * ``latency`` — a recorded latency spike (metrics only; nothing sleeps).
 
-:class:`FaultyLLM` applies the injector to the simulated LLM's operator
-methods; :class:`FaultyExecutor` applies it to the execution engine, where
-an injected fault surfaces as :class:`InjectedExecutionError` — a regular
+:class:`~.wrapper.ResilientLLM` applies the injector inside each attempt
+at the simulated LLM's operator methods; :class:`FaultyExecutor` applies
+it to the execution engine, where an injected fault surfaces as
+:class:`InjectedExecutionError` — a regular
 :class:`~repro.engine.errors.ExecutionError`, so the self-correction
 operator and the final check handle it like any runtime failure.
 """
@@ -36,6 +38,17 @@ FAULT_TIMEOUT = "timeout"
 FAULT_GARBLE = "garble"
 FAULT_LATENCY = "latency"
 
+#: How the faulted band ``[0, rate)`` splits across the kinds; normalised,
+#: so only the proportions matter.
+FAULT_SHARES = (
+    (FAULT_ERROR, 0.45),
+    (FAULT_TIMEOUT, 0.25),
+    (FAULT_GARBLE, 0.20),
+    (FAULT_LATENCY, 0.10),
+)
+#: The spike an injected ``latency`` fault records.
+INJECTED_LATENCY_MS = 250.0
+
 
 class InjectedExecutionError(ExecutionError):
     """An injected engine failure (subclass so normal handling applies)."""
@@ -43,19 +56,10 @@ class InjectedExecutionError(ExecutionError):
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Overall fault rate, seed, and how the rate splits across kinds.
-
-    The shares partition the faulted band ``[0, rate)``; they are
-    normalised, so only their proportions matter.
-    """
+    """Overall fault rate and seed (``--faults RATE[:SEED]``)."""
 
     rate: float = 0.0
     seed: int = 0
-    error_share: float = 0.45
-    timeout_share: float = 0.25
-    garble_share: float = 0.20
-    latency_share: float = 0.10
-    latency_ms: float = 250.0
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
@@ -78,16 +82,10 @@ class FaultConfig:
         """Map a ``[0, 1)`` sample to a fault kind, or None for no fault."""
         if unit >= self.rate or self.rate <= 0.0:
             return None
-        shares = (
-            (FAULT_ERROR, self.error_share),
-            (FAULT_TIMEOUT, self.timeout_share),
-            (FAULT_GARBLE, self.garble_share),
-            (FAULT_LATENCY, self.latency_share),
-        )
-        total = sum(share for _kind, share in shares) or 1.0
+        total = sum(share for _kind, share in FAULT_SHARES)
         band = unit / self.rate
         cumulative = 0.0
-        for kind, share in shares:
+        for kind, share in FAULT_SHARES:
             cumulative += share / total
             if band < cumulative:
                 return kind
@@ -129,8 +127,7 @@ class FaultInjector:
             )
         if kind == FAULT_LATENCY:
             get_metrics().observe(
-                "faults.injected_latency_ms", self.config.latency_ms,
-                site=site,
+                "faults.injected_latency_ms", INJECTED_LATENCY_MS, site=site,
             )
         return kind
 
@@ -152,42 +149,6 @@ class FaultInjector:
         return value
 
 
-#: LLM methods whose outputs survive garbling structurally intact enough
-#: for the pipeline to keep running (chaos tests exercise the fallout).
-_GARBLE_SAFE = ("reformulate", "classify_intents", "link_schema",
-                "understand")
-
-
-class FaultyLLM:
-    """Wraps a (simulated) LLM, injecting faults before/after each call."""
-
-    def __init__(self, llm, injector):
-        self.inner = llm
-        self.injector = injector
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def _call(self, site, *args, **kwargs):
-        kind = self.injector.before_llm_call(site)
-        result = getattr(self.inner, site)(*args, **kwargs)
-        if kind == FAULT_GARBLE and site in _GARBLE_SAFE:
-            return self.injector.garble(result)
-        return result
-
-    def reformulate(self, *args, **kwargs):
-        return self._call("reformulate", *args, **kwargs)
-
-    def classify_intents(self, *args, **kwargs):
-        return self._call("classify_intents", *args, **kwargs)
-
-    def link_schema(self, *args, **kwargs):
-        return self._call("link_schema", *args, **kwargs)
-
-    def understand(self, *args, **kwargs):
-        return self._call("understand", *args, **kwargs)
-
-
 class FaultyExecutor:
     """Wraps an :class:`~repro.engine.executor.Executor` with faults.
 
@@ -196,18 +157,17 @@ class FaultyExecutor:
     beyond their metrics (a result set cannot be half-returned here).
     """
 
-    def __init__(self, executor, injector, site="execute"):
+    def __init__(self, executor, injector):
         self.inner = executor
         self.injector = injector
-        self.site = site
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def execute(self, query):
-        kind = self.injector.decide(self.site)
+        kind = self.injector.decide("execute")
         if kind in (FAULT_ERROR, FAULT_TIMEOUT):
             raise InjectedExecutionError(
-                f"injected {kind} in {self.site} ({self.injector.scope})"
+                f"injected {kind} in execute ({self.injector.scope})"
             )
         return self.inner.execute(query)

@@ -1,16 +1,13 @@
-"""Retry policy, error classification, and the circuit breaker.
+"""Retry constants, backoff and error classification.
 
 Everything here is deterministic by construction: backoff jitter comes
 from a stable hash of ``(seed, site, attempt)`` rather than a shared RNG,
-and the circuit breaker counts *calls* (not wall-clock time) through its
-cooldown, so a chaos run replays identically under any thread scheduling.
+so a chaos run replays identically under any thread scheduling.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from dataclasses import dataclass
 
 
 def stable_unit(*parts):
@@ -42,15 +39,11 @@ class TransientLLMError(TransientError):
 
 
 class LLMTimeoutError(TransientError):
-    """A model call exceeded the policy's per-call deadline."""
+    """A model call exceeded its soft per-call deadline."""
 
 
 class FatalLLMError(ResilienceError):
     """A model-call failure retrying cannot fix (bad request, auth)."""
-
-
-class CircuitOpenError(ResilienceError):
-    """The circuit breaker is open for this call site; call not attempted."""
 
 
 class RetriesExhaustedError(ResilienceError):
@@ -70,22 +63,18 @@ RETRYABLE = "retryable"
 FATAL = "fatal"
 
 
-def classify_error(error, extra_retryable=()):
+def classify_error(error):
     """Classify ``error`` as :data:`RETRYABLE` or :data:`FATAL`.
 
     The layer's own transient types are retryable; so are the stdlib
     shapes a real inference stack produces (timeouts, connection resets).
-    Everything else — including :class:`FatalLLMError`,
-    :class:`CircuitOpenError`, and arbitrary programming errors — is fatal:
-    retrying a deterministic failure only burns budget.
+    Everything else — including :class:`FatalLLMError` and arbitrary
+    programming errors — is fatal: retrying a deterministic failure only
+    burns budget.
     """
-    if isinstance(error, (FatalLLMError, CircuitOpenError)):
-        return FATAL
     if isinstance(error, TransientError):
         return RETRYABLE
     if isinstance(error, (TimeoutError, ConnectionError, BrokenPipeError)):
-        return RETRYABLE
-    if extra_retryable and isinstance(error, tuple(extra_retryable)):
         return RETRYABLE
     return FATAL
 
@@ -103,7 +92,6 @@ FAILURE_CATEGORIES = {
     "LLMTimeoutError": "llm-timeout",
     "TimeoutError": "llm-timeout",
     "FatalLLMError": "llm-fatal",
-    "CircuitOpenError": "circuit-open",
     "RetriesExhaustedError": "retries-exhausted",
     "InjectedExecutionError": "execution",
     "ExecutionError": "execution",
@@ -145,140 +133,30 @@ def categorize_failure(error_text):
     return "other"
 
 
-# -- retry policy -----------------------------------------------------------
+# -- retry constants ----------------------------------------------------------
+
+#: Tries per LLM call: the first plus two retries.
+MAX_ATTEMPTS = 3
+#: Backoff before retry ``n`` is ``BASE * MULTIPLIER ** (n - 1)``, capped.
+BACKOFF_BASE_MS = 50.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_MS = 2000.0
+#: Seeded jitter adds up to this share of the raw backoff.
+JITTER_RATIO = 0.25
+BACKOFF_SEED = 0
+#: The default soft per-call deadline (``ResilientLLM(timeout_ms=)``).
+LLM_TIMEOUT_MS = 30_000.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounds and backoff for one class of calls.
+def backoff_ms(attempt, site=""):
+    """Backoff before retry number ``attempt`` (1-based) at ``site``.
 
-    ``backoff_ms(attempt, site)`` grows exponentially from
-    ``backoff_base_ms`` and is capped at ``backoff_max_ms``; the seeded
-    jitter adds up to ``jitter_ratio`` of the raw backoff, deterministically
-    per ``(seed, site, attempt)``. ``timeout_ms`` is a soft per-call
-    deadline: a call observed (or simulated) to run past it is treated as a
-    retryable timeout. ``sleep=False`` (the default for the simulated
-    stack) accounts the backoff in metrics without actually sleeping.
-
-    ``breaker_threshold`` consecutive failures at one site open the
-    breaker for ``breaker_cooldown`` subsequent calls (0 disables it).
+    Recorded in ``resilience.backoff_ms``, never slept: the simulated
+    stack has nothing to wait for.
     """
-
-    max_attempts: int = 3
-    backoff_base_ms: float = 50.0
-    backoff_multiplier: float = 2.0
-    backoff_max_ms: float = 2000.0
-    jitter_ratio: float = 0.25
-    seed: int = 0
-    timeout_ms: float = 30_000.0
-    sleep: bool = False
-    breaker_threshold: int = 0
-    breaker_cooldown: int = 8
-
-    def backoff_ms(self, attempt, site=""):
-        """Backoff before retry number ``attempt`` (1-based) at ``site``."""
-        raw = min(
-            self.backoff_base_ms * self.backoff_multiplier ** max(
-                attempt - 1, 0
-            ),
-            self.backoff_max_ms,
-        )
-        jitter = raw * self.jitter_ratio * stable_unit(
-            self.seed, site, attempt
-        )
-        return raw + jitter
-
-    def make_breaker(self):
-        """A :class:`CircuitBreaker` per this policy, or None if disabled."""
-        if self.breaker_threshold <= 0:
-            return None
-        return CircuitBreaker(self.breaker_threshold, self.breaker_cooldown)
-
-
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-# -- circuit breaker --------------------------------------------------------
-
-
-class _SiteState:
-    __slots__ = ("failures", "open_remaining", "half_open", "trial_pending")
-
-    def __init__(self):
-        self.failures = 0
-        self.open_remaining = 0
-        self.half_open = False
-        self.trial_pending = False
-
-
-class CircuitBreaker:
-    """Per-site breaker counted in calls, so behaviour is deterministic.
-
-    ``threshold`` consecutive failures open the circuit; the next
-    ``cooldown`` calls are rejected without reaching the backend; the call
-    after that is a half-open trial — success closes the circuit, failure
-    re-opens it for another cooldown.
-
-    Every transition happens under one lock, and the half-open trial is a
-    single-winner token (``trial_pending``): with N threads racing
-    ``allow()`` after the cooldown, exactly one wins the trial and the
-    rest are rejected until the trial resolves. Without the token, every
-    concurrent caller would "be" the trial — a thundering herd onto a
-    backend the breaker exists to protect — and two failures recorded in
-    the same tick could double-open the circuit.
-    """
-
-    def __init__(self, threshold, cooldown):
-        if threshold <= 0:
-            raise ValueError("breaker threshold must be positive")
-        self.threshold = threshold
-        self.cooldown = max(int(cooldown), 1)
-        self._lock = threading.Lock()
-        self._sites = {}
-
-    def _state(self, site):
-        state = self._sites.get(site)
-        if state is None:
-            state = self._sites[site] = _SiteState()
-        return state
-
-    def allow(self, site):
-        """Whether a call at ``site`` may proceed (counts one rejection)."""
-        with self._lock:
-            state = self._state(site)
-            if state.open_remaining > 0:
-                state.open_remaining -= 1
-                if state.open_remaining == 0:
-                    state.half_open = True
-                return False
-            if state.half_open:
-                if state.trial_pending:
-                    return False
-                state.trial_pending = True
-                return True
-            return True
-
-    def record_success(self, site):
-        with self._lock:
-            state = self._state(site)
-            state.failures = 0
-            state.half_open = False
-            state.trial_pending = False
-
-    def record_failure(self, site):
-        with self._lock:
-            state = self._state(site)
-            state.failures += 1
-            if (
-                state.trial_pending
-                or state.half_open
-                or state.failures >= self.threshold
-            ):
-                state.open_remaining = self.cooldown
-                state.half_open = False
-                state.trial_pending = False
-                state.failures = 0
-
-    def is_open(self, site):
-        with self._lock:
-            return self._state(site).open_remaining > 0
+    raw = min(
+        BACKOFF_BASE_MS * BACKOFF_MULTIPLIER ** max(attempt - 1, 0),
+        BACKOFF_MAX_MS,
+    )
+    jitter = raw * JITTER_RATIO * stable_unit(BACKOFF_SEED, site, attempt)
+    return raw + jitter

@@ -1,12 +1,15 @@
-"""The retrying LLM wrapper: policy applied around every operator method.
+"""The one LLM wrapper: retries, the soft deadline and fault injection.
 
 :class:`ResilientLLM` is transparent when nothing fails — same arguments,
 same return values, attribute access (``model``, ``linking_model``...)
 passes through — so wrapping the simulated LLM never perturbs a healthy
-run. On failure it classifies the error (:func:`~.policy.classify_error`),
-retries retryable ones up to the policy bound with deterministic backoff,
-feeds the circuit breaker when one is configured, and annotates both the
-enclosing span and the process-wide metrics registry with what happened.
+run. Each attempt at an operator method first asks the optional
+:class:`~.faults.FaultInjector` for a fault, then calls the model, then
+garbles the output on a ``garble`` decision. On failure it classifies the
+error (:func:`~.policy.classify_error`), retries retryable ones up to
+:data:`~.policy.MAX_ATTEMPTS` with deterministic recorded backoff, and
+annotates both the enclosing span and the process-wide metrics registry
+with what happened.
 """
 
 from __future__ import annotations
@@ -15,39 +18,25 @@ import time
 
 from ..obs.metrics import get_metrics
 from ..obs.tracing import current_span
+from .faults import FAULT_GARBLE
 from .policy import (
     FATAL,
-    CircuitOpenError,
+    LLM_TIMEOUT_MS,
+    MAX_ATTEMPTS,
     LLMTimeoutError,
     RetriesExhaustedError,
-    RetryPolicy,
+    backoff_ms,
     classify_error,
 )
 
-#: The operator-facing methods of :class:`~repro.llm.simulated.SimulatedLLM`
-#: that the wrapper guards. Anything else passes through untouched.
-WRAPPED_LLM_METHODS = (
-    "reformulate", "classify_intents", "link_schema", "understand",
-)
-
-
-def unwrap_llm(llm):
-    """The innermost LLM under any resilience/fault wrappers."""
-    seen = set()
-    while hasattr(llm, "inner") and id(llm) not in seen:
-        seen.add(id(llm))
-        llm = llm.inner
-    return llm
-
 
 class ResilientLLM:
-    """Retry/backoff/timeout/breaker wrapper around an LLM's operators."""
+    """Retry/backoff/timeout/fault-injection wrapper around an LLM."""
 
-    def __init__(self, llm, policy=None, breaker=None):
+    def __init__(self, llm, timeout_ms=LLM_TIMEOUT_MS, injector=None):
         self.inner = llm
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker if breaker is not None \
-            else self.policy.make_breaker()
+        self.timeout_ms = timeout_ms
+        self.injector = injector
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -67,49 +56,42 @@ class ResilientLLM:
     # -- machinery -------------------------------------------------------
 
     def _call(self, site, *args, **kwargs):
-        policy = self.policy
         metrics = get_metrics()
         function = getattr(self.inner, site)
+        injector = self.injector
         last_error = None
-        for attempt in range(1, max(policy.max_attempts, 1) + 1):
-            if self.breaker is not None and not self.breaker.allow(site):
-                metrics.inc("resilience.circuit_open", operator=site)
-                self._annotate_span("resilience.circuit_open", 1)
-                raise CircuitOpenError(f"circuit open for {site}")
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             started = time.perf_counter()
             try:
+                kind = None
+                if injector is not None:
+                    kind = injector.before_llm_call(site)
                 result = function(*args, **kwargs)
+                if kind == FAULT_GARBLE:
+                    result = injector.garble(result)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
-                if elapsed_ms > policy.timeout_ms:
+                if elapsed_ms > self.timeout_ms:
                     # Soft deadline: a synchronous stack cannot preempt the
                     # call, but a call observed past the budget is treated
                     # exactly like one that timed out remotely.
                     raise LLMTimeoutError(
                         f"{site} took {elapsed_ms:.0f}ms "
-                        f"(deadline {policy.timeout_ms:.0f}ms)"
+                        f"(deadline {self.timeout_ms:.0f}ms)"
                     )
             except Exception as error:
                 if classify_error(error) is FATAL:
-                    if self.breaker is not None:
-                        self.breaker.record_failure(site)
                     metrics.inc("resilience.fatal", operator=site)
                     raise
                 last_error = error
-                if self.breaker is not None:
-                    self.breaker.record_failure(site)
-                if attempt >= policy.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     break
-                backoff_ms = policy.backoff_ms(attempt, site)
+                backoff = backoff_ms(attempt, site)
                 metrics.inc("resilience.retries", operator=site)
-                metrics.observe("resilience.backoff_ms", backoff_ms,
+                metrics.observe("resilience.backoff_ms", backoff,
                                 operator=site)
                 self._annotate_span("resilience.retries", 1)
-                self._annotate_span("resilience.backoff_ms", backoff_ms)
-                if policy.sleep and backoff_ms > 0:
-                    time.sleep(backoff_ms / 1000.0)
+                self._annotate_span("resilience.backoff_ms", backoff)
                 continue
-            if self.breaker is not None:
-                self.breaker.record_success(site)
             if attempt > 1:
                 metrics.inc("resilience.recoveries", operator=site)
                 span = current_span()
@@ -118,7 +100,7 @@ class ResilientLLM:
             return result
         metrics.inc("resilience.exhausted", operator=site)
         self._annotate_span("resilience.exhausted", 1)
-        raise RetriesExhaustedError(site, policy.max_attempts, last_error)
+        raise RetriesExhaustedError(site, MAX_ATTEMPTS, last_error)
 
     @staticmethod
     def _annotate_span(key, value):

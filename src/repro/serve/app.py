@@ -15,8 +15,9 @@ Responsibilities:
   per-request deadline is 504. Introspection routes (``runs``,
   ``healthz``) answer directly on the event loop.
 * **Deadline mapping**: the server's deadline becomes the tenant
-  pipelines' :class:`~repro.resilience.RetryPolicy` ``timeout_ms`` so
-  the resilience layer's per-call budget and the request budget agree;
+  pipelines' ``timeout_ms`` (the soft per-call deadline of their
+  :class:`~repro.resilience.ResilientLLM`) so the resilience layer's
+  per-call budget and the request budget agree;
   a request's own ``deadline_ms`` may only shrink the server's.
 * **Serve-run ledger record**: benchmark traffic (requests carrying
   ``question_id``/``gold_sql``) accumulates
@@ -32,7 +33,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import time
@@ -41,7 +41,7 @@ from ..bench.metrics import EvaluationReport, QuestionOutcome, \
     execution_match
 from ..obs.metrics import get_metrics, global_snapshot
 from ..obs.tracing import current_trace_id, use_trace_context
-from ..resilience import DEFAULT_RETRY_POLICY
+from ..resilience import LLM_TIMEOUT_MS
 from .middleware import (
     ServeObservability,
     request_id_from_headers,
@@ -61,20 +61,20 @@ from .schemas import (
 #: Default end-to-end request deadline. Matches the resilience layer's
 #: default per-call ``timeout_ms`` so a plain server preserves the batch
 #: path's retry behaviour exactly (serial/concurrent equivalence).
-DEFAULT_DEADLINE_MS = DEFAULT_RETRY_POLICY.timeout_ms
+DEFAULT_DEADLINE_MS = LLM_TIMEOUT_MS
 
 
 class TenantState:
     """One served database: its profile, knowledge set, and pipeline."""
 
-    def __init__(self, name, profile, knowledge, retry_policy):
+    def __init__(self, name, profile, knowledge, timeout_ms):
         self.name = name
         self.profile = profile
         self.knowledge = knowledge
         from ..pipeline.pipeline import GenEditPipeline
 
         self.pipeline = GenEditPipeline(
-            profile.database, knowledge, retry_policy=retry_policy
+            profile.database, knowledge, timeout_ms=timeout_ms
         )
 
 
@@ -151,12 +151,9 @@ class ServeApp:
                 f"choose from: {', '.join(sorted(knowledge_sets))}"
             )
         self.databases = names
-        retry_policy = dataclasses.replace(
-            DEFAULT_RETRY_POLICY, timeout_ms=self.deadline_ms
-        )
         for name in names:
             self._tenants[name] = TenantState(
-                name, profiles[name], knowledge_sets[name], retry_policy
+                name, profiles[name], knowledge_sets[name], self.deadline_ms
             )
             self._tenant_stats[name] = {
                 "requests": 0, "failures": 0, "scored": 0, "correct": 0,
@@ -200,9 +197,6 @@ class ServeApp:
     @property
     def draining(self):
         return self.pool.draining
-
-    def telemetry_stats(self):
-        return None if self._telemetry is None else self._telemetry.stats()
 
     # -- routing / dispatch ---------------------------------------------
 

@@ -75,6 +75,10 @@ REQUEST_BUCKETS_MS = (
 #: neither needs unbounded history on a long-lived server.
 SERVE_TRACER_SPANS = 4096
 
+#: Bounds on the ``/debug/requests`` log and the per-trace store.
+REQUEST_LOG_CAPACITY = 256
+TRACE_CAPACITY = 128
+
 
 def new_request_id():
     """A process-unique request id (``req-<pid>-<seq>``)."""
@@ -190,12 +194,11 @@ class ServeObservability:
     """The metrics/tracing/logging/debug-ring side of request dispatch."""
 
     def __init__(self, registry=None, tracer=None, slow_ms=5000.0,
-                 sample_every=10, flight_capacity=64,
-                 request_log_capacity=256, trace_capacity=128):
+                 sample_every=10, flight_capacity=64):
         self.registry = registry or get_metrics()
         self.tracer = tracer or Tracer(max_finished=SERVE_TRACER_SPANS)
-        self.requests = RequestLog(capacity=request_log_capacity)
-        self.traces = TraceStore(capacity=trace_capacity)
+        self.requests = RequestLog(capacity=REQUEST_LOG_CAPACITY)
+        self.traces = TraceStore(capacity=TRACE_CAPACITY)
         self.flight = FlightRecorder(
             capacity=flight_capacity, slow_ms=slow_ms,
             sample_every=sample_every,

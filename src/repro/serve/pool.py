@@ -15,9 +15,9 @@ A blown deadline raises :class:`DeadlineExceeded` (the HTTP layer maps it
 to 504) — the worker thread itself cannot be interrupted mid-pipeline, so
 the slot is released by the future's done-callback when the pipeline
 eventually returns; the admission bound therefore still holds. The same
-deadline is threaded into the pipeline's
-:class:`~repro.resilience.RetryPolicy` ``timeout_ms`` at app construction
-so the resilience layer's per-call budget agrees with the request budget.
+deadline becomes the pipeline's ``timeout_ms`` (its
+:class:`~repro.resilience.ResilientLLM` soft per-call deadline) at app
+construction, so the per-call budget agrees with the request budget.
 """
 
 from __future__ import annotations

@@ -352,10 +352,6 @@ class Query(Node):
     body: Node = None
     ctes: list = field(default_factory=list)  # of CommonTableExpression
 
-    @property
-    def has_ctes(self):
-        return bool(self.ctes)
-
 
 #: Expression node classes, used by the decomposer to distinguish expression
 #: granularity from relational granularity.

@@ -3,8 +3,8 @@ resilience/ledger paths hardened for the serving layer.
 
 Each test hammers one shared structure from N threads (barrier-started
 so the race window actually overlaps) and asserts the invariant the
-fix established: no lost counter increments, exactly one half-open
-trial winner, no torn cache reads, distinct ledger run ids. Before the
+fix established: no lost counter increments, no torn cache reads,
+distinct ledger run ids. Before the
 locks these tests fail intermittently; with them they must never fail.
 """
 
@@ -18,7 +18,6 @@ from repro.engine import Executor
 from repro.engine.stats import engine_snapshot, reset_engine_stats
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.policy import CircuitBreaker
 from repro.sql import parse
 
 THREADS = 8
@@ -160,51 +159,6 @@ class TestLinkSignatureCache:
 
         _hammer(worker)
         assert results == [expected] * THREADS
-
-
-class TestCircuitBreakerAtomicity:
-    def _half_open_breaker(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("site")     # opens: 1 cooldown call
-        assert not breaker.allow("site")   # burns cooldown -> half-open
-        return breaker
-
-    def test_single_half_open_trial_winner(self):
-        breaker = self._half_open_breaker()
-        verdicts = [None] * THREADS
-
-        def worker(index):
-            verdicts[index] = breaker.allow("site")
-
-        _hammer(worker)
-        assert sum(verdicts) == 1, (
-            f"expected exactly one half-open trial, got {sum(verdicts)}"
-        )
-
-    def test_trial_success_closes_trial_failure_reopens(self):
-        breaker = self._half_open_breaker()
-        assert breaker.allow("site")        # the trial
-        breaker.record_success("site")
-        assert breaker.allow("site")        # closed again
-
-        breaker = self._half_open_breaker()
-        assert breaker.allow("site")
-        breaker.record_failure("site")      # trial failed: re-open
-        assert not breaker.allow("site")
-
-    def test_concurrent_failures_open_exactly_once(self):
-        breaker = CircuitBreaker(threshold=THREADS * ROUNDS + 1,
-                                 cooldown=3)
-
-        def worker(index):
-            for _ in range(ROUNDS):
-                breaker.record_failure("site")
-
-        _hammer(worker)
-        # One more failure crosses the threshold exactly.
-        assert breaker.allow("site")
-        breaker.record_failure("site")
-        assert not breaker.allow("site")
 
 
 class TestMetricsRegistryContention:
