@@ -199,7 +199,7 @@ def _training_log(profile, rng):
 # ---------------------------------------------------------------------------
 
 
-def _add(workload, profiles, difficulty, database, result, counter):
+def _add(workload, difficulty, database, result, counter):
     if result is None:
         return False
     spec, question, features, intent = result
@@ -265,7 +265,7 @@ def _add_simple_questions(workload, profiles, rng):
         name, menu = menus[position % len(menus)]
         maker = menu[(position // len(menus)) % len(menu)]
         counter[name] += 1
-        if _add(workload, profiles, SIMPLE, name, maker(), counter[name]):
+        if _add(workload, SIMPLE, name, maker(), counter[name]):
             added += 1
         position += 1
 
@@ -349,7 +349,7 @@ def _add_moderate_questions(workload, profiles, rng):
         if added >= 28:
             break
         counter[name] += 1
-        if _add(workload, profiles, MODERATE, name, maker(), counter[name]):
+        if _add(workload, MODERATE, name, maker(), counter[name]):
             added += 1
 
 
@@ -374,7 +374,7 @@ def _add_challenging_questions(workload, profiles, rng):
     for name, maker in plan:
         factory = _Factory(SchemaInfo(profiles[name]), rng)
         counter += 1
-        _add(workload, profiles, CHALLENGING, name, maker(factory), counter)
+        _add(workload, CHALLENGING, name, maker(factory), counter)
 
 
 def _fk_join(profile, base, join_table):

@@ -52,8 +52,5 @@ def build_enterprise_workload(seed=DEFAULT_SEED):
             SchemaInfo(profiles[name]), random.Random(seed * 131 + index)
         )
         counter += 1
-        _add(
-            workload, profiles, ENTERPRISE_DIFFICULTY, name,
-            maker(factory), counter,
-        )
+        _add(workload, ENTERPRISE_DIFFICULTY, name, maker(factory), counter)
     return workload

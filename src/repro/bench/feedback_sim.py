@@ -35,7 +35,7 @@ class FeedbackSummary:
     details: list = field(default_factory=list)
 
 
-def _vague_feedback(question, spec, colloquial):
+def _vague_feedback(spec, colloquial):
     surface = next(
         (
             vague for (db, column), vague in _VAGUE_SURFACES.items()
@@ -183,9 +183,7 @@ def _feedback_for(question, session_number=0):
     spec = question.spec
     if "trap:vague" in features:
         colloquial = session_number % 2 == 0
-        first, precise = _vague_feedback(
-            question.question, spec, colloquial
-        )
+        first, precise = _vague_feedback(spec, colloquial)
         if precise is None:
             return None
         return [first, precise] if first else [precise]

@@ -69,8 +69,7 @@ PROFILE_SCHEMA_VERSION = 4
 
 def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
                     system_name, questions=None, trace_sink=None,
-                    fault_config=None, ledger=None, ledger_meta=None,
-                    telemetry=None):
+                    fault_config=None, telemetry=None):
     """Run one system over the workload and return an EvaluationReport.
 
     ``make_pipeline(database, knowledge)`` builds the system under test for
@@ -94,11 +93,6 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
     injection on every pipeline that supports ``enable_faults`` — each
     database group gets an injector scoped by database name, so chaos runs
     replay identically.
-
-    ``ledger`` (a :class:`~repro.obs.ledger.RunLedger`) persists the run as
-    a single-system run record; the assigned run id lands on
-    ``report.run_id``. ``ledger_meta`` may carry ``seed``/``config``/
-    ``kind`` plus free-form keys stored under the record's ``extra``.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetrySink`) gets a
     registry snapshot pushed after every finished question-group and once
@@ -216,25 +210,6 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
         )
     if telemetry is not None:
         telemetry.publish()
-    if ledger is not None:
-        from ..obs.ledger import build_run_record, build_timing
-
-        meta = dict(ledger_meta or {})
-        record = build_run_record(
-            [report],
-            kind=meta.pop("kind", "evaluate"),
-            target=system_name,
-            seed=meta.pop("seed", None),
-            config=meta.pop("config", None),
-            knowledge_sets=knowledge_sets,
-            faults=fault_config,
-            extra=meta or None,
-            knowledge_lint=_knowledge_lint_codes(profiles, knowledge_sets),
-        )
-        report.run_id = ledger.record_run(
-            record,
-            timing=build_timing(trace_sink or (), wall_s=elapsed),
-        )
     return report
 
 

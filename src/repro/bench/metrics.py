@@ -145,8 +145,6 @@ class EvaluationReport:
 
     system: str
     outcomes: list = field(default_factory=list)
-    #: Stamped by the harness when the run was persisted to a ledger.
-    run_id: str = ""
 
     def add(self, outcome):
         self.outcomes.append(outcome)

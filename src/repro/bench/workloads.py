@@ -203,7 +203,7 @@ _AGG_SURFACE = {"SUM": "total", "AVG": "average", "MAX": "highest",
 _OP_SURFACE = {">": "above", "<": "below", ">=": "at least", "<=": "at most"}
 
 
-def _filter_phrases(rng, eq_with_column=(), bare_values=(), comparisons=(),
+def _filter_phrases(eq_with_column=(), bare_values=(), comparisons=(),
                     quarter=None, year=None):
     phrases = []
     for column_surface, value in eq_with_column:
@@ -270,14 +270,14 @@ class _Factory:
         )
         question = (
             f"How many {entity} are there"
-            + _filter_phrases(rng, eq_filters, bare_values)
+            + _filter_phrases(eq_filters, bare_values)
             + "?"
         )
         question = question.replace("are there where", "are there where")
         if bare_values and not eq_filters:
             question = (
                 f"How many {entity} are"
-                + _filter_phrases(rng, (), bare_values) + "?"
+                + _filter_phrases((), bare_values) + "?"
             )
         return spec, question, features, info.intent_name(table)
 
@@ -343,7 +343,7 @@ class _Factory:
         )
         question = (
             f"{_opening(rng)} the {_AGG_SURFACE[agg]} {surface}"
-            + _filter_phrases(rng, (), bare_values, quarter=quarter, year=year)
+            + _filter_phrases((), bare_values, quarter=quarter, year=year)
             + "?"
         )
         return spec, question, features, info.intent_name(table)
@@ -390,7 +390,7 @@ class _Factory:
         )
         question = (
             f"Show me the {label_surface} and {surface} of the {entity}"
-            + _filter_phrases(rng, (), bare_values)
+            + _filter_phrases((), bare_values)
             + f", ordered by {surface} from highest to lowest"
         )
         return spec, question, features, info.intent_name(table)
@@ -442,7 +442,7 @@ class _Factory:
 
     def unknown_adjective_question(self, variant=0):
         """Adjective with a precise meaning no guideline documents."""
-        info, rng = self.info, self.rng
+        info = self.info
         entries = _UNKNOWN_ADJECTIVES.get(info.name, ())
         if variant >= len(entries):
             return None
@@ -579,7 +579,7 @@ class _Factory:
         question = (
             f"Show me the top {k} {pluralize(group_surface)} by total "
             f"{surface}"
-            + _filter_phrases(rng, quarter=quarter)
+            + _filter_phrases(quarter=quarter)
         )
         return spec, question, features, info.intent_name(table)
 
@@ -646,7 +646,7 @@ class _Factory:
         )
         question = (
             f"{_opening(rng)} the {term_surface}"
-            + _filter_phrases(rng, (), bare_values, quarter=quarter)
+            + _filter_phrases((), bare_values, quarter=quarter)
             + "?"
         )
         return spec, question, features, info.intent_name(table)
@@ -729,7 +729,7 @@ class _Factory:
         question = (
             f"Show me the {k} {entity} with the best and worst total "
             f"{surface}"
-            + _filter_phrases(rng, quarter=quarter)
+            + _filter_phrases(quarter=quarter)
         )
         return (
             spec, question,
@@ -890,7 +890,7 @@ class _Factory:
             f"Identify {adjective}{k} {entity_plural} with the best and "
             f"worst {entry.term}"
             + _filter_phrases(
-                self.rng, (), bare_values,
+                (), bare_values,
                 quarter=(year_value, quarter_value),
             )
         )

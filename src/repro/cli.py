@@ -666,7 +666,6 @@ def cmd_serve(args, out=sys.stdout):
         queue_depth=args.queue_depth,
         deadline_ms=args.deadline_ms,
         ledger_dir=args.ledger_dir,
-        record_runs=bool(args.ledger_dir),
         telemetry_out=args.telemetry_out,
         trace_out=args.trace_out,
         slow_ms=args.slow_ms,

@@ -427,7 +427,7 @@ class Executor(ReferenceExecutor):
         schema = relation.schema
         columns = []
         plans = []
-        for position, item in enumerate(select.items):
+        for item in select.items:
             if isinstance(item.expr, ast.Star):
                 wanted = item.expr.table.upper() if item.expr.table else None
                 matched = False
@@ -445,7 +445,7 @@ class Executor(ReferenceExecutor):
                 if not schema:
                     raise ExecutionError("SELECT * with no FROM clause")
                 continue
-            columns.append(self._output_name(item, position))
+            columns.append(self._output_name(item))
             plans.append((
                 "closure",
                 compiled_expression(item.expr, schema, has_outer, bound_ids),

@@ -446,7 +446,7 @@ class ReferenceExecutor:
     def _project(self, select, schema, row_envs):
         columns = []
         extractors = []
-        for position, item in enumerate(select.items):
+        for item in select.items:
             if isinstance(item.expr, ast.Star):
                 star_columns, star_extractors = self._expand_star(
                     item.expr, schema
@@ -454,7 +454,7 @@ class ReferenceExecutor:
                 columns.extend(star_columns)
                 extractors.extend(star_extractors)
                 continue
-            columns.append(self._output_name(item, position))
+            columns.append(self._output_name(item))
             expr = item.expr
             extractors.append(
                 lambda env, expr=expr: self._evaluator.evaluate(expr, env)
@@ -486,13 +486,11 @@ class ReferenceExecutor:
             raise ExecutionError("SELECT * with no FROM clause")
         return columns, extractors
 
-    def _output_name(self, item, position):
+    def _output_name(self, item):
         if item.alias:
             return item.alias
         if isinstance(item.expr, ast.ColumnRef):
             return item.expr.name
-        if isinstance(item.expr, ast.FunctionCall):
-            return to_sql(item.expr)
         return to_sql(item.expr)
 
     # -- ordering ----------------------------------------------------------

@@ -19,7 +19,7 @@ from .models import (
 )
 
 
-def plan_edits(feedback, expanded, knowledge):
+def plan_edits(feedback, knowledge):
     """Return (steps, directives) for the feedback.
 
     Directives are the structured reading of the feedback text; steps are

@@ -93,9 +93,7 @@ class FeedbackSolver:
             with self.tracer.span("feedback.expand"):
                 expanded = expand_feedback(self.feedback, self.result, targets)
             with self.tracer.span("feedback.plan") as span:
-                steps, directives = plan_edits(
-                    self.feedback, expanded, knowledge
-                )
+                steps, directives = plan_edits(self.feedback, knowledge)
                 span.set_attr("steps", len(steps))
             self.last_targets = targets
             self.last_expansion = expanded

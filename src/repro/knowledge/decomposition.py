@@ -105,9 +105,8 @@ def _fragment_gist(sql):
 
 # -- example building ----------------------------------------------------------
 
-def build_examples(question, sql, intent_ids=(), source_query_id="",
-                   timestamp=0):
-    """Decompose one logged (question, sql) pair into knowledge examples.
+def build_examples(sql, intent_ids=(), source_query_id="", timestamp=0):
+    """Decompose one logged query into knowledge examples.
 
     Returns a list of :class:`DecomposedExample`. The full-query unit is
     skipped: GenEdit's representation is sub-statements, not full pairs

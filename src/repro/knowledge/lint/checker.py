@@ -40,10 +40,11 @@ scoped to ``database.version``, on two levels (DESIGN.md §6f):
 
 Near-duplicate detection reads the vectors the example index has already
 fit (:meth:`~repro.knowledge.store.KnowledgeSet.example_vectors`) rather
-than fitting them again, and the fragment-parse checks go through the
-memoised :func:`~repro.sql.parser.parses`. Code that mutates ``table.rows``
-without going through ``Table.insert`` must call
-``database.clear_memos()``, or the memo serves stale findings — the
+than fitting them again, and the fragment-parse check
+(:func:`~repro.sql.decompose.fragment_parses`, shared with the plan
+linter) goes through the memoised :func:`~repro.sql.parser.parses`. Code
+that mutates ``table.rows`` without going through ``Table.insert`` must
+call ``database.clear_memos()``, or the memo serves stale findings — the
 contract every database memo has.
 """
 
@@ -55,16 +56,11 @@ from ...engine.errors import ExecutionError
 from ...engine.executor import Executor
 from ...obs.metrics import get_metrics
 from ...obs.tracing import current_span
-from ...sql.decompose import (
-    KIND_EXPR_SUBQUERY,
-    KIND_FROM,
-    KIND_QUERY,
-    KIND_SUBQUERY,
-)
+from ...sql.decompose import KIND_QUERY, fragment_parses
 from ...sql.diagnostics import DiagnosticsEngine
 from ...sql.diagnostics.core import error_codes, error_count
 from ...sql.errors import SqlError
-from ...sql.parser import parse, parses
+from ...sql.parser import parse
 from ...text.similarity import cosine_with_norms
 from ..models import INSTRUCTION_TERM
 from .core import (
@@ -320,7 +316,7 @@ def _check_example(example, checks, findings):
     if example.kind == KIND_QUERY:
         _check_full_query_example(example, checks, findings)
         return
-    if not _fragment_parses(example.sql, example.kind):
+    if not fragment_parses(example.sql, example.kind):
         findings.append(GK003.at(
             f"{example.kind} fragment does not parse: {example.sql!r}",
             example,
@@ -372,35 +368,6 @@ def _check_full_query_example(example, checks, findings):
         findings.append(GK005.at(
             f"query example fails execution: {error}", example,
         ))
-
-
-#: Fragment wrappings tried per decomposition kind; a fragment is
-#: parseable when any wrapped form parses. ``_K`` is a placeholder
-#: relation — parse-only, never analysed or executed.
-def _fragment_candidates(sql, kind):
-    stripped = sql.strip()
-    head = stripped.split(None, 1)[0].upper() if stripped else ""
-    if kind in (KIND_SUBQUERY, KIND_EXPR_SUBQUERY) or head == "SELECT":
-        yield stripped
-        yield f"{stripped} FROM _K"
-        return
-    if kind == KIND_FROM or head in ("FROM", "JOIN"):
-        if head == "FROM":
-            yield f"SELECT * {stripped}"
-        yield f"SELECT * FROM _K {stripped}"
-        return
-    if head in ("WHERE", "HAVING", "ORDER", "GROUP"):
-        yield f"SELECT * FROM _K {stripped}"
-        return
-    # Expression fragments: select items, CASE, window functions.
-    yield f"SELECT {stripped} FROM _K"
-    yield f"SELECT * FROM _K WHERE {stripped}"
-
-
-def _fragment_parses(sql, kind):
-    return bool(sql.strip()) and any(
-        map(parses, _fragment_candidates(sql, kind))
-    )
 
 
 def _check_near_duplicates(examples, knowledge, findings):

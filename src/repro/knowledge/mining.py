@@ -84,7 +84,7 @@ def mine_knowledge_set(database: Database, query_log, documents=(),
     """
     knowledge = KnowledgeSet(name or f"{database.name}-knowledge")
     intents = _mine_intents(query_log, documents, knowledge)
-    _mine_schema(database, query_log, intents, knowledge, value_k)
+    _mine_schema(database, intents, knowledge, value_k)
     _mine_examples(query_log, intents, knowledge, decompose_examples)
     _mine_documents(documents, intents, knowledge)
     return knowledge
@@ -133,7 +133,7 @@ def _mine_intents(query_log, documents, knowledge):
 # -- schema ----------------------------------------------------------
 
 
-def _mine_schema(database, query_log, intents, knowledge, value_k):
+def _mine_schema(database, intents, knowledge, value_k):
     table_to_intents = {}
     for intent in intents.values():
         for table in intent.tables:
@@ -178,7 +178,6 @@ def _mine_examples(query_log, intents, knowledge, decompose_examples):
         intent_ids = (intent.intent_id,) if intent else ()
         if decompose_examples:
             for example in build_examples(
-                entry.question,
                 entry.sql,
                 intent_ids=intent_ids,
                 source_query_id=entry.query_id,

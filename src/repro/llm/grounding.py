@@ -391,7 +391,7 @@ class _Session:
             return hinted
         # Value unseen in any top-value profile: guess, LLM-style.
         self.issues.append(f"unseen-value:{value}")
-        guess = self.lexicon.guess_value_column(base_table, value)
+        guess = self.lexicon.guess_value_column(base_table)
         if guess is None:
             return None
         return FilterSpec(guess, "=", value)
@@ -707,7 +707,7 @@ class _Session:
                 self.issues.append("term-tables-missing-from-context")
             else:
                 self.issues.append("missing-pattern:quarter_pivot")
-            return self._naive_ratio_fallback(instruction, num_table, entity)
+            return self._naive_ratio_fallback(num_table, entity)
         year, quarter = parsed.quarter if parsed.quarter else (2023, 2)
         if not parsed.quarter:
             self.issues.append("missing-quarter-defaulted")
@@ -763,7 +763,7 @@ class _Session:
                 side_filters.append(FilterSpec(raw=instruction.sql_pattern))
         return side_filters
 
-    def _naive_ratio_fallback(self, instruction, num_table, entity):
+    def _naive_ratio_fallback(self, num_table, entity):
         """Without pivot evidence: current-quarter ratio only, ranked DESC."""
         parsed = self.parsed
         base = num_table if self.lexicon.has_table(num_table) else (

@@ -101,31 +101,28 @@ def knowledge_fingerprint(knowledge):
 
 
 def _outcome_entry(outcome):
-    """The JSON-ready ledger entry for one duck-typed QuestionOutcome."""
+    """The JSON-ready ledger entry for one QuestionOutcome."""
     return {
         "question_id": outcome.question_id,
-        "question": getattr(outcome, "question_text", ""),
+        "question": outcome.question_text,
         "difficulty": outcome.difficulty,
         "database": outcome.database,
         "correct": bool(outcome.correct),
         "predicted_sql": outcome.predicted_sql,
         "gold_sql": outcome.gold_sql,
         "error": outcome.error,
-        "degraded": list(getattr(outcome, "degraded", ()) or ()),
-        "lint_codes": list(getattr(outcome, "lint_codes", ()) or ()),
-        "plan_codes": list(getattr(outcome, "plan_codes", ()) or ()),
-        "lint_caught": getattr(outcome, "lint_caught", 0),
-        "execution_caught": getattr(outcome, "execution_caught", 0),
-        "attempts": getattr(outcome, "attempts", 0),
+        "degraded": list(outcome.degraded),
+        "lint_codes": list(outcome.lint_codes),
+        "plan_codes": list(outcome.plan_codes),
+        "lint_caught": outcome.lint_caught,
+        "execution_caught": outcome.execution_caught,
+        "attempts": outcome.attempts,
         "cost_usd": round(outcome.cost_usd, 10),
         "latency_ms": round(outcome.latency_ms, 4),
         "operator_digests": [
-            [operator, digest]
-            for operator, digest in getattr(outcome, "operator_digests", ())
+            [operator, digest] for operator, digest in outcome.operator_digests
         ],
-        "llm_calls": [
-            list(call) for call in getattr(outcome, "llm_calls", ())
-        ],
+        "llm_calls": [list(call) for call in outcome.llm_calls],
     }
 
 
@@ -185,7 +182,7 @@ def build_accounting(systems):
 
 def build_run_record(reports, kind="bench", target="", seed=None,
                      config=None, knowledge_sets=None, faults=None,
-                     extra=None, knowledge_lint=None):
+                     knowledge_lint=None):
     """Assemble the deterministic ``record.json`` payload (no run id yet).
 
     ``reports`` is any iterable of duck-typed
@@ -226,7 +223,7 @@ def build_run_record(reports, kind="bench", target="", seed=None,
                 _outcome_entry(outcome) for outcome in report.outcomes
             ],
         }
-    record = {
+    return {
         "schema_version": LEDGER_SCHEMA_VERSION,
         "kind": kind,
         "target": target,
@@ -245,9 +242,6 @@ def build_run_record(reports, kind="bench", target="", seed=None,
         "systems": systems,
         "accounting": build_accounting(systems),
     }
-    if extra:
-        record["extra"] = dict(extra)
-    return record
 
 
 def _knowledge_entry(name, knowledge, knowledge_lint):
@@ -263,7 +257,7 @@ def _knowledge_entry(name, knowledge, knowledge_lint):
     return entry
 
 
-def build_timing(trace_records, profile=None, wall_s=None):
+def build_timing(trace_records, profile=None):
     """The volatile ``timing.json`` payload: per-span rollups (p50/90/99).
 
     ``trace_records`` are span dicts (``Span.to_record`` shape, e.g. a
@@ -284,8 +278,6 @@ def build_timing(trace_records, profile=None, wall_s=None):
         "schema_version": LEDGER_SCHEMA_VERSION,
         "span_rollups": rollups,
     }
-    if wall_s is not None:
-        timing["wall_s"] = round(wall_s, 4)
     if profile is not None:
         timing["profile"] = profile
     return timing

@@ -247,7 +247,7 @@ class SchemaLexicon:
                     break
         return hits
 
-    def guess_value_column(self, table, value):
+    def guess_value_column(self, table):
         """Fallback grounding for a value not found in any top-value list.
 
         Mimics an LLM's guess: prefer geographic-sounding text columns of

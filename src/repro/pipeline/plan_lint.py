@@ -31,7 +31,7 @@ from ..sql.diagnostics.core import (
     register,
     severity_score,
 )
-from ..sql.parser import parses
+from ..sql.decompose import fragment_parses
 from .base import Operator
 
 __all__ = [
@@ -211,29 +211,8 @@ def _check_step_columns(pseudo, number, catalog, aliases, findings):
         ))
 
 
-#: Fragment wrappings tried per pseudo-SQL head keyword; a step is
-#: parseable when any wrapped form parses (``_K`` is a parse-only
-#: placeholder relation).
-def _fragment_candidates(pseudo):
-    head = pseudo.split(None, 1)[0].upper() if pseudo else ""
-    if head == "SELECT":
-        yield pseudo
-        yield f"{pseudo} FROM _K"
-        return
-    if head == "FROM":
-        yield f"SELECT * {pseudo}"
-        return
-    if head in ("JOIN", "WHERE", "HAVING", "ORDER", "GROUP"):
-        yield f"SELECT * FROM _K {pseudo}"
-        return
-    yield f"SELECT {pseudo} FROM _K"
-    yield f"SELECT * FROM _K WHERE {pseudo}"
-
-
 def _check_step_parses(pseudo, number, findings):
-    if not pseudo:
-        return
-    if any(map(parses, _fragment_candidates(pseudo))):
+    if not pseudo or fragment_parses(pseudo):
         return
     findings.append(GP005.at(
         f"pseudo-SQL does not parse: {pseudo!r}", step=number,

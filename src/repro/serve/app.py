@@ -47,7 +47,13 @@ from .middleware import (
     request_id_from_headers,
     trace_context_from_headers,
 )
-from .pool import DeadlineExceeded, PoolDraining, PoolSaturated, WorkerPool
+from .pool import (
+    RETRY_AFTER_S,
+    DeadlineExceeded,
+    PoolDraining,
+    PoolSaturated,
+    WorkerPool,
+)
 from .router import HTTPError, Router
 from .schemas import (
     AskRequest,
@@ -62,6 +68,20 @@ from .schemas import (
 #: default per-call ``timeout_ms`` so a plain server preserves the batch
 #: path's retry behaviour exactly (serial/concurrent equivalence).
 DEFAULT_DEADLINE_MS = LLM_TIMEOUT_MS
+
+#: The ``/healthz`` ``tenant_detail`` keys. Each is the registry counter
+#: ``serve.tenant.<key>`` labelled by tenant, so ``/metrics`` shows the
+#: same numbers.
+TENANT_COUNTERS = ("requests", "failures", "scored", "correct")
+
+
+def _request_record(tenant, result, detail):
+    """A pooled handler's record for the middleware holder."""
+    return {
+        "tenant": tenant,
+        "failed": not result.success,
+        "debug": {"spans": result.trace_records(), "detail": detail},
+    }
 
 
 class TenantState:
@@ -83,21 +103,18 @@ class ServeApp:
 
     def __init__(self, databases=None, seed=7, workers=4, queue_depth=8,
                  deadline_ms=DEFAULT_DEADLINE_MS, ledger_dir=None,
-                 record_runs=False, telemetry_out=None, trace_out=None,
-                 registry=None, profiles=None, workload=None,
-                 knowledge_sets=None, slow_ms=5000.0, sample_every=10,
-                 flight_capacity=64):
+                 telemetry_out=None, trace_out=None, registry=None,
+                 profiles=None, workload=None, knowledge_sets=None,
+                 slow_ms=5000.0, sample_every=10):
         self.seed = seed
         self.databases = list(databases) if databases else None
         self.deadline_ms = float(deadline_ms)
         self.ledger_dir = ledger_dir
-        self.record_runs = record_runs or ledger_dir is not None
         self.telemetry_out = telemetry_out
         self.trace_out = trace_out
         self.pool = WorkerPool(workers=workers, queue_depth=queue_depth)
         self.obs = ServeObservability(
             registry=registry, slow_ms=slow_ms, sample_every=sample_every,
-            flight_capacity=flight_capacity,
         )
         self.registry = self.obs.registry
         self._injected = (profiles, workload, knowledge_sets)
@@ -108,13 +125,6 @@ class ServeApp:
         #: per-run index recorded into the ledger's ``meta.json`` (never
         #: the content-addressed record body — ids are non-deterministic).
         self._request_index = {}
-        #: Handler-produced flight/debug payloads parked by request id
-        #: until the dispatch loop claims them (bounded: a 504 can leave
-        #: an orphan behind when its worker finishes late).
-        self._debug_lock = threading.Lock()
-        self._debug_by_request = {}
-        self._tenant_stats = {}
-        self._tenant_stats_lock = threading.Lock()
         self._telemetry = None
         self._started = False
         self._shutdown_done = False
@@ -155,9 +165,9 @@ class ServeApp:
             self._tenants[name] = TenantState(
                 name, profiles[name], knowledge_sets[name], self.deadline_ms
             )
-            self._tenant_stats[name] = {
-                "requests": 0, "failures": 0, "scored": 0, "correct": 0,
-            }
+            for key in TENANT_COUNTERS:
+                # Zero before any traffic, on /metrics as on /healthz.
+                self.registry.inc(f"serve.tenant.{key}", 0, tenant=name)
         if self.telemetry_out:
             from ..obs.telemetry import TelemetrySink
 
@@ -180,7 +190,7 @@ class ServeApp:
             return True
         self._shutdown_done = True
         drained = self.pool.drain(timeout=timeout)
-        if self.record_runs:
+        if self.ledger_dir is not None:
             self._record_serve_run()
         if self._telemetry is not None:
             self._telemetry.close()
@@ -244,10 +254,12 @@ class ServeApp:
                 response_headers.update(matched_error.headers)
             else:
                 try:
-                    status, payload, extra = await self._invoke(
+                    status, payload, extra, *record = await self._invoke(
                         route, params, body, request_id, trace_id
                     )
                     response_headers.update(extra)
+                    if record:
+                        holder.update(record[0])
                 except ValidationError as error:
                     status, payload = 400, error.payload()
                 except HTTPError as error:
@@ -257,7 +269,6 @@ class ServeApp:
                     )
                     response_headers.update(error.headers)
             holder["status"] = status
-            self._claim_debug(request_id, holder)
         return status, response_headers, payload
 
     async def _invoke(self, route, params, body, request_id, trace_id):
@@ -279,13 +290,11 @@ class ServeApp:
             raise HTTPError(
                 503, "draining", headers={"Retry-After": "5"}
             ) from None
-        except PoolSaturated as error:
+        except PoolSaturated:
             self.obs.rejection("saturated")
             raise HTTPError(
                 429, "saturated",
-                headers={
-                    "Retry-After": f"{max(error.retry_after_s, 1):.0f}"
-                },
+                headers={"Retry-After": str(RETRY_AFTER_S)},
             ) from None
 
         def call():
@@ -328,47 +337,6 @@ class ServeApp:
             )
         return tenant
 
-    # -- handler debug payloads ------------------------------------------
-
-    #: Parked debug payloads beyond this are dropped oldest-first; only
-    #: requests that died between handler completion and dispatch claim
-    #: (a late worker after a 504) ever accumulate here.
-    _DEBUG_STASH_LIMIT = 1024
-
-    def _stash_debug(self, request_id, tenant, failed, spans, detail):
-        """Park a handler's flight/debug payload for the dispatch loop."""
-        with self._debug_lock:
-            self._debug_by_request[request_id] = {
-                "tenant": tenant,
-                "failed": failed,
-                "debug": {"spans": spans, "detail": detail},
-            }
-            while len(self._debug_by_request) > self._DEBUG_STASH_LIMIT:
-                self._debug_by_request.pop(
-                    next(iter(self._debug_by_request))
-                )
-
-    def _claim_debug(self, request_id, holder):
-        """Move a parked debug payload into the middleware holder."""
-        with self._debug_lock:
-            stashed = self._debug_by_request.pop(request_id, None)
-        if stashed is not None:
-            holder.update(stashed)
-
-    def _count_tenant(self, name, failed, correct):
-        with self._tenant_stats_lock:
-            stats = self._tenant_stats.setdefault(
-                name,
-                {"requests": 0, "failures": 0, "scored": 0, "correct": 0},
-            )
-            stats["requests"] += 1
-            if failed:
-                stats["failures"] += 1
-            if correct is not None:
-                stats["scored"] += 1
-                if correct:
-                    stats["correct"] += 1
-
     # -- pooled handlers (worker threads) --------------------------------
 
     def _handle_ask(self, request, params, request_id):
@@ -380,17 +348,22 @@ class ServeApp:
                 tenant.profile.database, result.sql, request.gold_sql
             )
         self._record_outcome(tenant, request, result, correct, request_id)
-        self._count_tenant(tenant.name, not result.success, correct)
+        for key, count in (
+            ("requests", 1), ("failures", not result.success),
+            ("scored", correct is not None), ("correct", bool(correct)),
+        ):
+            self.registry.inc(
+                f"serve.tenant.{key}", int(count), tenant=tenant.name
+            )
         detail = result.debug_payload()
         if request.question_id:
             detail["question_id"] = request.question_id
-        self._stash_debug(
-            request_id, tenant.name, not result.success,
-            result.trace_records(), detail,
-        )
         if self._telemetry is not None:
             self._telemetry.publish()
-        return 200, ask_response(request, request_id, result, correct), {}
+        return (
+            200, ask_response(request, request_id, result, correct), {},
+            _request_record(tenant.name, result, detail),
+        )
 
     def _handle_feedback(self, request, params, request_id):
         from ..feedback.solver import FeedbackSolver
@@ -403,19 +376,20 @@ class ServeApp:
                                 tracer=self.obs.tracer)
         result = solver.ask(request.question)
         recommendations = solver.give_feedback(request.feedback)
-        self._count_tenant(tenant.name, not result.success, None)
+        self.registry.inc("serve.tenant.requests", tenant=tenant.name)
+        self.registry.inc("serve.tenant.failures", int(not result.success),
+                          tenant=tenant.name)
         detail = result.debug_payload()
         detail["feedback"] = request.feedback
         detail["recommendations"] = len(recommendations)
-        self._stash_debug(
-            request_id, tenant.name, not result.success,
-            result.trace_records(), detail,
-        )
         if self._telemetry is not None:
             self._telemetry.publish()
-        return 200, feedback_response(
-            request, request_id, result, recommendations
-        ), {}
+        return (
+            200,
+            feedback_response(request, request_id, result, recommendations),
+            {},
+            _request_record(tenant.name, result, detail),
+        )
 
     # -- introspection handlers (event loop) -----------------------------
 
@@ -439,15 +413,18 @@ class ServeApp:
     def _handle_healthz(self, request, params, request_id):
         stats = self.pool.stats()
         status = "draining" if stats["draining"] else "ok"
-        with self._tenant_stats_lock:
-            tenant_detail = {
-                name: dict(counters)
-                for name, counters in sorted(self._tenant_stats.items())
-            }
         return (200 if status == "ok" else 503), {
             "status": status,
             "tenants": sorted(self._tenants),
-            "tenant_detail": tenant_detail,
+            "tenant_detail": {
+                name: {
+                    key: self.registry.counter_value(
+                        f"serve.tenant.{key}", tenant=name
+                    )
+                    for key in TENANT_COUNTERS
+                }
+                for name in sorted(self._tenants)
+            },
             "inflight": stats["inflight"],
             "capacity": stats["max_inflight"],
             "admitted": stats["admitted"],

@@ -75,9 +75,11 @@ REQUEST_BUCKETS_MS = (
 #: neither needs unbounded history on a long-lived server.
 SERVE_TRACER_SPANS = 4096
 
-#: Bounds on the ``/debug/requests`` log and the per-trace store.
+#: Bounds on the ``/debug/requests`` log, the per-trace store and the
+#: flight recorder's retained entries.
 REQUEST_LOG_CAPACITY = 256
 TRACE_CAPACITY = 128
+FLIGHT_CAPACITY = 64
 
 
 def new_request_id():
@@ -193,14 +195,13 @@ class TraceStore:
 class ServeObservability:
     """The metrics/tracing/logging/debug-ring side of request dispatch."""
 
-    def __init__(self, registry=None, tracer=None, slow_ms=5000.0,
-                 sample_every=10, flight_capacity=64):
+    def __init__(self, registry=None, slow_ms=5000.0, sample_every=10):
         self.registry = registry or get_metrics()
-        self.tracer = tracer or Tracer(max_finished=SERVE_TRACER_SPANS)
+        self.tracer = Tracer(max_finished=SERVE_TRACER_SPANS)
         self.requests = RequestLog(capacity=REQUEST_LOG_CAPACITY)
         self.traces = TraceStore(capacity=TRACE_CAPACITY)
         self.flight = FlightRecorder(
-            capacity=flight_capacity, slow_ms=slow_ms,
+            capacity=FLIGHT_CAPACITY, slow_ms=slow_ms,
             sample_every=sample_every,
         )
         self._inflight = 0
@@ -216,8 +217,9 @@ class ServeObservability:
         The dispatch loop fills the holder before the block exits:
         ``status`` always; ``tenant``, ``failed`` and ``debug`` (the
         handler's flight payload: pipeline spans + postmortem detail)
-        when a handler produced them. Metrics, the debug rings, and the
-        access log all read the holder on the way out.
+        from the record a pooled handler returns with its response.
+        Metrics, the debug rings, and the access log all read the holder
+        on the way out.
         """
         holder = {
             "status": 0, "tenant": "", "failed": False, "debug": None,

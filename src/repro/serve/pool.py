@@ -27,12 +27,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
+#: Seconds a saturated pool's 429 asks the client to wait (``Retry-After``).
+RETRY_AFTER_S = 1
+
+
 class PoolSaturated(Exception):
     """Admission refused: the pool is at ``workers + queue_depth`` (429)."""
-
-    def __init__(self, retry_after_s):
-        self.retry_after_s = retry_after_s
-        super().__init__("worker pool saturated")
 
 
 class PoolDraining(Exception):
@@ -50,8 +50,7 @@ class DeadlineExceeded(Exception):
 class WorkerPool:
     """Fixed thread pool with explicit admission control and drain."""
 
-    def __init__(self, workers=4, queue_depth=8, retry_after_s=1.0,
-                 name="serve"):
+    def __init__(self, workers=4, queue_depth=8):
         if workers <= 0:
             raise ValueError("workers must be positive")
         if queue_depth < 0:
@@ -59,9 +58,8 @@ class WorkerPool:
         self.workers = workers
         self.queue_depth = queue_depth
         self.max_inflight = workers + queue_depth
-        self.retry_after_s = retry_after_s
         self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=name
+            max_workers=workers, thread_name_prefix="serve"
         )
         self._lock = threading.Lock()
         self._inflight = 0
@@ -101,7 +99,7 @@ class WorkerPool:
                 raise PoolDraining()
             if self._inflight >= self.max_inflight:
                 self._rejected += 1
-                raise PoolSaturated(self.retry_after_s)
+                raise PoolSaturated("worker pool saturated")
             self._inflight += 1
             self._admitted += 1
 
@@ -128,7 +126,9 @@ class WorkerPool:
                                           deadline_s)
         except asyncio.TimeoutError:
             # Swallow the eventual result/exception: the request was
-            # already answered 504, and the done-callback frees the slot.
+            # already answered 504, so the late result (and the request
+            # record a handler returns with it) is dropped, and the
+            # done-callback frees the slot.
             wrapped.add_done_callback(lambda f: f.exception())
             raise DeadlineExceeded(deadline_s) from None
 

@@ -4,7 +4,10 @@ A :class:`Router` maps ``(method, path)`` onto registered handlers.
 Matching follows HTTP semantics exactly: an unknown path is a 404, a
 known path with the wrong method is a 405 carrying an ``Allow`` header.
 Handlers and their dispatch policy (whether the route runs on the worker
-pool) hang off the :class:`Route` so the HTTP layer stays generic.
+pool) hang off the :class:`Route` so the HTTP layer stays generic. A
+handler returns ``(status, payload, headers)``; a pooled handler may add
+its request record (``tenant``, ``failed``, ``debug``) as a fourth item,
+which the app copies into the middleware holder.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ast_nodes as ast
+from .parser import parses
 from .printer import to_sql
 from .rewriter import to_cte_form
 
@@ -31,6 +32,40 @@ KIND_SELECT_ITEM = "select_item"
 KIND_CASE = "case_expression"
 KIND_WINDOW = "window_function"
 KIND_EXPR_SUBQUERY = "expression_subquery"
+
+
+def _fragment_candidates(text, kind):
+    head = text.split(None, 1)[0].upper()
+    if kind in (KIND_SUBQUERY, KIND_EXPR_SUBQUERY) or head == "SELECT":
+        yield text
+        yield f"{text} FROM _K"
+        return
+    if head == "FROM":
+        yield f"SELECT * {text}"
+        return
+    if kind == KIND_FROM or head in (
+        "JOIN", "WHERE", "HAVING", "ORDER", "GROUP"
+    ):
+        yield f"SELECT * FROM _K {text}"
+        return
+    # Expression fragments: select items, CASE, window functions.
+    yield f"SELECT {text} FROM _K"
+    yield f"SELECT * FROM _K WHERE {text}"
+
+
+def fragment_parses(text, kind=""):
+    """Whether a SQL fragment parses in some statement that wraps it.
+
+    The wrapping follows the fragment's head keyword and, for knowledge
+    examples, its unit ``kind``; ``_K`` is a parse-only placeholder
+    relation. Each wrapped form goes through the memoised
+    :func:`~repro.sql.parser.parses`. The knowledge linter (GK003) and the
+    plan linter (GP005, no kind) share this check.
+    """
+    stripped = text.strip()
+    return bool(stripped) and any(
+        map(parses, _fragment_candidates(stripped, kind))
+    )
 
 
 @dataclass

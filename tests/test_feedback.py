@@ -147,7 +147,7 @@ class TestOperators:
         feedback = make_feedback(
             "'outlay' refers to the EXPENSES column in SPORTS_FINANCIALS."
         )
-        steps, directives = plan_edits(feedback, None, knowledge)
+        steps, directives = plan_edits(feedback, knowledge)
         assert steps[0].action == ACTION_INSERT
         edits = generate_edits(feedback, directives, knowledge)
         assert edits[0].payload.term == "outlay"
@@ -156,7 +156,7 @@ class TestOperators:
     def test_fallback_guideline_on_vague_feedback(self):
         knowledge = KnowledgeSet()
         feedback = make_feedback("this is just wrong")
-        _steps, directives = plan_edits(feedback, None, knowledge)
+        _steps, directives = plan_edits(feedback, knowledge)
         edits = generate_edits(feedback, directives, knowledge)
         assert edits[0].kind == "instruction"
         assert edits[0].payload.text == "this is just wrong"
@@ -169,7 +169,7 @@ class TestOperators:
             DecomposedExample("ex-77777", "desc", "SUM(WRONG)")
         )
         feedback = make_feedback("ex-77777 should be SUM(RIGHT).")
-        _steps, directives = plan_edits(feedback, None, knowledge)
+        _steps, directives = plan_edits(feedback, knowledge)
         edits = generate_edits(feedback, directives, knowledge)
         assert edits[0].action == ACTION_UPDATE
         assert edits[0].payload.sql == "SUM(RIGHT)"
@@ -177,7 +177,7 @@ class TestOperators:
     def test_apply_edit_round_trip(self):
         knowledge = KnowledgeSet()
         feedback = make_feedback("'x' is a value of T.C.")
-        _steps, directives = plan_edits(feedback, None, knowledge)
+        _steps, directives = plan_edits(feedback, knowledge)
         edits = generate_edits(feedback, directives, knowledge)
         apply_edit(knowledge, edits[0])
         assert knowledge.stats()["instructions"] == 1

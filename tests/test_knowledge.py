@@ -588,12 +588,12 @@ class TestDecompositionBuilders:
     )
 
     def test_build_examples_skips_full_query_by_default(self):
-        examples = build_examples("q?", self.SQL, source_query_id="q1")
+        examples = build_examples(self.SQL, source_query_id="q1")
         assert all(example.kind != "query" for example in examples)
         assert len(examples) >= 4
 
     def test_build_examples_provenance(self):
-        examples = build_examples("q?", self.SQL, source_query_id="q1")
+        examples = build_examples(self.SQL, source_query_id="q1")
         assert all(
             example.provenance.source_kind == "query_log"
             and example.source_query_id == "q1"

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench.harness import (
     PROFILE_SCHEMA_VERSION,
+    _knowledge_lint_codes,
     evaluate_system,
     format_table,
 )
@@ -243,7 +244,7 @@ class TestRunLedgerStore:
         ]
         run_id = ledger.record_run(
             make_record([make_outcome()]),
-            timing=build_timing(spans, profile=profile_payload, wall_s=1.0),
+            timing=build_timing(spans, profile=profile_payload),
         )
         timing = json.loads(json.dumps(ledger.read_timing(run_id)))
         assert timing["profile"]["schema_version"] == PROFILE_SCHEMA_VERSION
@@ -372,32 +373,43 @@ class TestLedgerDeterminism:
         ][:10]
 
     def _evaluate(self, context, questions, ledger, knowledge_sets=None):
-        return evaluate_system(
+        """Evaluate GenEdit and record the run the way ``bench`` does;
+        returns the run id."""
+        knowledge_sets = knowledge_sets or context.knowledge_sets
+        report = evaluate_system(
             lambda database, knowledge: GenEditPipeline(database, knowledge),
             context.workload,
             context.profiles,
-            knowledge_sets or context.knowledge_sets,
+            knowledge_sets,
             "GenEdit",
             questions=questions,
-            ledger=ledger,
-            ledger_meta={"seed": context.seed, "config": DEFAULT_CONFIG},
         )
+        record = build_run_record(
+            [report],
+            kind="bench",
+            target="GenEdit",
+            seed=context.seed,
+            config=DEFAULT_CONFIG,
+            knowledge_sets=knowledge_sets,
+            knowledge_lint=_knowledge_lint_codes(
+                context.profiles, knowledge_sets
+            ),
+        )
+        return ledger.record_run(record, timing=build_timing(()))
 
     def test_identical_runs_identical_records(
         self, experiment_context, sports_questions, tmp_path
     ):
         ledger = RunLedger(tmp_path / "runs")
-        report_a = self._evaluate(experiment_context, sports_questions,
-                                  ledger)
-        report_b = self._evaluate(experiment_context, sports_questions,
-                                  ledger)
-        assert report_a.run_id and report_b.run_id
-        record_a = ledger.read_record(report_a.run_id)
-        record_b = ledger.read_record(report_b.run_id)
+        run_a = self._evaluate(experiment_context, sports_questions, ledger)
+        run_b = self._evaluate(experiment_context, sports_questions, ledger)
+        assert run_a and run_b
+        record_a = ledger.read_record(run_a)
+        record_b = ledger.read_record(run_b)
         body_a = {k: v for k, v in record_a.items() if k != "run_id"}
         body_b = {k: v for k, v in record_b.items() if k != "run_id"}
         assert body_a == body_b
-        assert report_a.run_id.split("-")[1] == report_b.run_id.split("-")[1]
+        assert run_a.split("-")[1] == run_b.split("-")[1]
         diff = diff_records(record_a, record_b)
         assert diff["flips"] == 0
         assert diff["cost_delta_usd"] == 0.0
@@ -407,8 +419,7 @@ class TestLedgerDeterminism:
         self, experiment_context, sports_questions, tmp_path
     ):
         ledger = RunLedger(tmp_path / "runs")
-        report_a = self._evaluate(experiment_context, sports_questions,
-                                  ledger)
+        run_a = self._evaluate(experiment_context, sports_questions, ledger)
         perturbed = dict(experiment_context.knowledge_sets)
         clone = perturbed["sports_holdings"].clone()
         for example in list(clone.examples()):
@@ -416,12 +427,10 @@ class TestLedgerDeterminism:
         for instruction in list(clone.instructions()):
             clone.delete_instruction(instruction.instruction_id)
         perturbed["sports_holdings"] = clone
-        report_b = self._evaluate(experiment_context, sports_questions,
-                                  ledger, knowledge_sets=perturbed)
-        diff = diff_records(
-            ledger.read_record(report_a.run_id),
-            ledger.read_record(report_b.run_id),
-        )
+        run_b = self._evaluate(experiment_context, sports_questions,
+                               ledger, knowledge_sets=perturbed)
+        diff = diff_records(ledger.read_record(run_a),
+                            ledger.read_record(run_b))
         assert "sports_holdings" in diff["knowledge_changes"]
         assert diff["flips"] >= 1
         operators = {
@@ -620,7 +629,7 @@ class TestProfileSchemaCompat:
         ledger = RunLedger(tmp_path / "runs")
         run_id = ledger.record_run(
             make_record([make_outcome()]),
-            timing=build_timing([], profile=baseline, wall_s=1.0),
+            timing=build_timing([], profile=baseline),
         )
         timing = ledger.read_timing(run_id)
         # The embedded payload keeps its own (older) schema version and the

@@ -8,6 +8,7 @@ import asyncio
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -451,6 +452,136 @@ class TestSaturationAndDrain:
         assert telemetry.exists()
         text = telemetry.read_text()
         assert "serve_requests" in text
+
+
+# -- the request record: handler return value -> middleware -------------------
+
+
+def _dispatch_json(app, method, path, payload=None, request_id=""):
+    headers = {"x-request-id": request_id} if request_id else {}
+    body = json.dumps(payload).encode() if payload is not None else b""
+    return asyncio.run(app.dispatch(method, path, headers, body))
+
+
+class TestRequestRecord:
+    def test_reused_request_id_after_504_keeps_its_own_record(
+        self, experiment_context
+    ):
+        # A client retrying after a 504 commonly resends the request id.
+        # The late worker of the first attempt must not hand its tenant,
+        # pipeline detail or spans to the retry.
+        app = _make_app(experiment_context).startup()
+        pipeline = app._tenants["sports_holdings"].pipeline
+        generate = pipeline.generate
+
+        def slow_generate(question):
+            time.sleep(0.3)
+            return generate(question)
+
+        pipeline.generate = slow_generate
+        question = experiment_context.workload.for_database(
+            "sports_holdings"
+        )[0]
+
+        async def scenario():
+            slow = await app.dispatch(
+                "POST", "/ask", {"x-request-id": "dup-1"},
+                json.dumps({
+                    "question": question.question,
+                    "tenant": "sports_holdings",
+                    "deadline_ms": 50,
+                }).encode(),
+            )
+            while app.pool.inflight:    # the late worker finishes
+                await asyncio.sleep(0.01)
+            invalid = await app.dispatch(
+                "POST", "/ask", {"x-request-id": "dup-1"},
+                json.dumps({"tenant": "sports_holdings"}).encode(),
+            )
+            return slow[0], invalid[0]
+
+        try:
+            assert asyncio.run(scenario()) == (504, 400)
+        finally:
+            app.shutdown()
+        entries = {
+            entry["status"]: entry for entry in app.obs.flight.entries()
+            if entry["request_id"] == "dup-1"
+        }
+        assert set(entries) == {504, 400}
+        for entry in entries.values():
+            assert entry["tenant"] == ""
+            assert entry["detail"] == {}
+            spans = app.obs.traces.get(entry["trace_id"])
+            assert [span["name"] for span in spans] == ["serve.request"]
+
+    def test_healthz_tenant_detail_is_the_registry_counters(
+        self, experiment_context
+    ):
+        app = _make_app(experiment_context).startup()
+        keys = ("requests", "failures", "scored", "correct")
+
+        def counters():
+            return {
+                key: app.registry.counter_value(
+                    f"serve.tenant.{key}", tenant="sports_holdings"
+                )
+                for key in keys
+            }
+
+        def tenant_detail():
+            status, _, payload = _dispatch_json(app, "GET", "/healthz")
+            assert status == 200
+            return payload["tenant_detail"]
+
+        assert tenant_detail() == {
+            "sports_holdings": dict.fromkeys(keys, 0)
+        }
+        first, second = experiment_context.workload.for_database(
+            "sports_holdings"
+        )[:2]
+        asks = [
+            {"question": first.question, "gold_sql": first.gold_sql},
+            {"question": first.question, "gold_sql": second.gold_sql},
+            {"question": second.question},
+        ]
+        bodies = []
+        for ask in asks:
+            status, _, body = _dispatch_json(
+                app, "POST", "/ask", dict(ask, tenant="sports_holdings")
+            )
+            assert status == 200
+            bodies.append(body)
+        for operator in app._tenants["sports_holdings"].pipeline.operators:
+            if operator.name == "generate_sql":
+                def boom(context):
+                    raise RuntimeError("forced failure")
+
+                operator.run = boom
+        status, _, body = _dispatch_json(app, "POST", "/ask", {
+            "question": first.question, "tenant": "sports_holdings",
+            "gold_sql": first.gold_sql,
+        })
+        assert status == 200 and body["success"] is False
+        bodies.append(body)
+        expected = {
+            "requests": len(bodies),
+            "failures": sum(not body["success"] for body in bodies),
+            "scored": sum(body["correct"] is not None for body in bodies),
+            "correct": sum(body["correct"] is True for body in bodies),
+        }
+        # The mix: scored right, scored wrong, unscored, failed.
+        assert expected == {
+            "requests": 4, "failures": 1, "scored": 3, "correct": 1,
+        }
+        assert counters() == expected
+        assert tenant_detail() == {"sports_holdings": expected}
+        _, _, text = _dispatch_json(app, "GET", "/metrics")
+        assert (
+            'serve_tenant_requests_total{tenant="sports_holdings"} 4'
+            in text
+        )
+        app.shutdown()
 
 
 # -- serial/concurrent equivalence (satellite of the concurrency audit) ------

@@ -1,11 +1,16 @@
 """CTE rewriter and decomposer tests (§3.2.1 behaviour)."""
 
+import sys
+
 import pytest
 
 from repro.sql import ast_nodes as ast
 from repro.sql.decompose import (
+    KIND_CASE,
+    KIND_EXPR_SUBQUERY,
     KIND_FROM,
     KIND_GROUP_BY,
+    KIND_HAVING,
     KIND_ORDER_BY,
     KIND_PROJECTION,
     KIND_QUERY,
@@ -14,8 +19,9 @@ from repro.sql.decompose import (
     KIND_WHERE,
     KIND_WINDOW,
     decompose,
+    fragment_parses,
 )
-from repro.sql.parser import parse
+from repro.sql.parser import parse, parses
 from repro.sql.printer import to_sql
 from repro.sql.rewriter import to_cte_form
 
@@ -179,3 +185,103 @@ class TestPatternDetection:
         from repro.knowledge.decomposition import detect_pattern
 
         assert detect_pattern(sql) == pattern
+
+
+# -- the shared fragment-parse check ------------------------------------------
+
+
+def _knowledge_candidates(sql, kind):
+    """The knowledge linter's wrappings before the shared helper (frozen)."""
+    stripped = sql.strip()
+    head = stripped.split(None, 1)[0].upper() if stripped else ""
+    if kind in (KIND_SUBQUERY, KIND_EXPR_SUBQUERY) or head == "SELECT":
+        yield stripped
+        yield f"{stripped} FROM _K"
+        return
+    if kind == KIND_FROM or head in ("FROM", "JOIN"):
+        if head == "FROM":
+            yield f"SELECT * {stripped}"
+        yield f"SELECT * FROM _K {stripped}"
+        return
+    if head in ("WHERE", "HAVING", "ORDER", "GROUP"):
+        yield f"SELECT * FROM _K {stripped}"
+        return
+    yield f"SELECT {stripped} FROM _K"
+    yield f"SELECT * FROM _K WHERE {stripped}"
+
+
+def _knowledge_parses(sql, kind):
+    return bool(sql.strip()) and any(
+        map(parses, _knowledge_candidates(sql, kind))
+    )
+
+
+def _plan_candidates(pseudo):
+    """The plan linter's wrappings before the shared helper (frozen)."""
+    head = pseudo.split(None, 1)[0].upper() if pseudo else ""
+    if head == "SELECT":
+        yield pseudo
+        yield f"{pseudo} FROM _K"
+        return
+    if head == "FROM":
+        yield f"SELECT * {pseudo}"
+        return
+    if head in ("JOIN", "WHERE", "HAVING", "ORDER", "GROUP"):
+        yield f"SELECT * FROM _K {pseudo}"
+        return
+    yield f"SELECT {pseudo} FROM _K"
+    yield f"SELECT * FROM _K WHERE {pseudo}"
+
+
+#: A parsing and a broken fragment per head keyword, expression fragments
+#: (no head keyword), lower-case heads, padding and empty text.
+FRAGMENTS = (
+    "SELECT A, B", "SELECT A FROM T WHERE B > 1", "SELECT (",
+    "FROM T", "FROM T JOIN U ON T.A = U.A", "FROM (", "FROM T WHERE",
+    "JOIN U ON T.A = U.A", "JOIN",
+    "WHERE A = 1", "WHERE A =",
+    "HAVING COUNT(*) > 1", "HAVING",
+    "ORDER BY A DESC", "ORDER A",
+    "GROUP BY A, B", "GROUP A",
+    "SUM(A) AS TOTAL", "CASE WHEN A > 1 THEN 1 ELSE 0 END",
+    "A > 1 AND B < 2", "RANK() OVER (ORDER BY A)",
+    "(SELECT MAX(A) FROM T)", ") (",
+    "from t", "where a = 1", "  WHERE A = 1  ", "", "   ",
+)
+KINDS = (
+    "", KIND_QUERY, KIND_SUBQUERY, KIND_PROJECTION, KIND_FROM, KIND_WHERE,
+    KIND_GROUP_BY, KIND_HAVING, KIND_ORDER_BY, KIND_SELECT_ITEM, KIND_CASE,
+    KIND_WINDOW, KIND_EXPR_SUBQUERY,
+)
+
+
+class TestFragmentParses:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("text", FRAGMENTS)
+    def test_matches_the_knowledge_linter_check(self, text, kind):
+        assert fragment_parses(text, kind) == _knowledge_parses(text, kind)
+
+    @pytest.mark.parametrize(
+        "pseudo", sorted({text.strip() for text in FRAGMENTS} - {""})
+    )
+    def test_matches_the_plan_linter_check_call_for_call(
+        self, pseudo, monkeypatch
+    ):
+        # The plan linter passes stripped, non-empty pseudo-SQL and no
+        # kind: same verdict from the same ``parses`` calls.
+        calls = []
+
+        def recording_parses(text):
+            calls.append(text)
+            return parses(text)
+
+        monkeypatch.setattr(
+            sys.modules["repro.sql.decompose"], "parses", recording_parses
+        )
+        verdict = fragment_parses(pseudo)
+        frozen_calls = []
+        frozen = any(
+            frozen_calls.append(text) or parses(text)
+            for text in _plan_candidates(pseudo)
+        )
+        assert (verdict, calls) == (frozen, frozen_calls)

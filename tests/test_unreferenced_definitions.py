@@ -1,4 +1,5 @@
-"""No function or class in ``src/repro`` that nothing names.
+"""No function or class in ``src/repro`` that nothing names, and no
+module-level function parameter that nothing reads.
 
 A definition whose name occurs once across the source, the tests, the
 scripts, the benchmarks, the examples, the benchmark harness and the
@@ -6,6 +7,12 @@ Makefile has no caller and no test: it is code to read and keep that
 nothing runs. Decorated definitions (properties, registered handlers,
 cached functions) are skipped, since a decorator can be their caller, and
 so are dunder methods, which Python calls by protocol.
+
+A parameter that its function's body never reads is a value every caller
+computes and passes for nothing. Methods are exempt, since overrides and
+dispatch tables share one signature; so is a module-level function that
+the source uses as a value rather than calling it (a command registered
+with ``set_defaults(func=...)``), since its caller fixes the signature.
 """
 
 from __future__ import annotations
@@ -57,3 +64,54 @@ def test_every_definition_is_named_somewhere_else():
                     f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                 )
     assert unreferenced == []
+
+
+def _functions_used_as_values(trees):
+    """Names that some source file loads other than as a call's callee."""
+    names = set()
+    for tree in trees:
+        callees = {
+            id(node.func) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        for node in ast.walk(tree):
+            if id(node) in callees or not isinstance(
+                getattr(node, "ctx", None), ast.Load
+            ):
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_module_level_parameter_is_read():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    callbacks = _functions_used_as_values(trees.values())
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name in callbacks:
+                continue
+            arguments = node.args
+            read = {
+                name.id for statement in node.body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name)
+                and not isinstance(name.ctx, ast.Store)
+            }
+            for argument in (
+                arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            ):
+                if argument.arg not in read:
+                    unread.append(
+                        f"{path.relative_to(ROOT)}:{node.lineno} "
+                        f"{node.name}({argument.arg})"
+                    )
+    assert unread == []
