@@ -51,17 +51,21 @@
 #                   traceparent through /debug/traces/{id}, scrape
 #                   /metrics through the promtext linter, force one
 #                   failing request and reconstruct it from /debug/errors
+#   make golden   - python -m repro bench all (seed 7) and the lint corpus
+#                   report must equal their pinned copies under
+#                   tests/fixtures/golden/ byte for byte; a change that
+#                   moves either updates the fixture in the same commit
 #   make bench    - regenerate the paper tables
 
 PYTHON ?= python
 
 .PHONY: lint compile test lint-corpus knowledge-lint trace-smoke \
 	feedback-smoke chaos-smoke ledger-smoke telemetry-smoke perf-smoke \
-	bench-selftest serve-smoke debug-smoke bench
+	bench-selftest serve-smoke debug-smoke golden bench
 
 lint: compile test lint-corpus knowledge-lint trace-smoke feedback-smoke \
 	chaos-smoke ledger-smoke telemetry-smoke perf-smoke bench-selftest \
-	serve-smoke debug-smoke
+	serve-smoke debug-smoke golden
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -182,6 +186,15 @@ debug-smoke:
 	$(PYTHON) scripts/debug_smoke.py /tmp/repro-debug-smoke/metrics.prom
 	PYTHONPATH=src $(PYTHON) scripts/check_promtext.py \
 		/tmp/repro-debug-smoke/metrics.prom
+
+golden:
+	PYTHONPATH=src $(PYTHON) -m repro --seed 7 bench all \
+		> /tmp/repro-golden-bench-all.txt
+	diff tests/fixtures/golden/bench_all_seed7.txt \
+		/tmp/repro-golden-bench-all.txt
+	$(PYTHON) scripts/lint_corpus.py > /tmp/repro-golden-lint-corpus.txt
+	diff tests/fixtures/golden/lint_corpus.txt \
+		/tmp/repro-golden-lint-corpus.txt
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro bench all

@@ -15,7 +15,7 @@ from repro.bench.harness import crossover, format_table
 
 def test_crossover(benchmark, context):
     reports = benchmark.pedantic(
-        lambda: crossover(context, verbose=False), rounds=1, iterations=1
+        lambda: crossover(context), rounds=1, iterations=1
     )
     genedit_dev, genedit_enterprise = reports["GenEdit"]
     maximal_dev, maximal_enterprise = reports["SchemaMaximal"]

@@ -15,7 +15,7 @@ from repro.bench.harness import format_table, model_selection
 
 def test_model_selection(benchmark, context):
     reports = benchmark.pedantic(
-        lambda: model_selection(context, verbose=False),
+        lambda: model_selection(context),
         rounds=1, iterations=1,
     )
     mini = reports["gpt-4o-mini linking (deployed)"]

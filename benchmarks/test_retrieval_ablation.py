@@ -14,7 +14,7 @@ from repro.bench.harness import format_table, retrieval_ablation
 
 def test_retrieval_ablation(benchmark, context):
     reports = benchmark.pedantic(
-        lambda: retrieval_ablation(context, verbose=False),
+        lambda: retrieval_ablation(context),
         rounds=1, iterations=1,
     )
     by_name = {report.system: report for report in reports}

@@ -31,7 +31,7 @@ def test_table1_genedit_row(benchmark, context):
 
 def test_table1_full_comparison(benchmark, context):
     reports = benchmark.pedantic(
-        lambda: table1(context, verbose=False), rounds=1, iterations=1
+        lambda: table1(context), rounds=1, iterations=1
     )
     by_name = {report.system: report for report in reports}
     ranking = [report.system for report in reports]

@@ -20,7 +20,7 @@ from repro.bench.harness import format_table, table2
 
 def test_table2_ablations(benchmark, context):
     reports = benchmark.pedantic(
-        lambda: table2(context, verbose=False), rounds=1, iterations=1
+        lambda: table2(context), rounds=1, iterations=1
     )
     by_name = {report.system: report for report in reports}
     full = by_name["GenEdit"]

@@ -5,7 +5,9 @@ regenerates the corresponding experiment from the paper (see DESIGN.md's
 per-experiment index); no target runs ``all``. Its argv is parsed by the
 ``repro bench`` parser, so an unknown target or option exits 2. The
 harness is also the library API the benchmark suite under ``benchmarks/``
-calls into.
+calls into: each experiment takes an :class:`ExperimentContext` (its seed
+defaults to 7; ``repro --seed N bench`` sets it), returns its reports and
+prints its table to ``out`` when one is given.
 
 Evaluation runs on a fast path: :func:`~repro.bench.metrics.execution_match`
 memoizes gold result sets on each database (``database.memo("comparable")``),
@@ -346,7 +348,7 @@ def run_genedit(context, config=None, questions=None, system_name="GenEdit",
 # ---------------------------------------------------------------------------
 
 
-def table1(context=None, verbose=True):
+def table1(context=None, out=None):
     """Table 1: GenEdit vs prior systems on the BIRD-like dev sample."""
     from .baselines import BASELINES
     from ..pipeline.pipeline import GenEditPipeline as _Pipeline
@@ -381,8 +383,8 @@ def table1(context=None, verbose=True):
         ["Method", "Simple", "Moderate", "Challenging", "All"],
         rows,
     )
-    if verbose:
-        print(table)
+    if out is not None:
+        print(table, file=out)
     return reports
 
 
@@ -395,7 +397,7 @@ ABLATIONS = (
 )
 
 
-def table2(context=None, verbose=True):
+def table2(context=None, out=None):
     """Table 2: operator ablations."""
     context = context or ExperimentContext()
     full = run_genedit(context)
@@ -432,12 +434,12 @@ def table2(context=None, verbose=True):
         ["Method", "Simple", "Moderate", "Challenging", "Total"],
         rows,
     )
-    if verbose:
-        print(table)
+    if out is not None:
+        print(table, file=out)
     return reports
 
 
-def crossover(context=None, verbose=True):
+def crossover(context=None, out=None):
     """§3.3.4: schema-maximal approach vs GenEdit, BIRD-like vs enterprise."""
     from .baselines import build_schema_maximal
     from .enterprise import build_enterprise_workload
@@ -478,12 +480,12 @@ def crossover(context=None, verbose=True):
         ["Method", "BIRD-like", "Enterprise"],
         rows,
     )
-    if verbose:
-        print(table)
+    if out is not None:
+        print(table, file=out)
     return reports
 
 
-def model_selection(context=None, verbose=True):
+def model_selection(context=None, out=None):
     """§3.3.3: GPT-4o-mini on schema linking — cost/latency vs accuracy.
 
     The paper runs GPT-4o everywhere except schema linking, "where we
@@ -528,12 +530,12 @@ def model_selection(context=None, verbose=True):
         ["Configuration", "EX", "Total cost ($)", "Latency/question (s)"],
         rows,
     )
-    if verbose:
-        print(table)
+    if out is not None:
+        print(table, file=out)
     return reports
 
 
-def retrieval_ablation(context=None, verbose=True):
+def retrieval_ablation(context=None, out=None):
     """Design-choice ablations: compounding retrieval (§3.1.1).
 
     Beyond Table 2, DESIGN.md calls out two GenEdit-specific retrieval
@@ -565,12 +567,12 @@ def retrieval_ablation(context=None, verbose=True):
         ["Variant", "Simple", "Moderate", "Challenging", "All"],
         rows,
     )
-    if verbose:
-        print(table)
+    if out is not None:
+        print(table, file=out)
     return reports
 
 
-def profile(context=None, limit=None, verbose=True, as_json=False):
+def profile(context=None, limit=None, out=None, as_json=False):
     """Span-derived timing of a GenEdit evaluation over the dev sample.
 
     One ``profile`` root span (``wall_s``) has four stage children:
@@ -581,8 +583,8 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
     ``{calls, self_ms, total_ms}`` per name, and ``cache`` the growth of
     the ``eval_cache.hits``/``misses`` registry counters over the run.
     ``limit`` keeps the first N questions. Returns the payload (schema
-    v4; v2/v3 snapshots such as ``BENCH_baseline.json`` still load);
-    ``as_json`` prints it as JSON.
+    v4; v2/v3 snapshots such as ``BENCH_baseline.json`` still load),
+    and prints it to ``out`` as a table, or as JSON with ``as_json``.
     """
     from ..engine.stats import engine_snapshot, reset_engine_stats
     from ..obs.tracing import Tracer
@@ -669,9 +671,9 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
             ),
         },
     }
-    if verbose:
+    if out is not None:
         if as_json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         else:
             rows = list(payload["stages"].items())
             rows.append(("wall", payload["wall_s"]))
@@ -681,11 +683,11 @@ def profile(context=None, limit=None, verbose=True, as_json=False):
                 ["Stage", "Seconds"],
                 rows,
                 precision=4,
-            ))
+            ), file=out)
     return payload
 
 
-def feedback_metrics(verbose=True, seed=DEFAULT_SEED):
+def feedback_metrics(seed=DEFAULT_SEED, out=None):
     """§4.2.3: edits-recommendation acceptance metrics."""
     from .feedback_sim import simulate_feedback_sessions
 
@@ -701,8 +703,8 @@ def feedback_metrics(verbose=True, seed=DEFAULT_SEED):
     table = format_table(
         "Feedback metrics (§4.2.3)", ["Metric", "Value"], rows
     )
-    if verbose:
-        print(table)
+    if out is not None:
+        print(table, file=out)
     return summary
 
 
@@ -712,13 +714,16 @@ def main(argv=None):
     from ..cli import build_arg_parser
 
     argv = sys.argv[1:] if argv is None else argv
-    return run_bench(build_arg_parser().parse_args(["bench", *argv]))
+    return run_bench(
+        build_arg_parser().parse_args(["bench", *argv]), sys.stdout
+    )
 
 
-def run_bench(args):
-    """Run the experiment a parsed ``repro bench`` namespace names."""
+def run_bench(args, out):
+    """Run the experiment a parsed ``repro bench`` namespace names at its
+    ``--seed``, printing the tables (and ``--metrics``) to ``out``."""
     target = args.experiment
-    context = ExperimentContext()
+    context = ExperimentContext(args.seed)
     if args.limit is not None:
         # Truncate the workload in place before anything derives from it
         # (knowledge mining included) — a quick, *approximate* run for
@@ -753,43 +758,45 @@ def run_bench(args):
         )
     reports = []
     if target in ("table1", "all"):
-        reports.extend(table1(context))
-        print()
+        reports.extend(table1(context, out=out))
+        print(file=out)
     if target in ("table2", "all"):
-        reports.extend(table2(context))
-        print()
+        reports.extend(table2(context, out=out))
+        print(file=out)
     if target in ("crossover", "all"):
-        for pair in crossover(context).values():
+        for pair in crossover(context, out=out).values():
             reports.extend(pair)
-        print()
+        print(file=out)
     if target in ("models", "all"):
-        reports.extend(model_selection(context).values())
-        print()
+        reports.extend(model_selection(context, out=out).values())
+        print(file=out)
     if target in ("retrieval", "all"):
-        reports.extend(retrieval_ablation(context))
-        print()
+        reports.extend(retrieval_ablation(context, out=out))
+        print(file=out)
     if target in ("feedback", "all"):
-        feedback_metrics()
+        feedback_metrics(seed=context.seed, out=out)
     profile_payload = None
     if target == "profile":
-        profile_payload = profile(context, as_json=args.json)
-    _finish(context, args, reports=reports,
+        profile_payload = profile(context, out=out, as_json=args.json)
+    _finish(context, args, out, reports=reports,
             profile_payload=profile_payload, ledger=ledger)
     return 0
 
 
-def _finish(context, args, reports=(), profile_payload=None, ledger=None):
+def _finish(context, args, out, reports=(), profile_payload=None,
+            ledger=None):
     """Handle ``--metrics`` / ``--ledger`` / ``--trace-out`` /
     ``--telemetry-out`` after the run.
 
-    Every notice goes to stderr so experiment stdout (the tables the
-    determinism tests byte-compare) is untouched. The run record is
-    written first so the trace export can be stamped with its run id.
+    Every notice goes to stderr so experiment output (the tables the
+    determinism tests byte-compare) is untouched; ``--metrics`` prints to
+    ``out`` after the tables. The run record is written first so the
+    trace export can be stamped with its run id.
     """
     target, trace_out = args.experiment, args.trace_out
     if args.metrics:
-        print()
-        print(render_metrics_snapshot(global_snapshot()))
+        print(file=out)
+        print(render_metrics_snapshot(global_snapshot()), file=out)
     run_id = None
     if ledger is not None:
         from ..obs.ledger import build_run_record, build_timing

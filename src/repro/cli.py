@@ -652,7 +652,7 @@ def cmd_slo(args, out=sys.stdout):
 def cmd_bench(args, out=sys.stdout):
     from .bench.harness import run_bench
 
-    return run_bench(args)
+    return run_bench(args, out)
 
 
 def cmd_serve(args, out=sys.stdout):

@@ -222,18 +222,23 @@ def get_metrics():
 def global_snapshot():
     """Snapshot :data:`METRICS` with shared-cache stats folded in as gauges.
 
-    ``parse_cached``'s LRU keeps its own ``cache_info()`` (no per-call hook
-    is worth the contention), so its numbers are synced here at snapshot
-    time, as is the live size of the engine's compiled-predicate cache.
+    The LRUs of ``parse_cached`` and of the vectorizer's term expansion
+    keep their own ``cache_info()`` (no per-call hook is worth the
+    contention), so their numbers are synced here at snapshot time, as is
+    the live size of the engine's compiled-predicate cache.
     """
     # Lazy imports: obs stays standalone.
     from ..engine.evaluator import compiled_cache_size
     from ..sql.parser import parse_cache_info
+    from ..text.vectorize import _terms
 
     metrics = get_metrics()
-    info = parse_cache_info()
-    metrics.set_gauge("parse_cache.hits", info.hits)
-    metrics.set_gauge("parse_cache.misses", info.misses)
-    metrics.set_gauge("parse_cache.currsize", info.currsize)
+    for prefix, info in (
+        ("parse_cache", parse_cache_info()),
+        ("text.terms_cache", _terms.cache_info()),
+    ):
+        metrics.set_gauge(f"{prefix}.hits", info.hits)
+        metrics.set_gauge(f"{prefix}.misses", info.misses)
+        metrics.set_gauge(f"{prefix}.currsize", info.currsize)
     metrics.set_gauge("engine.predicate_cache.entries", compiled_cache_size())
     return metrics.snapshot()

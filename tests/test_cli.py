@@ -1,10 +1,30 @@
 """CLI tests (the analytics-engine veneer)."""
 
 import io
+import pathlib
 
 import pytest
 
-from repro.cli import build_arg_parser, cmd_ask, cmd_knowledge, cmd_solve, main
+from repro.cli import (
+    build_arg_parser,
+    cmd_ask,
+    cmd_bench,
+    cmd_knowledge,
+    cmd_solve,
+    main,
+)
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "fixtures" / "golden"
+
+
+def _bench_table1_limit10(seed):
+    """``repro --seed SEED bench table1 --limit 10``, run in process."""
+    args = build_arg_parser().parse_args(
+        ["--seed", str(seed), "bench", "table1", "--limit", "10"]
+    )
+    out = io.StringIO()
+    assert cmd_bench(args, out) == 0
+    return out.getvalue()
 
 
 class TestArgParsing:
@@ -39,6 +59,19 @@ class TestArgParsing:
     def test_bench_profile_json(self):
         args = build_arg_parser().parse_args(["bench", "profile", "--json"])
         assert (args.experiment, args.json) == ("profile", True)
+
+
+class TestBenchOutput:
+    @pytest.fixture(scope="class")
+    def seed7_table1(self):
+        return _bench_table1_limit10(7)
+
+    def test_table1_limit10_matches_golden(self, seed7_table1):
+        golden = GOLDEN / "table1_limit10_seed7.txt"
+        assert seed7_table1 == golden.read_text(encoding="utf-8")
+
+    def test_seed_option_reaches_the_experiments(self, seed7_table1):
+        assert _bench_table1_limit10(11) != seed7_table1
 
 
 class TestCommands:

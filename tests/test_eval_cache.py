@@ -17,6 +17,8 @@ from repro.pipeline import GenEditPipeline
 from repro.sql import to_cte_form
 from repro.sql.errors import SqlError
 from repro.sql.parser import parse, parse_cached
+from repro.text import TfIdfVectorizer
+from repro.text.vectorize import _terms
 
 
 @pytest.fixture()
@@ -292,11 +294,17 @@ class TestParseCache:
         execution_match(tiny_db, "", sql)
         parse_cached(sql)
         parse_cached(sql)
+        TfIdfVectorizer().fit(["regional sales"]).transform("regional sales")
         snapshot = global_snapshot()
         assert snapshot["counters"]["eval_cache.misses"] >= 1
         assert not any(key.startswith("eval_cache.")
                        for key in snapshot["gauges"])
         assert snapshot["gauges"]["parse_cache.hits"] >= 1
+        info = _terms.cache_info()
+        gauges = snapshot["gauges"]
+        assert gauges["text.terms_cache.hits"] == info.hits >= 1
+        assert gauges["text.terms_cache.misses"] == info.misses
+        assert gauges["text.terms_cache.currsize"] == info.currsize >= 1
 
 
 class TestProfileSnapshot:
@@ -308,7 +316,7 @@ class TestProfileSnapshot:
             / "BENCH_baseline.json"
         )
         baseline = json.loads(baseline_path.read_text())
-        payload = profile(experiment_context, limit=3, verbose=False)
+        payload = profile(experiment_context, limit=3)
         # The committed baseline is schema v2. v4 drops its hand-timed
         # ``total_s`` and ``retrieve`` stage; every other change is an
         # addition (v3's ``engine``, v4's span-derived fields).
@@ -321,7 +329,7 @@ class TestProfileSnapshot:
         assert baseline["ex_all"] == pytest.approx(65.15)
 
     def test_profile_stage_timings_populated(self, experiment_context):
-        payload = profile(experiment_context, limit=2, verbose=False)
+        payload = profile(experiment_context, limit=2)
         assert payload["questions"] == 2
         stages = payload["stages"]
         assert list(stages) == ["build", "mine", "generate", "execute"]

@@ -245,9 +245,7 @@ class TestEngineStatsIsolation:
         assert sum(
             engine_snapshot()[key] for key in self.COUNTERS
         ) > 0
-        payload = profile(
-            context=experiment_context, limit=0, verbose=False
-        )
+        payload = profile(context=experiment_context, limit=0)
         engine = payload["engine"]
         assert all(engine[key] == 0 for key in self.COUNTERS)
         assert engine["predicate_cache"]["entries"] == 0

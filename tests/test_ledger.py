@@ -641,9 +641,7 @@ class TestProfileSchemaCompat:
     def test_profile_reports_engine_breakdown(self, experiment_context):
         from repro.bench.harness import profile
 
-        payload = profile(
-            context=experiment_context, limit=2, verbose=False
-        )
+        payload = profile(context=experiment_context, limit=2)
         assert payload["schema_version"] == PROFILE_SCHEMA_VERSION == 4
         assert payload["wall_s"] >= sum(payload["stages"].values())
         assert payload["operators"]["generate"]["calls"] == 2
@@ -667,7 +665,7 @@ class TestProfileSchemaCompat:
         from repro.bench.harness import profile
         from repro.obs.metrics import get_metrics
 
-        payload = profile(context=experiment_context, limit=1, verbose=False)
+        payload = profile(context=experiment_context, limit=1)
         registry = get_metrics()
         engine = payload["engine"]
         assert registry.counter_value("engine.columnar_selects") == \

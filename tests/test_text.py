@@ -1,6 +1,8 @@
 """Text substrate tests: normalisation, TF-IDF, similarity, index."""
 
+import gc
 import struct
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.text import (
     stem,
     tokenize_text,
 )
+from repro.text.vectorize import _terms
 
 
 class TestNormalize:
@@ -89,6 +92,69 @@ class TestVectorizer:
     def test_unfitted_flag(self):
         assert not TfIdfVectorizer().is_fitted
         assert TfIdfVectorizer().fit(["a"]).is_fitted
+
+
+class TestInternedTerms:
+    #: Bytes the term memo may hold per entry for the seed-7 knowledge
+    #: texts: about 1.8 KB with interned terms, 8.7 KB with a fresh
+    #: string per occurrence.
+    MAX_BYTES_PER_ENTRY = 3000
+
+    #: The top 10 of the seed-7 sports_holdings example index for one dev
+    #: question, as (position in ``examples()``, ``float.hex`` score),
+    #: pinned before terms were interned.
+    PINNED_HITS = [
+        (2, "0x1.0c6028f1c1448p-3"),
+        (7, "0x1.0c6028f1c1448p-3"),
+        (45, "0x1.0c6028f1c1448p-3"),
+        (43, "0x1.b0d529cf5d6c6p-4"),
+        (5, "0x1.aec351599cac3p-4"),
+        (17, "0x1.8bf64a0f89fd3p-4"),
+        (0, "0x1.88ecb0cc89295p-4"),
+        (19, "0x1.5aae9c5015997p-4"),
+        (24, "0x1.5aae9c5015997p-4"),
+        (29, "0x1.5aae9c5015997p-4"),
+    ]
+
+    def test_equal_terms_of_two_texts_are_one_object(self):
+        first = _terms("regional sales leagues")
+        second = _terms("total sales by region")
+        shared = set(first) & set(second)
+        assert {"sale", "sal", "ale", "les"} <= shared
+        for term in shared:
+            assert first[first.index(term)] is second[second.index(term)]
+
+    def test_memo_bytes_per_entry_bounded(self, experiment_context):
+        texts = sorted({
+            component.retrieval_text
+            for knowledge in experiment_context.knowledge_sets.values()
+            for component in knowledge.examples() + knowledge.instructions()
+        })
+        for text in texts:
+            normalize(text)  # warm the token memos: measure only _terms
+        _terms.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for text in texts:
+                _terms(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = _terms.cache_info().currsize
+        assert entries == len(texts) > 300
+        assert held / entries <= self.MAX_BYTES_PER_ENTRY
+
+    def test_search_matches_pinned_scores(self, experiment_context):
+        knowledge = experiment_context.knowledge_sets["sports_holdings"]
+        index = RetrievalIndex()
+        for position, example in enumerate(knowledge.examples()):
+            index.add(position, example.retrieval_text)
+        hits = index.search("How many sports organisations are there?", k=10)
+        assert [
+            (hit.doc_id, hit.score.hex()) for hit in hits
+        ] == self.PINNED_HITS
 
 
 class TestSimilarity:

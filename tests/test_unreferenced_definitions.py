@@ -10,9 +10,9 @@ so are dunder methods, which Python calls by protocol.
 
 A parameter that its function's body never reads is a value every caller
 computes and passes for nothing. Methods are exempt, since overrides and
-dispatch tables share one signature; so is a module-level function that
-the source uses as a value rather than calling it (a command registered
-with ``set_defaults(func=...)``), since its caller fixes the signature.
+dispatch tables share one signature. Module-level functions are not, even
+those the source registers as callbacks (``set_defaults(func=cmd_...)``):
+each CLI command reads its ``out``.
 """
 
 from __future__ import annotations
@@ -66,38 +66,12 @@ def test_every_definition_is_named_somewhere_else():
     assert unreferenced == []
 
 
-def _functions_used_as_values(trees):
-    """Names that some source file loads other than as a call's callee."""
-    names = set()
-    for tree in trees:
-        callees = {
-            id(node.func) for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-        }
-        for node in ast.walk(tree):
-            if id(node) in callees or not isinstance(
-                getattr(node, "ctx", None), ast.Load
-            ):
-                continue
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
-
-
 def test_every_module_level_parameter_is_read():
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.rglob("*.py"))
-    }
-    callbacks = _functions_used_as_values(trees.values())
     unread = []
-    for path, tree in trees.items():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name in callbacks:
                 continue
             arguments = node.args
             read = {
