@@ -17,8 +17,9 @@
 #                   fix 43 generations with no rejected edit; guards the
 #                   staging clone path end to end. Every session of seeds
 #                   7 and 41 must also gate identically with the knowledge
-#                   lint memo warm and cold, and give the same regression
-#                   report from the outcome memo as generated afresh
+#                   lint memo warm and cold; each ask, regenerate and
+#                   regression must equal a cold replay generated afresh
+#                   with the database's memos cleared
 #   make chaos-smoke - run Table 1 under fault injection; every question
 #                   must still produce an outcome, and the run's faults.*
 #                   and resilience.* metric lines must equal the pinned
@@ -51,6 +52,11 @@
 #                   traceparent through /debug/traces/{id}, scrape
 #                   /metrics through the promtext linter, force one
 #                   failing request and reconstruct it from /debug/errors
+#   make edit-loop-machine - the edit-loop state machine
+#                   (tests/test_edit_loop_machine.py) at its long budget:
+#                   every answer equals a cold generation on a fresh set,
+#                   and no set's edit reaches another (tier-1 runs a short
+#                   budget of the same machine)
 #   make golden   - python -m repro bench all (seed 7) and the lint corpus
 #                   report must equal their pinned copies under
 #                   tests/fixtures/golden/ byte for byte; a change that
@@ -61,11 +67,11 @@ PYTHON ?= python
 
 .PHONY: lint compile test lint-corpus knowledge-lint trace-smoke \
 	feedback-smoke chaos-smoke ledger-smoke telemetry-smoke perf-smoke \
-	bench-selftest serve-smoke debug-smoke golden bench
+	bench-selftest serve-smoke debug-smoke edit-loop-machine golden bench
 
 lint: compile test lint-corpus knowledge-lint trace-smoke feedback-smoke \
 	chaos-smoke ledger-smoke telemetry-smoke perf-smoke bench-selftest \
-	serve-smoke debug-smoke golden
+	serve-smoke debug-smoke edit-loop-machine golden
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -186,6 +192,10 @@ debug-smoke:
 	$(PYTHON) scripts/debug_smoke.py /tmp/repro-debug-smoke/metrics.prom
 	PYTHONPATH=src $(PYTHON) scripts/check_promtext.py \
 		/tmp/repro-debug-smoke/metrics.prom
+
+edit-loop-machine:
+	REPRO_MACHINE_BUDGET=long PYTHONPATH=src $(PYTHON) -m pytest -q \
+		-p no:cacheprovider tests/test_edit_loop_machine.py
 
 golden:
 	PYTHONPATH=src $(PYTHON) -m repro --seed 7 bench all \

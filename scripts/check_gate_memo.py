@@ -1,9 +1,15 @@
-"""Cold-vs-warm equivalence of the submit memos over SME sessions.
+"""Cold-vs-warm equivalence of the feedback loop's memos over SME sessions.
 
 Replays every simulated feedback session of each seed (the sessions
-``repro bench feedback`` runs). Two memos serve a submit, and the script
-checks both at each one:
+``repro bench feedback`` runs) and checks each step against a cold
+recomputation:
 
+* Each ``ask`` and ``regenerate`` answers as the solver does, from the
+  generation memo when it holds the question (``GenEditPipeline.answer``).
+  The script then calls ``database.clear_memos()`` and generates the
+  question afresh, with a fresh pipeline on a fresh knowledge set rebuilt
+  from the same components, and requires the same SQL, success, error
+  and operator digest trail.
 * The knowledge gate runs as it does in production, with the lint memo
   warm from earlier lints. The script then lints the live and the staged
   set again, warm, and once more cold: with the database's lint memo and
@@ -11,13 +17,16 @@ checks both at each one:
   scored on a fresh TF-IDF fit rather than the example index's vectors.
   It requires identical findings in identical order and an identical
   gate report.
-* The regression run goes through the golden-query outcome memo, warm
-  from earlier submits. The script recomputes it cold, with no memo read:
-  fresh live and staged pipelines generate every golden query, and fresh
-  executors compare each result with the gold one. It requires an
-  identical report, result by result.
+* The regression run reads the generation memo, warm from the session and
+  earlier submits. The script recomputes it cold, after
+  ``database.clear_memos()``: fresh pipelines on rebuilt live and staged
+  sets generate every golden query, a fresh diagnostics engine lints each
+  SQL, and fresh executors compare each result with the gold one. It
+  requires an identical report, result by result.
 
-Exits 1 on any difference.
+Each cold step runs after the warm one, and the warm memos are put back
+after it, so the replay's warm steps read what an unchecked replay
+reads. Exits 1 on any difference.
 
     PYTHONPATH=src python scripts/check_gate_memo.py 7 41
 """
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import repro.feedback.solver as solver_module
@@ -33,19 +43,53 @@ import repro.knowledge.lint as lint_package
 from repro.bench.feedback_sim import simulate_feedback_sessions
 from repro.engine.errors import ExecutionError
 from repro.engine.executor import Executor
-from repro.feedback.regression import (
-    RegressionReport,
-    RegressionResult,
-    _error_codes,
-)
+from repro.feedback.regression import RegressionReport, RegressionResult
+from repro.feedback.solver import FeedbackSolver
 from repro.knowledge import KnowledgeSet
 from repro.knowledge.lint import checker
 from repro.pipeline.pipeline import GenEditPipeline
 from repro.sql.diagnostics import DiagnosticsEngine
+from repro.sql.diagnostics.core import error_codes
 from repro.sql.errors import SqlError
 from repro.sql.parser import parses
 from repro.text.similarity import l2_norm
 from repro.text.vectorize import TfIdfVectorizer
+
+#: The mismatch kinds, in report order.
+KINDS = ("ask", "regenerate", "gate", "regression")
+
+
+def _rebuild(knowledge):
+    """A fresh set with ``knowledge``'s components: no shared index,
+    fitted state or query memo, and a revision of its own."""
+    return KnowledgeSet(knowledge.name).restore(knowledge.snapshot())
+
+
+@contextmanager
+def _memos_cleared(database):
+    """``database.clear_memos()`` for the block; the warm memos come back
+    after it, so the cold step neither reads an entry nor leaves one, and
+    the replay's next warm step reads what it would have read unchecked."""
+    held = database._memos
+    database.clear_memos()
+    try:
+        yield
+    finally:
+        database._memos = held
+
+
+def _cold_generate(database, knowledge, question, config=None):
+    """``question`` generated with the database's memos cleared, by a
+    fresh pipeline on a rebuilt copy of ``knowledge``."""
+    with _memos_cleared(database):
+        return GenEditPipeline(
+            database, _rebuild(knowledge), config=config
+        ).generate(question)
+
+
+def _outcome(result):
+    return (result.sql, result.success, result.error,
+            result.operator_digests)
 
 
 def _fresh_example_vectors(knowledge):
@@ -63,8 +107,8 @@ def _fresh_example_vectors(knowledge):
 
 
 def _cold_lint(knowledge, database, value_k=5):
-    # Only the lint memo: clear_memos() would also drop the regression
-    # memo each submit reads next, and the replay would never run warm.
+    # Only the lint memo: the gate's check must not also drop the
+    # generation memo the regression reads next.
     database.memo("knowledge_lint").clear()
     parses.cache_clear()
     with mock.patch.object(KnowledgeSet, "example_vectors",
@@ -84,41 +128,75 @@ def _cold_match(database, predicted_sql, gold_sql):
     return predicted == gold
 
 
+def _cold_codes(engine, sql):
+    """Error-level diagnostic codes of ``sql`` from ``engine``."""
+    return frozenset(error_codes(engine.run_sql(sql))) if sql else frozenset()
+
+
 def _cold_regression(database, live, staged, golden_queries, config=None):
-    """The regression report with every golden query generated afresh."""
-    before = GenEditPipeline(database, live, config=config)
-    after = GenEditPipeline(database, staged, config=config)
-    engine = DiagnosticsEngine(database)
-    report = RegressionReport()
-    for golden in golden_queries:
-        sql_before = before.generate(golden.question).sql
-        sql_after = after.generate(golden.question).sql
-        codes_before = _error_codes(engine, sql_before)
-        codes_after = _error_codes(engine, sql_after)
-        report.results.append(RegressionResult(
-            question=golden.question,
-            correct_before=_cold_match(database, sql_before,
-                                       golden.gold_sql),
-            correct_after=_cold_match(database, sql_after, golden.gold_sql),
-            new_error_codes=tuple(sorted(codes_after - codes_before)),
-        ))
-    return report
+    """The regression report with every golden query generated afresh,
+    with the database's memos cleared."""
+    with _memos_cleared(database):
+        before = GenEditPipeline(database, _rebuild(live), config=config)
+        after = GenEditPipeline(database, _rebuild(staged), config=config)
+        engine = DiagnosticsEngine(database)
+        report = RegressionReport()
+        for golden in golden_queries:
+            sql_before = before.generate(golden.question).sql
+            sql_after = after.generate(golden.question).sql
+            codes_before = _cold_codes(engine, sql_before)
+            codes_after = _cold_codes(engine, sql_after)
+            report.results.append(RegressionResult(
+                question=golden.question,
+                correct_before=_cold_match(database, sql_before,
+                                           golden.gold_sql),
+                correct_after=_cold_match(database, sql_after,
+                                          golden.gold_sql),
+                new_error_codes=tuple(sorted(codes_after - codes_before)),
+            ))
+        return report
 
 
 def check_seed(seed, context=None):
-    """Replay ``seed``'s sessions; returns ``(submits checked, mismatches)``.
+    """Replay ``seed``'s sessions; returns ``(counts, mismatches)``.
 
-    Each mismatch line names its check: ``gate`` or ``regression``.
+    ``counts`` maps each of :data:`KINDS` to the steps checked, and
+    ``"memo_hits"`` to the asks and regenerates answered from the memo.
+    Each mismatch line names its kind.
     """
     mismatches = []
-    gates = 0
-    regressions = 0
+    counts = dict.fromkeys(KINDS, 0)
+    counts["memo_hits"] = 0
     real_gate = solver_module.run_knowledge_gate
     real_regression = solver_module.run_regression
+    real_ask = FeedbackSolver.ask
+    real_regenerate = FeedbackSolver.regenerate
+
+    def compare(kind, warm, database, knowledge, question, config):
+        counts[kind] += 1
+        counts["memo_hits"] += warm.memo_hit
+        cold = _cold_generate(database, knowledge, question, config)
+        if _outcome(warm) != _outcome(cold):
+            source = "memo" if warm.memo_hit else "generated"
+            mismatches.append(f"seed {seed} {kind} {counts[kind]}: the "
+                              f"{source} answer to {question!r} differs")
+        return warm
+
+    def checked_ask(solver, question):
+        warm = real_ask(solver, question)
+        pipeline = solver.pipeline
+        return compare("ask", warm, pipeline.database, pipeline.knowledge,
+                       question, pipeline.config)
+
+    def checked_regenerate(solver):
+        warm = real_regenerate(solver)
+        pipeline = solver.pipeline
+        return compare("regenerate", warm, pipeline.database,
+                       solver.staging_knowledge(), solver.question,
+                       pipeline.config)
 
     def checked_gate(database, live, staged, tracer=None):
-        nonlocal gates
-        gates += 1
+        counts["gate"] += 1
         warm_gate = real_gate(database, live, staged, tracer=tracer)
         warm = [checker.lint_knowledge(live, database),
                 checker.lint_knowledge(staged, database)]
@@ -129,18 +207,17 @@ def check_seed(seed, context=None):
             ("live", "staged"), warm, cold
         ):
             if warm_findings != cold_findings:
-                mismatches.append(f"seed {seed} gate {gates}: {side} "
-                                  f"findings differ")
+                mismatches.append(f"seed {seed} gate {counts['gate']}: "
+                                  f"{side} findings differ")
         if warm_gate != cold_gate or warm_gate.passed != cold_gate.passed:
-            mismatches.append(f"seed {seed} gate {gates}: gate reports "
-                              f"differ ({warm_gate.summary()} vs "
+            mismatches.append(f"seed {seed} gate {counts['gate']}: gate "
+                              f"reports differ ({warm_gate.summary()} vs "
                               f"{cold_gate.summary()})")
         return warm_gate
 
     def checked_regression(database, live, staged, golden_queries,
                            config=None, tracer=None, baseline=None):
-        nonlocal regressions
-        regressions += 1
+        counts["regression"] += 1
         if baseline is not None:
             raise ValueError("the replayed sessions have no baseline record")
         warm = real_regression(database, live, staged, golden_queries,
@@ -148,37 +225,42 @@ def check_seed(seed, context=None):
         cold = _cold_regression(database, live, staged, golden_queries,
                                 config=config)
         if warm.results != cold.results or warm.passed != cold.passed:
-            mismatches.append(f"seed {seed} regression {regressions}: "
-                              f"reports differ ({warm.summary()} vs "
-                              f"{cold.summary()})")
+            mismatches.append(f"seed {seed} regression "
+                              f"{counts['regression']}: reports differ "
+                              f"({warm.summary()} vs {cold.summary()})")
         return warm
 
     with mock.patch.object(solver_module, "run_knowledge_gate",
                            checked_gate), \
             mock.patch.object(solver_module, "run_regression",
-                              checked_regression):
+                              checked_regression), \
+            mock.patch.object(FeedbackSolver, "ask", checked_ask), \
+            mock.patch.object(FeedbackSolver, "regenerate",
+                              checked_regenerate):
         simulate_feedback_sessions(seed=seed, context=context)
-    if regressions != gates:
-        mismatches.append(f"seed {seed}: {gates} gate(s) but "
-                          f"{regressions} regression run(s)")
-    return gates, mismatches
+    if counts["regression"] != counts["gate"]:
+        mismatches.append(f"seed {seed}: {counts['gate']} gate(s) but "
+                          f"{counts['regression']} regression run(s)")
+    return counts, mismatches
 
 
 def main(argv):
     seeds = [int(arg) for arg in argv] or [7]
     failed = False
     for seed in seeds:
-        submits, mismatches = check_seed(seed)
+        counts, mismatches = check_seed(seed)
         for line in mismatches:
             print(line)
-        counts = {
+        kinds = {
             kind: sum(1 for line in mismatches if f" {kind} " in line)
-            for kind in ("gate", "regression")
+            for kind in KINDS
         }
-        failed = failed or bool(mismatches) or not submits
-        print(f"seed {seed}: {submits} submit(s), "
-              f"{counts['gate']} gate mismatch(es), "
-              f"{counts['regression']} regression mismatch(es)")
+        failed = failed or bool(mismatches) or not counts["gate"]
+        print(f"seed {seed}: {counts['ask']} ask(s) and "
+              f"{counts['regenerate']} regenerate(s), {counts['memo_hits']} "
+              f"from the generation memo; {counts['gate']} submit(s); "
+              + ", ".join(f"{kinds[kind]} {kind} mismatch(es)"
+                          for kind in KINDS))
     return 1 if failed else 0
 
 

@@ -687,11 +687,17 @@ def profile(context=None, limit=None, out=None, as_json=False):
     return payload
 
 
-def feedback_metrics(seed=DEFAULT_SEED, out=None):
-    """§4.2.3: edits-recommendation acceptance metrics."""
+def feedback_metrics(context=None, out=None):
+    """§4.2.3: edits-recommendation acceptance metrics.
+
+    The sessions run on ``context``'s workload (so ``--limit`` reaches
+    them), databases and mined knowledge sets; each session stages its
+    edits on a clone, so the context's sets are left as they were.
+    """
     from .feedback_sim import simulate_feedback_sessions
 
-    summary = simulate_feedback_sessions(seed=seed)
+    context = context or ExperimentContext()
+    summary = simulate_feedback_sessions(context=context)
     rows = [
         ("sessions", summary.sessions),
         ("edits recommended", summary.recommended),
@@ -774,7 +780,7 @@ def run_bench(args, out):
         reports.extend(retrieval_ablation(context, out=out))
         print(file=out)
     if target in ("feedback", "all"):
-        feedback_metrics(seed=context.seed, out=out)
+        feedback_metrics(context, out=out)
     profile_payload = None
     if target == "profile":
         profile_payload = profile(context, out=out, as_json=args.json)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from ..engine.errors import ExecutionError
 from ..engine.executor import Executor
 from ..obs.metrics import get_metrics
-from ..sql.diagnostics.core import error_codes
 from ..sql.errors import SqlError
 
 
@@ -125,10 +124,8 @@ class QuestionOutcome:
             error=error,
             degraded=result.degraded_operators,
             question_text=question_text,
-            lint_codes=error_codes(
-                context.candidate_diagnostics.get(result.sql, ())
-            ),
-            plan_codes=error_codes(context.plan_findings_for(result.sql)),
+            lint_codes=result.lint_codes,
+            plan_codes=result.plan_codes,
             attempts=len(context.attempts),
             operator_digests=result.operator_digests,
             llm_calls=tuple(

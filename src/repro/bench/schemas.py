@@ -1121,9 +1121,12 @@ _BUILDERS = {
 DATABASE_NAMES = tuple(sorted(_BUILDERS))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def build_all(seed=DEFAULT_SEED):
-    """Build every benchmark database profile, keyed by database name."""
+    """Build every benchmark database profile, keyed by database name.
+
+    One seed is cached: its callers reuse it back to back, and each held
+    seed keeps its databases and their memos alive."""
     return {name: _BUILDERS[name](seed) for name in DATABASE_NAMES}
 
 

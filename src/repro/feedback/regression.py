@@ -18,20 +18,22 @@ query the baseline already evaluated: recorded correctness and lint codes
 stand in for a fresh live-pipeline generation, and the report cites the
 baseline run id.
 
-Every other outcome, live or staged, comes from one memo (DESIGN.md
-§6d). A golden query's outcome — ``(correct, error codes)`` — is a pure
-function of the database contents, the knowledge set's contents and
-order, the pipeline config and the golden query itself, so the memo is
-the database's ``database.memo("regression")``, scoped to
-``database.version`` and keyed on ``(knowledge.revision, config,
-golden)``. :attr:`~repro.knowledge.store.KnowledgeSet.revision` changes
-on every edit made through the knowledge set's mutators and is shared by
-a clone, so the many submits against one deployed set generate its
-"before" side once, and a submit generates only what its staged edits
-can have changed. The contract is the knowledge store's: edits go
-through the mutators, and code that changes ``table.rows`` directly calls
-``database.clear_memos()``. Both pipelines are built lazily, only on a
-miss.
+Every other outcome, live or staged, is read through
+:meth:`~repro.pipeline.pipeline.GenEditPipeline.answer`, so it comes from
+the one generation memo (``database.memo("generation")``, DESIGN.md §6d)
+that the deployed pipeline and the feedback session also read. An entry
+is keyed on ``(knowledge.revision, config, model, linking model,
+timeout_ms, question)`` and scoped to ``database.version``.
+:attr:`~repro.knowledge.store.KnowledgeSet.revision` changes on every
+edit made through the knowledge set's mutators and is shared by a clone,
+so the many submits against one deployed set generate its "before" side
+once, and a submit generates only what its staged edits can have
+changed. Correctness is not memoised here: :func:`execution_match`
+compares the answer's SQL with the gold SQL through the database's warm
+``comparable`` memo, and the error codes are the answer's. The contract
+is the knowledge store's: edits go through the mutators, and code that
+changes ``table.rows`` directly calls ``database.clear_memos()``. Both
+pipelines are built lazily, on the first golden query that needs them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from ..obs.metrics import get_metrics
 from ..obs.tracing import Tracer
 from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
-from ..sql.diagnostics import DiagnosticsEngine
 from ..sql.diagnostics.core import error_codes, error_count
 
 
@@ -138,10 +139,10 @@ def run_regression(database, live_knowledge, staged_knowledge,
     its recorded correctness and lint codes for the "before" side ahead of
     the memo, and the report names the run it was compared against.
 
-    Both sides are generated by a default :class:`GenEditPipeline` (a
-    ``SimulatedLLM``, no fault injector), which is why the memo key holds
-    no LLM state. A parameter added later that changes generation (an LLM,
-    a fault injector) must join the memo key.
+    Both sides are answered by a default :class:`GenEditPipeline` (a
+    ``SimulatedLLM``, no fault injector) through
+    :meth:`~repro.pipeline.pipeline.GenEditPipeline.answer`, whose memo key
+    holds the models and ``timeout_ms``.
     """
     baseline_outcomes = {}
     baseline_run_id = ""
@@ -202,12 +203,11 @@ def run_regression(database, live_knowledge, staged_knowledge,
 
 
 class _GoldenOutcomes:
-    """One regression run's view of the database, with the outcome memo.
+    """One regression run's view of the database.
 
     :meth:`get` returns a golden query's ``(correct, error codes)`` on a
-    knowledge set from the memo, or generates it on a miss. A knowledge
-    set's pipeline and the diagnostics engine are built on the first miss
-    that needs them.
+    knowledge set from the answer of that set's pipeline, built on the
+    first golden query that needs it.
     """
 
     def __init__(self, database, config):
@@ -215,38 +215,27 @@ class _GoldenOutcomes:
         self.config = config or DEFAULT_CONFIG
         self.hits = 0
         self.misses = 0
-        self._engine = None
         self._pipelines = {}
-        self._memo = database.memo("regression")
 
     def get(self, knowledge, golden):
         """``(source, (correct, codes))``; source is memo or generated."""
-        key = (knowledge.revision, self.config, golden)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return "memo", cached
-        self.misses += 1
         pipeline = self._pipelines.get(id(knowledge))
         if pipeline is None:
             pipeline = GenEditPipeline(
                 self.database, knowledge, config=self.config
             )
             self._pipelines[id(knowledge)] = pipeline
-        if self._engine is None:
-            self._engine = DiagnosticsEngine(self.database)
-        sql = pipeline.generate(golden.question).sql
-        return "generated", self._memo.store(key, (
-            execution_match(self.database, sql, golden.gold_sql),
-            frozenset(_error_codes(self._engine, sql)),
-        ))
-
-
-def _error_codes(engine, sql):
-    """The set of error-level diagnostic codes for ``sql`` ('' lints clean)."""
-    if not sql:
-        return set()
-    return set(error_codes(engine.run_sql(sql)))
+        result = pipeline.answer(golden.question)
+        if result.memo_hit:
+            self.hits += 1
+            source = "memo"
+        else:
+            self.misses += 1
+            source = "generated"
+        return source, (
+            execution_match(self.database, result.sql, golden.gold_sql),
+            frozenset(result.lint_codes),
+        )
 
 
 # -- knowledge gate ----------------------------------------------------------

@@ -52,13 +52,18 @@ class FeedbackSolver:
         self.recommendations = []
         self._staged_ids = []
         self._iterations = 0
+        #: ``((live revision, staged revision), staged edits, staged set)``
+        #: of the last :meth:`staging_knowledge`.
+        self._staging = (None, None, None)
 
     # -- generation ----------------------------------------------------------
 
     def ask(self, question):
-        """Generate SQL for a question (the session's subject)."""
+        """Answer a question (the session's subject) as the deployed
+        pipeline does: from the generation memo when the deployed system
+        already answered it on this knowledge revision."""
         self.question = question
-        self.result = self.pipeline.generate(question)
+        self.result = self.pipeline.answer(question)
         return self.result
 
     def run_sql(self, sql=None):
@@ -139,10 +144,31 @@ class FeedbackSolver:
         ]
 
     def staging_knowledge(self):
-        """A clone of the live knowledge set with staged edits applied."""
-        staged = self.pipeline.knowledge.clone()
-        for edit in self.staged_edits():
-            apply_edit(staged, edit)
+        """A clone of the live knowledge set with staged edits applied.
+
+        One set per list of staged edits: regenerate, the knowledge gate
+        and the regression of one list share it, so each edited index is
+        refit once. It is rebuilt when the live set's revision changes,
+        when the staged edits or the fields :func:`apply_edit` reads of
+        them change (a stage, a dismiss, a replaced payload; payloads are
+        frozen), or when the staged set itself was edited since.
+        """
+        live = self.pipeline.knowledge
+        edits = [
+            (edit, edit.action, edit.kind, edit.payload,
+             edit.target_component_id)
+            for edit in self.staged_edits()
+        ]
+        revision, held_edits, staged = self._staging
+        if (
+            staged is None
+            or revision != (live.revision, staged.revision)
+            or held_edits != edits
+        ):
+            staged = live.clone()
+            for edit, *_fields in edits:
+                apply_edit(staged, edit)
+            self._staging = ((live.revision, staged.revision), edits, staged)
         return staged
 
     # -- regenerate / iterate ----------------------------------------------------------
@@ -154,7 +180,7 @@ class FeedbackSolver:
         staging_pipeline = GenEditPipeline(
             self.pipeline.database, staged, config=self.pipeline.config
         )
-        self.result = staging_pipeline.generate(self.question)
+        self.result = staging_pipeline.answer(self.question)
         return self.result
 
     @property

@@ -31,8 +31,8 @@ Every mutator (``add_*`` and a ``delete_*`` that removes something;
 ``update_*`` and :meth:`~KnowledgeSet.restore` go through them) replaces
 it, and :meth:`~KnowledgeSet.clone` copies it, so two sets with the same
 revision hold the same components in the same insertion order. Memos of
-results computed from a set's contents, such as the regression outcomes
-of ``repro.feedback.regression``, key on it. Edits must therefore go
+results computed from a set's contents, such as the pipeline's generation
+memo (``GenEditPipeline.answer``), key on it. Edits must therefore go
 through the mutators: writing a component dict directly leaves the
 revision (and the retrieval indexes) stale; a component itself cannot be
 written in place.

@@ -60,6 +60,12 @@ class Plan:
     def __len__(self):
         return len(self.steps)
 
+    def copy(self):
+        """A plan whose step and issue lists are its own (the steps and
+        the frozen spec are shared)."""
+        return Plan(steps=list(self.steps), spec=self.spec,
+                    issues=list(self.issues))
+
 
 @dataclass
 class PipelineContext:
@@ -187,6 +193,37 @@ def operator_output_digest(name, context):
     ).hexdigest()
 
 
+@dataclass(frozen=True)
+class GenerationEntry:
+    """The slim outcome of one ``generate`` run, as the generation memo
+    holds it (``database.memo("generation")``, DESIGN.md §6d).
+
+    Strings, ints, tuples, the frozen knowledge components the run
+    selected and its plan: never the knowledge set, the tracer, the meter
+    or the candidate diagnostics, so an entry keeps no run's working set
+    alive. :meth:`GenEditPipeline.answer` rebuilds a result from it.
+    """
+
+    sql: str
+    success: bool
+    error: str
+    reformulated: str
+    intent_ids: tuple
+    examples: tuple
+    instructions: tuple
+    plan: Plan | None
+    candidates: tuple
+    attempts: tuple
+    lint_caught: int
+    execution_caught: int
+    degraded: tuple
+    operator_digests: tuple
+    failed_operator: str
+    #: Error-level GE codes of the final SQL and of its grounding plan.
+    lint_codes: tuple
+    plan_codes: tuple
+
+
 @dataclass
 class GenerationResult:
     """Outcome of one pipeline run."""
@@ -197,6 +234,30 @@ class GenerationResult:
     success: bool               # a candidate passed validation
     context: PipelineContext
     error: str = ""
+    #: The memo entry this result was rebuilt from, or ``None`` when the
+    #: operators ran (see :meth:`GenEditPipeline.answer`).
+    entry: GenerationEntry | None = None
+
+    @property
+    def memo_hit(self):
+        """True when this result came from the generation memo."""
+        return self.entry is not None
+
+    @property
+    def lint_codes(self):
+        """Error-level diagnostic codes of the final SQL."""
+        if self.entry is not None:
+            return self.entry.lint_codes
+        return error_codes(
+            self.context.candidate_diagnostics.get(self.sql, ())
+        )
+
+    @property
+    def plan_codes(self):
+        """Error-level plan-lint codes of the final SQL's grounding plan."""
+        if self.entry is not None:
+            return self.entry.plan_codes
+        return error_codes(self.context.plan_findings_for(self.sql))
 
     @property
     def trace(self):
@@ -271,12 +332,8 @@ class GenerationResult:
                 {"operator": name, "digest": digest}
                 for name, digest in context.operator_digests
             ],
-            "lint_codes": list(error_codes(
-                context.candidate_diagnostics.get(self.sql, ())
-            )),
-            "plan_codes": list(error_codes(
-                context.plan_findings_for(self.sql)
-            )),
+            "lint_codes": list(self.lint_codes),
+            "plan_codes": list(self.plan_codes),
             "events": [str(event) for event in self.trace],
             "llm_calls": [
                 {

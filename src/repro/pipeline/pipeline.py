@@ -2,7 +2,11 @@
 
 Wires the operators in order — reformulation, intent classification,
 example selection, instruction selection, schema linking, CoT planning, SQL
-generation, self-correction — and exposes :meth:`GenEditPipeline.generate`.
+generation, self-correction — and exposes :meth:`GenEditPipeline.generate`,
+the cold primitive every evaluation target calls, and
+:meth:`GenEditPipeline.answer`, the deployed system's entry point, which
+reuses an earlier run's outcome on the same inputs (the generation memo,
+DESIGN.md §6d).
 
 Resilience (DESIGN.md §6c): the LLM is always wrapped in a
 :class:`~repro.resilience.ResilientLLM` (retries with recorded backoff and
@@ -31,8 +35,14 @@ from ..resilience import (
     FaultyExecutor,
     ResilientLLM,
 )
+from ..sql.diagnostics import DiagnosticsEngine
 from ..sql.errors import SqlError
-from .base import GenerationResult, PipelineContext, operator_output_digest
+from .base import (
+    GenerationEntry,
+    GenerationResult,
+    PipelineContext,
+    operator_output_digest,
+)
 from .config import DEFAULT_CONFIG
 from .correction import SelfCorrectionOperator
 from .examples import ExampleSelectionOperator
@@ -101,6 +111,7 @@ class GenEditPipeline:
         self._base_llm = llm or SimulatedLLM()
         self.llm = ResilientLLM(self._base_llm, self.timeout_ms)
         self.operators = self._build_operators()
+        self._built = tuple(self.operators)
         if fault_injector is not None:
             self.enable_faults(injector=fault_injector)
 
@@ -138,6 +149,7 @@ class GenEditPipeline:
         self.fault_injector = injector
         self.llm = ResilientLLM(self._base_llm, self.timeout_ms, injector)
         self.operators = self._build_operators()
+        self._built = tuple(self.operators)
         return injector
 
     def _make_executor(self, database):
@@ -145,6 +157,102 @@ class GenEditPipeline:
         if self.fault_injector is not None:
             executor = FaultyExecutor(executor, self.fault_injector)
         return executor
+
+    def _generation_memo(self):
+        """The database's ``memo("generation")`` when this pipeline's runs
+        may be shared, else ``None``.
+
+        They may be shared when the memo key holds every input a run reads
+        besides the database: the base LLM is exactly ``SimulatedLLM``
+        (deterministic, and described by its two models), no fault
+        injector is armed (its decisions count occurrences), and the
+        operators are the ones this pipeline built, unpatched.
+        """
+        if (
+            self.fault_injector is not None
+            or type(self._base_llm) is not SimulatedLLM
+            or tuple(self.operators) != self._built
+            or any("run" in vars(operator) for operator in self.operators)
+        ):
+            return None
+        return self.database.memo("generation")
+
+    def _memo_key(self, config, question):
+        return (
+            self.knowledge.revision, config, self.llm.model,
+            self.llm.linking_model, self.timeout_ms, question,
+        )
+
+    def answer(self, question):
+        """The deployed system's answer to ``question``.
+
+        On a generation-memo hit (an earlier :meth:`generate` of this
+        question on the same knowledge revision, database version, config,
+        models and ``timeout_ms``) the result is rebuilt from the stored
+        entry: no operator runs, the meter is empty, and the fresh tracer
+        holds one ``generate`` span marked ``generation.memo=hit`` with the
+        stored digest trail. On a miss it is :meth:`generate`. The registry
+        counts ``generation.memo_hits``/``generation.memo_misses``.
+        """
+        memo = self._generation_memo()
+        if memo is None:
+            return self.generate(question)
+        entry = memo.get(self._memo_key(self.config, question))
+        if entry is None:
+            get_metrics().inc("generation.memo_misses")
+            return self.generate(question)
+        get_metrics().inc("generation.memo_hits")
+        return self._replay(question, entry)
+
+    def _replay(self, question, entry):
+        """A :class:`GenerationResult` rebuilt from a memo entry."""
+        plan = entry.plan.copy() if entry.plan is not None else None
+        context = PipelineContext(
+            question=question,
+            database=self.database,
+            knowledge=self.knowledge,
+            config=self.config,
+            reformulated=entry.reformulated,
+            intent_ids=list(entry.intent_ids),
+            examples=list(entry.examples),
+            instructions=list(entry.instructions),
+            plan=plan,
+            candidates=list(entry.candidates),
+            sql=entry.sql,
+            attempts=list(entry.attempts),
+            lint_caught=entry.lint_caught,
+            execution_caught=entry.execution_caught,
+            degraded_operators=list(entry.degraded),
+            operator_digests=list(entry.operator_digests),
+            failed_operator=entry.failed_operator,
+        )
+        with context.span(
+            "generate",
+            question=question,
+            database=getattr(self.database, "name", str(self.database)),
+        ) as root:
+            root.set_attr("generation.memo", "hit")
+            root.set_attr("digests", " ".join(
+                f"{name}:{digest}" for name, digest in entry.operator_digests
+            ))
+            root.set_attr("success", entry.success)
+            root.set_attr("attempts", len(entry.attempts))
+            if entry.failed_operator:
+                root.set_attr("failed_operator", entry.failed_operator)
+            context.add_trace(
+                "generate",
+                "generation memo hit: the outcome of an earlier run on "
+                "this knowledge revision and database version",
+            )
+        return GenerationResult(
+            question=question,
+            sql=entry.sql,
+            plan=plan,
+            success=entry.success,
+            context=context,
+            error=entry.error,
+            entry=entry,
+        )
 
     def generate(self, question, config=None):
         """Generate SQL for ``question`` and return a GenerationResult.
@@ -158,12 +266,19 @@ class GenEditPipeline:
         Operator exceptions never escape: optional operators degrade (see
         :data:`DEGRADATIONS`), required ones end the run as a failed
         result whose ``error`` names the operator and the exception.
+
+        Every run runs the operators: evaluation targets measure what a
+        configuration costs, so ``generate`` never reads the generation
+        memo. It only records the outcome there, for :meth:`answer`.
         """
+        config = config or self.config
+        memo = self._generation_memo()
+        key = None if memo is None else self._memo_key(config, question)
         context = PipelineContext(
             question=question,
             database=self.database,
             knowledge=self.knowledge,
-            config=config or self.config,
+            config=config,
         )
         context.executor_factory = self._make_executor
         metrics = get_metrics()
@@ -243,7 +358,7 @@ class GenEditPipeline:
             "pipeline.cost_usd", context.meter.total_cost_usd,
             buckets=(0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1),
         )
-        return GenerationResult(
+        result = GenerationResult(
             question=question,
             sql=context.sql,
             plan=context.plan,
@@ -251,6 +366,9 @@ class GenEditPipeline:
             context=context,
             error=error,
         )
+        if memo is not None:
+            memo.store(key, _entry(result))
+        return result
 
     def _degrade(self, context, name, span, reason, metrics):
         """Apply an optional operator's fallback and record the event."""
@@ -291,3 +409,38 @@ class GenEditPipeline:
         except (SqlError, ExecutionError) as error:
             return False, str(error)
         return True, ""
+
+
+def _entry(result):
+    """The :class:`GenerationEntry` of a generated ``result``.
+
+    The final SQL's codes come from the diagnostics the generation
+    operator already ran on each candidate; the engine runs only for a
+    final SQL that has none, and its result joins the context so the
+    result and the entry report the same codes.
+    """
+    context = result.context
+    sql = result.sql
+    if sql and sql not in context.candidate_diagnostics:
+        context.candidate_diagnostics[sql] = (
+            DiagnosticsEngine(context.database).run_sql(sql)
+        )
+    return GenerationEntry(
+        sql=sql,
+        success=result.success,
+        error=result.error,
+        reformulated=context.reformulated,
+        intent_ids=tuple(context.intent_ids),
+        examples=tuple(context.examples),
+        instructions=tuple(context.instructions),
+        plan=context.plan.copy() if context.plan is not None else None,
+        candidates=tuple(context.candidates),
+        attempts=tuple(context.attempts),
+        lint_caught=context.lint_caught,
+        execution_caught=context.execution_caught,
+        degraded=tuple(context.degraded_operators),
+        operator_digests=tuple(context.operator_digests),
+        failed_operator=context.failed_operator,
+        lint_codes=result.lint_codes,
+        plan_codes=result.plan_codes,
+    )

@@ -9,6 +9,10 @@ Responsibilities:
   :class:`~repro.pipeline.pipeline.GenEditPipeline`. Pipelines are
   shared across worker threads — the whole point of the PR 9
   concurrency-safety audit (DESIGN.md §6h) is that this is now sound.
+  ``/ask`` and ``/feedback`` answer through
+  :meth:`~repro.pipeline.pipeline.GenEditPipeline.answer`, so a repeated
+  question on an unchanged knowledge set and database is served from the
+  generation memo (DESIGN.md §6d).
 * **Admission control**: pooled routes (``ask``/``feedback``) pass
   through the :class:`~repro.serve.pool.WorkerPool` gate; saturation is
   429 + ``Retry-After``, draining is 503 + ``Retry-After``, a blown
@@ -341,7 +345,7 @@ class ServeApp:
 
     def _handle_ask(self, request, params, request_id):
         tenant = self._tenant(request.tenant)
-        result = tenant.pipeline.generate(request.question)
+        result = tenant.pipeline.answer(request.question)
         correct = None
         if request.gold_sql:
             correct = bool(result.success) and execution_match(

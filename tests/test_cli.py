@@ -2,6 +2,7 @@
 
 import io
 import pathlib
+import re
 
 import pytest
 
@@ -17,14 +18,16 @@ from repro.cli import (
 GOLDEN = pathlib.Path(__file__).resolve().parent / "fixtures" / "golden"
 
 
+def _bench(argv):
+    """``repro ARGV`` for a ``bench`` command line, run in process."""
+    out = io.StringIO()
+    assert cmd_bench(build_arg_parser().parse_args(argv), out) == 0
+    return out.getvalue()
+
+
 def _bench_table1_limit10(seed):
     """``repro --seed SEED bench table1 --limit 10``, run in process."""
-    args = build_arg_parser().parse_args(
-        ["--seed", str(seed), "bench", "table1", "--limit", "10"]
-    )
-    out = io.StringIO()
-    assert cmd_bench(args, out) == 0
-    return out.getvalue()
+    return _bench(["--seed", str(seed), "bench", "table1", "--limit", "10"])
 
 
 class TestArgParsing:
@@ -72,6 +75,13 @@ class TestBenchOutput:
 
     def test_seed_option_reaches_the_experiments(self, seed7_table1):
         assert _bench_table1_limit10(11) != seed7_table1
+
+    @pytest.mark.parametrize("limit, sessions", [(3, 0), (60, 5)])
+    def test_limit_reaches_the_feedback_sessions(self, limit, sessions):
+        # The sessions run on the bench command's own (truncated)
+        # workload; all 132 questions give 43 sessions.
+        text = _bench(["bench", "feedback", "--limit", str(limit)])
+        assert re.search(rf"^sessions +\| +{sessions}$", text, re.M), text
 
 
 class TestCommands:

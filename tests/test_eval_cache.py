@@ -57,7 +57,7 @@ class TestDatabaseMemo:
         from repro.knowledge import KnowledgeSet, SchemaElement
         from repro.knowledge.lint import lint_knowledge
 
-        names = ("comparable", "knowledge_lint", "regression")
+        names = ("comparable", "knowledge_lint", "generation")
 
         def fill(db):
             for name in names:

@@ -235,6 +235,53 @@ class TestSolverFlow:
         solver.dismiss(recommendations[0].edit_id)
         assert solver.staged_edits() == []
 
+    def test_regenerate_and_submit_refit_each_edited_index_once(
+        self, solver
+    ):
+        from repro.obs.metrics import get_metrics
+
+        live = solver.pipeline.knowledge
+        for search in (live.search_examples, live.search_instructions,
+                       live.search_intents):
+            search("outlay")        # the live indexes start fitted
+        solver.ask("What is the average outlay?")
+        solver.give_feedback(
+            "'outlay' refers to the EXPENSES column in SPORTS_FINANCIALS."
+        )
+        edited = {edit.kind for edit in solver.stage()}
+        metrics = get_metrics()
+        before = metrics.counter_value("retrieval.refits")
+        solver.regenerate()
+        solver.submit()
+        assert metrics.counter_value("retrieval.refits") - before == len(
+            edited
+        )
+
+    def test_one_staged_set_per_list_of_staged_edits(self, solver):
+        solver.ask("What is the average outlay?")
+        (edit,) = solver.give_feedback(
+            "'outlay' refers to the EXPENSES column in SPORTS_FINANCIALS."
+        )
+        solver.stage()
+        staged = solver.staging_knowledge()
+        assert solver.staging_knowledge() is staged
+        solver.dismiss(edit.edit_id)
+        emptied = solver.staging_knowledge()
+        assert emptied is not staged
+        assert emptied.revision is solver.pipeline.knowledge.revision
+        solver.stage(edit.edit_id)
+        restaged = solver.staging_knowledge()
+        assert restaged is not emptied
+        assert restaged.stats() == staged.stats()
+        # An edit to the staged set itself, or to the live set, rebuilds.
+        restaged.delete_example(next(iter(restaged._examples)))
+        rebuilt = solver.staging_knowledge()
+        assert rebuilt is not restaged and rebuilt.stats() == staged.stats()
+        solver.pipeline.knowledge.add_instruction(
+            Instruction("in-live-edit", "Count distinct organisations.")
+        )
+        assert solver.staging_knowledge() is not rebuilt
+
     def test_iteration_counter(self, solver):
         solver.ask("What is the average outlay?")
         solver.give_feedback("hmm")
@@ -449,10 +496,24 @@ class TestRegressionMemo:
     def test_warm_report_equals_cold_over_seed7_sessions(
         self, seed7_memo_replay
     ):
-        submits, mismatches, grown = seed7_memo_replay
-        assert submits == 43
+        counts, mismatches, grown = seed7_memo_replay
+        assert counts["regression"] == 43
         assert mismatches == []
         assert grown["regression.memo_hits"] > 0
+
+    def test_every_session_ask_is_a_memo_hit_equal_to_cold(
+        self, seed7_memo_replay
+    ):
+        # The replay compares every ask and regenerate with a cold
+        # generation on a rebuilt set; the GenEdit pass that found the
+        # failures already answered each session's question.
+        counts, mismatches, grown = seed7_memo_replay
+        assert counts["ask"] == 43
+        assert counts["regenerate"] > counts["ask"]
+        assert not [line for line in mismatches
+                    if " ask " in line or " regenerate " in line]
+        assert counts["memo_hits"] >= counts["ask"]
+        assert grown["generation.memo_hits"] >= counts["memo_hits"]
 
     def test_repeat_submit_regenerates_only_the_staged_side(self):
         from repro.obs.metrics import get_metrics
@@ -549,7 +610,9 @@ class TestRegressionMemo:
         )
         assert sources == [("memo", "memo")]
 
-    def test_gold_sql_is_part_of_the_key(self):
+    def test_new_gold_sql_is_rescored_on_a_memo_hit(self):
+        # The memo holds the generation, keyed on the question; the EX
+        # check against each golden query's SQL runs on every regression.
         db = _regression_db()
         live = _regression_knowledge()
         first, _sources, _root = _traced_regression(
@@ -560,7 +623,7 @@ class TestRegressionMemo:
         report, sources, _root = _traced_regression(
             db, live, live, [wrong_gold]
         )
-        assert sources == [("generated", "memo")]
+        assert sources == [("memo", "memo")]
         assert report.results[0].correct_before is not (
             first.results[0].correct_before
         )
@@ -583,7 +646,7 @@ class TestRegressionMemo:
         db = _regression_db()
         live = _regression_knowledge()
         _traced_regression(db, live, live, [COUNT_EMPLOYEES])
-        assert db.memo("regression")
+        assert db.memo("generation")
         alive = weakref.ref(db)
         del db
         gc.collect()

@@ -171,12 +171,19 @@ class TestFeedbackSimulator:
     def test_simulation_leaves_live_knowledge_untouched(
         self, experiment_context
     ):
-        before = experiment_context.knowledge_sets[
-            "sports_holdings"
-        ].stats()
+        knowledge_sets = experiment_context.knowledge_sets
+        before = knowledge_sets["sports_holdings"].stats()
+        revisions = {
+            name: knowledge.revision
+            for name, knowledge in knowledge_sets.items()
+        }
         simulate_feedback_sessions(context=experiment_context, limit=3)
-        after = experiment_context.knowledge_sets["sports_holdings"].stats()
+        after = knowledge_sets["sports_holdings"].stats()
         assert before == after
+        assert revisions == {
+            name: knowledge.revision
+            for name, knowledge in knowledge_sets.items()
+        }
 
 
 class TestEngineStatsIsolation:

@@ -478,8 +478,8 @@ class TestLintMemo:
     def test_warm_lint_equals_cold_lint_over_feedback_sessions(
         self, seed7_memo_replay
     ):
-        gates, mismatches, grown = seed7_memo_replay
-        assert gates == 43
+        counts, mismatches, grown = seed7_memo_replay
+        assert counts["gate"] == 43
         assert mismatches == []
         assert grown["knowledge_lint.memo_hits"] > 0
 

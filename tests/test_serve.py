@@ -472,13 +472,13 @@ class TestRequestRecord:
         # pipeline detail or spans to the retry.
         app = _make_app(experiment_context).startup()
         pipeline = app._tenants["sports_holdings"].pipeline
-        generate = pipeline.generate
+        answer = pipeline.answer
 
-        def slow_generate(question):
+        def slow_answer(question):
             time.sleep(0.3)
-            return generate(question)
+            return answer(question)
 
-        pipeline.generate = slow_generate
+        pipeline.answer = slow_answer
         question = experiment_context.workload.for_database(
             "sports_holdings"
         )[0]

@@ -331,7 +331,7 @@ class TestRegressionMemo:
         assert [report.results for report in reports] == (
             [expected.results] * THREADS
         )
-        assert len(demo_db.memo("regression")) <= 3
+        assert len(demo_db.memo("generation")) <= 3
 
 
 def _rebuild(knowledge):
