@@ -49,18 +49,23 @@
 #                   check the telemetry flush, then sweep the workload at
 #                   concurrency 1 and 8: repro diff must find zero flips
 #   make debug-smoke - boot the service in-process, round-trip a caller
-#                   traceparent through /debug/traces/{id}, scrape
+#                   traceparent through /debug/traces/{id} (one tree:
+#                   serve.request with generate under it), scrape
 #                   /metrics through the promtext linter, force one
-#                   failing request and reconstruct it from /debug/errors
+#                   failing request and reconstruct it from /debug/errors;
+#                   the --trace-out export written on shutdown must hold
+#                   the generate and final_check spans
 #   make edit-loop-machine - the edit-loop state machine
 #                   (tests/test_edit_loop_machine.py) at its long budget:
 #                   every answer equals a cold generation on a fresh set,
 #                   and no set's edit reaches another (tier-1 runs a short
 #                   budget of the same machine)
-#   make golden   - python -m repro bench all (seed 7) and the lint corpus
-#                   report must equal their pinned copies under
-#                   tests/fixtures/golden/ byte for byte; a change that
-#                   moves either updates the fixture in the same commit
+#   make golden   - python -m repro bench all (seed 7), the lint corpus
+#                   report, the knowledge-set fingerprints of seeds 7-11
+#                   and the record.json of a seed-7 bench table1 ledger
+#                   run (run_id dropped) must equal their pinned copies
+#                   under tests/fixtures/golden/ byte for byte; a change
+#                   that moves one updates its fixture in the same commit
 #   make bench    - regenerate the paper tables
 
 PYTHON ?= python
@@ -205,6 +210,17 @@ golden:
 	$(PYTHON) scripts/lint_corpus.py > /tmp/repro-golden-lint-corpus.txt
 	diff tests/fixtures/golden/lint_corpus.txt \
 		/tmp/repro-golden-lint-corpus.txt
+	PYTHONPATH=src $(PYTHON) scripts/knowledge_fingerprints.py 7 8 9 10 11 \
+		> /tmp/repro-golden-fingerprints.txt
+	diff tests/fixtures/golden/knowledge_fingerprints.txt \
+		/tmp/repro-golden-fingerprints.txt
+	rm -rf /tmp/repro-golden-ledger
+	PYTHONPATH=src $(PYTHON) -m repro --seed 7 bench table1 \
+		--ledger-dir /tmp/repro-golden-ledger > /dev/null
+	grep -v '^ "run_id": ' /tmp/repro-golden-ledger/*/record.json \
+		> /tmp/repro-golden-table1-record.json
+	diff tests/fixtures/golden/table1_record_seed7.json \
+		/tmp/repro-golden-table1-record.json
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro bench all

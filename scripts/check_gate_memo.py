@@ -78,13 +78,13 @@ def _memos_cleared(database):
         database._memos = held
 
 
-def _cold_generate(database, knowledge, question, config=None):
+def _cold_generate(pipeline, knowledge, question):
     """``question`` generated with the database's memos cleared, by a
-    fresh pipeline on a rebuilt copy of ``knowledge``."""
-    with _memos_cleared(database):
-        return GenEditPipeline(
-            database, _rebuild(knowledge), config=config
-        ).generate(question)
+    fresh copy of ``pipeline`` on a rebuilt copy of ``knowledge``."""
+    with _memos_cleared(pipeline.database):
+        return pipeline.with_knowledge(_rebuild(knowledge)).generate(
+            question
+        )
 
 
 def _outcome(result):
@@ -133,12 +133,14 @@ def _cold_codes(engine, sql):
     return frozenset(error_codes(engine.run_sql(sql))) if sql else frozenset()
 
 
-def _cold_regression(database, live, staged, golden_queries, config=None):
+def _cold_regression(database, live, staged, golden_queries, pipeline=None):
     """The regression report with every golden query generated afresh,
-    with the database's memos cleared."""
+    with the database's memos cleared, by fresh copies of ``pipeline``
+    (default pipelines when ``None``)."""
+    pipeline = pipeline or GenEditPipeline(database, live)
     with _memos_cleared(database):
-        before = GenEditPipeline(database, _rebuild(live), config=config)
-        after = GenEditPipeline(database, _rebuild(staged), config=config)
+        before = pipeline.with_knowledge(_rebuild(live))
+        after = pipeline.with_knowledge(_rebuild(staged))
         engine = DiagnosticsEngine(database)
         report = RegressionReport()
         for golden in golden_queries:
@@ -172,10 +174,10 @@ def check_seed(seed, context=None):
     real_ask = FeedbackSolver.ask
     real_regenerate = FeedbackSolver.regenerate
 
-    def compare(kind, warm, database, knowledge, question, config):
+    def compare(kind, warm, pipeline, knowledge, question):
         counts[kind] += 1
         counts["memo_hits"] += warm.memo_hit
-        cold = _cold_generate(database, knowledge, question, config)
+        cold = _cold_generate(pipeline, knowledge, question)
         if _outcome(warm) != _outcome(cold):
             source = "memo" if warm.memo_hit else "generated"
             mismatches.append(f"seed {seed} {kind} {counts[kind]}: the "
@@ -185,15 +187,12 @@ def check_seed(seed, context=None):
     def checked_ask(solver, question):
         warm = real_ask(solver, question)
         pipeline = solver.pipeline
-        return compare("ask", warm, pipeline.database, pipeline.knowledge,
-                       question, pipeline.config)
+        return compare("ask", warm, pipeline, pipeline.knowledge, question)
 
     def checked_regenerate(solver):
         warm = real_regenerate(solver)
-        pipeline = solver.pipeline
-        return compare("regenerate", warm, pipeline.database,
-                       solver.staging_knowledge(), solver.question,
-                       pipeline.config)
+        return compare("regenerate", warm, solver.pipeline,
+                       solver.staging_knowledge(), solver.question)
 
     def checked_gate(database, live, staged, tracer=None):
         counts["gate"] += 1
@@ -216,14 +215,14 @@ def check_seed(seed, context=None):
         return warm_gate
 
     def checked_regression(database, live, staged, golden_queries,
-                           config=None, tracer=None, baseline=None):
+                           pipeline=None, tracer=None, baseline=None):
         counts["regression"] += 1
         if baseline is not None:
             raise ValueError("the replayed sessions have no baseline record")
         warm = real_regression(database, live, staged, golden_queries,
-                               config=config, tracer=tracer)
+                               pipeline=pipeline, tracer=tracer)
         cold = _cold_regression(database, live, staged, golden_queries,
-                                config=config)
+                                pipeline)
         if warm.results != cold.results or warm.passed != cold.passed:
             mismatches.append(f"seed {seed} regression "
                               f"{counts['regression']}: reports differ "

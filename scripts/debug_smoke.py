@@ -6,9 +6,9 @@ debug surface end to end:
 
 1. a healthy ``/ask`` carrying a caller-supplied ``traceparent`` — the
    response must echo the same trace id, and ``/debug/traces/{id}`` must
-   return a span tree containing both the ``serve.request`` root and the
-   pipeline's ``generate`` span (trace propagation across the worker
-   pool);
+   return one span tree: the ``serve.request`` root with the pipeline's
+   ``generate`` span as its child (trace propagation across the worker
+   pool, and the pipeline spans adopted by the serve tracer);
 2. ``GET /metrics`` is scraped and written to ``argv[1]`` for the
    promtext linter (the Makefile pipes it through
    ``scripts/check_promtext.py``); it must carry the serving counters and
@@ -17,17 +17,22 @@ debug surface end to end:
    the failure must be fully reconstructable from ``GET /debug/errors``
    without re-running: retention class ``failed``, the operator digest
    trail, and the forced error text;
-4. ``/debug/requests`` must list both requests with their trace ids.
+4. ``/debug/requests`` must list both requests with their trace ids;
+5. the ``--trace-out`` export the app writes on shutdown, next to
+   ``argv[1]`` as ``trace.jsonl``, must hold the pipeline's
+   ``generate`` and ``final_check`` spans.
 
 Exit code 0 only if every assertion holds.
 """
 
 import http.client
 import json
+import os
 import sys
 
 sys.path.insert(0, "src")
 
+from repro.obs import load_trace  # noqa: E402
 from repro.serve import ServeApp, ServerThread  # noqa: E402
 
 TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
@@ -60,8 +65,9 @@ def main(argv):
         print("usage: debug_smoke.py METRICS_OUT_PATH")
         return 2
     metrics_out = argv[1]
+    trace_out = os.path.join(os.path.dirname(metrics_out), "trace.jsonl")
     app = ServeApp(databases=["sports_holdings"], workers=2,
-                   queue_depth=4, sample_every=1)
+                   queue_depth=4, sample_every=1, trace_out=trace_out)
     server = ServerThread(app).start()
     try:
         # 1. healthy ask with caller trace context.
@@ -85,9 +91,16 @@ def main(argv):
         )
         if status != 200:
             return fail(f"/debug/traces/{TRACE_ID} answered {status}")
-        names = {span["name"] for span in trace["spans"]}
-        if "serve.request" not in names or "generate" not in names:
-            return fail(f"trace missing spans: {sorted(names)}")
+        spans = trace["spans"]
+        ids = {span["span_id"] for span in spans}
+        roots = [span for span in spans if span["parent_id"] not in ids]
+        if [root["name"] for root in roots] != ["serve.request"]:
+            return fail(f"trace is not one serve.request tree: "
+                        f"{[root['name'] for root in roots]}")
+        if not any(span["name"] == "generate"
+                   and span["parent_id"] == roots[0]["span_id"]
+                   for span in spans):
+            return fail("generate is not a child of serve.request")
         if "serve.request" not in trace["tree"]:
             return fail("span tree not rendered")
 
@@ -153,9 +166,16 @@ def main(argv):
             return fail(f"/debug/requests incomplete: {sorted(ids)}")
     finally:
         server.stop()
+
+    # 5. the shutdown export holds the pipeline spans.
+    names = {span["name"] for span in load_trace(trace_out)["spans"]}
+    if not {"generate", "final_check"} <= names:
+        return fail(f"--trace-out export lacks pipeline spans: "
+                    f"{sorted(names)}")
     print(
-        "debug-smoke: ok — traceparent round-trip, /metrics scrape, "
-        "failed request reconstructed from /debug/errors"
+        "debug-smoke: ok — traceparent round-trip to one span tree, "
+        "/metrics scrape, failed request reconstructed from "
+        "/debug/errors, pipeline spans in the --trace-out export"
     )
     return 0
 

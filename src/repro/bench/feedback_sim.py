@@ -114,10 +114,17 @@ def _rare_value_feedback(spec):
     return None
 
 
-def simulate_feedback_sessions(seed=DEFAULT_SEED, context=None, limit=None):
-    """Run feedback sessions over fixable GenEdit failures."""
+def simulate_feedback_sessions(seed=DEFAULT_SEED, context=None, limit=None,
+                               report=None):
+    """Run feedback sessions over fixable GenEdit failures.
+
+    ``report`` is GenEdit's evaluation on ``context`` when the caller
+    already has it (``bench all`` passes Table 1's); without one the
+    sessions evaluate GenEdit first.
+    """
     context = context or ExperimentContext(seed)
-    report = run_genedit(context)
+    if report is None:
+        report = run_genedit(context)
     summary = FeedbackSummary()
     question_index = {
         question.question_id: question

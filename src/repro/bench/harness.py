@@ -687,17 +687,19 @@ def profile(context=None, limit=None, out=None, as_json=False):
     return payload
 
 
-def feedback_metrics(context=None, out=None):
+def feedback_metrics(context=None, out=None, report=None):
     """§4.2.3: edits-recommendation acceptance metrics.
 
     The sessions run on ``context``'s workload (so ``--limit`` reaches
     them), databases and mined knowledge sets; each session stages its
     edits on a clone, so the context's sets are left as they were.
+    ``report`` is GenEdit's evaluation on ``context`` if one was already
+    run (Table 1's), so the sessions do not evaluate it again.
     """
     from .feedback_sim import simulate_feedback_sessions
 
     context = context or ExperimentContext()
-    summary = simulate_feedback_sessions(context=context)
+    summary = simulate_feedback_sessions(context=context, report=report)
     rows = [
         ("sessions", summary.sessions),
         ("edits recommended", summary.recommended),
@@ -763,8 +765,11 @@ def run_bench(args, out):
             file=sys.stderr,
         )
     reports = []
+    genedit = None
     if target in ("table1", "all"):
-        reports.extend(table1(context, out=out))
+        table = table1(context, out=out)
+        reports.extend(table)
+        genedit = next(r for r in table if r.system == "GenEdit")
         print(file=out)
     if target in ("table2", "all"):
         reports.extend(table2(context, out=out))
@@ -780,7 +785,7 @@ def run_bench(args, out):
         reports.extend(retrieval_ablation(context, out=out))
         print(file=out)
     if target in ("feedback", "all"):
-        feedback_metrics(context, out=out)
+        feedback_metrics(context, out=out, report=genedit)
     profile_payload = None
     if target == "profile":
         profile_payload = profile(context, out=out, as_json=args.json)

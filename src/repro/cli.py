@@ -1049,7 +1049,8 @@ def build_arg_parser():
     )
     serve.add_argument(
         "--trace-out", dest="trace_out", metavar="PATH", default=None,
-        help="export the server's request spans on shutdown",
+        help="on shutdown, export the retained request span trees: each "
+             "serve.request span with the pipeline spans under it",
     )
     serve.add_argument(
         "--slow-ms", dest="slow_ms", type=float, default=5000.0,

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from ..bench.metrics import execution_match
 from ..obs.metrics import get_metrics
 from ..obs.tracing import Tracer
-from ..pipeline.config import DEFAULT_CONFIG
 from ..pipeline.pipeline import GenEditPipeline
 from ..sql.diagnostics.core import error_codes, error_count
 
@@ -123,7 +122,8 @@ class RegressionReport:
 
 
 def run_regression(database, live_knowledge, staged_knowledge,
-                   golden_queries, config=None, tracer=None, baseline=None):
+                   golden_queries, pipeline=None, tracer=None,
+                   baseline=None):
     """Compare golden-query accuracy before/after the staged edits.
 
     The run is traced: a ``regression`` root span with one
@@ -139,10 +139,12 @@ def run_regression(database, live_knowledge, staged_knowledge,
     its recorded correctness and lint codes for the "before" side ahead of
     the memo, and the report names the run it was compared against.
 
-    Both sides are answered by a default :class:`GenEditPipeline` (a
-    ``SimulatedLLM``, no fault injector) through
-    :meth:`~repro.pipeline.pipeline.GenEditPipeline.answer`, whose memo key
-    holds the models and ``timeout_ms``.
+    Both sides are answered through
+    :meth:`~repro.pipeline.pipeline.GenEditPipeline.answer` by
+    :meth:`~repro.pipeline.pipeline.GenEditPipeline.with_knowledge` copies
+    of ``pipeline``, the session's deployed pipeline: its config, base LLM
+    and ``timeout_ms`` (which the memo key holds), without its fault
+    injector. With no ``pipeline`` they are default pipelines.
     """
     baseline_outcomes = {}
     baseline_run_id = ""
@@ -151,7 +153,7 @@ def run_regression(database, live_knowledge, staged_knowledge,
 
         baseline_outcomes = outcomes_by_question(baseline)
         baseline_run_id = baseline.get("run_id", "")
-    outcomes = _GoldenOutcomes(database, config)
+    outcomes = _GoldenOutcomes(database, pipeline)
     report = RegressionReport(baseline_run_id=baseline_run_id)
     tracer = tracer or Tracer()
     with tracer.span("regression", golden=len(golden_queries)) as root:
@@ -207,12 +209,13 @@ class _GoldenOutcomes:
 
     :meth:`get` returns a golden query's ``(correct, error codes)`` on a
     knowledge set from the answer of that set's pipeline, built on the
-    first golden query that needs it.
+    first golden query that needs it from the session pipeline (a default
+    one when there is none).
     """
 
-    def __init__(self, database, config):
+    def __init__(self, database, session):
         self.database = database
-        self.config = config or DEFAULT_CONFIG
+        self.session = session
         self.hits = 0
         self.misses = 0
         self._pipelines = {}
@@ -221,8 +224,10 @@ class _GoldenOutcomes:
         """``(source, (correct, codes))``; source is memo or generated."""
         pipeline = self._pipelines.get(id(knowledge))
         if pipeline is None:
-            pipeline = GenEditPipeline(
-                self.database, knowledge, config=self.config
+            pipeline = (
+                GenEditPipeline(self.database, knowledge)
+                if self.session is None
+                else self.session.with_knowledge(knowledge)
             )
             self._pipelines[id(knowledge)] = pipeline
         result = pipeline.answer(golden.question)

@@ -33,8 +33,7 @@ class FeedbackSolver:
     """One SME session over a deployed pipeline."""
 
     def __init__(self, pipeline: GenEditPipeline, golden_queries=(),
-                 approval_queue=None, author="sme", tracer=None,
-                 baseline_record=None):
+                 approval_queue=None, author="sme", baseline_record=None):
         self.pipeline = pipeline
         self.golden_queries = list(golden_queries)
         self.approval_queue = approval_queue
@@ -45,7 +44,7 @@ class FeedbackSolver:
         self.baseline_record = baseline_record
         #: Session-level tracer: the four recommendation operators and the
         #: submission's regression run record timed spans here.
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         self.question = ""
         self.result = None
         self.feedback = None
@@ -177,10 +176,9 @@ class FeedbackSolver:
         """Regenerate the query in the staging environment (instant
         gratification: the user sees their edits make a difference)."""
         staged = self.staging_knowledge()
-        staging_pipeline = GenEditPipeline(
-            self.pipeline.database, staged, config=self.pipeline.config
+        self.result = self.pipeline.with_knowledge(staged).answer(
+            self.question
         )
-        self.result = staging_pipeline.answer(self.question)
         return self.result
 
     @property
@@ -210,7 +208,7 @@ class FeedbackSolver:
             self.pipeline.knowledge,
             staged_knowledge,
             self.golden_queries,
-            config=self.pipeline.config,
+            pipeline=self.pipeline,
             tracer=self.tracer,
             baseline=self.baseline_record,
         )

@@ -29,7 +29,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 #: Version of the exported span/metrics record schema. Bump when a field is
 #: renamed or its meaning changes; additions are backwards-compatible.
@@ -222,14 +222,13 @@ class Tracer:
     """
 
     def __init__(self, max_finished=None):
-        """``max_finished`` bounds the retained span lists (oldest spans
+        """``max_finished`` bounds the retained finished spans (oldest
         dropped first) — long-lived tracers like the serving layer's set
         it so per-request spans cannot grow memory without bound. Batch
         tracers keep the unbounded default (every span is exported)."""
         self._lock = threading.Lock()
         self._max_finished = max_finished
         self._finished = []
-        self._all = []              # every span ever started (for events)
         self._epoch = time.perf_counter()
         self._event_seq = itertools.count(1)
         self.orphan_events = []     # events recorded with no active span
@@ -247,9 +246,6 @@ class Tracer:
             attributes=dict(attributes),
             trace_id=current_trace_id(),
         )
-        with self._lock:
-            self._all.append(span)
-            self._trim(self._all)
         stack.append(span)
         started = time.perf_counter()
         try:
@@ -269,13 +265,32 @@ class Tracer:
                     break
             with self._lock:
                 self._finished.append(span)
-                self._trim(self._finished)
+                self._trim()
 
-    def _trim(self, spans):
+    def _trim(self):
         # Caller holds the lock.
         if self._max_finished is not None and \
-                len(spans) > self._max_finished:
-            del spans[: len(spans) - self._max_finished]
+                len(self._finished) > self._max_finished:
+            del self._finished[: len(self._finished) - self._max_finished]
+
+    def adopt(self, other, parent_id):
+        """Add ``other``'s finished spans to this tracer, under one lock.
+
+        Both epochs are :func:`time.perf_counter` readings of one process,
+        so each span's ``start_ms`` is rebased onto this tracer's epoch;
+        ``other``'s roots are parented under ``parent_id``. The adopted
+        spans are copies, so ``other`` is left as it was. This is how a
+        served request's pipeline spans join its ``serve.request`` span.
+        """
+        shift_ms = (other._epoch - self._epoch) * 1000.0
+        adopted = [
+            replace(span, start_ms=span.start_ms + shift_ms,
+                    parent_id=span.parent_id or parent_id)
+            for span in other.finished_spans()
+        ]
+        with self._lock:
+            self._finished.extend(adopted)
+            self._trim()
 
     # -- events ----------------------------------------------------------
 
@@ -301,9 +316,11 @@ class Tracer:
         return event
 
     def iter_events(self):
-        """Every event of this tracer's spans, in recording order."""
+        """Every event of this tracer's finished spans and its orphan
+        events, in recording order. Callers read after the run, when
+        every span has finished."""
         with self._lock:
-            spans = list(self._all)
+            spans = list(self._finished)
             events = list(self.orphan_events)
         for span in spans:
             events.extend(span.events)

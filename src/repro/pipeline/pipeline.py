@@ -152,6 +152,16 @@ class GenEditPipeline:
         self._built = tuple(self.operators)
         return injector
 
+    def with_knowledge(self, knowledge):
+        """A pipeline like this one over ``knowledge``: same database,
+        config, base LLM and ``timeout_ms``, so the same generation memo
+        keys, and no fault injector (DESIGN.md §6d). A feedback
+        session's regenerate and regression answer through these."""
+        return GenEditPipeline(
+            self.database, knowledge, config=self.config,
+            llm=self._base_llm, timeout_ms=self.timeout_ms,
+        )
+
     def _make_executor(self, database):
         executor = Executor(database)
         if self.fault_injector is not None:

@@ -11,10 +11,10 @@ rest of the repo. The layout deliberately mirrors a FastAPI service
   validation errors (the 400 body mirrors FastAPI's 422 shape);
 * :mod:`.router`   — method+path routing with ``{param}`` segments,
   404/405 semantics, and :class:`~repro.serve.router.HTTPError`;
-* :mod:`.middleware` — per-request span roots, request-id and W3C
-  ``traceparent`` propagation, ``serve.*`` metrics, the debug ring
-  buffers (request log, per-trace span store, failure flight recorder),
-  and structured JSON access logging;
+* :mod:`.middleware` — per-request span roots (the pipeline's spans
+  join them on the one serve tracer), request-id and W3C
+  ``traceparent`` propagation, ``serve.*`` metrics, the failure flight
+  recorder, and structured JSON access logging;
 * :mod:`.pool`     — the bounded thread worker pool and admission
   control (429/503 + ``Retry-After``, per-request deadlines);
 * :mod:`.app`      — :class:`~repro.serve.app.ServeApp`: per-tenant
@@ -32,9 +32,7 @@ that rode along with this layer.
 from .app import ServeApp
 from .http import HttpServer, ServerThread
 from .middleware import (
-    RequestLog,
     ServeObservability,
-    TraceStore,
     request_id_from_headers,
     trace_context_from_headers,
 )
@@ -50,12 +48,10 @@ __all__ = [
     "HttpServer",
     "PoolDraining",
     "PoolSaturated",
-    "RequestLog",
     "Router",
     "ServeApp",
     "ServeObservability",
     "ServerThread",
-    "TraceStore",
     "ValidationError",
     "WorkerPool",
     "request_id_from_headers",

@@ -49,6 +49,7 @@ from ..resilience import LLM_TIMEOUT_MS
 from .middleware import (
     ServeObservability,
     request_id_from_headers,
+    request_summary,
     trace_context_from_headers,
 )
 from .pool import (
@@ -79,12 +80,14 @@ DEFAULT_DEADLINE_MS = LLM_TIMEOUT_MS
 TENANT_COUNTERS = ("requests", "failures", "scored", "correct")
 
 
-def _request_record(tenant, result, detail):
-    """A pooled handler's record for the middleware holder."""
+def _request_record(tenant, result, detail, tracer):
+    """A pooled handler's record for the middleware holder: ``tracer``
+    holds the run's spans, which the middleware adopts under the
+    request's ``serve.request`` span."""
     return {
         "tenant": tenant,
         "failed": not result.success,
-        "debug": {"spans": result.trace_records(), "detail": detail},
+        "debug": {"tracer": tracer, "detail": detail},
     }
 
 
@@ -366,7 +369,8 @@ class ServeApp:
             self._telemetry.publish()
         return (
             200, ask_response(request, request_id, result, correct), {},
-            _request_record(tenant.name, result, detail),
+            _request_record(tenant.name, result, detail,
+                            result.context.tracer),
         )
 
     def _handle_feedback(self, request, params, request_id):
@@ -376,10 +380,11 @@ class ServeApp:
         # A throwaway per-request solver: ask + recommend only, nothing
         # staged or applied, so concurrent feedback requests never share
         # mutable session state (offline tools own staging/approval).
-        solver = FeedbackSolver(tenant.pipeline,
-                                tracer=self.obs.tracer)
+        # Its tracer reaches the serve tracer only through the record.
+        solver = FeedbackSolver(tenant.pipeline)
         result = solver.ask(request.question)
         recommendations = solver.give_feedback(request.feedback)
+        solver.tracer.adopt(result.context.tracer, None)
         self.registry.inc("serve.tenant.requests", tenant=tenant.name)
         self.registry.inc("serve.tenant.failures", int(not result.success),
                           tenant=tenant.name)
@@ -392,7 +397,7 @@ class ServeApp:
             200,
             feedback_response(request, request_id, result, recommendations),
             {},
-            _request_record(tenant.name, result, detail),
+            _request_record(tenant.name, result, detail, solver.tracer),
         )
 
     # -- introspection handlers (event loop) -----------------------------
@@ -446,19 +451,24 @@ class ServeApp:
         }
 
     def _handle_debug_requests(self, request, params, request_id):
+        """The newest 100 ``serve.request`` spans the tracer retains."""
+        spans = [
+            span for span in reversed(self.obs.tracer.finished_spans())
+            if span.name == "serve.request"
+        ]
         return 200, {
-            "requests": self.obs.requests.entries(limit=100),
-            "capacity": self.obs.requests.capacity,
+            "requests": [request_summary(span) for span in spans[:100]],
         }, {}
 
     def _handle_debug_trace(self, request, params, request_id):
         trace_id = params["trace_id"]
-        spans = self.obs.traces.get(trace_id)
-        if spans is None:
+        spans = [
+            span.to_record() for span in self.obs.tracer.finished_spans()
+            if span.trace_id == trace_id
+        ]
+        if not spans:
             raise HTTPError(
-                404, "unknown trace",
-                detail={"trace_id": trace_id,
-                        "retained": len(self.obs.traces)},
+                404, "unknown trace", detail={"trace_id": trace_id},
             )
         from ..obs.render import render_span_tree
 

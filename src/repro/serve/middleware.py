@@ -1,4 +1,4 @@
-"""Per-request observability: ids, trace context, metrics, debug rings.
+"""Per-request observability: ids, trace context, spans, metrics, logs.
 
 The serving layer's middleware stack in the FastAPI sense, collapsed to
 one context manager. Every dispatched request gets:
@@ -17,16 +17,17 @@ one context manager. Every dispatched request gets:
   run on worker threads under the same context, see ``ServeApp._invoke``)
   all carry one trace id — the join key behind ``/debug/traces/{id}``;
 * a **span root** on the server's tracer (``serve.request`` with route /
-  method / request-id attributes);
+  method / path / request-id / status / tenant attributes). The pipeline
+  spans a pooled handler returns in its record are adopted under it, so
+  the server's tracer holds each request as one tree — the one span
+  store behind ``GET /debug/requests``, ``GET /debug/traces/{trace_id}``,
+  ``--trace-out`` and the serve run's ``timing.json``;
 * ``serve.*`` **metrics** on the process registry: request counts by
   route and status, a latency histogram per route, rejection counts by
   reason, and an in-flight gauge — all flowing into any attached
   ``TelemetrySink`` exactly like pipeline metrics do;
-* a **ring-buffer record** for ``GET /debug/requests`` and, when the
-  request is failed/slow/sampled, a full flight-recorder entry for
-  ``GET /debug/errors`` (see :mod:`repro.obs.flight`); the request's
-  span records land in the bounded per-trace store behind
-  ``GET /debug/traces/{trace_id}``;
+* when the request is failed/slow/sampled, a full flight-recorder entry
+  for ``GET /debug/errors`` (see :mod:`repro.obs.flight`);
 * a structured **JSON access log** line (stderr via ``logging``): one
   sorted-key JSON object per request, correlated by request and trace
   id — machine-parseable where the old printf-style line was not.
@@ -39,9 +40,7 @@ import json
 import logging
 import os
 import re
-import threading
 import time
-from collections import OrderedDict, deque
 from contextlib import contextmanager
 
 from ..obs.flight import FlightRecorder
@@ -70,15 +69,14 @@ REQUEST_BUCKETS_MS = (
     1000.0, 2500.0, 5000.0, 10000.0, 30000.0,
 )
 
-#: Bound on the serve tracer's retained spans: debug endpoints read from
-#: the per-trace store, the ledger's timing rollup reads recent spans —
-#: neither needs unbounded history on a long-lived server.
+#: Bound on the serve tracer's retained spans. A served ``/ask`` leaves
+#: about 14 (its ``serve.request`` root and the pipeline's tree), so the
+#: debug views, ``--trace-out`` and the ledger's timing rollup see about
+#: the last 290 requests — none needs unbounded history on a long-lived
+#: server.
 SERVE_TRACER_SPANS = 4096
 
-#: Bounds on the ``/debug/requests`` log, the per-trace store and the
-#: flight recorder's retained entries.
-REQUEST_LOG_CAPACITY = 256
-TRACE_CAPACITY = 128
+#: Bound on the flight recorder's retained entries.
 FLIGHT_CAPACITY = 64
 
 
@@ -119,87 +117,29 @@ def trace_context_from_headers(headers, request_id):
     )
 
 
-class RequestLog:
-    """Bounded, thread-safe ring of recent request summaries.
-
-    Backs ``GET /debug/requests``: one small dict per request (id,
-    tenant, route, status, latency, trace id) — enough to find the
-    request you care about, then pivot to ``/debug/traces/{trace_id}``
-    or ``/debug/errors`` for the detail.
-    """
-
-    def __init__(self, capacity=256):
-        self._lock = threading.Lock()
-        self._ring = deque(maxlen=max(1, int(capacity)))
-        self.capacity = self._ring.maxlen
-
-    def add(self, entry):
-        with self._lock:
-            self._ring.append(entry)
-
-    def entries(self, limit=None):
-        """Recorded summaries, newest first."""
-        with self._lock:
-            entries = list(self._ring)
-        entries.reverse()
-        if limit is not None:
-            entries = entries[:limit]
-        return [dict(entry) for entry in entries]
-
-    def __len__(self):
-        with self._lock:
-            return len(self._ring)
-
-
-class TraceStore:
-    """Bounded, thread-safe map of trace id -> finished span records.
-
-    Backs ``GET /debug/traces/{trace_id}``. Both dimensions are bounded:
-    at most ``capacity`` traces are retained (least-recently-touched
-    evicted first) and each trace keeps at most ``max_spans`` records.
-    """
-
-    def __init__(self, capacity=128, max_spans=512):
-        self.capacity = max(1, int(capacity))
-        self.max_spans = max(1, int(max_spans))
-        self._lock = threading.Lock()
-        self._traces = OrderedDict()
-
-    def add(self, trace_id, records):
-        if not trace_id or not records:
-            return
-        with self._lock:
-            spans = self._traces.setdefault(trace_id, [])
-            self._traces.move_to_end(trace_id)
-            spans.extend(records)
-            if len(spans) > self.max_spans:
-                del spans[: len(spans) - self.max_spans]
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-
-    def get(self, trace_id):
-        """The trace's span records (copy), or ``None`` if unknown."""
-        with self._lock:
-            spans = self._traces.get(trace_id)
-            return None if spans is None else [dict(s) for s in spans]
-
-    def trace_ids(self):
-        with self._lock:
-            return list(self._traces)
-
-    def __len__(self):
-        with self._lock:
-            return len(self._traces)
+def request_summary(span):
+    """One finished ``serve.request`` span as a ``/debug/requests`` entry;
+    the flight-recorder entry and the access log line carry the same
+    keys."""
+    attributes = span.attributes
+    return {
+        "request_id": attributes["request_id"],
+        "trace_id": span.trace_id,
+        "method": attributes["method"],
+        "path": attributes["path"],
+        "route": attributes["route"],
+        "status": attributes["status"],
+        "latency_ms": round(span.duration_ms, 3),
+        "tenant": attributes["tenant"],
+    }
 
 
 class ServeObservability:
-    """The metrics/tracing/logging/debug-ring side of request dispatch."""
+    """The metrics/tracing/logging/flight-recorder side of dispatch."""
 
     def __init__(self, registry=None, slow_ms=5000.0, sample_every=10):
         self.registry = registry or get_metrics()
         self.tracer = Tracer(max_finished=SERVE_TRACER_SPANS)
-        self.requests = RequestLog(capacity=REQUEST_LOG_CAPACITY)
-        self.traces = TraceStore(capacity=TRACE_CAPACITY)
         self.flight = FlightRecorder(
             capacity=FLIGHT_CAPACITY, slow_ms=slow_ms,
             sample_every=sample_every,
@@ -216,67 +156,55 @@ class ServeObservability:
 
         The dispatch loop fills the holder before the block exits:
         ``status`` always; ``tenant``, ``failed`` and ``debug`` (the
-        handler's flight payload: pipeline spans + postmortem detail)
-        from the record a pooled handler returns with its response.
-        Metrics, the debug rings, and the access log all read the holder
-        on the way out.
+        handler's run: its ``tracer`` and postmortem ``detail``) from the
+        record a pooled handler returns with its response. The span,
+        metrics, flight recorder and access log all read the holder on
+        the way out.
         """
         holder = {
             "status": 0, "tenant": "", "failed": False, "debug": None,
         }
         self._inflight += 1
         self.registry.set_gauge("serve.inflight", self._inflight)
-        started = time.perf_counter()
         span = None
         try:
-            with use_trace_context(trace_id):
-                with self.tracer.span(
-                    "serve.request",
-                    route=route_name,
-                    method=method,
-                    request_id=request_id,
-                ) as span:
+            with use_trace_context(trace_id), self.tracer.span(
+                "serve.request",
+                route=route_name,
+                method=method,
+                path=path,
+                request_id=request_id,
+            ) as span:
+                try:
                     yield holder
-                    span.set_attr("status", holder["status"])
+                finally:
+                    span.set_attr("status", holder["status"] or 500)
+                    span.set_attr("tenant", holder["tenant"])
         finally:
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
             self._inflight -= 1
             self.registry.set_gauge("serve.inflight", self._inflight)
-            status = holder["status"] or 500
-            self.registry.inc(
-                "serve.requests", route=route_name, status=status
-            )
-            self.registry.observe(
-                "serve.request_ms", elapsed_ms,
-                buckets=REQUEST_BUCKETS_MS, route=route_name,
-            )
-            self._record(method, path, route_name, request_id, trace_id,
-                         status, elapsed_ms, span, holder)
-
-    def _record(self, method, path, route_name, request_id, trace_id,
-                status, elapsed_ms, span, holder):
-        """Feed the debug rings and emit the JSON access log line."""
-        debug = holder.get("debug") or {}
-        summary = {
-            "request_id": request_id,
-            "trace_id": trace_id,
-            "method": method,
-            "path": path,
-            "route": route_name,
-            "status": status,
-            "latency_ms": round(elapsed_ms, 3),
-            "tenant": holder.get("tenant", ""),
-        }
-        self.requests.add(summary)
-        if trace_id:
-            records = []
             if span is not None:
-                records.append(span.to_record())
-            records.extend(debug.get("spans") or ())
-            self.traces.add(trace_id, records)
-        failed = bool(holder.get("failed")) or status >= 400
+                self._record(span, holder)
+
+    def _record(self, span, holder):
+        """Adopt the handler's spans under ``span``, count the request,
+        feed the flight recorder and emit the JSON access log line.
+
+        Only the record the handler returned reaches the holder, so a
+        worker that finishes after its 504 adds no span.
+        """
+        debug = holder["debug"] or {}
+        if debug.get("tracer") is not None:
+            self.tracer.adopt(debug["tracer"], span.span_id)
+        summary = request_summary(span)
+        route, status = summary["route"], summary["status"]
+        self.registry.inc("serve.requests", route=route, status=status)
+        self.registry.observe(
+            "serve.request_ms", span.duration_ms,
+            buckets=REQUEST_BUCKETS_MS, route=route,
+        )
         self.flight.observe(
-            status, failed, elapsed_ms,
+            status, holder["failed"] or status >= 400, span.duration_ms,
             lambda: dict(summary, detail=debug.get("detail") or {}),
         )
         logger.info("%s", json.dumps(

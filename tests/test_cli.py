@@ -84,6 +84,26 @@ class TestBenchOutput:
         assert re.search(rf"^sessions +\| +{sessions}$", text, re.M), text
 
 
+    def test_feedback_sessions_reuse_table1_genedit_report(self, tmp_path):
+        from collections import Counter
+
+        from repro.bench.harness import ExperimentContext
+        from repro.obs import load_trace
+
+        path = tmp_path / "all.jsonl"
+        _bench(["bench", "all", "--limit", "20", "--trace-out", str(path)])
+        roots = Counter(
+            span["attributes"]["question_id"]
+            for span in load_trace(str(path))["spans"]
+            if span["name"] == "generate" and span["parent_id"] is None
+            and span["attributes"]["system"] == "GenEdit"
+        )
+        # Table 1, Table 2's full row and the crossover each evaluate
+        # GenEdit once; the feedback sessions read Table 1's report.
+        questions = ExperimentContext(7).workload.questions[:20]
+        assert [roots[q.question_id] for q in questions] == [3] * 20
+
+
 class TestCommands:
     def test_unknown_database_exits(self):
         args = build_arg_parser().parse_args(["ask", "nope", "q"])

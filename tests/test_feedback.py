@@ -290,6 +290,49 @@ class TestSolverFlow:
         assert solver.iterations == 2
 
 
+class TestStagingPipelines:
+    def test_regenerate_and_regression_keep_model_and_deadline(
+        self, experiment_context
+    ):
+        from repro.llm import GPT_4O, SimulatedLLM
+        from repro.pipeline import GenEditPipeline
+
+        profile = experiment_context.profiles["sports_holdings"]
+        live = experiment_context.knowledge_sets["sports_holdings"].clone()
+        pipeline = GenEditPipeline(
+            profile.database, live,
+            llm=SimulatedLLM(linking_model=GPT_4O), timeout_ms=1234,
+        )
+        golden = [
+            GoldenQuery(entry.question, entry.sql)
+            for entry in experiment_context.workload.training_logs[
+                "sports_holdings"
+            ][:2]
+        ]
+        solver = FeedbackSolver(pipeline, golden_queries=golden)
+        question = "What is the average outlay?"
+        solver.ask(question)
+        solver.give_feedback(
+            "'outlay' refers to the EXPENSES column in SPORTS_FINANCIALS."
+        )
+        solver.stage()
+        memo = profile.database.memo("generation")
+        before = set(memo)
+        solver.regenerate()
+        solver.submit()
+        staged = solver.staging_knowledge().revision
+        # (revision, config, model, linking model, timeout_ms, question)
+        written = set(memo) - before
+        assert {(key[0], key[-1]) for key in written} == {
+            (staged, question),
+            *((revision, query.question)
+              for revision in (live.revision, staged) for query in golden),
+        }
+        assert {key[2:5] for key in written} == {
+            (pipeline.llm.model, GPT_4O, 1234)
+        }
+
+
 class TestApprovalQueue:
     def test_approve_merges_and_records(self, experiment_context):
         from repro.pipeline import GenEditPipeline
@@ -594,19 +637,22 @@ class TestRegressionMemo:
         assert sources == [("generated", "memo")]
 
     def test_config_is_part_of_the_key(self):
-        from repro.pipeline import DEFAULT_CONFIG
+        from repro.pipeline import DEFAULT_CONFIG, GenEditPipeline
 
         db = _regression_db()
         live = _regression_knowledge()
         _traced_regression(db, live, live, [COUNT_EMPLOYEES])
         _report, sources, _root = _traced_regression(
             db, live, live, [COUNT_EMPLOYEES],
-            config=DEFAULT_CONFIG.without("instructions"),
+            pipeline=GenEditPipeline(
+                db, live, config=DEFAULT_CONFIG.without("instructions")
+            ),
         )
         assert sources == [("generated", "memo")]
-        # No config is the default config.
+        # No pipeline is a default pipeline: the default config.
         _report, sources, _root = _traced_regression(
-            db, live, live, [COUNT_EMPLOYEES], config=DEFAULT_CONFIG
+            db, live, live, [COUNT_EMPLOYEES],
+            pipeline=GenEditPipeline(db, live, config=DEFAULT_CONFIG),
         )
         assert sources == [("memo", "memo")]
 

@@ -30,8 +30,6 @@ from repro.obs.tracing import (
 from repro.serve import ServeApp, ServerThread
 from repro.serve.loadgen import summarize
 from repro.serve.middleware import (
-    RequestLog,
-    TraceStore,
     request_id_from_headers,
     trace_context_from_headers,
 )
@@ -293,37 +291,44 @@ class TestFlightRecorder:
         assert stats["evicted"] == 0
 
 
-# -- bounded rings ------------------------------------------------------------
+# -- adopting a finished run's spans -----------------------------------------
 
 
-class TestRequestLogAndTraceStore:
-    def test_request_log_bounded_newest_first(self):
-        log = RequestLog(capacity=3)
+class TestTracerAdopt:
+    def test_adopt_rebases_and_parents_roots(self):
+        serve = Tracer()
+        with serve.span("serve.request") as request:
+            pass
+        run = Tracer()
+        with use_trace_context(VALID_TRACE_ID):
+            with run.span("generate"):
+                with run.span("plan"):
+                    pass
+        serve.adopt(run, request.span_id)
+        spans = {span.name: span for span in serve.finished_spans()}
+        assert spans["generate"].parent_id == request.span_id
+        assert spans["plan"].parent_id == spans["generate"].span_id
+        assert spans["generate"].trace_id == VALID_TRACE_ID
+        # ``run`` started later, so its spans start later on ``serve``'s
+        # clock; ``run`` keeps its own spans as they were.
+        shift_ms = (run._epoch - serve._epoch) * 1000.0
+        original = {span.name: span for span in run.finished_spans()}
+        assert shift_ms > 0.0
+        assert spans["plan"].start_ms == pytest.approx(
+            original["plan"].start_ms + shift_ms
+        )
+        assert original["generate"].parent_id is None
+
+    def test_adopt_respects_the_bound(self):
+        serve = Tracer(max_finished=3)
+        run = Tracer()
         for index in range(5):
-            log.add({"request_id": f"r{index}"})
-        assert len(log) == 3
-        assert [e["request_id"] for e in log.entries()] == [
-            "r4", "r3", "r2",
+            with run.span(f"s{index}"):
+                pass
+        serve.adopt(run, None)
+        assert [span.name for span in serve.finished_spans()] == [
+            "s2", "s3", "s4",
         ]
-        assert [e["request_id"] for e in log.entries(limit=1)] == ["r4"]
-
-    def test_trace_store_bounds_traces_and_spans(self):
-        store = TraceStore(capacity=2, max_spans=3)
-        for index in range(4):
-            store.add(f"t{index}", [{"span_id": f"s{index}"}])
-        assert len(store) == 2
-        assert store.get("t0") is None
-        assert store.get("t3") == [{"span_id": "s3"}]
-        store.add("t9", [{"span_id": f"s{i}"} for i in range(10)])
-        assert [s["span_id"] for s in store.get("t9")] == [
-            "s7", "s8", "s9",
-        ]
-
-    def test_trace_store_ignores_empty(self):
-        store = TraceStore()
-        store.add("", [{"span_id": "s1"}])
-        store.add("t1", [])
-        assert len(store) == 0
 
 
 # -- follow mode --------------------------------------------------------------

@@ -512,8 +512,15 @@ class TestRequestRecord:
         for entry in entries.values():
             assert entry["tenant"] == ""
             assert entry["detail"] == {}
-            spans = app.obs.traces.get(entry["trace_id"])
-            assert [span["name"] for span in spans] == ["serve.request"]
+        # The late worker's pipeline spans never reach the serve tracer:
+        # it holds the two requests' roots and nothing else.
+        assert [
+            (span.name, span.trace_id)
+            for span in app.obs.tracer.finished_spans()
+        ] == [
+            ("serve.request", entry["trace_id"])
+            for entry in sorted(entries.values(), key=lambda e: e["seq"])
+        ]
 
     def test_healthz_tenant_detail_is_the_registry_counters(
         self, experiment_context
@@ -581,6 +588,133 @@ class TestRequestRecord:
             'serve_tenant_requests_total{tenant="sports_holdings"} 4'
             in text
         )
+        app.shutdown()
+
+
+# -- one span store: the serve tracer ------------------------------------------
+
+
+def _trace_id(headers):
+    return headers["traceparent"].split("-")[1]
+
+
+def _fresh_app(experiment_context, deadline_ms, **kwargs):
+    """An app whose tenant pipelines miss the generation memo.
+
+    The memo key holds ``timeout_ms``, which the server sets from its
+    deadline: a deadline no other test serves with makes each first ask
+    run every operator, without clearing the shared database's memos
+    that other tests read warm.
+    """
+    return _make_app(
+        experiment_context, deadline_ms=deadline_ms, **kwargs
+    ).startup()
+
+
+def _served_ask(app, question, request_id=""):
+    """Serve ``question``; the response's trace id."""
+    status, headers, _ = _dispatch_json(app, "POST", "/ask", {
+        "question": question.question, "tenant": "sports_holdings",
+        "question_id": question.question_id,
+        "gold_sql": question.gold_sql,
+    }, request_id=request_id)
+    assert status == 200
+    return _trace_id(headers)
+
+
+def _trace_records(app, trace_id):
+    return [
+        record for record in app.obs.tracer.to_records()
+        if record.get("trace_id") == trace_id
+    ]
+
+
+class TestServeTracer:
+    def test_served_ask_is_one_tree_in_the_serve_tracer(
+        self, experiment_context, tmp_path
+    ):
+        app = _fresh_app(
+            experiment_context, 31_001.0, ledger_dir=str(tmp_path / "runs")
+        )
+        question = experiment_context.workload.for_database(
+            "sports_holdings"
+        )[0]
+        records = _trace_records(app, _served_ask(app, question))
+        by_id = {record["span_id"]: record for record in records}
+        (root,) = [r for r in records if r["parent_id"] not in by_id]
+        assert root["name"] == "serve.request"
+        (generate,) = [r for r in records if r["name"] == "generate"]
+        assert generate["parent_id"] == root["span_id"]
+        operators = [
+            operator.name
+            for operator in app._tenants["sports_holdings"].pipeline.operators
+        ]
+        assert len(operators) == 9
+        assert {*operators, "final_check"} <= {r["name"] for r in records}
+        # Rebased onto the serve tracer's epoch, the tree nests in time.
+        assert root["start_ms"] <= generate["start_ms"]
+        assert generate["start_ms"] + generate["duration_ms"] <= \
+            root["start_ms"] + root["duration_ms"] + 0.01
+        app.shutdown()
+        timing = json.loads(
+            (tmp_path / "runs" / app.last_run_id / "timing.json").read_text()
+        )
+        assert {"serve.request", "generate", *operators, "final_check"} \
+            <= set(timing["span_rollups"])
+
+    def test_debug_views_read_the_serve_tracer(self, experiment_context):
+        from collections import Counter
+
+        app = _fresh_app(experiment_context, 31_002.0)
+        question = experiment_context.workload.for_database(
+            "sports_holdings"
+        )[1]
+        trace_id = _served_ask(app, question, request_id="views-1")
+        status, _, listing = _dispatch_json(app, "GET", "/debug/requests")
+        assert status == 200
+        (entry,) = [
+            e for e in listing["requests"] if e["request_id"] == "views-1"
+        ]
+        assert entry == {
+            "request_id": "views-1", "trace_id": trace_id,
+            "method": "POST", "path": "/ask", "route": "ask",
+            "status": 200, "latency_ms": entry["latency_ms"],
+            "tenant": "sports_holdings",
+        }
+        assert entry["latency_ms"] > 0.0
+        status, _, trace = _dispatch_json(
+            app, "GET", f"/debug/traces/{trace_id}"
+        )
+        assert status == 200
+        # The serve root plus the spans of the handler's run: the names a
+        # fresh generation of the same question records.
+        pipeline = app._tenants["sports_holdings"].pipeline
+        expected = Counter(
+            record["name"]
+            for record in pipeline.generate(question.question).trace_records()
+        )
+        expected["serve.request"] += 1
+        assert Counter(span["name"] for span in trace["spans"]) == expected
+        status, _, _ = _dispatch_json(app, "GET", f"/debug/traces/{'ee' * 16}")
+        assert status == 404
+        app.shutdown()
+
+    def test_feedback_request_is_one_tree(self, experiment_context):
+        app = _make_app(experiment_context).startup()
+        question = experiment_context.workload.for_database(
+            "sports_holdings"
+        )[0]
+        status, headers, body = _dispatch_json(app, "POST", "/feedback", {
+            "question": question.question, "tenant": "sports_holdings",
+            "feedback": "always filter to active teams",
+        })
+        assert status == 200
+        records = _trace_records(app, _trace_id(headers))
+        by_id = {record["span_id"]: record for record in records}
+        roots = [r["name"] for r in records if r["parent_id"] not in by_id]
+        assert roots == ["serve.request"]
+        names = {record["name"] for record in records}
+        assert {"generate", "feedback.recommend"} <= names
         app.shutdown()
 
 

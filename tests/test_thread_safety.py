@@ -182,8 +182,9 @@ class TestMetricsRegistryContention:
 
 
 class TestIntrospectionRings:
-    """The serving layer's debug ring buffers stay bounded and race-free
-    under N barrier-started writer threads (DESIGN.md §6i)."""
+    """The serving layer's bounded stores (the flight recorder and the
+    serve tracer) stay bounded and race-free under N barrier-started
+    writer threads (DESIGN.md §6i)."""
 
     def test_flight_recorder_bounded_with_priority_intact(self):
         from repro.obs.flight import FlightRecorder
@@ -221,26 +222,32 @@ class TestIntrospectionRings:
             entry["class"] == "failed" for entry in flight.entries()
         )
 
-    def test_request_log_and_trace_store_bounded(self):
-        from repro.serve.middleware import RequestLog, TraceStore
+    def test_tracer_bounded_under_concurrent_adoption(self):
+        from repro.obs.tracing import Tracer
 
-        log = RequestLog(capacity=32)
-        store = TraceStore(capacity=16, max_spans=8)
+        serve = Tracer(max_finished=64)
 
         def worker(index):
             for round_number in range(ROUNDS):
-                log.add({"request_id": f"{index}-{round_number}"})
-                store.add(
-                    f"trace-{round_number % 64}",
-                    [{"span_id": f"{index}-{round_number}"}],
-                )
+                run = Tracer()
+                with run.span("generate", worker=index):
+                    with run.span("plan"):
+                        pass
+                serve.adopt(run, f"root-{index}-{round_number}")
 
         _hammer(worker)
-        assert len(log) == 32
-        assert len(log.entries()) == 32
-        assert len(store) <= 16
-        for trace_id in store.trace_ids():
-            assert len(store.get(trace_id)) <= 8
+        spans = serve.finished_spans()
+        assert len(spans) == 64
+        by_id = {span.span_id: span for span in spans}
+        for span in spans:
+            # each run's root is parented under its own request, and a
+            # child's parent is a span of the same run.
+            if span.name == "generate":
+                assert span.parent_id.startswith(
+                    f"root-{span.attributes['worker']}-"
+                )
+            elif span.parent_id in by_id:
+                assert by_id[span.parent_id].name == "generate"
 
     def test_tracer_bounded_under_concurrent_spans(self):
         from repro.obs.tracing import Tracer, use_trace_context
