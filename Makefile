@@ -61,11 +61,12 @@
 #                   and no set's edit reaches another (tier-1 runs a short
 #                   budget of the same machine)
 #   make golden   - python -m repro bench all (seed 7), the lint corpus
-#                   report, the knowledge-set fingerprints of seeds 7-11
-#                   and the record.json of a seed-7 bench table1 ledger
-#                   run (run_id dropped) must equal their pinned copies
-#                   under tests/fixtures/golden/ byte for byte; a change
-#                   that moves one updates its fixture in the same commit
+#                   report, the knowledge-set and retrieval-search
+#                   fingerprints of seeds 7-11 and the record.json of a
+#                   seed-7 bench table1 ledger run (run_id dropped) must
+#                   equal their pinned copies under tests/fixtures/golden/
+#                   byte for byte; a change that moves one updates its
+#                   fixture in the same commit
 #   make bench    - regenerate the paper tables
 
 PYTHON ?= python
@@ -214,6 +215,10 @@ golden:
 		> /tmp/repro-golden-fingerprints.txt
 	diff tests/fixtures/golden/knowledge_fingerprints.txt \
 		/tmp/repro-golden-fingerprints.txt
+	PYTHONPATH=src $(PYTHON) scripts/search_fingerprints.py 7 8 9 10 11 \
+		> /tmp/repro-golden-search-fingerprints.txt
+	diff tests/fixtures/golden/search_fingerprints.txt \
+		/tmp/repro-golden-search-fingerprints.txt
 	rm -rf /tmp/repro-golden-ledger
 	PYTHONPATH=src $(PYTHON) -m repro --seed 7 bench table1 \
 		--ledger-dir /tmp/repro-golden-ledger > /dev/null

@@ -110,7 +110,9 @@ class _PerDocumentIndex(RetrievalIndex):
             for term in set(tokens):
                 inverted.setdefault(term, set()).add(doc_id)
             for term, weight in vector.items():
-                postings.setdefault(term, []).append((doc_id, weight))
+                doc_ids, weights = postings.setdefault(term, ([], []))
+                doc_ids.append(doc_id)
+                weights.append(weight)
         state = FittedState(vectorizer, vectors, inverted)
         state._postings = postings
         return state
@@ -150,11 +152,11 @@ def _check_identical(label, batch, reference):
     postings = batch.postings()  # the batch side builds it on first use
     assert list(postings) == list(reference.postings()), label
     assert {
-        term: [(doc_id, _bits(weight)) for doc_id, weight in entries]
-        for term, entries in postings.items()
+        term: (doc_ids, [_bits(weight) for weight in weights])
+        for term, (doc_ids, weights) in postings.items()
     } == {
-        term: [(doc_id, _bits(weight)) for doc_id, weight in entries]
-        for term, entries in reference.postings().items()
+        term: (doc_ids, [_bits(weight) for weight in weights])
+        for term, (doc_ids, weights) in reference.postings().items()
     }, label
 
 

@@ -395,18 +395,6 @@ def cmd_trace(args, out=sys.stdout):
     """Render an exported trace file as a span tree with rollups."""
     from .obs import load_trace, render_trace_payload
 
-    if args.follow:
-        from .obs.render import follow_trace
-
-        try:
-            follow_trace(
-                args.path,
-                out=lambda line: print(line, file=out, flush=True),
-                poll_s=args.poll,
-            )
-        except KeyboardInterrupt:
-            pass
-        return 0
     try:
         payload = load_trace(args.path)
     except OSError as error:
@@ -767,15 +755,6 @@ def build_arg_parser():
     trace.add_argument(
         "--no-metrics", action="store_true",
         help="omit the metrics snapshot section",
-    )
-    trace.add_argument(
-        "--follow", action="store_true",
-        help="tail the trace file, printing spans as exporters add them "
-             "(Ctrl-C to stop)",
-    )
-    trace.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="poll interval for --follow (default 0.5)",
     )
     trace.set_defaults(func=cmd_trace)
 

@@ -28,7 +28,9 @@ from .interface import GPT_4O, GPT_4O_MINI, Prompt
 
 #: Token sets for texts that recur across calls (schema-element retrieval
 #: texts score against every question); values are immutable frozensets.
-@functools.lru_cache(maxsize=8192)
+#: One seed's questions and schema texts need about 290 entries, so 512
+#: holds one deployment (DESIGN.md §6d).
+@functools.lru_cache(maxsize=512)
 def _token_set(text):
     return frozenset(normalize(text))
 

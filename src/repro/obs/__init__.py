@@ -64,7 +64,6 @@ from .metrics import (
 )
 from .render import (
     build_forest,
-    follow_trace,
     load_trace,
     render_metrics_snapshot,
     render_span_tree,
@@ -143,7 +142,6 @@ __all__ = [
     "evaluate_registry",
     "evaluate_slo",
     "first_divergence",
-    "follow_trace",
     "format_traceparent",
     "get_metrics",
     "global_snapshot",

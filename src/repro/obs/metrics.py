@@ -222,20 +222,25 @@ def get_metrics():
 def global_snapshot():
     """Snapshot :data:`METRICS` with shared-cache stats folded in as gauges.
 
-    The LRUs of ``parse_cached`` and of the vectorizer's term expansion
-    keep their own ``cache_info()`` (no per-call hook is worth the
-    contention), so their numbers are synced here at snapshot time, as is
-    the live size of the engine's compiled-predicate cache.
+    The LRUs of ``parse_cached``, of the vectorizer's term expansion, of
+    ``normalize`` and of the simulated LLM's token sets keep their own
+    ``cache_info()`` (no per-call hook is worth the contention), so their
+    numbers are synced here at snapshot time, as is the live size of the
+    engine's compiled-predicate cache.
     """
     # Lazy imports: obs stays standalone.
     from ..engine.evaluator import compiled_cache_size
+    from ..llm.simulated import _token_set
     from ..sql.parser import parse_cache_info
+    from ..text.normalize import _normalized
     from ..text.vectorize import _terms
 
     metrics = get_metrics()
     for prefix, info in (
         ("parse_cache", parse_cache_info()),
         ("text.terms_cache", _terms.cache_info()),
+        ("text.normalized_cache", _normalized.cache_info()),
+        ("llm.token_set_cache", _token_set.cache_info()),
     ):
         metrics.set_gauge(f"{prefix}.hits", info.hits)
         metrics.set_gauge(f"{prefix}.misses", info.misses)

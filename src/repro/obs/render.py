@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 
 from .tracing import TRACE_SCHEMA_VERSION
 
@@ -89,55 +88,6 @@ def load_trace(path):
             elif kind == "metrics":
                 metrics = record.get("snapshot")
     return {"meta": meta, "spans": spans, "metrics": metrics}
-
-
-def follow_trace(path, out=None, poll_s=0.5, max_polls=None,
-                 sleep=time.sleep):
-    """Tail an exported JSONL trace: print spans as they appear.
-
-    The exporters rewrite the whole file atomically (under
-    ``_EXPORT_LOCK`` / via ``atomic_write_text``), so each poll reloads
-    the file and emits only spans whose ``span_id`` has not been printed
-    yet — flat, in file order, one line per span with its trace id when
-    present. A missing or half-written file is quietly retried on the
-    next poll.
-
-    ``max_polls`` bounds the loop (tests, scripted use); the CLI leaves
-    it ``None`` and stops on Ctrl-C. Returns the number of spans printed.
-    """
-    emit = out if out is not None else print
-    seen = set()
-    printed = 0
-    announced = False
-    polls = 0
-    while max_polls is None or polls < max_polls:
-        polls += 1
-        try:
-            payload = load_trace(path)
-        except (OSError, ValueError):
-            payload = None
-        if payload is not None:
-            if not announced:
-                meta = payload.get("meta") or {}
-                emit(
-                    f"following {path} "
-                    f"(schema v{meta.get('schema_version', '?')})"
-                )
-                announced = True
-            for span in payload["spans"]:
-                span_id = span.get("span_id")
-                if span_id is None or span_id in seen:
-                    continue
-                seen.add(span_id)
-                line = _span_line(span, 0)
-                if span.get("trace_id"):
-                    line += f"  trace_id={span['trace_id']}"
-                emit(line)
-                printed += 1
-        if max_polls is not None and polls >= max_polls:
-            break
-        sleep(poll_s)
-    return printed
 
 
 # -- tree assembly ------------------------------------------------------

@@ -520,10 +520,12 @@ class ServeApp:
         """Persist accumulated outcomes as one deterministic ledger run.
 
         Outcomes sort by ``(database, question_id)``; the pipeline is
-        deterministic per question, so any two sweeps over the same
-        questions — whatever the concurrency or arrival order — produce
-        byte-identical record bodies. Skipped when no benchmark traffic
-        arrived.
+        deterministic per question, so two sweeps over the same questions
+        that start from the same memo state — whatever the concurrency or
+        arrival order — produce byte-identical record bodies. A request
+        answered from the generation memo carries an empty ``CallMeter``,
+        so a cold sweep and a warm one record different LLM accounting.
+        Skipped when no benchmark traffic arrived.
         """
         from ..obs.ledger import build_run_record, build_timing
 

@@ -34,9 +34,12 @@ tokens: only its new documents are normalised. Each refit increments the
 Scoring is batched: a search whose pool holds more than
 ``POSTINGS_MIN_POOL`` accumulating documents sums dot products for the
 whole pool in one pass over the query's terms through a term ->
-[(doc_id, weight)] postings table instead of one sparse-dict
-intersection per document. The state builds that table on the first such
-search, and most states never get one. An instruction or intent index
+``(doc_ids, weights)`` postings table instead of one sparse-dict
+intersection per document. Each term's postings are two parallel lists
+in document order; the weights are the document vectors' own float
+objects, so the table adds two list slots per posting and no float or
+tuple. The state builds that table on the first such search, and most
+states never get one. An instruction or intent index
 holds a few documents. A staged example refit is searched wide as well
 as candidate-restricted, but the inverted pre-filter keeps only
 documents that share a query token, so its pools mostly hold 24
@@ -47,6 +50,11 @@ would, in the same order, so scores are bit-identical to
 (where that helper iterates the document side instead) are scored
 individually the legacy way. Ranking keeps the k smallest ``(-score,
 doc_id)`` keys, so ties break by id.
+
+Each search adds ``retrieval.searches``, ``retrieval.embed_ms`` (the
+query embedding) and ``retrieval.score_ms`` (candidate pool, scoring and
+ranking) to the current span; a refit it triggers adds
+``retrieval.refit_ms`` on its own. No search opens a span.
 """
 
 from __future__ import annotations
@@ -71,8 +79,11 @@ logger = logging.getLogger(__name__)
 #: so a single no-overlap query can't go quadratic on a large index.
 FALLBACK_SCAN_CAP = 512
 
-#: Memoized query transforms kept per fitted state.
-QUERY_CACHE_SIZE = 256
+#: Memoized query transforms kept per fitted state. A query text recurs
+#: almost only in back-to-back searches of one state within a question (an
+#: operator's wide and candidate-restricted searches), so a few entries
+#: hold nearly every reuse; the memo clears whole at this size.
+QUERY_CACHE_SIZE = 16
 
 #: Pools of at most this many accumulating documents are scored per
 #: document; larger ones take one pass over the postings table.
@@ -137,17 +148,20 @@ class FittedState:
         self.fallback_warned = False
 
     def postings(self):
-        """term -> [(doc_id, weight)] in document order, built on first use."""
+        """term -> ``(doc_ids, weights)`` in document order, built on first
+        use; the two lists are parallel and each weight is the document
+        vector's own float."""
         postings = self._postings
         if postings is None:
             postings = {}
             for doc_id, (vector, _norm) in self.vectors.items():
                 for term, weight in vector.items():
-                    entries = postings.get(term)
-                    if entries is None:
-                        postings[term] = [(doc_id, weight)]
+                    entry = postings.get(term)
+                    if entry is None:
+                        postings[term] = ([doc_id], [weight])
                     else:
-                        entries.append((doc_id, weight))
+                        entry[0].append(doc_id)
+                        entry[1].append(weight)
             self._postings = postings
         return postings
 
@@ -222,8 +236,10 @@ class RetrievalIndex:
         to re-rank the next component.
         """
         state = self._fitted()
+        started = perf_counter()
         query_text = query if not extra_text else f"{query}\n{extra_text}"
         query_vector, query_norm, query_terms = state.embed(query_text)
+        embedded = perf_counter()
         pool = self._candidate_pool(state, query_text, candidates, query_terms)
         scores = _batched_scores(state, query_vector, query_norm, pool)
         # Rank plain (−score, id) tuples and only build SearchHit objects
@@ -231,6 +247,13 @@ class RetrievalIndex:
         ranked = heapq.nsmallest(
             k, [(-scores[doc_id], doc_id) for doc_id in pool]
         )
+        span = current_span()
+        if span is not None:
+            span.inc_attr("retrieval.searches", 1)
+            span.inc_attr("retrieval.embed_ms", (embedded - started) * 1000.0)
+            span.inc_attr(
+                "retrieval.score_ms", (perf_counter() - embedded) * 1000.0
+            )
         documents = self._documents
         return [
             SearchHit(doc_id, -negated, documents[doc_id])
@@ -375,7 +398,10 @@ def _batched_scores(state, query_vector, query_norm, pool):
         return scores
     postings = state.postings()
     for term, query_weight in query_vector.items():
-        for doc_id, doc_weight in postings.get(term, ()):
+        entry = postings.get(term)
+        if entry is None:
+            continue
+        for doc_id, doc_weight in zip(*entry):
             if doc_id in accumulating:
                 accumulating[doc_id] += query_weight * doc_weight
     for doc_id, dot in accumulating.items():

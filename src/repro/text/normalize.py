@@ -69,8 +69,9 @@ def normalize(text):
 
 #: normalize() is pure and its callers hammer the same texts (every schema
 #: element per question, every indexed document per refresh), so the token
-#: pipeline runs once per distinct text.
-@functools.lru_cache(maxsize=8192)
+#: pipeline runs once per distinct text. One seed's texts need up to about
+#: 1,300 entries, so 2048 holds one deployment (DESIGN.md §6d).
+@functools.lru_cache(maxsize=2048)
 def _normalized(text):
     return tuple(
         stem(token) for token in tokenize_text(text)

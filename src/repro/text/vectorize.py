@@ -18,7 +18,10 @@ helper.
 
 :func:`_terms` interns every term, so term tuples, ``Counter``s, vectors,
 document frequencies and postings keys share one ``str`` per distinct
-term instead of one fresh slice per occurrence.
+term instead of one fresh slice per occurrence. A retrieval index's
+postings table (:meth:`repro.text.index.FittedState.postings`) holds each
+term's ``(doc_ids, weights)`` as two parallel lists whose weights are
+these vectors' own floats, so it allocates no float of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections import Counter
 from .normalize import char_ngrams, ngrams, normalize
 
 
-@functools.lru_cache(maxsize=8192)
+@functools.lru_cache(maxsize=1024)
 def _terms(text):
     """The term tuple of ``text``: tokens, word bigrams, character trigrams.
 
@@ -46,6 +49,10 @@ def _terms(text):
     bytes. Interned strings are immortal on Python 3.12 (not on 3.10,
     3.11 or 3.13+); the vocabulary of a benchmark run levels off at about
     6.4k terms of about 9 characters, under 1 MB even if never freed.
+
+    The cap holds one deployment: one seed's six knowledge sets and dev
+    questions use about 650 distinct texts here, so 1024 keeps them all
+    while texts of earlier seeds age out (DESIGN.md §6d).
     """
     tokens = normalize(text)
     return tuple(map(

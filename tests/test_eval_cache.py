@@ -12,12 +12,14 @@ import pytest
 from repro.bench.harness import evaluate_system, profile
 from repro.bench.metrics import execution_match
 from repro.engine import Column, Database, ExecutionError, Executor
+from repro.llm.simulated import _token_set
 from repro.obs import get_metrics
 from repro.pipeline import GenEditPipeline
 from repro.sql import to_cte_form
 from repro.sql.errors import SqlError
 from repro.sql.parser import parse, parse_cached
 from repro.text import TfIdfVectorizer
+from repro.text.normalize import _normalized
 from repro.text.vectorize import _terms
 
 
@@ -305,6 +307,14 @@ class TestParseCache:
         assert gauges["text.terms_cache.hits"] == info.hits >= 1
         assert gauges["text.terms_cache.misses"] == info.misses
         assert gauges["text.terms_cache.currsize"] == info.currsize >= 1
+        for prefix, memo in (
+            ("text.normalized_cache", _normalized),
+            ("llm.token_set_cache", _token_set),
+        ):
+            info = memo.cache_info()
+            assert gauges[f"{prefix}.hits"] == info.hits
+            assert gauges[f"{prefix}.misses"] == info.misses
+            assert gauges[f"{prefix}.currsize"] == info.currsize
 
 
 class TestProfileSnapshot:

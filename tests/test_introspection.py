@@ -1,7 +1,7 @@
 """Tests for the live introspection plane (DESIGN.md §6i): W3C trace
 context propagation, the /metrics and /debug endpoints, the failure
-flight recorder, header validation, trace tailing, and the loadgen
-slowest-request report."""
+flight recorder, header validation, and the loadgen slowest-request
+report."""
 
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ import threading
 
 import pytest
 
-from repro.obs import write_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.render import follow_trace
 from repro.obs.tracing import (
     Tracer,
     current_trace_id,
@@ -329,49 +327,6 @@ class TestTracerAdopt:
         assert [span.name for span in serve.finished_spans()] == [
             "s2", "s3", "s4",
         ]
-
-
-# -- follow mode --------------------------------------------------------------
-
-
-class TestFollowTrace:
-    def test_follow_prints_new_spans_once(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        tracer = Tracer()
-        with use_trace_context(VALID_TRACE_ID):
-            with tracer.span("first"):
-                pass
-        write_trace(path, tracer.to_records())
-        lines = []
-
-        slept = []
-
-        def sleep(_seconds):
-            # Between the first two polls the exporter rewrites the file
-            # with one more span — follow must print only the new one,
-            # and the unchanged file on later polls must print nothing.
-            if not slept:
-                with tracer.span("second"):
-                    pass
-                write_trace(path, tracer.to_records())
-            slept.append(1)
-
-        printed = follow_trace(
-            path, out=lines.append, max_polls=3, sleep=sleep
-        )
-        assert printed == 2
-        assert lines[0].startswith("following ")
-        assert sum("first " in line for line in lines) == 1
-        assert sum("second " in line for line in lines) == 1
-        assert any(f"trace_id={VALID_TRACE_ID}" in line for line in lines)
-
-    def test_follow_survives_missing_file(self, tmp_path):
-        path = str(tmp_path / "missing.jsonl")
-        lines = []
-        assert follow_trace(
-            path, out=lines.append, max_polls=2, sleep=lambda _s: None
-        ) == 0
-        assert lines == []
 
 
 # -- loadgen slowest-request report -------------------------------------------

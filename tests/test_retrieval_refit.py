@@ -90,12 +90,18 @@ class TestBatchRefit:
             fitted_postings = state.postings()  # built on first use
             assert list(fitted_postings) == list(postings), label
             for term, entries in postings.items():
+                doc_ids, weights = fitted_postings[term]
                 assert [
                     (doc_id, _bits(weight))
-                    for doc_id, weight in fitted_postings[term]
+                    for doc_id, weight in zip(doc_ids, weights)
                 ] == [
                     (doc_id, _bits(weight)) for doc_id, weight in entries
                 ], (label, term)
+                # The postings hold the vectors' own floats, not copies.
+                assert all(
+                    weight is state.vectors[doc_id][0][term]
+                    for doc_id, weight in zip(doc_ids, weights)
+                ), (label, term)
 
     def test_search_scores_match_per_document_refit(self, corpora):
         queries = [document.text for _label, docs in corpora[:2]

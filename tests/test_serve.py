@@ -724,6 +724,9 @@ class TestServeTracer:
 def _sweep(experiment_context, tmp_path, concurrency, label):
     from repro.serve.loadgen import run_loadgen
 
+    # Every sweep starts cold: a generation-memo hit records no LLM calls,
+    # so a sweep after a warm one would record different accounting.
+    experiment_context.profiles["sports_holdings"].database.clear_memos()
     app = _make_app(
         experiment_context,
         databases=["sports_holdings"],

@@ -362,8 +362,8 @@ class TestRetrievalIndexClone:
             },
             state.inverted,
             {
-                term: [(doc_id, _bits(w)) for doc_id, w in entries]
-                for term, entries in state.postings().items()
+                term: [(doc_id, _bits(w)) for doc_id, w in zip(ids, weights)]
+                for term, (ids, weights) in state.postings().items()
             },
         )
 
@@ -512,3 +512,66 @@ class TestRefitCounter:
         assert span.attributes["retrieval.refit_ms"] >= 0
         index.clone().search("revenue", k=1)
         assert metrics.counter_value("retrieval.refits") - before == 2
+
+
+class TestSearchTimeSplit:
+    def test_searches_split_embed_and_score_time_on_the_current_span(self):
+        from repro.obs.tracing import Tracer
+
+        index = RetrievalIndex()
+        index.add("d1", "total revenue per organisation")
+        tracer = Tracer()
+        with tracer.span("retrieve") as span:
+            index.search("revenue", k=1)
+            index.search("viewers", k=1, candidates=["d1"])
+        assert span.attributes["retrieval.searches"] == 2
+        assert span.attributes["retrieval.embed_ms"] >= 0
+        assert span.attributes["retrieval.score_ms"] >= 0
+        assert [record.name for record in tracer.finished_spans()] == [
+            "retrieve"
+        ]
+
+    def test_select_examples_span_carries_the_split(self, experiment_context):
+        from repro.pipeline import GenEditPipeline
+
+        knowledge = experiment_context.knowledge_sets[
+            "sports_holdings"
+        ].clone()
+        knowledge._example_index._state = None  # the search refits first
+        database = experiment_context.profiles["sports_holdings"].database
+        result = GenEditPipeline(database, knowledge).generate(
+            "What is the total revenue?"
+        )
+        spans = [
+            span for span in result.context.tracer.finished_spans()
+            if span.name == "select_examples"
+        ]
+        assert len(spans) == 1
+        attributes = spans[0].attributes
+        assert attributes["retrieval.searches"] >= 1
+        assert attributes["retrieval.refits"] == 1
+        split_ms = sum(
+            attributes[name] for name in (
+                "retrieval.embed_ms", "retrieval.score_ms",
+                "retrieval.refit_ms",
+            )
+        )
+        assert 0 < split_ms <= spans[0].duration_ms
+
+
+class TestSearchFingerprints:
+    def test_seed7_line_matches_the_golden_fixture(self):
+        """Every seed-7 search hit, bit for bit, and every generated SQL."""
+        import importlib.util
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "search_fingerprints", root / "scripts" / "search_fingerprints.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        golden = (root / "tests" / "fixtures" / "golden"
+                  / "search_fingerprints.txt").read_text(encoding="utf-8")
+        searches, digest = module.seed_fingerprint(7)
+        assert f"7 {searches} {digest}" == golden.splitlines()[0]
