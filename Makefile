@@ -60,11 +60,12 @@
 #                   every answer equals a cold generation on a fresh set,
 #                   and no set's edit reaches another (tier-1 runs a short
 #                   budget of the same machine)
-#   make golden   - python -m repro bench all (seed 7), the lint corpus
-#                   report, the knowledge-set and retrieval-search
-#                   fingerprints of seeds 7-11 and the record.json of a
-#                   seed-7 bench table1 ledger run (run_id dropped) must
-#                   equal their pinned copies under tests/fixtures/golden/
+#   make golden   - python -m repro bench all (seed 7), Table 1 at the
+#                   held-out seed 23, the lint corpus report, the
+#                   knowledge-set and retrieval-search fingerprints of
+#                   seeds 7-11 and the record.json of a seed-7 bench
+#                   table1 ledger run (run_id dropped) must equal their
+#                   pinned copies under tests/fixtures/golden/
 #                   byte for byte; a change that moves one updates its
 #                   fixture in the same commit
 #   make bench    - regenerate the paper tables
@@ -208,6 +209,10 @@ golden:
 		> /tmp/repro-golden-bench-all.txt
 	diff tests/fixtures/golden/bench_all_seed7.txt \
 		/tmp/repro-golden-bench-all.txt
+	PYTHONPATH=src $(PYTHON) -m repro --seed 23 bench table1 \
+		> /tmp/repro-golden-table1-seed23.txt
+	diff tests/fixtures/golden/table1_seed23.txt \
+		/tmp/repro-golden-table1-seed23.txt
 	$(PYTHON) scripts/lint_corpus.py > /tmp/repro-golden-lint-corpus.txt
 	diff tests/fixtures/golden/lint_corpus.txt \
 		/tmp/repro-golden-lint-corpus.txt

@@ -386,12 +386,14 @@ def find_window_functions(node):
 # Correctness contract: for any selection the closure performs exactly the
 # same set of per-row sub-computations the row evaluator would (AND/OR/CASE/
 # IN narrow their active rows the way short-circuiting does), so it produces
-# the same values and raises on exactly the same inputs — possibly with a
-# different message/first-row, which the executor papers over by re-running
-# the row path whenever the vector path raises. Anything whose semantics
-# cannot be batched (window functions, subqueries, ambiguous or unresolvable
-# columns, aggregates outside a bound group context) raises
-# :class:`VectorFallback` at compile time.
+# the same values and raises on exactly the same inputs. It evaluates one
+# sub-expression over the whole batch before the next, where the row
+# evaluator finishes each row first, so when two rows raise in different
+# sub-expressions the error it raises can name another row than the row
+# engine's (DESIGN.md §6e). Anything whose semantics cannot be batched
+# (window functions, subqueries, ambiguous or unresolvable columns,
+# aggregates outside a bound group context) raises :class:`VectorFallback`
+# at compile time.
 
 
 class VectorFallback(Exception):

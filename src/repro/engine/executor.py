@@ -22,12 +22,6 @@ instead of one Python call per value; any other batch takes the generic
 code. Results are bit-identical either way, and the inherited row path
 never uses a kernel (DESIGN.md §6e).
 
-Error fidelity: the row path is definitive. If anything raises during
-columnar execution of a statement, the whole statement is re-executed by a
-plain :class:`~repro.engine.reference.ReferenceExecutor` against the
-*unoptimized* AST, so error type, message, and raise/no-raise behaviour are
-exactly the row engine's.
-
 Supported: CTEs (including references between CTEs), derived tables, all
 join kinds, WHERE/GROUP BY/HAVING, aggregates (with DISTINCT), window
 functions, correlated subqueries (scalar/IN/EXISTS), set operations,
@@ -75,31 +69,21 @@ class Executor(ReferenceExecutor):
         Text goes through the shared parse cache — execution never mutates
         the AST, so the same tree can safely serve the self-correction loop,
         the final check, and the EX metric. The tree is logically rewritten
-        (constant folding, predicate pushdown) before columnar execution;
-        if execution raises, the statement re-runs on the row engine against
-        the original tree so errors surface exactly as the row engine's.
+        (constant folding, predicate pushdown) and executed once; an error
+        comes from whichever path ran the failing stage.
         """
         if isinstance(query, str):
             query = parse_cached(query)
-        try:
-            optimized = optimize_for_execution(query, self.database)
-            return self._execute_query(optimized, outer_env=None)
-        except ExecutionError:
-            METRICS.inc("engine.error_reruns")
-            return ReferenceExecutor(self.database).execute(query)
+        optimized = optimize_for_execution(query, self.database)
+        return self._execute_query(optimized, outer_env=None)
 
-    # -- SELECT ----------------------------------------------------------
+    # -- columnar SELECT -------------------------------------------------------
 
     def _execute_select(self, select, outer_env):
-        try:
-            return self._select_columnar(select, outer_env)
-        except VectorFallback:  # pragma: no cover - staged internally
-            METRICS.inc("engine.row_fallback_selects")
-        return super()._execute_select(select, outer_env)
-
-    # -- columnar pipeline -----------------------------------------------------
-
-    def _select_columnar(self, select, outer_env):
+        """Run ``select`` columnar. A stage the vector compiler cannot
+        express finishes on the inherited row path (:meth:`_row_fallback`);
+        a residual join predicate it cannot express runs row by row in
+        :meth:`_filter_pairs`."""
         relation = self._from_columnar(select.from_clause, outer_env)
         has_outer = outer_env is not None
         if select.where is not None:

@@ -17,8 +17,9 @@ It has two jobs:
 * **Row path.** :class:`~repro.engine.executor.Executor` subclasses
   :class:`ReferenceExecutor`: whatever stage the vector compiler cannot
   express (window functions, correlated subqueries, ambiguous references)
-  continues in :meth:`ReferenceExecutor._select_rows`, and a statement that
-  raises during columnar execution is re-run here on its unoptimised tree.
+  continues in :meth:`ReferenceExecutor._select_rows`. That per-SELECT
+  fallback is the only way into the row path: a statement executes once,
+  and its error comes from whichever path ran the failing stage.
 
 Do not "optimise" this module: its value is that it stays dumb, and that
 now protects both the oracle and the executor's fallback.

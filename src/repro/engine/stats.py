@@ -16,8 +16,7 @@ from __future__ import annotations
 from ..obs.metrics import METRICS
 
 _COUNTERS = ("rewrite_s", "compile_s", "columnar_selects",
-             "row_fallback_selects", "error_reruns", "hash_joins",
-             "loop_joins")
+             "row_fallback_selects", "hash_joins", "loop_joins")
 
 
 def engine_snapshot():

@@ -131,8 +131,8 @@ def run_regression(database, live_knowledge, staged_knowledge,
     regressed/improved, any new lint codes, and where each side's outcome
     came from: ``before``/``after`` is ``baseline``, ``memo`` or
     ``generated``) lands on ``tracer`` — the feedback solver passes its
-    session tracer; standalone calls get a private one. The root span and
-    the registry get ``regression.memo_hits``/``regression.memo_misses``.
+    session tracer; standalone calls get a private one. The memo lookups
+    themselves count as ``generation.memo_hits``/``memo_misses``.
 
     ``baseline`` is an optional ledger run record (the dict shape of
     ``record.json``): golden queries the baseline already evaluated reuse
@@ -191,14 +191,10 @@ def run_regression(database, live_knowledge, staged_knowledge,
                     )
                 report.results.append(result)
         root.set_attr("passed", report.passed)
-        root.set_attr("regression.memo_hits", outcomes.hits)
-        root.set_attr("regression.memo_misses", outcomes.misses)
     metrics = get_metrics()
     metrics.inc("regression.runs")
     metrics.inc("regression.regressions", len(report.regressions))
     metrics.inc("regression.improvements", len(report.improvements))
-    metrics.inc("regression.memo_hits", outcomes.hits)
-    metrics.inc("regression.memo_misses", outcomes.misses)
     if report.baseline_hits:
         metrics.inc("regression.baseline_hits", report.baseline_hits)
     return report
@@ -216,8 +212,6 @@ class _GoldenOutcomes:
     def __init__(self, database, session):
         self.database = database
         self.session = session
-        self.hits = 0
-        self.misses = 0
         self._pipelines = {}
 
     def get(self, knowledge, golden):
@@ -231,12 +225,7 @@ class _GoldenOutcomes:
             )
             self._pipelines[id(knowledge)] = pipeline
         result = pipeline.answer(golden.question)
-        if result.memo_hit:
-            self.hits += 1
-            source = "memo"
-        else:
-            self.misses += 1
-            source = "generated"
+        source = "memo" if result.memo_hit else "generated"
         return source, (
             execution_match(self.database, result.sql, golden.gold_sql),
             frozenset(result.lint_codes),

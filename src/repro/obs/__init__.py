@@ -71,7 +71,6 @@ from .render import (
     write_trace,
 )
 from .slo import (
-    SLO_SCHEMA_VERSION,
     SloSpec,
     SloSpecError,
     any_breach,
@@ -117,7 +116,6 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "METRICS",
     "METRICS_SCHEMA_VERSION",
-    "SLO_SCHEMA_VERSION",
     "TIMESERIES_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "Histogram",

@@ -31,9 +31,6 @@ from dataclasses import dataclass, field
 
 from .timeseries import ledger_series
 
-#: Version of the SLO spec/evaluation payload schema.
-SLO_SCHEMA_VERSION = 1
-
 #: Default multi-window sizes, in ledger runs (fast, slow).
 DEFAULT_WINDOWS = (5, 20)
 

@@ -102,7 +102,7 @@ class GenEditPipeline:
     """The deployed GenEdit generation pipeline."""
 
     def __init__(self, database, knowledge, config=None, llm=None,
-                 timeout_ms=None, fault_injector=None):
+                 timeout_ms=None):
         self.database = database
         self.knowledge = knowledge
         self.config = config or DEFAULT_CONFIG
@@ -112,8 +112,6 @@ class GenEditPipeline:
         self.llm = ResilientLLM(self._base_llm, self.timeout_ms)
         self.operators = self._build_operators()
         self._built = tuple(self.operators)
-        if fault_injector is not None:
-            self.enable_faults(injector=fault_injector)
 
     def _build_operators(self):
         return [
@@ -128,24 +126,19 @@ class GenEditPipeline:
             SelfCorrectionOperator(self.llm),
         ]
 
-    def enable_faults(self, config=None, scope="", injector=None):
+    def enable_faults(self, config, scope=""):
         """Arm deterministic fault injection on this pipeline.
 
-        Pass either a :class:`~repro.resilience.FaultConfig` (an injector
-        scoped to ``scope`` or the database name is built) or a ready
-        :class:`~repro.resilience.FaultInjector`. The LLM is re-wrapped with
-        the injector, which each retry attempt consults before the call,
-        and the operators are rebuilt around it; the executors used by
-        self-correction and the final check inject through the same
-        injector. Returns the injector.
+        Builds a :class:`~repro.resilience.FaultInjector` from the
+        :class:`~repro.resilience.FaultConfig`, scoped to ``scope`` or the
+        database name. The LLM is re-wrapped with the injector, which each
+        retry attempt consults before the call, and the operators are
+        rebuilt around it; the executors used by self-correction and the
+        final check inject through the same injector. Returns the injector.
         """
-        if injector is None:
-            if config is None:
-                raise ValueError("enable_faults needs a config or injector")
-            injector = FaultInjector(
-                config,
-                scope=scope or getattr(self.database, "name", ""),
-            )
+        injector = FaultInjector(
+            config, scope=scope or getattr(self.database, "name", ""),
+        )
         self.fault_injector = injector
         self.llm = ResilientLLM(self._base_llm, self.timeout_ms, injector)
         self.operators = self._build_operators()
@@ -187,9 +180,9 @@ class GenEditPipeline:
             return None
         return self.database.memo("generation")
 
-    def _memo_key(self, config, question):
+    def _memo_key(self, question):
         return (
-            self.knowledge.revision, config, self.llm.model,
+            self.knowledge.revision, self.config, self.llm.model,
             self.llm.linking_model, self.timeout_ms, question,
         )
 
@@ -207,7 +200,7 @@ class GenEditPipeline:
         memo = self._generation_memo()
         if memo is None:
             return self.generate(question)
-        entry = memo.get(self._memo_key(self.config, question))
+        entry = memo.get(self._memo_key(question))
         if entry is None:
             get_metrics().inc("generation.memo_misses")
             return self.generate(question)
@@ -264,7 +257,7 @@ class GenEditPipeline:
             entry=entry,
         )
 
-    def generate(self, question, config=None):
+    def generate(self, question):
         """Generate SQL for ``question`` and return a GenerationResult.
 
         The whole run executes under a root ``generate`` span on the
@@ -281,14 +274,13 @@ class GenEditPipeline:
         configuration costs, so ``generate`` never reads the generation
         memo. It only records the outcome there, for :meth:`answer`.
         """
-        config = config or self.config
         memo = self._generation_memo()
-        key = None if memo is None else self._memo_key(config, question)
+        key = None if memo is None else self._memo_key(question)
         context = PipelineContext(
             question=question,
             database=self.database,
             knowledge=self.knowledge,
-            config=config,
+            config=self.config,
         )
         context.executor_factory = self._make_executor
         metrics = get_metrics()

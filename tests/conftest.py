@@ -104,14 +104,13 @@ def check_gate_memo():
 def seed7_memo_replay(check_gate_memo, experiment_context):
     """The memo replay script over the seed-7 sessions, run once.
 
-    Returns the script's ``(counts, mismatches)`` and how much the lint,
-    regression and generation memo-hit counters grew during the replay.
+    Returns the script's ``(counts, mismatches)`` and how much the lint
+    and generation memo-hit counters grew during the replay.
     """
     from repro.obs.metrics import get_metrics
 
     metrics = get_metrics()
-    names = ("knowledge_lint.memo_hits", "regression.memo_hits",
-             "generation.memo_hits")
+    names = ("knowledge_lint.memo_hits", "generation.memo_hits")
     before = {name: metrics.counter_value(name) for name in names}
     counts, mismatches = check_gate_memo.check_seed(
         7, context=experiment_context

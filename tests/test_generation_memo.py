@@ -150,7 +150,7 @@ class TestSlimEntry:
         pipeline = GenEditPipeline(deployed.database, knowledge)
         result = pipeline.generate(QUESTION)
         entry = deployed.database.memo("generation")[
-            pipeline._memo_key(pipeline.config, QUESTION)
+            pipeline._memo_key(QUESTION)
         ]
         assert isinstance(entry, GenerationEntry)
         watched = [weakref.ref(item) for item in (

@@ -191,8 +191,8 @@ class TestEngineStatsIsolation:
     not leak predicate-cache or operator counters into the next payload."""
 
     COUNTERS = (
-        "columnar_selects", "row_fallback_selects", "error_reruns",
-        "hash_joins", "loop_joins",
+        "columnar_selects", "row_fallback_selects", "hash_joins",
+        "loop_joins",
     )
 
     def _run_workload(self, demo_db):

@@ -648,8 +648,8 @@ class TestProfileSchemaCompat:
         engine = payload["engine"]
         assert set(engine) >= {
             "rewrite_s", "compile_s", "columnar_selects",
-            "row_fallback_selects", "error_reruns", "hash_joins",
-            "loop_joins", "predicate_cache",
+            "row_fallback_selects", "hash_joins", "loop_joins",
+            "predicate_cache",
         }
         assert engine["columnar_selects"] > 0
         cache = engine["predicate_cache"]
