@@ -26,8 +26,8 @@
 #                   tests/fixtures/chaos_smoke_metrics.txt (seed 7)
 #   make ledger-smoke - record the same bench run twice into a scratch
 #                   ledger; repro diff must find zero flips (determinism)
-#   make telemetry-smoke - stream Prometheus telemetry from a short bench
-#                   run (output must pass the promtext linter), then
+#   make telemetry-smoke - write Prometheus telemetry at the end of a short
+#                   bench run (output must pass the promtext linter), then
 #                   repro watch over a fresh two-run ledger must report
 #                   zero level shifts
 #   make perf-smoke - columnar micro-ops vs the row oracle; fails if any
@@ -53,8 +53,10 @@
 #                   serve.request with generate under it), scrape
 #                   /metrics through the promtext linter, force one
 #                   failing request and reconstruct it from /debug/errors;
-#                   the --trace-out export written on shutdown must hold
-#                   the generate and final_check spans
+#                   after memo hits past the span bound its trace must
+#                   still be one serve.request tree; the --trace-out
+#                   export written on shutdown must hold the generate and
+#                   final_check spans and count every request
 #   make edit-loop-machine - the edit-loop state machine
 #                   (tests/test_edit_loop_machine.py) at its long budget:
 #                   every answer equals a cold generation on a fresh set,

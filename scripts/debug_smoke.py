@@ -8,7 +8,7 @@ debug surface end to end:
    response must echo the same trace id, and ``/debug/traces/{id}`` must
    return one span tree: the ``serve.request`` root with the pipeline's
    ``generate`` span as its child (trace propagation across the worker
-   pool, and the pipeline spans adopted by the serve tracer);
+   pool, and the pipeline spans adopted under the request's root);
 2. ``GET /metrics`` is scraped and written to ``argv[1]`` for the
    promtext linter (the Makefile pipes it through
    ``scripts/check_promtext.py``); it must carry the serving counters and
@@ -18,9 +18,13 @@ debug surface end to end:
    without re-running: retention class ``failed``, the operator digest
    trail, and the forced error text;
 4. ``/debug/requests`` must list both requests with their trace ids;
-5. the ``--trace-out`` export the app writes on shutdown, next to
+5. enough generation-memo hits (2 spans each) to pass the request
+   store's span bound must leave the failed request retained:
+   ``/debug/traces/{id}`` still answers it as one ``serve.request`` tree;
+6. the ``--trace-out`` export the app writes on shutdown, next to
    ``argv[1]`` as ``trace.jsonl``, must hold the pipeline's
-   ``generate`` and ``final_check`` spans.
+   ``generate`` and ``final_check`` spans (a cold ask after the memo
+   hits supplies them) and state its window: every request seen.
 
 Exit code 0 only if every assertion holds.
 """
@@ -34,6 +38,7 @@ sys.path.insert(0, "src")
 
 from repro.obs import load_trace  # noqa: E402
 from repro.serve import ServeApp, ServerThread  # noqa: E402
+from repro.serve.middleware import SERVE_TRACER_SPANS  # noqa: E402
 
 TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
 TRACE_ID = "ab" * 16
@@ -53,6 +58,17 @@ def request(port, method, path, payload=None, headers=None):
     content_type = response.getheader("Content-Type", "")
     parsed = json.loads(raw) if "json" in content_type else raw.decode()
     return response.status, dict(response.getheaders()), parsed
+
+
+def one_tree(trace, root_name="serve.request"):
+    """The root of ``trace``'s spans if they form one tree under a
+    ``root_name`` span, else None."""
+    spans = trace["spans"]
+    ids = {span["span_id"] for span in spans}
+    roots = [span for span in spans if span["parent_id"] not in ids]
+    if [root["name"] for root in roots] != [root_name]:
+        return None
+    return roots[0]
 
 
 def fail(message):
@@ -92,13 +108,12 @@ def main(argv):
         if status != 200:
             return fail(f"/debug/traces/{TRACE_ID} answered {status}")
         spans = trace["spans"]
-        ids = {span["span_id"] for span in spans}
-        roots = [span for span in spans if span["parent_id"] not in ids]
-        if [root["name"] for root in roots] != ["serve.request"]:
+        root = one_tree(trace)
+        if root is None:
             return fail(f"trace is not one serve.request tree: "
-                        f"{[root['name'] for root in roots]}")
+                        f"{[span['name'] for span in spans]}")
         if not any(span["name"] == "generate"
-                   and span["parent_id"] == roots[0]["span_id"]
+                   and span["parent_id"] == root["span_id"]
                    for span in spans):
             return fail("generate is not a child of serve.request")
         if "serve.request" not in trace["tree"]:
@@ -115,7 +130,7 @@ def main(argv):
             handle.write(text)
 
         # 3. force a required-operator failure and reconstruct it from
-        # the flight recorder.
+        # /debug/errors.
         pipeline = app._tenants["sports_holdings"].pipeline
         for operator in pipeline.operators:
             if operator.name == "generate_sql":
@@ -132,6 +147,8 @@ def main(argv):
              "tenant": "sports_holdings"},
             headers={"X-Request-Id": "smoke-fail-1"},
         )
+        del operator.run
+        failed_trace_id = headers["traceparent"].split("-")[1]
         if status != 200 or body.get("success"):
             return fail(
                 f"forced failure not surfaced: {status} {body!r}"
@@ -151,7 +168,7 @@ def main(argv):
         detail = entry.get("detail") or {}
         digests = detail.get("operator_digests") or []
         if not digests:
-            return fail("flight entry lost the operator digest trail")
+            return fail("error entry lost the operator digest trail")
         if detail.get("failed_operator") != "generate_sql":
             return fail(
                 f"failed operator not attributed: {detail!r}"
@@ -164,18 +181,57 @@ def main(argv):
         ids = {r["request_id"] for r in ring["requests"]}
         if not {"smoke-ok-1", "smoke-fail-1"} <= ids:
             return fail(f"/debug/requests incomplete: {sorted(ids)}")
+
+        # 5. pass the span bound with memo hits; the failure stays whole.
+        hits = SERVE_TRACER_SPANS // 2 + 64
+        for index in range(hits):
+            status, _, body = request(
+                server.port, "POST", "/ask",
+                {"question": "How many teams are there?",
+                 "tenant": "sports_holdings"},
+            )
+            if status != 200 or not body.get("success"):
+                return fail(f"memo-hit ask {index} answered {status}")
+        status, _, health = request(server.port, "GET", "/healthz")
+        flight = health["flight"]
+        if not flight["evicted"] or flight["spans"] > flight["max_spans"]:
+            return fail(f"memo hits did not pass the span bound: {flight}")
+        status, _, trace = request(
+            server.port, "GET", f"/debug/traces/{failed_trace_id}"
+        )
+        if status != 200:
+            return fail(f"failed trace answered {status} after {hits} "
+                        f"memo hits")
+        if one_tree(trace) is None:
+            return fail("failed trace lost its serve.request root")
+
+        # 6's pipeline spans: one cold ask, newest in the store.
+        status, _, body = request(
+            server.port, "POST", "/ask",
+            {"question": "How many organisations are there?",
+             "tenant": "sports_holdings"},
+        )
+        if status != 200:
+            return fail(f"cold ask answered {status}")
     finally:
         server.stop()
 
-    # 5. the shutdown export holds the pipeline spans.
-    names = {span["name"] for span in load_trace(trace_out)["spans"]}
+    # 6. the shutdown export holds the pipeline spans and its window.
+    exported = load_trace(trace_out)
+    names = {span["name"] for span in exported["spans"]}
     if not {"generate", "final_check"} <= names:
         return fail(f"--trace-out export lacks pipeline spans: "
                     f"{sorted(names)}")
+    window = exported["meta"].get("window") or {}
+    if window.get("seen", 0) < hits + 2:
+        return fail(f"--trace-out window does not count every request: "
+                    f"{window}")
     print(
         "debug-smoke: ok — traceparent round-trip to one span tree, "
         "/metrics scrape, failed request reconstructed from "
-        "/debug/errors, pipeline spans in the --trace-out export"
+        "/debug/errors and still one tree after "
+        f"{hits} memo hits, pipeline spans and window in the "
+        "--trace-out export"
     )
     return 0
 

@@ -40,13 +40,11 @@ accounting table, and wall-clock span rollups — for ``python -m repro
 runs|diff|triage``. The record notice goes to stderr; stdout stays
 byte-identical. See DESIGN.md §6d.
 
-Continuous telemetry (DESIGN.md §6g): ``--telemetry-out PATH`` streams
-registry snapshots to ``PATH`` *while the experiment runs*, in the
-Prometheus text format, refreshed after every finished question-group
-through a push :class:`~repro.obs.telemetry.TelemetrySink` (bounded
-queue, atomic replace-writes, drops counted). ``--limit N`` truncates
-the workload to its first N questions for quick smokes. All notices land on
-stderr; the printed tables stay byte-identical.
+Telemetry (DESIGN.md §6g): ``--telemetry-out PATH`` writes the registry
+snapshot to ``PATH`` once, when the run ends, in the Prometheus text
+format (an atomic replace-write). ``--limit N`` truncates the workload
+to its first N questions for quick smokes. All notices land on stderr;
+the printed tables stay byte-identical.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ PROFILE_SCHEMA_VERSION = 4
 
 def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
                     system_name, questions=None, trace_sink=None,
-                    fault_config=None, telemetry=None):
+                    fault_config=None):
     """Run one system over the workload and return an EvaluationReport.
 
     ``make_pipeline(database, knowledge)`` builds the system under test for
@@ -96,13 +94,8 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
     database group gets an injector scoped by database name, so chaos runs
     replay identically.
 
-    ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetrySink`) gets a
-    registry snapshot pushed after every finished question-group and once
-    more when the system completes, so an external scraper watching the
-    sink's file sees progress *during* a long run, not only at the end.
-    Publishing is non-blocking (a full sink drops the intermediate
-    snapshot — harmless, counters are monotone) and never touches
-    reports or stdout.
+    Metrics go to the process registry only; ``--telemetry-out`` writes
+    them once, at the end of the run (``_finish``).
     """
     question_list = list(
         questions if questions is not None else workload.questions
@@ -185,9 +178,6 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
                 (position, error_outcome(question, error), None)
                 for position, question in items
             ]
-        finally:
-            if telemetry is not None:
-                telemetry.publish()
 
     collected = [
         outcome for database_name, items in groups.items()
@@ -210,8 +200,6 @@ def evaluate_system(make_pipeline, workload, profiles, knowledge_sets,
             "harness.questions_per_s",
             round(len(question_list) / elapsed, 2),
         )
-    if telemetry is not None:
-        telemetry.publish()
     return report
 
 
@@ -292,7 +280,6 @@ class ExperimentContext:
         self.seed = seed
         self.trace_sink = None      # set to a list to collect span records
         self.fault_config = None    # set to a FaultConfig to inject chaos
-        self.telemetry_sink = None  # set to a TelemetrySink to stream metrics
         self._workload = None
         self._profiles = None
         self._knowledge = None
@@ -339,7 +326,6 @@ def run_genedit(context, config=None, questions=None, system_name="GenEdit",
         questions=questions,
         trace_sink=context.trace_sink,
         fault_config=context.fault_config,
-        telemetry=context.telemetry_sink,
     )
 
 
@@ -370,7 +356,6 @@ def table1(context=None, out=None):
                 spec.name,
                 trace_sink=context.trace_sink,
                 fault_config=context.fault_config,
-                telemetry=context.telemetry_sink,
             )
         )
     reports.append(run_genedit(context))
@@ -457,7 +442,6 @@ def crossover(context=None, out=None):
             context.knowledge_sets, system_name,
             trace_sink=context.trace_sink,
             fault_config=context.fault_config,
-            telemetry=context.telemetry_sink,
         )
         enterprise_report = evaluate_system(
             builder, enterprise, context.profiles,
@@ -465,7 +449,6 @@ def crossover(context=None, out=None):
             questions=enterprise.questions,
             trace_sink=context.trace_sink,
             fault_config=context.fault_config,
-            telemetry=context.telemetry_sink,
         )
         reports[system_name] = (dev_report, enterprise_report)
         rows.append(
@@ -513,7 +496,6 @@ def model_selection(context=None, out=None):
             label,
             trace_sink=context.trace_sink,
             fault_config=context.fault_config,
-            telemetry=context.telemetry_sink,
         )
         reports[label] = report
         questions = len(report.outcomes)
@@ -739,13 +721,6 @@ def run_bench(args, out):
         del context.workload.questions[max(0, args.limit):]
     if args.trace_out is not None:
         context.trace_sink = []
-    if args.telemetry_out is not None:
-        from ..obs.telemetry import TelemetrySink
-
-        context.telemetry_sink = TelemetrySink(
-            args.telemetry_out,
-            snapshot_fn=global_snapshot,
-        )
     ledger = None
     if args.ledger or args.ledger_dir is not None:
         from ..obs.ledger import RunLedger
@@ -848,15 +823,14 @@ def _finish(context, args, out, reports=(), profile_payload=None,
             f"wrote {count} span(s) + metrics snapshot to {trace_out}",
             file=sys.stderr,
         )
-    if context.telemetry_sink is not None:
-        sink = context.telemetry_sink
-        sink.close()
-        stats = sink.stats()
-        print(
-            f"telemetry: {stats['writes']} write(s), "
-            f"{stats['dropped']} dropped snapshot(s) -> {sink.path}",
-            file=sys.stderr,
+    if args.telemetry_out is not None:
+        from ..obs.telemetry import atomic_write_text, render_promtext
+
+        atomic_write_text(
+            args.telemetry_out, render_promtext(global_snapshot())
         )
+        print(f"wrote metrics snapshot to {args.telemetry_out}",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":

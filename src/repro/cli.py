@@ -986,8 +986,8 @@ def build_arg_parser():
     bench.add_argument(
         "--telemetry-out", dest="telemetry_out", metavar="PATH",
         default=None,
-        help="stream registry snapshots to PATH while the experiment "
-             "runs (Prometheus text format)",
+        help="write the registry snapshot to PATH when the run ends "
+             "(Prometheus text format)",
     )
     bench.add_argument(
         "--limit", type=int, default=None, metavar="N",
@@ -1024,21 +1024,24 @@ def build_arg_parser():
     serve.add_argument(
         "--telemetry-out", dest="telemetry_out", metavar="PATH",
         default=None,
-        help="stream the metrics snapshot to PATH (Prometheus text)",
+        help="on shutdown, write the metrics snapshot to PATH "
+             "(Prometheus text)",
     )
     serve.add_argument(
         "--trace-out", dest="trace_out", metavar="PATH", default=None,
-        help="on shutdown, export the retained request span trees: each "
+        help="on shutdown, export the retained request trees (failed, "
+             "slow, sampled, then newest, within the span bound): each "
              "serve.request span with the pipeline spans under it",
     )
     serve.add_argument(
         "--slow-ms", dest="slow_ms", type=float, default=5000.0,
-        help="flight-recorder slow-request threshold in ms (default 5000)",
+        help="a request this slow (ms) is retained as slow, with its "
+             "detail, in /debug/errors (default 5000)",
     )
     serve.add_argument(
         "--sample-every", dest="sample_every", type=int, default=10,
-        help="flight-record every Nth healthy request as a baseline "
-             "(default 10; 0 disables sampling)",
+        help="retain every Nth request as a sampled baseline, with its "
+             "detail (default 10; 0 disables sampling)",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1100,7 +1103,7 @@ def build_arg_parser():
     loadgen.add_argument(
         "--telemetry-out", dest="telemetry_out", metavar="PATH",
         default=None,
-        help="server telemetry stream (--self only)",
+        help="server telemetry file, written on drain (--self only)",
     )
     loadgen.add_argument(
         "--json", action="store_true",

@@ -17,10 +17,9 @@ any further performance work can be trusted:
   records under ``.repro/runs/``), run-to-run diffing with
   first-divergence attribution, cost/token accounting, and failure
   triage, behind ``python -m repro runs|diff|triage``;
-* :mod:`repro.obs.telemetry` — streaming export: Prometheus text format
-  snapshots of the metrics registry, plus the push-based
-  :class:`~repro.obs.telemetry.TelemetrySink` the harness flushes as it
-  runs;
+* :mod:`repro.obs.telemetry` — Prometheus text format snapshots of the
+  metrics registry, served live by ``/metrics`` and written once at the
+  end of a run by ``--telemetry-out``;
 * :mod:`repro.obs.timeseries` — the ledger watchdog behind ``python -m
   repro watch``: folds recorded runs into per-metric time series and
   flags level shifts with robust z-scores;
@@ -34,10 +33,6 @@ cache accessor aside), so any module — parser, engine, pipeline, harness —
 can instrument itself without import cycles.
 """
 
-from .flight import (
-    FLIGHT_CLASSES,
-    FlightRecorder,
-)
 from .ledger import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,
@@ -82,7 +77,6 @@ from .slo import (
     render_slo_results,
 )
 from .telemetry import (
-    TelemetrySink,
     render_promtext,
     split_metric_key,
 )
@@ -111,8 +105,6 @@ from .tracing import (
 
 __all__ = [
     "DEFAULT_BUCKETS_MS",
-    "FLIGHT_CLASSES",
-    "FlightRecorder",
     "LEDGER_SCHEMA_VERSION",
     "METRICS",
     "METRICS_SCHEMA_VERSION",
@@ -125,7 +117,6 @@ __all__ = [
     "SloSpecError",
     "Span",
     "SpanEvent",
-    "TelemetrySink",
     "Tracer",
     "any_breach",
     "build_forest",

@@ -1,24 +1,13 @@
-"""Streaming metric export: Prometheus text and a push sink.
+"""Metric export in the Prometheus text format.
 
-PR 3 gave the process a :class:`~repro.obs.metrics.MetricsRegistry`, but
-its snapshots only ever left the process as an end-of-run dump. This
-module is the *streaming* side (DESIGN.md §6g). :func:`render_promtext`
-renders a registry snapshot in the Prometheus text exposition format
-v0.0.4 (``# TYPE`` comments, ``_total`` counters, ``_bucket``/``_sum``/
-``_count`` histogram families with a ``+Inf`` bucket); the output
-round-trips through ``scripts/check_promtext.py`` in CI, and ``/metrics``
-serves the same text.
-
-:class:`TelemetrySink` is the push half: a bounded-queue background
-thread that writes the newest snapshot to a file atomically (tmp +
-``os.replace``) so a scraper — or ``repro watch`` — never reads a torn
-file. The harness publishes one snapshot per question-group, which turns
-a long bench run into a live metric stream instead of a single
-end-of-run dump. Publishing never blocks: when the queue is full the
-snapshot is dropped and counted (``telemetry.dropped`` in the registry
-plus :meth:`TelemetrySink.stats`), because losing one intermediate
-snapshot of a monotonically-growing registry is harmless while stalling
-the harness is not.
+:func:`render_promtext` renders a registry snapshot in the Prometheus
+text exposition format v0.0.4 (``# TYPE`` comments, ``_total``
+counters, ``_bucket``/``_sum``/``_count`` histogram families with a
+``+Inf`` bucket); the output round-trips through
+``scripts/check_promtext.py`` in CI (DESIGN.md §6g). ``/metrics`` serves
+the same text live, and ``--telemetry-out PATH`` writes it once, at the
+end of a run, through :func:`atomic_write_text` (tmp file +
+``os.replace``), so a reader never sees a torn file.
 
 Like the rest of :mod:`repro.obs`, nothing here imports the wider repo.
 """
@@ -26,12 +15,6 @@ Like the rest of :mod:`repro.obs`, nothing here imports the wider repo.
 from __future__ import annotations
 
 import os
-import queue
-import threading
-
-from .metrics import get_metrics
-
-_CLOSE = object()
 
 
 # -- key handling ------------------------------------------------------------
@@ -155,7 +138,7 @@ def render_promtext(snapshot):
     return "\n".join(lines) + "\n"
 
 
-# -- the push sink -----------------------------------------------------------
+# -- the file
 
 
 def atomic_write_text(path, text):
@@ -168,110 +151,3 @@ def atomic_write_text(path, text):
     with open(tmp_path, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp_path, path)
-
-
-class TelemetrySink:
-    """Bounded-queue push exporter: newest snapshot wins, writes atomic.
-
-    ``publish()`` enqueues a snapshot (or calls ``snapshot_fn`` to take
-    one) and returns immediately; the worker thread drains the queue and
-    rewrites ``path``. A full queue drops the publish and counts it —
-    the next successful publish carries strictly more information, so a
-    drop never loses a counter increment, only an intermediate view.
-    ``close()`` drains outstanding snapshots, writes one final snapshot
-    (so the file always reflects end-of-run state), and joins the worker.
-    """
-
-    def __init__(self, path, snapshot_fn=None, maxsize=8, registry=None):
-        self.path = str(path)
-        self._snapshot_fn = snapshot_fn
-        self._registry = registry or get_metrics()
-        self._queue = queue.Queue(maxsize=maxsize)
-        self._lock = threading.Lock()
-        self._published = 0
-        self._dropped = 0
-        self._writes = 0
-        self._write_errors = 0
-        self._closed = False
-        self._worker = threading.Thread(
-            target=self._run, name="telemetry-sink", daemon=True
-        )
-        self._worker.start()
-
-    def _take_snapshot(self):
-        if self._snapshot_fn is not None:
-            return self._snapshot_fn()
-        return self._registry.snapshot()
-
-    def publish(self, snapshot=None):
-        """Enqueue a snapshot for export; never blocks. True if queued."""
-        with self._lock:
-            if self._closed:
-                return False
-        if snapshot is None:
-            snapshot = self._take_snapshot()
-        try:
-            self._queue.put_nowait(snapshot)
-        except queue.Full:
-            with self._lock:
-                self._dropped += 1
-            self._registry.inc("telemetry.dropped")
-            return False
-        with self._lock:
-            self._published += 1
-        return True
-
-    def _run(self):
-        while True:
-            item = self._queue.get()
-            if item is _CLOSE:
-                return
-            # Coalesce: if more snapshots are already queued, the newest
-            # supersedes this one — skip straight to it.
-            while True:
-                try:
-                    newer = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if newer is _CLOSE:
-                    self._write(item)
-                    return
-                item = newer
-            self._write(item)
-
-    def _write(self, snapshot):
-        try:
-            atomic_write_text(self.path, render_promtext(snapshot))
-        except OSError:
-            with self._lock:
-                self._write_errors += 1
-            self._registry.inc("telemetry.write_errors")
-        else:
-            with self._lock:
-                self._writes += 1
-
-    def close(self, timeout=10.0):
-        """Flush a final snapshot, stop the worker, join it."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        final = self._take_snapshot()
-        self._queue.put(final)      # blocking put: the final state must land
-        self._queue.put(_CLOSE)
-        self._worker.join(timeout=timeout)
-
-    def stats(self):
-        with self._lock:
-            return {
-                "published": self._published,
-                "dropped": self._dropped,
-                "writes": self._writes,
-                "write_errors": self._write_errors,
-            }
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc_info):
-        self.close()

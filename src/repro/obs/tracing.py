@@ -219,17 +219,16 @@ class Tracer:
     Thread-safe: spans may be opened and finished on any number of threads;
     the finished-record list is guarded by a lock and nesting is resolved
     through the per-thread ambient stack.
+
+    ``epoch`` is the :func:`time.perf_counter` reading span start times
+    are offsets from (now by default); tracers given one epoch share one
+    clock, so their spans need no rebasing.
     """
 
-    def __init__(self, max_finished=None):
-        """``max_finished`` bounds the retained finished spans (oldest
-        dropped first) — long-lived tracers like the serving layer's set
-        it so per-request spans cannot grow memory without bound. Batch
-        tracers keep the unbounded default (every span is exported)."""
+    def __init__(self, epoch=None):
         self._lock = threading.Lock()
-        self._max_finished = max_finished
         self._finished = []
-        self._epoch = time.perf_counter()
+        self._epoch = time.perf_counter() if epoch is None else epoch
         self._event_seq = itertools.count(1)
         self.orphan_events = []     # events recorded with no active span
 
@@ -265,13 +264,6 @@ class Tracer:
                     break
             with self._lock:
                 self._finished.append(span)
-                self._trim()
-
-    def _trim(self):
-        # Caller holds the lock.
-        if self._max_finished is not None and \
-                len(self._finished) > self._max_finished:
-            del self._finished[: len(self._finished) - self._max_finished]
 
     def adopt(self, other, parent_id):
         """Add ``other``'s finished spans to this tracer, under one lock.
@@ -290,7 +282,6 @@ class Tracer:
         ]
         with self._lock:
             self._finished.extend(adopted)
-            self._trim()
 
     # -- events ----------------------------------------------------------
 

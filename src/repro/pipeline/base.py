@@ -302,7 +302,7 @@ class GenerationResult:
     def debug_payload(self):
         """The postmortem detail for one run, JSON-ready.
 
-        This is what the serving layer's flight recorder retains for a
+        This is what the serve path's request store keeps for a
         failed/slow/sampled request (DESIGN.md §6i): the operator digest
         trail, the rendered plan, every candidate and repair attempt,
         the final SQL's error-level diagnostics and plan-lint codes (the

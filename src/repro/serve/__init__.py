@@ -12,9 +12,10 @@ rest of the repo. The layout deliberately mirrors a FastAPI service
 * :mod:`.router`   — method+path routing with ``{param}`` segments,
   404/405 semantics, and :class:`~repro.serve.router.HTTPError`;
 * :mod:`.middleware` — per-request span roots (the pipeline's spans
-  join them on the one serve tracer), request-id and W3C
-  ``traceparent`` propagation, ``serve.*`` metrics, the failure flight
-  recorder, and structured JSON access logging;
+  join them, one tree per request), request-id and W3C ``traceparent``
+  propagation, ``serve.*`` metrics, the request store that keeps whole
+  trees by retention class (failed > slow > sampled > recent), and
+  structured JSON access logging;
 * :mod:`.pool`     — the bounded thread worker pool and admission
   control (429/503 + ``Retry-After``, per-request deadlines);
 * :mod:`.app`      — :class:`~repro.serve.app.ServeApp`: per-tenant

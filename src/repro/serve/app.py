@@ -31,8 +31,8 @@ Responsibilities:
   makes a concurrency-8 sweep byte-identical to a concurrency-1 sweep
   and lets ``repro diff`` gate the equivalence.
 * **Graceful drain**: stop admitting, let in-flight work finish, record
-  the ledger run, flush and close the telemetry sink, optionally export
-  the server's span tree.
+  the ledger run, write the telemetry file once, optionally export the
+  retained request trees.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import time
 from ..bench.metrics import EvaluationReport, QuestionOutcome, \
     execution_match
 from ..obs.metrics import get_metrics, global_snapshot
+from ..obs.telemetry import atomic_write_text, render_promtext
 from ..obs.tracing import current_trace_id, use_trace_context
 from ..resilience import LLM_TIMEOUT_MS
 from .middleware import (
@@ -80,14 +81,19 @@ DEFAULT_DEADLINE_MS = LLM_TIMEOUT_MS
 TENANT_COUNTERS = ("requests", "failures", "scored", "correct")
 
 
-def _request_record(tenant, result, detail, tracer):
+def _request_record(tenant, result, tracer, **extra):
     """A pooled handler's record for the middleware holder: ``tracer``
     holds the run's spans, which the middleware adopts under the
-    request's ``serve.request`` span."""
+    request's ``serve.request`` span; ``detail`` builds the postmortem
+    payload (the run's ``debug_payload`` plus ``extra``) when the store
+    keeps it."""
     return {
         "tenant": tenant,
         "failed": not result.success,
-        "debug": {"tracer": tracer, "detail": detail},
+        "debug": {
+            "tracer": tracer,
+            "detail": lambda: dict(result.debug_payload(), **extra),
+        },
     }
 
 
@@ -132,7 +138,6 @@ class ServeApp:
         #: per-run index recorded into the ledger's ``meta.json`` (never
         #: the content-addressed record body — ids are non-deterministic).
         self._request_index = {}
-        self._telemetry = None
         self._started = False
         self._shutdown_done = False
         self._started_at = None
@@ -175,13 +180,6 @@ class ServeApp:
             for key in TENANT_COUNTERS:
                 # Zero before any traffic, on /metrics as on /healthz.
                 self.registry.inc(f"serve.tenant.{key}", 0, tenant=name)
-        if self.telemetry_out:
-            from ..obs.telemetry import TelemetrySink
-
-            self._telemetry = TelemetrySink(
-                self.telemetry_out, snapshot_fn=self._snapshot,
-                registry=self.registry,
-            )
         self._started = True
         self._started_at = time.time()
         return self
@@ -192,22 +190,26 @@ class ServeApp:
         return self.registry.snapshot()
 
     def shutdown(self, timeout=60.0):
-        """Graceful drain: finish in-flight work, persist, flush, close."""
+        """Graceful drain: finish in-flight work, then record the serve
+        run, write the telemetry file and export the retained trees."""
         if self._shutdown_done:
             return True
         self._shutdown_done = True
         drained = self.pool.drain(timeout=timeout)
         if self.ledger_dir is not None:
             self._record_serve_run()
-        if self._telemetry is not None:
-            self._telemetry.close()
+        if self.telemetry_out:
+            atomic_write_text(
+                self.telemetry_out, render_promtext(self._snapshot())
+            )
         if self.trace_out:
             from ..obs import write_trace
 
             write_trace(
-                self.trace_out, self.obs.tracer.to_records(),
+                self.trace_out, self.obs.store.records(),
                 metrics=self._snapshot(),
-                meta={"kind": "serve", "databases": self.databases},
+                meta={"kind": "serve", "databases": self.databases,
+                      "window": self.obs.store.window()},
             )
         return drained
 
@@ -362,15 +364,12 @@ class ServeApp:
             self.registry.inc(
                 f"serve.tenant.{key}", int(count), tenant=tenant.name
             )
-        detail = result.debug_payload()
-        if request.question_id:
-            detail["question_id"] = request.question_id
-        if self._telemetry is not None:
-            self._telemetry.publish()
+        extra = {"question_id": request.question_id} \
+            if request.question_id else {}
         return (
             200, ask_response(request, request_id, result, correct), {},
-            _request_record(tenant.name, result, detail,
-                            result.context.tracer),
+            _request_record(tenant.name, result, result.context.tracer,
+                            **extra),
         )
 
     def _handle_feedback(self, request, params, request_id):
@@ -380,7 +379,7 @@ class ServeApp:
         # A throwaway per-request solver: ask + recommend only, nothing
         # staged or applied, so concurrent feedback requests never share
         # mutable session state (offline tools own staging/approval).
-        # Its tracer reaches the serve tracer only through the record.
+        # Its tracer reaches the request store only through the record.
         solver = FeedbackSolver(tenant.pipeline)
         result = solver.ask(request.question)
         recommendations = solver.give_feedback(request.feedback)
@@ -388,16 +387,13 @@ class ServeApp:
         self.registry.inc("serve.tenant.requests", tenant=tenant.name)
         self.registry.inc("serve.tenant.failures", int(not result.success),
                           tenant=tenant.name)
-        detail = result.debug_payload()
-        detail["feedback"] = request.feedback
-        detail["recommendations"] = len(recommendations)
-        if self._telemetry is not None:
-            self._telemetry.publish()
         return (
             200,
             feedback_response(request, request_id, result, recommendations),
             {},
-            _request_record(tenant.name, result, detail, solver.tracer),
+            _request_record(tenant.name, result, solver.tracer,
+                            feedback=request.feedback,
+                            recommendations=len(recommendations)),
         )
 
     # -- introspection handlers (event loop) -----------------------------
@@ -439,33 +435,30 @@ class ServeApp:
             "admitted": stats["admitted"],
             "rejected": stats["rejected"],
             "outcomes": len(self._outcomes),
-            "flight": self.obs.flight.stats(),
+            "flight": self.obs.store.stats(),
         }, {}
 
     def _handle_metrics(self, request, params, request_id):
         """Prometheus text exposition of the live metrics registry."""
-        from ..obs.telemetry import render_promtext
-
         return 200, render_promtext(self._snapshot()), {
             "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
         }
 
     def _handle_debug_requests(self, request, params, request_id):
-        """The newest 100 ``serve.request`` spans the tracer retains."""
-        spans = [
-            span for span in reversed(self.obs.tracer.finished_spans())
-            if span.name == "serve.request"
-        ]
+        """The newest 100 requests the store retains."""
+        trees = self.obs.store.trees()[::-1][:100]
         return 200, {
-            "requests": [request_summary(span) for span in spans[:100]],
+            "requests": [request_summary(tree.root) for tree in trees],
         }, {}
 
     def _handle_debug_trace(self, request, params, request_id):
         trace_id = params["trace_id"]
-        spans = [
-            span.to_record() for span in self.obs.tracer.finished_spans()
-            if span.trace_id == trace_id
-        ]
+        spans = sorted(
+            (span for tree in self.obs.store.trees()
+             if tree.root.trace_id == trace_id for span in tree.spans),
+            key=lambda span: (span.start_ms, span.span_id),
+        )
+        spans = [span.to_record() for span in spans]
         if not spans:
             raise HTTPError(
                 404, "unknown trace", detail={"trace_id": trace_id},
@@ -479,9 +472,14 @@ class ServeApp:
         }, {}
 
     def _handle_debug_errors(self, request, params, request_id):
+        """The retained failed, slow and sampled requests, newest first,
+        each with its handler's detail."""
         return 200, {
-            "errors": self.obs.flight.entries(),
-            "stats": self.obs.flight.stats(),
+            "errors": [
+                tree.error_entry() for tree in self.obs.store.trees()[::-1]
+                if tree.klass != "recent"
+            ],
+            "stats": self.obs.store.stats(),
         }, {}
 
     # -- the serve-run ledger record -------------------------------------
@@ -556,9 +554,10 @@ class ServeApp:
             }
         self.last_run_id = self._ledger().record_run(
             record,
-            timing=build_timing(self.obs.tracer.to_records()),
+            timing=build_timing(self.obs.store.records()),
             meta={"databases": self.databases,
                   "pool": self.pool.stats(),
-                  "requests": request_index},
+                  "requests": request_index,
+                  "window": self.obs.store.window()},
         )
         return self.last_run_id

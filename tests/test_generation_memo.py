@@ -222,8 +222,8 @@ class TestVisibility:
         assert answers[0]["sql"] == answers[1]["sql"]
         assert answers[1]["cost_usd"] == 0.0 < answers[0]["cost_usd"]
         entries = {
-            entry["request_id"]: entry["detail"]
-            for entry in app.obs.flight.entries()
+            tree.root.attributes["request_id"]: tree.detail
+            for tree in app.obs.store.trees()
         }
         generated, hit = entries["memo-0"], entries["memo-1"]
         assert hit["operator_digests"] == generated["operator_digests"]

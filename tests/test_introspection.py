@@ -1,7 +1,7 @@
 """Tests for the live introspection plane (DESIGN.md §6i): W3C trace
-context propagation, the /metrics and /debug endpoints, the failure
-flight recorder, header validation, and the loadgen slowest-request
-report."""
+context propagation, the /metrics and /debug endpoints, the request
+store's retention policy, header validation, and the loadgen
+slowest-request report."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import threading
 
 import pytest
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.render import load_trace
 from repro.obs.tracing import (
     Tracer,
     current_trace_id,
@@ -28,6 +28,8 @@ from repro.obs.tracing import (
 from repro.serve import ServeApp, ServerThread
 from repro.serve.loadgen import summarize
 from repro.serve.middleware import (
+    SERVE_TRACER_SPANS,
+    RequestStore,
     request_id_from_headers,
     trace_context_from_headers,
 )
@@ -132,15 +134,6 @@ class TestTraceContext:
         # records stay byte-identical to the pre-introspection schema.
         assert "trace_id" not in records["outside"]
 
-    def test_tracer_max_finished_bounds_retention(self):
-        tracer = Tracer(max_finished=5)
-        for index in range(20):
-            with tracer.span(f"s{index}"):
-                pass
-        spans = tracer.finished_spans()
-        assert len(spans) == 5
-        assert spans[-1].name == "s19"
-
     def test_overlapping_spans_do_not_pop_each_other(self):
         tracer = Tracer()
         outer = tracer.span("outer")
@@ -208,85 +201,242 @@ class TestHeaderValidation:
         assert parse_traceparent(echo)[0] == trace_id
 
 
-# -- the flight recorder ------------------------------------------------------
+# -- the request store --------------------------------------------------------
+
+
+def _finished_tree(request_id, size, status=200, latency_ms=1.0):
+    """A finished ``serve.request`` root of ``size`` spans, on its tracer."""
+    tracer = Tracer()
+    with tracer.span("serve.request", route="ask", method="POST",
+                     path="/ask", request_id=request_id) as root:
+        for _ in range(size - 1):
+            with tracer.span("op"):
+                pass
+        root.set_attr("status", status)
+        root.set_attr("tenant", "t")
+    root.duration_ms = latency_ms
+    return root, tracer
+
+
+def _serve(app, request_id, size, failed=False, built=None):
+    """Drive one request of ``size`` spans through the middleware, with a
+    handler run of ``size - 1`` spans; returns its trace id."""
+    trace_id = mint_trace_id()
+
+    def detail():
+        if built is not None:
+            built.append(request_id)
+        return {"request_id": request_id}
+
+    with app.obs.request("POST", "/ask", "ask", request_id,
+                         trace_id=trace_id) as holder:
+        run = Tracer()
+        with run.span("generate"):
+            for _ in range(size - 2):
+                with run.span("op"):
+                    pass
+        holder.update(status=200, tenant="t", failed=failed,
+                      debug={"tracer": run, "detail": detail})
+    return trace_id
+
+
+def _bare_app(tmp_path=None, **kwargs):
+    """A ``ServeApp`` with no tenants: its debug views over synthetic
+    requests driven through its middleware."""
+    trace_out = str(tmp_path / "trace.jsonl") if tmp_path else None
+    return ServeApp(registry=MetricsRegistry(), trace_out=trace_out,
+                    **kwargs)
 
 
 class TestFlightRecorder:
+    """The ``/debug/errors`` retention policy: the request store's
+    classes, reported as ``/healthz``'s ``flight`` stats."""
+
     def test_classification_priority(self):
-        flight = FlightRecorder(slow_ms=100.0, sample_every=0)
-        assert flight.classify(500, False, 1.0) == "failed"
-        assert flight.classify(200, True, 1.0) == "failed"
+        store = RequestStore(slow_ms=100.0, sample_every=0)
+        assert store.classify(500, False, 1.0) == "failed"
+        assert store.classify(200, True, 1.0) == "failed"
         # failed wins over slow even when both apply
-        assert flight.classify(503, False, 500.0) == "failed"
-        assert flight.classify(200, False, 500.0) == "slow"
-        assert flight.classify(200, False, 1.0) is None
+        assert store.classify(503, False, 500.0) == "failed"
+        assert store.classify(200, False, 500.0) == "slow"
+        assert store.classify(200, False, 1.0) == "recent"
 
     def test_sampling_cadence(self):
-        flight = FlightRecorder(slow_ms=1e9, sample_every=3)
+        store = RequestStore(slow_ms=1e9, sample_every=3)
         classes = [
-            flight.classify(200, False, 1.0) for _ in range(7)
+            store.classify(200, False, 1.0) for _ in range(7)
         ]
         assert classes == [
-            "sampled", None, None, "sampled", None, None, "sampled",
+            "sampled", "recent", "recent", "sampled", "recent", "recent",
+            "sampled",
         ]
 
     def test_sample_every_one_keeps_everything(self):
-        flight = FlightRecorder(slow_ms=1e9, sample_every=1)
+        store = RequestStore(slow_ms=1e9, sample_every=1)
         assert all(
-            flight.classify(200, False, 1.0) == "sampled"
+            store.classify(200, False, 1.0) == "sampled"
             for _ in range(5)
         )
 
     def test_retention_policy_failed_beats_slow_beats_sampled(self):
-        flight = FlightRecorder(capacity=4, slow_ms=100.0,
-                                sample_every=1)
-        for index in range(4):
-            flight.record("sampled", {"id": f"sampled-{index}"})
-        flight.record("slow", {"id": "slow-0"})
-        flight.record("failed", {"id": "failed-0"})
-        # Two sampled entries evicted (oldest first), slow and failed
+        store = RequestStore(slow_ms=100.0, sample_every=1)
+        size = SERVE_TRACER_SPANS // 4      # four trees fill the store
+
+        def add(request_id, status=200, latency_ms=1.0):
+            root, tracer = _finished_tree(request_id, size, status,
+                                          latency_ms)
+            return store.observe(
+                root, tracer.finished_spans(), False, dict,
+            ).klass
+
+        def kept():
+            return {
+                tree.root.attributes["request_id"]
+                for tree in store.trees()
+            }
+
+        assert [add(f"sampled-{index}") for index in range(4)] == \
+            ["sampled"] * 4
+        assert add("slow-0", latency_ms=500.0) == "slow"
+        assert add("failed-0", status=500) == "failed"
+        # The two newest trees are the newest half of the budget; two
+        # sampled trees are evicted (oldest first), slow and failed
         # retained alongside the two newest sampled.
-        kept = {entry["id"] for entry in flight.entries()}
-        assert kept == {"sampled-2", "sampled-3", "slow-0", "failed-0"}
+        assert kept() == {"sampled-2", "sampled-3", "slow-0", "failed-0"}
         # More failures evict sampled, then slow — never older failures
         # while lower classes remain.
         for index in range(1, 4):
-            flight.record("failed", {"id": f"failed-{index}"})
-        kept = {entry["id"] for entry in flight.entries()}
-        assert kept == {"failed-0", "failed-1", "failed-2", "failed-3"}
+            add(f"failed-{index}", status=500)
+        assert kept() == {"failed-0", "failed-1", "failed-2", "failed-3"}
         # Only when everything retained is failed does the oldest
         # failure go.
-        flight.record("failed", {"id": "failed-4"})
-        kept = {entry["id"] for entry in flight.entries()}
-        assert kept == {"failed-1", "failed-2", "failed-3", "failed-4"}
+        add("failed-4", status=500)
+        assert kept() == {"failed-1", "failed-2", "failed-3", "failed-4"}
+        # The newest request is kept whatever the older ones are.
+        add("sampled-late")
+        assert kept() == {
+            "failed-2", "failed-3", "failed-4", "sampled-late",
+        }
+        stats = store.stats()
+        assert stats["spans"] == SERVE_TRACER_SPANS
+        assert stats["evicted"] == 7
+        assert stats["retained"] == {
+            "failed": 3, "slow": 0, "sampled": 1, "recent": 0,
+        }
 
     def test_entries_newest_first_and_class_filter(self):
-        flight = FlightRecorder(capacity=8)
-        flight.record("sampled", {"id": "a"})
-        flight.record("failed", {"id": "b"})
-        flight.record("sampled", {"id": "c"})
-        ids = [entry["id"] for entry in flight.entries()]
-        assert ids == ["c", "b", "a"]
-        assert [e["id"] for e in flight.entries(klass="failed")] == ["b"]
-        assert [e["id"] for e in flight.entries(limit=1)] == ["c"]
+        app = _bare_app(sample_every=2)
+        for request_id in ("a", "b", "c", "d"):
+            _serve(app, request_id, 2, failed=request_id == "b")
+        # a sampled, b failed, c sampled, d recent: every tree is kept,
+        # and /debug/errors lists the classified ones newest first.
+        status, listing, _ = app._handle_debug_requests(None, {}, "")
+        assert [r["request_id"] for r in listing["requests"]] == \
+            ["d", "c", "b", "a"]
+        status, errors, _ = app._handle_debug_errors(None, {}, "")
+        assert [(e["request_id"], e["class"]) for e in errors["errors"]] \
+            == [("c", "sampled"), ("b", "failed"), ("a", "sampled")]
+        assert [e["seq"] for e in errors["errors"]] == [3, 2, 1]
+        assert errors["errors"][1]["detail"] == {"request_id": "b"}
 
     def test_observe_lazy_entry_and_stats(self):
         built = []
-
-        def entry():
-            built.append(1)
-            return {"id": "x"}
-
-        flight = FlightRecorder(capacity=2, slow_ms=1e9, sample_every=0)
-        assert flight.observe(200, False, 1.0, entry) is None
-        assert not built          # boring request: entry never built
-        assert flight.observe(500, False, 1.0, entry) == "failed"
-        assert built == [1]
-        stats = flight.stats()
+        app = _bare_app(sample_every=0)
+        _serve(app, "boring", 2, built=built)
+        assert not built          # boring request: detail never built
+        _serve(app, "broken", 2, failed=True, built=built)
+        assert built == ["broken"]
+        stats = app.obs.store.stats()
         assert stats["seen"] == 2
-        assert stats["retained"]["failed"] == 1
+        assert stats["retained"] == {
+            "failed": 1, "slow": 0, "sampled": 0, "recent": 1,
+        }
         assert stats["recorded"]["failed"] == 1
         assert stats["evicted"] == 0
+        assert stats["spans"] == 4
+        (recent,) = [t for t in app.obs.store.trees() if t.klass == "recent"]
+        assert recent.detail is None
+
+
+class TestWholeTreeRetention:
+    """Regression probes: the serve debug plane once trimmed its tracer
+    one span at a time, oldest first, beside a separate flight recorder
+    of request summaries."""
+
+    def test_every_retained_span_keeps_its_root(self, tmp_path):
+        app = _bare_app(tmp_path, sample_every=10)
+        sizes = (14, 2, 2, 2, 14, 2)
+        for index in range(3000):
+            _serve(app, f"mixed-{index}", sizes[index % len(sizes)])
+        app.shutdown()
+        trace = load_trace(str(tmp_path / "trace.jsonl"))
+        by_trace = {}
+        for span in trace["spans"]:
+            by_trace.setdefault(span["trace_id"], []).append(span)
+        assert sum(map(len, by_trace.values())) <= SERVE_TRACER_SPANS
+        for spans in by_trace.values():
+            ids = {span["span_id"] for span in spans}
+            roots = [s for s in spans if s["parent_id"] not in ids]
+            assert [root["name"] for root in roots] == ["serve.request"]
+            size = 14 if len(spans) > 2 else 2
+            assert len(spans) == size
+        assert trace["meta"]["window"]["seen"] == 3000
+        assert sum(trace["meta"]["window"]["retained"].values()) == \
+            len(by_trace)
+
+    def test_first_failure_outlives_healthy_traffic(self):
+        app = _bare_app(sample_every=10)
+        failed = _serve(app, "first-failure", 14, failed=True)
+        for index in range(3000):
+            _serve(app, f"healthy-{index}", 2)
+        status, errors, _ = app._handle_debug_errors(None, {}, "")
+        (entry,) = [
+            e for e in errors["errors"] if e["request_id"] == "first-failure"
+        ]
+        assert entry["class"] == "failed"
+        assert entry["trace_id"] == failed
+        status, trace, _ = app._handle_debug_trace(
+            None, {"trace_id": failed}, ""
+        )
+        assert status == 200
+        assert len(trace["spans"]) == 14
+        assert trace["spans"][0]["name"] == "serve.request"
+
+    def test_newest_requests_survive_a_store_of_classified_trees(self):
+        app = _bare_app(sample_every=10)
+        for index in range(5000):
+            _serve(app, f"healthy-{index}", 14)
+        # Sampled trees fill the older half; then failures well past what
+        # the store can hold, then one more healthy request.
+        for index in range(300):
+            _serve(app, f"failed-{index}", 14, failed=True)
+        latest = _serve(app, "latest", 14)
+        stats = app.obs.store.stats()
+        assert stats["spans"] <= SERVE_TRACER_SPANS
+        assert stats["retained"]["failed"] > 0
+        status, listing, _ = app._handle_debug_requests(None, {}, "")
+        assert [r["request_id"] for r in listing["requests"][:3]] == \
+            ["latest", "failed-299", "failed-298"]
+        status, trace, _ = app._handle_debug_trace(
+            None, {"trace_id": latest}, ""
+        )
+        assert status == 200
+        assert len(trace["spans"]) == 14
+
+    def test_overlapping_requests_are_separate_roots(self):
+        app = _bare_app()
+        first = app.obs.request("GET", "/healthz", "healthz", "first")
+        second = app.obs.request("GET", "/healthz", "healthz", "second")
+        for holder in (first.__enter__(), second.__enter__()):
+            holder["status"] = 200
+        first.__exit__(None, None, None)
+        second.__exit__(None, None, None)
+        roots = [tree.root for tree in app.obs.store.trees()]
+        assert [root.attributes["request_id"] for root in roots] == \
+            ["first", "second"]
+        assert [root.parent_id for root in roots] == [None, None]
+        # both trees are on one clock
+        assert roots[0].start_ms <= roots[1].start_ms
 
 
 # -- adopting a finished run's spans -----------------------------------------
@@ -316,17 +466,6 @@ class TestTracerAdopt:
             original["plan"].start_ms + shift_ms
         )
         assert original["generate"].parent_id is None
-
-    def test_adopt_respects_the_bound(self):
-        serve = Tracer(max_finished=3)
-        run = Tracer()
-        for index in range(5):
-            with run.span(f"s{index}"):
-                pass
-        serve.adopt(run, None)
-        assert [span.name for span in serve.finished_spans()] == [
-            "s2", "s3", "s4",
-        ]
 
 
 # -- loadgen slowest-request report -------------------------------------------
@@ -520,7 +659,7 @@ class TestDebugEndpoints:
         detail = body["tenant_detail"]["sports_holdings"]
         assert detail["requests"] >= 1
         assert detail["failures"] >= 1      # the forced failure above
-        assert body["flight"]["capacity"] == 64
+        assert body["flight"]["max_spans"] == SERVE_TRACER_SPANS
 
     def test_access_log_is_json(self, debug_server, caplog):
         with caplog.at_level(logging.INFO, logger="repro.serve"):
@@ -583,6 +722,10 @@ class TestLedgerTraceRoundTrip:
         }
         # The content-addressed record body must stay id-free: ids live
         # in volatile meta only, preserving sweep byte-equivalence.
+        # The meta also states the window the run's timing covers.
+        window = meta["window"]
+        assert window["seen"] >= 1
+        assert sum(window["retained"].values()) == window["seen"]
         record = ledger.read_record(run_id)
         assert trace_id not in json.dumps(record)
         assert "ledger-trace-1" not in json.dumps(record)

@@ -504,19 +504,20 @@ class TestRequestRecord:
             assert asyncio.run(scenario()) == (504, 400)
         finally:
             app.shutdown()
+        _, errors, _ = app._handle_debug_errors(None, {}, "")
         entries = {
-            entry["status"]: entry for entry in app.obs.flight.entries()
+            entry["status"]: entry for entry in errors["errors"]
             if entry["request_id"] == "dup-1"
         }
         assert set(entries) == {504, 400}
         for entry in entries.values():
             assert entry["tenant"] == ""
             assert entry["detail"] == {}
-        # The late worker's pipeline spans never reach the serve tracer:
+        # The late worker's pipeline spans never reach the request store:
         # it holds the two requests' roots and nothing else.
         assert [
             (span.name, span.trace_id)
-            for span in app.obs.tracer.finished_spans()
+            for tree in app.obs.store.trees() for span in tree.spans
         ] == [
             ("serve.request", entry["trace_id"])
             for entry in sorted(entries.values(), key=lambda e: e["seq"])
@@ -591,7 +592,7 @@ class TestRequestRecord:
         app.shutdown()
 
 
-# -- one span store: the serve tracer ------------------------------------------
+# -- one span store: the request store -----------------------------------------
 
 
 def _trace_id(headers):
@@ -624,7 +625,7 @@ def _served_ask(app, question, request_id=""):
 
 def _trace_records(app, trace_id):
     return [
-        record for record in app.obs.tracer.to_records()
+        record for record in app.obs.store.records()
         if record.get("trace_id") == trace_id
     ]
 
@@ -651,7 +652,7 @@ class TestServeTracer:
         ]
         assert len(operators) == 9
         assert {*operators, "final_check"} <= {r["name"] for r in records}
-        # Rebased onto the serve tracer's epoch, the tree nests in time.
+        # Rebased onto the request store's epoch, the tree nests in time.
         assert root["start_ms"] <= generate["start_ms"]
         assert generate["start_ms"] + generate["duration_ms"] <= \
             root["start_ms"] + root["duration_ms"] + 0.01

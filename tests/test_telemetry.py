@@ -1,20 +1,18 @@
-"""Streaming exporter tests: promtext and the push sink.
+"""Exporter tests: promtext and the end-of-run telemetry file.
 
 Covers DESIGN.md §6g's exporter half — Prometheus text that round-trips
-through ``scripts/check_promtext.py``, and the :class:`TelemetrySink`
-lifecycle (atomic writes, coalescing, drop accounting, final-snapshot
-flush).
+through ``scripts/check_promtext.py``, and the ``--telemetry-out`` file
+written once when a run ends.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import threading
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
-    TelemetrySink,
+    atomic_write_text,
     render_promtext,
     sanitize_metric_name,
     split_metric_key,
@@ -117,61 +115,27 @@ class TestPromtext:
         assert problems
 
 
-class TestTelemetrySink:
-    def test_publish_and_close_write_final_state(self, tmp_path):
-        registry = make_registry()
+class TestTelemetryFile:
+    def test_end_of_run_file_lints_and_holds_final_state(
+        self, tmp_path, monkeypatch
+    ):
+        from argparse import Namespace
+
+        from repro.bench.harness import ExperimentContext, _finish
+        from repro.obs import metrics
+
+        # A registry of the test's own stands in for the process-wide one.
+        monkeypatch.setattr(metrics, "METRICS", MetricsRegistry())
+        metrics.get_metrics().inc("telemetry_probe.runs", 3)
         path = tmp_path / "metrics.prom"
-        sink = TelemetrySink(path, registry=registry)
-        assert sink.publish()
-        registry.inc("pipeline.runs")  # after the first publish
-        sink.close()
+        args = Namespace(experiment="table1", trace_out=None,
+                         metrics=False, telemetry_out=str(path))
+        _finish(ExperimentContext(), args, out=None)
         text = path.read_text()
-        # close() flushes a *final* snapshot: the late increment lands.
-        assert "pipeline_runs_total 4" in text
-        assert sink.stats()["writes"] >= 1
-        assert sink.stats()["write_errors"] == 0
-
-    def test_full_queue_drops_and_counts(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.inc("x")
-        sink = TelemetrySink(
-            tmp_path / "m.prom", registry=registry, maxsize=1
-        )
-        # Flood faster than the worker can drain; some must drop.
-        results = [sink.publish() for _ in range(200)]
-        sink.close()
-        stats = sink.stats()
-        assert stats["published"] + stats["dropped"] == 200
-        assert results.count(False) == stats["dropped"]
-        # Dropping is recorded in the registry too.
-        if stats["dropped"]:
-            assert registry.snapshot()["counters"]["telemetry.dropped"] \
-                == stats["dropped"]
-
-    def test_publish_after_close_is_refused(self, tmp_path):
-        sink = TelemetrySink(
-            tmp_path / "m.prom", registry=MetricsRegistry()
-        )
-        sink.close()
-        assert sink.publish() is False
-        sink.close()  # idempotent
-
-    def test_concurrent_publishers_leave_a_parseable_file(self, tmp_path):
-        checker = _load_checker()
-        registry = make_registry()
-        path = tmp_path / "m.prom"
-        sink = TelemetrySink(path, registry=registry)
-
-        def hammer():
-            for _ in range(50):
-                registry.inc("pipeline.runs")
-                sink.publish()
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        sink.close()
-        # Atomic replace-writes: the file is always one whole snapshot.
-        assert checker.lint_promtext(path.read_text(), "m.prom") == []
+        assert _load_checker().lint_promtext(text, "metrics.prom") == []
+        # The file is the registry at the end of the run.
+        assert "telemetry_probe_runs_total 3" in text
+        # A second write replaces the file whole.
+        atomic_write_text(path, render_promtext(make_registry().snapshot()))
+        assert "telemetry_probe" not in path.read_text()
+        assert os.listdir(tmp_path) == ["metrics.prom"]

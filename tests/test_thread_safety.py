@@ -181,17 +181,37 @@ class TestMetricsRegistryContention:
         assert histogram["count"] == THREADS * ROUNDS
 
 
+def _observe_tree(store, request_id, size, status=200, latency_ms=1.0,
+                  trace_id=""):
+    """Hand ``store`` one finished request tree of ``size`` spans: the
+    ``serve.request`` root and a handler run adopted under it."""
+    from repro.obs.tracing import Tracer, use_trace_context
+
+    tracer = Tracer()
+    with use_trace_context(trace_id):
+        with tracer.span("serve.request", route="ask", method="POST",
+                         path="/ask", request_id=request_id) as root:
+            run = Tracer()
+            with run.span("generate"):
+                for _ in range(size - 2):
+                    with run.span("op"):
+                        pass
+            root.set_attr("status", status)
+            root.set_attr("tenant", "t")
+    root.duration_ms = latency_ms
+    tracer.adopt(run, root.span_id)
+    return store.observe(root, tracer.finished_spans(), False, dict)
+
+
 class TestIntrospectionRings:
-    """The serving layer's bounded stores (the flight recorder and the
-    serve tracer) stay bounded and race-free under N barrier-started
-    writer threads (DESIGN.md §6i)."""
+    """The serving layer's one bounded store, the request store, stays
+    bounded, whole-tree and race-free under N barrier-started writer
+    threads (DESIGN.md §6i)."""
 
     def test_flight_recorder_bounded_with_priority_intact(self):
-        from repro.obs.flight import FlightRecorder
+        from repro.serve.middleware import SERVE_TRACER_SPANS, RequestStore
 
-        capacity = 16
-        flight = FlightRecorder(capacity=capacity, slow_ms=100.0,
-                                sample_every=2)
+        store = RequestStore(slow_ms=100.0, sample_every=2)
         statuses = [(500, 0.0), (200, 500.0), (200, 1.0)]
 
         def worker(index):
@@ -199,76 +219,79 @@ class TestIntrospectionRings:
                 status, latency = statuses[
                     (index + round_number) % len(statuses)
                 ]
-                flight.observe(
-                    status, False, latency,
-                    {"id": f"{index}-{round_number}"},
-                )
+                _observe_tree(store, f"{index}-{round_number}", 8,
+                              status, latency)
 
         _hammer(worker)
-        stats = flight.stats()
+        stats = store.stats()
         assert stats["seen"] == THREADS * ROUNDS
-        retained = sum(stats["retained"].values())
-        assert retained <= capacity
-        assert len(flight.entries()) == retained
+        trees = store.trees()
+        assert sum(stats["retained"].values()) == len(trees)
+        assert stats["spans"] == sum(len(tree.spans) for tree in trees)
+        assert stats["spans"] <= SERVE_TRACER_SPANS
         # every failed observation was recorded, and with failures
-        # saturating the ring, the survivors are all top-priority.
+        # saturating the store, the survivors past the newest half of
+        # the budget are all top-priority.
         expected_failed = sum(
             1 for index in range(THREADS)
             for round_number in range(ROUNDS)
             if statuses[(index + round_number) % len(statuses)][0] == 500
         )
         assert stats["recorded"]["failed"] == expected_failed
-        assert all(
-            entry["class"] == "failed" for entry in flight.entries()
+        newest = SERVE_TRACER_SPANS // 2 // 8
+        assert all(tree.klass == "failed" for tree in trees[:-newest])
+        # the newest half holds the newest requests, whatever their class.
+        assert [tree.seq for tree in trees[-newest:]] == list(
+            range(THREADS * ROUNDS - newest + 1, THREADS * ROUNDS + 1)
         )
 
     def test_tracer_bounded_under_concurrent_adoption(self):
-        from repro.obs.tracing import Tracer
+        from repro.serve.middleware import SERVE_TRACER_SPANS, RequestStore
 
-        serve = Tracer(max_finished=64)
+        store = RequestStore(sample_every=0)
 
         def worker(index):
             for round_number in range(ROUNDS):
-                run = Tracer()
-                with run.span("generate", worker=index):
-                    with run.span("plan"):
-                        pass
-                serve.adopt(run, f"root-{index}-{round_number}")
+                _observe_tree(store, f"root-{index}-{round_number}",
+                              2 + (index + round_number) % 5)
 
         _hammer(worker)
-        spans = serve.finished_spans()
-        assert len(spans) == 64
-        by_id = {span.span_id: span for span in spans}
-        for span in spans:
-            # each run's root is parented under its own request, and a
-            # child's parent is a span of the same run.
-            if span.name == "generate":
-                assert span.parent_id.startswith(
-                    f"root-{span.attributes['worker']}-"
-                )
-            elif span.parent_id in by_id:
-                assert by_id[span.parent_id].name == "generate"
+        trees = store.trees()
+        spans = [span for tree in trees for span in tree.spans]
+        assert SERVE_TRACER_SPANS - 6 < len(spans) <= SERVE_TRACER_SPANS
+        assert len({span.span_id for span in spans}) == len(spans)
+        for tree in trees:
+            # each tree is whole: its root first, the run's root parented
+            # under it, every other span under a span of the same tree.
+            ids = {span.span_id for span in tree.spans}
+            assert tree.spans[0] is tree.root
+            assert tree.root.name == "serve.request"
+            for span in tree.spans[1:]:
+                assert span.parent_id in ids
+                if span.name == "generate":
+                    assert span.parent_id == tree.root.span_id
 
     def test_tracer_bounded_under_concurrent_spans(self):
-        from repro.obs.tracing import Tracer, use_trace_context
+        from repro.serve.middleware import SERVE_TRACER_SPANS, RequestStore
 
-        tracer = Tracer(max_finished=64)
+        store = RequestStore(sample_every=0)
 
         def worker(index):
-            with use_trace_context(f"{index:032x}"):
-                for _ in range(ROUNDS):
-                    with tracer.span("hammer", worker=index):
-                        pass
+            for round_number in range(ROUNDS):
+                _observe_tree(store, f"{index}-{round_number}", 3,
+                              trace_id=f"{index:032x}")
 
         _hammer(worker)
-        spans = tracer.finished_spans()
-        assert len(spans) == 64
+        trees = store.trees()
+        assert len(trees) == SERVE_TRACER_SPANS // 3
         # every retained span carries the trace id of the thread that
         # opened it — ambient contexts never bled across threads.
-        assert all(
-            span.trace_id == f"{span.attributes['worker']:032x}"
-            for span in spans
-        )
+        for tree in trees:
+            worker_index = tree.root.attributes["request_id"].split("-")[0]
+            assert all(
+                span.trace_id == f"{int(worker_index):032x}"
+                for span in tree.spans
+            )
 
 
 class TestLedgerConcurrentWriters:
