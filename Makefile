@@ -53,6 +53,8 @@
 #                   serve.request with generate under it), scrape
 #                   /metrics through the promtext linter, force one
 #                   failing request and reconstruct it from /debug/errors;
+#                   a 50 ms request deadline past a slowed operator must
+#                   answer 504 and free its worker within that operator;
 #                   after memo hits past the span bound its trace must
 #                   still be one serve.request tree; the --trace-out
 #                   export written on shutdown must hold the generate and

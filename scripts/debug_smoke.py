@@ -18,10 +18,14 @@ debug surface end to end:
    without re-running: retention class ``failed``, the operator digest
    trail, and the forced error text;
 4. ``/debug/requests`` must list both requests with their trace ids;
-5. enough generation-memo hits (2 spans each) to pass the request
+5. a request deadline bounds the work: with ``reformulate`` slowed past
+   it, an ``/ask`` with ``deadline_ms`` 50 must answer 504, ``/healthz``
+   must show nothing in flight within that operator's sleep plus slack,
+   and the next operator must never start;
+6. enough generation-memo hits (2 spans each) to pass the request
    store's span bound must leave the failed request retained:
    ``/debug/traces/{id}`` still answers it as one ``serve.request`` tree;
-6. the ``--trace-out`` export the app writes on shutdown, next to
+7. the ``--trace-out`` export the app writes on shutdown, next to
    ``argv[1]`` as ``trace.jsonl``, must hold the pipeline's
    ``generate`` and ``final_check`` spans (a cold ask after the memo
    hits supplies them) and state its window: every request seen.
@@ -33,6 +37,7 @@ import http.client
 import json
 import os
 import sys
+import time
 
 sys.path.insert(0, "src")
 
@@ -42,6 +47,10 @@ from repro.serve.middleware import SERVE_TRACER_SPANS  # noqa: E402
 
 TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
 TRACE_ID = "ab" * 16
+#: How long step 5 slows ``reformulate``, and the slack on top of it
+#: within which the worker's slot must be free again after the 504.
+SLOWED_S = 0.2
+SLACK_S = 0.5
 
 
 def request(port, method, path, payload=None, headers=None):
@@ -182,7 +191,43 @@ def main(argv):
         if not {"smoke-ok-1", "smoke-fail-1"} <= ids:
             return fail(f"/debug/requests incomplete: {sorted(ids)}")
 
-        # 5. pass the span bound with memo hits; the failure stays whole.
+        # 5. the request's deadline stops the run at the next operator
+        # boundary, so the slot is back within the slowed operator.
+        slowed, after = pipeline.operators[:2]
+        started = []
+
+        def slow(context, run=slowed.run):
+            time.sleep(SLOWED_S)
+            return run(context)
+
+        def record(context, run=after.run):
+            started.append(after.name)
+            return run(context)
+
+        slowed.run, after.run = slow, record
+        try:
+            status, _, body = request(
+                server.port, "POST", "/ask",
+                {"question": "How many teams are there?",
+                 "tenant": "sports_holdings", "deadline_ms": 50},
+            )
+            answered = time.monotonic()
+            if status != 504:
+                return fail(f"deadline ask answered {status}: {body!r}")
+            while True:
+                _, _, health = request(server.port, "GET", "/healthz")
+                if health["inflight"] == 0:
+                    break
+                if time.monotonic() - answered > SLOWED_S + SLACK_S:
+                    return fail(f"slot still held {SLOWED_S + SLACK_S}s "
+                                f"after the 504")
+                time.sleep(0.005)
+        finally:
+            del slowed.run, after.run
+        if started:
+            return fail(f"{after.name} started after the deadline")
+
+        # 6. pass the span bound with memo hits; the failure stays whole.
         hits = SERVE_TRACER_SPANS // 2 + 64
         for index in range(hits):
             status, _, body = request(
@@ -205,7 +250,7 @@ def main(argv):
         if one_tree(trace) is None:
             return fail("failed trace lost its serve.request root")
 
-        # 6's pipeline spans: one cold ask, newest in the store.
+        # 7's pipeline spans: one cold ask, newest in the store.
         status, _, body = request(
             server.port, "POST", "/ask",
             {"question": "How many organisations are there?",
@@ -216,7 +261,7 @@ def main(argv):
     finally:
         server.stop()
 
-    # 6. the shutdown export holds the pipeline spans and its window.
+    # 7. the shutdown export holds the pipeline spans and its window.
     exported = load_trace(trace_out)
     names = {span["name"] for span in exported["spans"]}
     if not {"generate", "final_check"} <= names:
@@ -229,7 +274,8 @@ def main(argv):
     print(
         "debug-smoke: ok — traceparent round-trip to one span tree, "
         "/metrics scrape, failed request reconstructed from "
-        "/debug/errors and still one tree after "
+        "/debug/errors, a 504 whose slot came back within one operator, "
+        "the failed request still one tree after "
         f"{hits} memo hits, pipeline spans and window in the "
         "--trace-out export"
     )

@@ -42,6 +42,8 @@ from .feedback.solver import FeedbackSolver
 from .knowledge.library import KnowledgeLibrary
 from .knowledge.versioning import KnowledgeSetHistory
 from .pipeline.pipeline import GenEditPipeline
+from .serve.app import DEFAULT_DEADLINE_MS, DEFAULT_QUEUE_DEPTH, \
+    DEFAULT_SAMPLE_EVERY, DEFAULT_SLOW_MS, DEFAULT_WORKERS
 from .sql import format_sql, parse
 
 
@@ -1006,16 +1008,18 @@ def build_arg_parser():
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765)
     serve.add_argument(
-        "--workers", type=int, default=4,
-        help="pipeline worker threads (default 4)",
+        "--workers", type=int, default=DEFAULT_WORKERS,
+        help="pipeline worker threads (default %(default)s)",
     )
     serve.add_argument(
-        "--queue-depth", dest="queue_depth", type=int, default=8,
-        help="admitted requests beyond the workers before 429 (default 8)",
+        "--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
+        help="admitted requests beyond the workers before 429 "
+             "(default %(default)s)",
     )
     serve.add_argument(
-        "--deadline-ms", dest="deadline_ms", type=float, default=30_000.0,
-        help="per-request deadline; also the pipelines' retry timeout",
+        "--deadline-ms", type=float, default=DEFAULT_DEADLINE_MS,
+        help="per-request deadline in ms: past it the client gets a 504 "
+             "and the run stops at its next operator (default %(default)s)",
     )
     serve.add_argument(
         "--ledger-dir", dest="ledger_dir", metavar="PATH", default=None,
@@ -1034,14 +1038,14 @@ def build_arg_parser():
              "serve.request span with the pipeline spans under it",
     )
     serve.add_argument(
-        "--slow-ms", dest="slow_ms", type=float, default=5000.0,
+        "--slow-ms", type=float, default=DEFAULT_SLOW_MS,
         help="a request this slow (ms) is retained as slow, with its "
-             "detail, in /debug/errors (default 5000)",
+             "detail, in /debug/errors (default %(default)s)",
     )
     serve.add_argument(
-        "--sample-every", dest="sample_every", type=int, default=10,
+        "--sample-every", type=int, default=DEFAULT_SAMPLE_EVERY,
         help="retain every Nth request as a sampled baseline, with its "
-             "detail (default 10; 0 disables sampling)",
+             "detail (default %(default)s; 0 disables sampling)",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1089,12 +1093,12 @@ def build_arg_parser():
              "or a silent probe",
     )
     loadgen.add_argument(
-        "--workers", type=int, default=4,
-        help="server worker threads (--self only)",
+        "--workers", type=int, default=DEFAULT_WORKERS,
+        help="server worker threads (--self only, default %(default)s)",
     )
     loadgen.add_argument(
-        "--queue-depth", dest="queue_depth", type=int, default=8,
-        help="server queue depth (--self only)",
+        "--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
+        help="server queue depth (--self only, default %(default)s)",
     )
     loadgen.add_argument(
         "--ledger-dir", dest="ledger_dir", metavar="PATH", default=None,

@@ -23,7 +23,7 @@ Every other outcome, live or staged, is read through
 the one generation memo (``database.memo("generation")``, DESIGN.md §6d)
 that the deployed pipeline and the feedback session also read. An entry
 is keyed on ``(knowledge.revision, config, model, linking model,
-timeout_ms, question)`` and scoped to ``database.version``.
+question)`` and scoped to ``database.version``.
 :attr:`~repro.knowledge.store.KnowledgeSet.revision` changes on every
 edit made through the knowledge set's mutators and is shared by a clone,
 so the many submits against one deployed set generate its "before" side
@@ -142,9 +142,9 @@ def run_regression(database, live_knowledge, staged_knowledge,
     Both sides are answered through
     :meth:`~repro.pipeline.pipeline.GenEditPipeline.answer` by
     :meth:`~repro.pipeline.pipeline.GenEditPipeline.with_knowledge` copies
-    of ``pipeline``, the session's deployed pipeline: its config, base LLM
-    and ``timeout_ms`` (which the memo key holds), without its fault
-    injector. With no ``pipeline`` they are default pipelines.
+    of ``pipeline``, the session's deployed pipeline: its config and base
+    LLM (which the memo key holds), without its fault injector. With no
+    ``pipeline`` they are default pipelines.
     """
     baseline_outcomes = {}
     baseline_run_id = ""

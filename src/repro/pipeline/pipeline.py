@@ -9,10 +9,11 @@ reuses an earlier run's outcome on the same inputs (the generation memo,
 DESIGN.md §6d).
 
 Resilience (DESIGN.md §6c): the LLM is always wrapped in a
-:class:`~repro.resilience.ResilientLLM` (retries with recorded backoff and
-the pipeline's soft per-call ``timeout_ms``, plus the fault injector once
-armed; transparent when nothing fails), and
-:meth:`GenEditPipeline.generate` never lets an operator exception escape.
+:class:`~repro.resilience.ResilientLLM` (retries with recorded backoff,
+plus the fault injector once armed; transparent when nothing fails), and
+:meth:`GenEditPipeline.generate` never lets an operator exception escape;
+it raises only :class:`~repro.resilience.DeadlineExceeded`, at the first
+operator boundary past a served request's deadline.
 Optional operators fail *soft*: their fallback leaves a
 degraded-but-usable context, recorded on the operator span
 (``degraded=true`` + reason) and in the metrics registry. Required
@@ -30,11 +31,11 @@ from ..engine.executor import Executor
 from ..llm.simulated import SimulatedLLM
 from ..obs.metrics import get_metrics
 from ..resilience import (
-    LLM_TIMEOUT_MS,
     FaultInjector,
     FaultyExecutor,
     ResilientLLM,
 )
+from ..resilience.policy import check_deadline
 from ..sql.diagnostics import DiagnosticsEngine
 from ..sql.errors import SqlError
 from .base import (
@@ -101,15 +102,13 @@ DEGRADATIONS = {
 class GenEditPipeline:
     """The deployed GenEdit generation pipeline."""
 
-    def __init__(self, database, knowledge, config=None, llm=None,
-                 timeout_ms=None):
+    def __init__(self, database, knowledge, config=None, llm=None):
         self.database = database
         self.knowledge = knowledge
         self.config = config or DEFAULT_CONFIG
-        self.timeout_ms = LLM_TIMEOUT_MS if timeout_ms is None else timeout_ms
         self.fault_injector = None
         self._base_llm = llm or SimulatedLLM()
-        self.llm = ResilientLLM(self._base_llm, self.timeout_ms)
+        self.llm = ResilientLLM(self._base_llm)
         self.operators = self._build_operators()
         self._built = tuple(self.operators)
 
@@ -140,19 +139,18 @@ class GenEditPipeline:
             config, scope=scope or getattr(self.database, "name", ""),
         )
         self.fault_injector = injector
-        self.llm = ResilientLLM(self._base_llm, self.timeout_ms, injector)
+        self.llm = ResilientLLM(self._base_llm, injector)
         self.operators = self._build_operators()
         self._built = tuple(self.operators)
         return injector
 
     def with_knowledge(self, knowledge):
         """A pipeline like this one over ``knowledge``: same database,
-        config, base LLM and ``timeout_ms``, so the same generation memo
-        keys, and no fault injector (DESIGN.md §6d). A feedback
-        session's regenerate and regression answer through these."""
+        config and base LLM, so the same generation memo keys, and no
+        fault injector (DESIGN.md §6d). A feedback session's regenerate
+        and regression answer through these."""
         return GenEditPipeline(
-            self.database, knowledge, config=self.config,
-            llm=self._base_llm, timeout_ms=self.timeout_ms,
+            self.database, knowledge, config=self.config, llm=self._base_llm,
         )
 
     def _make_executor(self, database):
@@ -183,15 +181,15 @@ class GenEditPipeline:
     def _memo_key(self, question):
         return (
             self.knowledge.revision, self.config, self.llm.model,
-            self.llm.linking_model, self.timeout_ms, question,
+            self.llm.linking_model, question,
         )
 
     def answer(self, question):
         """The deployed system's answer to ``question``.
 
         On a generation-memo hit (an earlier :meth:`generate` of this
-        question on the same knowledge revision, database version, config,
-        models and ``timeout_ms``) the result is rebuilt from the stored
+        question on the same knowledge revision, database version, config
+        and models) the result is rebuilt from the stored
         entry: no operator runs, the meter is empty, and the fresh tracer
         holds one ``generate`` span marked ``generation.memo=hit`` with the
         stored digest trail. On a miss it is :meth:`generate`. The registry
@@ -272,7 +270,9 @@ class GenEditPipeline:
 
         Every run runs the operators: evaluation targets measure what a
         configuration costs, so ``generate`` never reads the generation
-        memo. It only records the outcome there, for :meth:`answer`.
+        memo. It only records the outcome there, for :meth:`answer`. A run
+        cut short at an operator boundary past a served request's deadline
+        (:class:`~repro.resilience.DeadlineExceeded`) is not recorded.
         """
         memo = self._generation_memo()
         key = None if memo is None else self._memo_key(question)
@@ -291,6 +291,7 @@ class GenEditPipeline:
         ) as root:
             failure_text = ""
             for operator in self.operators:
+                check_deadline()
                 with context.span(operator.name) as span:
                     try:
                         operator.run(context)
@@ -329,6 +330,7 @@ class GenEditPipeline:
                     f"required operator failed: {failure_text}",
                 )
             else:
+                check_deadline()
                 with context.span("final_check") as check:
                     success, error = self._final_check(context)
                     check.set_attr("success", success)

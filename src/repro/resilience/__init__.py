@@ -7,10 +7,11 @@ wrapper around every simulated LLM operator method: each attempt passes
 through an optional :class:`FaultInjector`, errors are classified as
 retryable or fatal, and retryable ones are retried up to
 :data:`~.policy.MAX_ATTEMPTS` with exponential backoff (deterministic seeded
-jitter, recorded rather than slept) under a soft per-call deadline
-(``timeout_ms``). :class:`FaultyExecutor` applies the same injector to
-the execution engine, so chaos behaviour — transient errors, timeouts,
-truncated/garbled outputs, latency spikes — is reproducible in tests and
+jitter, recorded rather than slept); a served request's deadline
+(:func:`deadline_scope`) is checked between operators, not per call.
+:class:`FaultyExecutor` applies the same injector to the execution
+engine, so chaos behaviour — transient errors, timeouts, truncated or
+garbled outputs, latency spikes — is reproducible in tests and
 benchmarks (``--faults RATE[:SEED]`` on the harness, ``make chaos-smoke``
 in CI). See DESIGN.md §6c.
 """
@@ -28,8 +29,8 @@ from .faults import (
 from .policy import (
     FAILURE_CATEGORIES,
     FATAL,
-    LLM_TIMEOUT_MS,
     RETRYABLE,
+    DeadlineExceeded,
     FatalLLMError,
     LLMTimeoutError,
     ResilienceError,
@@ -38,6 +39,7 @@ from .policy import (
     TransientLLMError,
     categorize_failure,
     classify_error,
+    deadline_scope,
     stable_unit,
 )
 from .wrapper import ResilientLLM
@@ -49,13 +51,13 @@ __all__ = [
     "FAULT_GARBLE",
     "FAULT_LATENCY",
     "FAULT_TIMEOUT",
+    "DeadlineExceeded",
     "FatalLLMError",
     "FaultConfig",
     "FaultInjector",
     "FaultyExecutor",
     "InjectedExecutionError",
     "LLMTimeoutError",
-    "LLM_TIMEOUT_MS",
     "RETRYABLE",
     "ResilienceError",
     "ResilientLLM",
@@ -64,5 +66,6 @@ __all__ = [
     "TransientLLMError",
     "categorize_failure",
     "classify_error",
+    "deadline_scope",
     "stable_unit",
 ]

@@ -1,13 +1,16 @@
-"""Retry constants, backoff and error classification.
+"""Retry constants, backoff, error classification and the request deadline.
 
-Everything here is deterministic by construction: backoff jitter comes
-from a stable hash of ``(seed, site, attempt)`` rather than a shared RNG,
-so a chaos run replays identically under any thread scheduling.
+All but the deadline is deterministic by construction: backoff jitter
+comes from a stable hash of ``(seed, site, attempt)`` rather than a
+shared RNG, so a chaos run replays identically under any scheduling.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+import time
+from contextlib import contextmanager
 
 
 def stable_unit(*parts):
@@ -39,7 +42,7 @@ class TransientLLMError(TransientError):
 
 
 class LLMTimeoutError(TransientError):
-    """A model call exceeded its soft per-call deadline."""
+    """A model call timed out (an injected ``timeout`` fault)."""
 
 
 class FatalLLMError(ResilienceError):
@@ -144,8 +147,6 @@ BACKOFF_MAX_MS = 2000.0
 #: Seeded jitter adds up to this share of the raw backoff.
 JITTER_RATIO = 0.25
 BACKOFF_SEED = 0
-#: The default soft per-call deadline (``ResilientLLM(timeout_ms=)``).
-LLM_TIMEOUT_MS = 30_000.0
 
 
 def backoff_ms(attempt, site=""):
@@ -160,3 +161,30 @@ def backoff_ms(attempt, site=""):
     )
     jitter = raw * JITTER_RATIO * stable_unit(BACKOFF_SEED, site, attempt)
     return raw + jitter
+
+
+# -- the request deadline -----------------------------------------------------
+
+
+class DeadlineExceeded(Exception):
+    """The request's deadline passed before its run finished (504)."""
+
+
+_deadline = threading.local()
+
+
+@contextmanager
+def deadline_scope(at):
+    """Run the block under the ``time.monotonic()`` deadline ``at``."""
+    outer, _deadline.at = getattr(_deadline, "at", None), at
+    try:
+        yield
+    finally:
+        _deadline.at = outer
+
+
+def check_deadline():
+    """Raise :class:`DeadlineExceeded` once this thread's deadline passed."""
+    at = getattr(_deadline, "at", None)
+    if at is not None and time.monotonic() >= at:
+        raise DeadlineExceeded("deadline passed before the run finished")

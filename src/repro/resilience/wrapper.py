@@ -1,4 +1,4 @@
-"""The one LLM wrapper: retries, the soft deadline and fault injection.
+"""The one LLM wrapper: retries and fault injection.
 
 :class:`ResilientLLM` is transparent when nothing fails — same arguments,
 same return values, attribute access (``model``, ``linking_model``...)
@@ -14,16 +14,12 @@ with what happened.
 
 from __future__ import annotations
 
-import time
-
 from ..obs.metrics import get_metrics
 from ..obs.tracing import current_span
 from .faults import FAULT_GARBLE
 from .policy import (
     FATAL,
-    LLM_TIMEOUT_MS,
     MAX_ATTEMPTS,
-    LLMTimeoutError,
     RetriesExhaustedError,
     backoff_ms,
     classify_error,
@@ -31,11 +27,10 @@ from .policy import (
 
 
 class ResilientLLM:
-    """Retry/backoff/timeout/fault-injection wrapper around an LLM."""
+    """Retry/backoff/fault-injection wrapper around an LLM."""
 
-    def __init__(self, llm, timeout_ms=LLM_TIMEOUT_MS, injector=None):
+    def __init__(self, llm, injector=None):
         self.inner = llm
-        self.timeout_ms = timeout_ms
         self.injector = injector
 
     def __getattr__(self, name):
@@ -61,7 +56,6 @@ class ResilientLLM:
         injector = self.injector
         last_error = None
         for attempt in range(1, MAX_ATTEMPTS + 1):
-            started = time.perf_counter()
             try:
                 kind = None
                 if injector is not None:
@@ -69,15 +63,6 @@ class ResilientLLM:
                 result = function(*args, **kwargs)
                 if kind == FAULT_GARBLE:
                     result = injector.garble(result)
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                if elapsed_ms > self.timeout_ms:
-                    # Soft deadline: a synchronous stack cannot preempt the
-                    # call, but a call observed past the budget is treated
-                    # exactly like one that timed out remotely.
-                    raise LLMTimeoutError(
-                        f"{site} took {elapsed_ms:.0f}ms "
-                        f"(deadline {self.timeout_ms:.0f}ms)"
-                    )
             except Exception as error:
                 if classify_error(error) is FATAL:
                     metrics.inc("resilience.fatal", operator=site)

@@ -37,13 +37,12 @@ from .middleware import (
     request_id_from_headers,
     trace_context_from_headers,
 )
-from .pool import DeadlineExceeded, PoolDraining, PoolSaturated, WorkerPool
+from .pool import PoolDraining, PoolSaturated, WorkerPool
 from .router import HTTPError, Router
 from .schemas import AskRequest, FeedbackRequest, ValidationError
 
 __all__ = [
     "AskRequest",
-    "DeadlineExceeded",
     "FeedbackRequest",
     "HTTPError",
     "HttpServer",

@@ -18,11 +18,11 @@ Responsibilities:
   429 + ``Retry-After``, draining is 503 + ``Retry-After``, a blown
   per-request deadline is 504. Introspection routes (``runs``,
   ``healthz``) answer directly on the event loop.
-* **Deadline mapping**: the server's deadline becomes the tenant
-  pipelines' ``timeout_ms`` (the soft per-call deadline of their
-  :class:`~repro.resilience.ResilientLLM`) so the resilience layer's
-  per-call budget and the request budget agree;
-  a request's own ``deadline_ms`` may only shrink the server's.
+* **One deadline per request**: the server's deadline, shrunk by the
+  request's own ``deadline_ms``, is fixed at admission. The pool stops
+  awaiting at it and the worker runs under it
+  (:func:`~repro.resilience.deadline_scope`), so the pipeline stops at
+  its next operator boundary: the slot is back within one operator.
 * **Serve-run ledger record**: benchmark traffic (requests carrying
   ``question_id``/``gold_sql``) accumulates
   :class:`~repro.bench.metrics.QuestionOutcome` entries scored exactly
@@ -46,7 +46,7 @@ from ..bench.metrics import EvaluationReport, QuestionOutcome, \
 from ..obs.metrics import get_metrics, global_snapshot
 from ..obs.telemetry import atomic_write_text, render_promtext
 from ..obs.tracing import current_trace_id, use_trace_context
-from ..resilience import LLM_TIMEOUT_MS
+from ..resilience import DeadlineExceeded, deadline_scope
 from .middleware import (
     ServeObservability,
     request_id_from_headers,
@@ -55,7 +55,6 @@ from .middleware import (
 )
 from .pool import (
     RETRY_AFTER_S,
-    DeadlineExceeded,
     PoolDraining,
     PoolSaturated,
     WorkerPool,
@@ -70,10 +69,12 @@ from .schemas import (
     feedback_response,
 )
 
-#: Default end-to-end request deadline. Matches the resilience layer's
-#: default per-call ``timeout_ms`` so a plain server preserves the batch
-#: path's retry behaviour exactly (serial/concurrent equivalence).
-DEFAULT_DEADLINE_MS = LLM_TIMEOUT_MS
+#: The serve defaults, which the CLI and ``run_loadgen`` read too.
+DEFAULT_WORKERS = 4
+DEFAULT_QUEUE_DEPTH = 8
+DEFAULT_DEADLINE_MS = 30_000.0
+DEFAULT_SLOW_MS = 5000.0
+DEFAULT_SAMPLE_EVERY = 10
 
 #: The ``/healthz`` ``tenant_detail`` keys. Each is the registry counter
 #: ``serve.tenant.<key>`` labelled by tenant, so ``/metrics`` shows the
@@ -100,25 +101,24 @@ def _request_record(tenant, result, tracer, **extra):
 class TenantState:
     """One served database: its profile, knowledge set, and pipeline."""
 
-    def __init__(self, name, profile, knowledge, timeout_ms):
+    def __init__(self, name, profile, knowledge):
         self.name = name
         self.profile = profile
         self.knowledge = knowledge
         from ..pipeline.pipeline import GenEditPipeline
 
-        self.pipeline = GenEditPipeline(
-            profile.database, knowledge, timeout_ms=timeout_ms
-        )
+        self.pipeline = GenEditPipeline(profile.database, knowledge)
 
 
 class ServeApp:
     """The GenEdit service behind :mod:`repro.serve.http`."""
 
-    def __init__(self, databases=None, seed=7, workers=4, queue_depth=8,
+    def __init__(self, databases=None, seed=7, workers=DEFAULT_WORKERS,
+                 queue_depth=DEFAULT_QUEUE_DEPTH,
                  deadline_ms=DEFAULT_DEADLINE_MS, ledger_dir=None,
                  telemetry_out=None, trace_out=None, registry=None,
                  profiles=None, workload=None, knowledge_sets=None,
-                 slow_ms=5000.0, sample_every=10):
+                 slow_ms=DEFAULT_SLOW_MS, sample_every=DEFAULT_SAMPLE_EVERY):
         self.seed = seed
         self.databases = list(databases) if databases else None
         self.deadline_ms = float(deadline_ms)
@@ -140,7 +140,6 @@ class ServeApp:
         self._request_index = {}
         self._started = False
         self._shutdown_done = False
-        self._started_at = None
         self.last_run_id = ""
         self.router = self._build_router()
 
@@ -175,13 +174,12 @@ class ServeApp:
         self.databases = names
         for name in names:
             self._tenants[name] = TenantState(
-                name, profiles[name], knowledge_sets[name], self.deadline_ms
+                name, profiles[name], knowledge_sets[name]
             )
             for key in TENANT_COUNTERS:
                 # Zero before any traffic, on /metrics as on /healthz.
                 self.registry.inc(f"serve.tenant.{key}", 0, tenant=name)
         self._started = True
-        self._started_at = time.time()
         return self
 
     def _snapshot(self):
@@ -212,10 +210,6 @@ class ServeApp:
                       "window": self.obs.store.window()},
             )
         return drained
-
-    @property
-    def draining(self):
-        return self.pool.draining
 
     # -- routing / dispatch ---------------------------------------------
 
@@ -305,17 +299,20 @@ class ServeApp:
                 429, "saturated",
                 headers={"Retry-After": str(RETRY_AFTER_S)},
             ) from None
+        deadline = time.monotonic() + deadline_s
 
         def call():
             # Worker threads have their own ambient stacks: re-enter the
-            # request's trace context here so pipeline spans opened on
-            # this thread inherit the same trace id as the span root.
-            with use_trace_context(trace_id):
+            # request's trace context (the span root's trace id) and its
+            # deadline (the pipeline's operator-boundary check) here.
+            with use_trace_context(trace_id), deadline_scope(deadline):
                 return route.handler(request=request, params=params,
                                      request_id=request_id)
 
         try:
-            return await self.pool.run(call, deadline_s=deadline_s)
+            return await self.pool.run(
+                call, deadline_s=deadline - time.monotonic()
+            )
         except DeadlineExceeded:
             self.obs.rejection("deadline")
             raise HTTPError(

@@ -34,6 +34,8 @@ import random
 import threading
 import time
 
+from .app import DEFAULT_QUEUE_DEPTH, DEFAULT_WORKERS, ServeApp
+
 #: Zipf-ish skew exponent for the default traffic mix.
 DEFAULT_SKEW = 1.2
 
@@ -317,8 +319,9 @@ def check_report(report, sweep=False, probed=False):
 
 def run_loadgen(host="127.0.0.1", port=0, databases=None, seed=7,
                 requests=50, concurrency=4, skew=DEFAULT_SKEW,
-                sweep=False, probe=False, self_serve=False, workers=4,
-                queue_depth=8, ledger_dir=None, telemetry_out=None,
+                sweep=False, probe=False, self_serve=False,
+                workers=DEFAULT_WORKERS, queue_depth=DEFAULT_QUEUE_DEPTH,
+                ledger_dir=None, telemetry_out=None,
                 workload=None, server_app=None, out=print):
     """Run one loadgen session; returns the report dict.
 
@@ -333,7 +336,6 @@ def run_loadgen(host="127.0.0.1", port=0, databases=None, seed=7,
         workload = build_workload(seed)
     server = None
     if self_serve:
-        from .app import ServeApp
         from .http import ServerThread
 
         app = server_app or ServeApp(

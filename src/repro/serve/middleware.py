@@ -178,7 +178,7 @@ class RequestStore:
     Thread-safe: every mutation runs under one lock.
     """
 
-    def __init__(self, slow_ms=5000.0, sample_every=10):
+    def __init__(self, slow_ms, sample_every):
         self.max_spans = SERVE_TRACER_SPANS
         self.slow_ms = float(slow_ms)
         self.sample_every = int(sample_every)
@@ -294,7 +294,7 @@ class RequestStore:
 class ServeObservability:
     """The metrics, tracing, logging and retention side of dispatch."""
 
-    def __init__(self, registry=None, slow_ms=5000.0, sample_every=10):
+    def __init__(self, slow_ms, sample_every, registry=None):
         self.registry = registry or get_metrics()
         self.store = RequestStore(slow_ms=slow_ms, sample_every=sample_every)
         # Every request's tracer starts from this epoch, so the store's
@@ -367,7 +367,8 @@ class ServeObservability:
             span, tracer.finished_spans(), holder["failed"],
             debug.get("detail") or dict,
         )
-        logger.info("%s", json.dumps(
-            dict(summary, event="request", ts=round(time.time(), 3)),
-            sort_keys=True, default=str,
-        ))
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s", json.dumps(
+                dict(summary, event="request", ts=round(time.time(), 3)),
+                sort_keys=True, default=str,
+            ))

@@ -10,14 +10,12 @@ visible **before** work is enqueued — a saturated pool answers 429 with
 ``Retry-After`` immediately instead of silently queueing into a latency
 cliff.
 
-Deadlines: ``run()`` awaits the worker future under ``asyncio.wait_for``.
-A blown deadline raises :class:`DeadlineExceeded` (the HTTP layer maps it
-to 504) — the worker thread itself cannot be interrupted mid-pipeline, so
-the slot is released by the future's done-callback when the pipeline
-eventually returns; the admission bound therefore still holds. The same
-deadline becomes the pipeline's ``timeout_ms`` (its
-:class:`~repro.resilience.ResilientLLM` soft per-call deadline) at app
-construction, so the per-call budget agrees with the request budget.
+Deadlines: ``run()`` awaits the worker future under ``asyncio.wait_for``
+until the request's deadline, then raises
+:class:`~repro.resilience.DeadlineExceeded` (504). The worker runs under
+the same deadline (``ServeApp._invoke``) and stops at its next operator
+boundary; the future's done-callback releases the slot when it returns,
+so the admission bound holds and the slot is back within one operator.
 """
 
 from __future__ import annotations
@@ -25,6 +23,8 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+from ..resilience import DeadlineExceeded
 
 
 #: Seconds a saturated pool's 429 asks the client to wait (``Retry-After``).
@@ -39,18 +39,10 @@ class PoolDraining(Exception):
     """Admission refused: the server is draining for shutdown (503)."""
 
 
-class DeadlineExceeded(Exception):
-    """The per-request deadline elapsed before the worker finished (504)."""
-
-    def __init__(self, deadline_s):
-        self.deadline_s = deadline_s
-        super().__init__(f"deadline of {deadline_s:.3f}s exceeded")
-
-
 class WorkerPool:
     """Fixed thread pool with explicit admission control and drain."""
 
-    def __init__(self, workers=4, queue_depth=8):
+    def __init__(self, workers, queue_depth):
         if workers <= 0:
             raise ValueError("workers must be positive")
         if queue_depth < 0:
@@ -72,11 +64,6 @@ class WorkerPool:
     def inflight(self):
         with self._lock:
             return self._inflight
-
-    @property
-    def draining(self):
-        with self._lock:
-            return self._draining
 
     def stats(self):
         with self._lock:
@@ -130,7 +117,7 @@ class WorkerPool:
             # record a handler returns with it) is dropped, and the
             # done-callback frees the slot.
             wrapped.add_done_callback(lambda f: f.exception())
-            raise DeadlineExceeded(deadline_s) from None
+            raise DeadlineExceeded(f"{deadline_s:.3f}s passed") from None
 
     def drain(self, timeout=60.0):
         """Stop admitting, wait for in-flight work, shut the pool down.

@@ -294,14 +294,16 @@ class TestStagingPipelines:
     def test_regenerate_and_regression_keep_model_and_deadline(
         self, experiment_context
     ):
+        import time
+
         from repro.llm import GPT_4O, SimulatedLLM
         from repro.pipeline import GenEditPipeline
+        from repro.resilience import deadline_scope
 
         profile = experiment_context.profiles["sports_holdings"]
         live = experiment_context.knowledge_sets["sports_holdings"].clone()
         pipeline = GenEditPipeline(
-            profile.database, live,
-            llm=SimulatedLLM(linking_model=GPT_4O), timeout_ms=1234,
+            profile.database, live, llm=SimulatedLLM(linking_model=GPT_4O),
         )
         golden = [
             GoldenQuery(entry.question, entry.sql)
@@ -318,18 +320,20 @@ class TestStagingPipelines:
         solver.stage()
         memo = profile.database.memo("generation")
         before = set(memo)
-        solver.regenerate()
-        solver.submit()
+        # Under a served request's deadline, which the key does not hold.
+        with deadline_scope(time.monotonic() + 60.0):
+            solver.regenerate()
+            solver.submit()
         staged = solver.staging_knowledge().revision
-        # (revision, config, model, linking model, timeout_ms, question)
+        # (revision, config, model, linking model, question)
         written = set(memo) - before
         assert {(key[0], key[-1]) for key in written} == {
             (staged, question),
             *((revision, query.question)
               for revision in (live.revision, staged) for query in golden),
         }
-        assert {key[2:5] for key in written} == {
-            (pipeline.llm.model, GPT_4O, 1234)
+        assert {key[2:] for key in written} == {
+            (pipeline.llm.model, GPT_4O, key[-1]) for key in written
         }
 
 

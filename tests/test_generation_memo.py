@@ -1,7 +1,7 @@
 """The generation memo: ``generate`` records, ``answer`` reuses.
 
 ``database.memo("generation")`` holds one slim entry per ``(knowledge
-revision, config, model, linking model, timeout_ms, question)``
+revision, config, model, linking model, question)``
 (DESIGN.md §6d). These tests pin what a hit returns and records, when the
 memo is bypassed, and that an entry keeps no run's working set alive.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import time
 import weakref
 
 import pytest
@@ -80,22 +81,31 @@ class TestAnswer:
         staged.delete_instruction(next(iter(staged._instructions)))
         assert not clone_pipeline.answer(QUESTION).memo_hit
 
-    def test_key_holds_config_models_and_timeout(self, deployed):
+    def test_key_holds_config_and_models(self, deployed):
         from repro.llm.interface import GPT_4O_MINI
 
         deployed.answer(QUESTION)
+        assert len(next(iter(
+            deployed.database.memo("generation")
+        ))) == 5
         others = [
             GenEditPipeline(deployed.database, deployed.knowledge,
                             config=deployed.config.without("instructions")),
             GenEditPipeline(deployed.database, deployed.knowledge,
                             llm=SimulatedLLM(model=GPT_4O_MINI)),
-            GenEditPipeline(deployed.database, deployed.knowledge,
-                            timeout_ms=deployed.timeout_ms / 2),
         ]
         assert [other.answer(QUESTION).memo_hit for other in others] == [
-            False, False, False,
+            False, False,
         ]
         assert deployed.answer(QUESTION).memo_hit
+        # A served request's deadline is not an input of the run: a
+        # pipeline answering under one hits the same entry.
+        from repro.resilience import deadline_scope
+
+        with deadline_scope(time.monotonic() + 60.0):
+            assert GenEditPipeline(
+                deployed.database, deployed.knowledge
+            ).answer(QUESTION).memo_hit
 
 
 class TestBypass:

@@ -679,6 +679,41 @@ class TestDebugEndpoints:
         assert len(probe["trace_id"]) == 32
         assert "ts" in probe and "latency_ms" in probe
 
+    def test_access_log_line_at_info(self, debug_server, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.serve"):
+            _request(debug_server, "GET", "/healthz",
+                     headers={"X-Request-Id": "log-probe-2"})
+        (line,) = [
+            record.getMessage() for record in caplog.records
+            if record.name == "repro.serve"
+            and "log-probe-2" in record.getMessage()
+        ]
+        probe = json.loads(line)
+        assert line == json.dumps(probe, sort_keys=True)
+        assert sorted(probe) == [
+            "event", "latency_ms", "method", "path", "request_id", "route",
+            "status", "tenant", "trace_id", "ts",
+        ]
+
+    def test_access_log_not_built_below_info(
+        self, debug_server, caplog, monkeypatch
+    ):
+        serialised = []
+        dumps = json.dumps
+
+        def spy(value, *args, **kwargs):
+            if isinstance(value, dict) and value.get("event") == "request":
+                serialised.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        with caplog.at_level(logging.WARNING, logger="repro.serve"):
+            status, _, _ = _request(debug_server, "GET", "/healthz",
+                                    headers={"X-Request-Id": "log-probe-3"})
+        assert status == 200
+        assert serialised == []
+        assert not [r for r in caplog.records if r.name == "repro.serve"]
+
 
 class TestLedgerTraceRoundTrip:
     def test_trace_ids_recorded_in_run_meta_not_record(

@@ -160,7 +160,7 @@ class TestWorkerPool:
         assert pool.inflight == 0
 
     def test_deadline_maps_to_exception_and_slot_still_freed(self):
-        from repro.serve import DeadlineExceeded
+        from repro.resilience import DeadlineExceeded
 
         pool = WorkerPool(workers=1, queue_depth=0)
         release = threading.Event()
@@ -599,16 +599,24 @@ def _trace_id(headers):
     return headers["traceparent"].split("-")[1]
 
 
-def _fresh_app(experiment_context, deadline_ms, **kwargs):
+def _fresh_app(experiment_context, **kwargs):
     """An app whose tenant pipelines miss the generation memo.
 
-    The memo key holds ``timeout_ms``, which the server sets from its
-    deadline: a deadline no other test serves with makes each first ask
-    run every operator, without clearing the shared database's memos
+    The memo key holds the knowledge set's revision: a set rebuilt from
+    the shared set's components has a revision of its own, so each first
+    ask runs every operator, without clearing the shared database's memos
     that other tests read warm.
     """
+    from repro.knowledge.store import KnowledgeSet
+
+    shared = experiment_context.knowledge_sets["sports_holdings"]
+    rebuilt = KnowledgeSet(shared.name).restore(shared.snapshot())
     return _make_app(
-        experiment_context, deadline_ms=deadline_ms, **kwargs
+        experiment_context,
+        knowledge_sets=dict(
+            experiment_context.knowledge_sets, sports_holdings=rebuilt,
+        ),
+        **kwargs,
     ).startup()
 
 
@@ -635,7 +643,7 @@ class TestServeTracer:
         self, experiment_context, tmp_path
     ):
         app = _fresh_app(
-            experiment_context, 31_001.0, ledger_dir=str(tmp_path / "runs")
+            experiment_context, ledger_dir=str(tmp_path / "runs")
         )
         question = experiment_context.workload.for_database(
             "sports_holdings"
@@ -666,7 +674,7 @@ class TestServeTracer:
     def test_debug_views_read_the_serve_tracer(self, experiment_context):
         from collections import Counter
 
-        app = _fresh_app(experiment_context, 31_002.0)
+        app = _fresh_app(experiment_context)
         question = experiment_context.workload.for_database(
             "sports_holdings"
         )[1]
@@ -716,6 +724,107 @@ class TestServeTracer:
         assert roots == ["serve.request"]
         names = {record["name"] for record in records}
         assert {"generate", "feedback.recommend"} <= names
+        app.shutdown()
+
+
+# -- one deadline per request ----------------------------------------------
+
+#: How long each slowed operator (or LLM call) sleeps, and the slack a
+#: loaded box gets on top of it.
+SLOWED_S = 0.2
+SLACK_S = 0.5
+
+
+def _slow_operators(pipeline, starts):
+    """Slow each operator by ``SLOWED_S`` through an instance patch of
+    ``run``, appending its name to ``starts`` as it starts."""
+    for operator in pipeline.operators:
+        def run(context, name=operator.name, original=operator.run):
+            starts.append(name)
+            time.sleep(SLOWED_S)
+            return original(context)
+
+        operator.run = run
+
+
+def _idle_after(pool, timeout_s):
+    """Seconds until ``pool`` has nothing in flight, or None past
+    ``timeout_s``."""
+    started = time.monotonic()
+    while pool.inflight:
+        if time.monotonic() - started > timeout_s:
+            return None
+        time.sleep(0.001)
+    return time.monotonic() - started
+
+
+def _ask(app, question="How many teams are there?", **extra):
+    return _dispatch_json(app, "POST", "/ask", dict(
+        question=question, tenant="sports_holdings", **extra,
+    ))
+
+
+class TestRequestDeadline:
+    """A request's deadline bounds its work: the pipeline stops at the
+    first operator boundary past it, so the worker's slot is back within
+    one operator of the 504."""
+
+    def _cut_short(self, app, **extra):
+        starts = []
+        _slow_operators(app._tenants["sports_holdings"].pipeline, starts)
+        status, _, payload = _ask(app, **extra)
+        assert status == 504
+        assert payload["error"] == "deadline exceeded"
+        held = _idle_after(app.pool, SLOWED_S + SLACK_S)
+        assert held is not None, f"slot still held; started {starts}"
+        # Only the operator running when the deadline passed started.
+        assert starts == ["reformulate"]
+        assert app.registry.counter_value(
+            "serve.rejections", reason="deadline"
+        ) == 1
+        app.shutdown()
+
+    def test_server_deadline_frees_the_slot_within_one_operator(
+        self, experiment_context
+    ):
+        self._cut_short(_make_app(
+            experiment_context, workers=1, queue_depth=0, deadline_ms=50.0,
+        ).startup())
+
+    def test_request_deadline_below_the_servers_cuts_the_run_short(
+        self, experiment_context
+    ):
+        self._cut_short(_make_app(
+            experiment_context, workers=1, queue_depth=0,
+        ).startup(), deadline_ms=50.0)
+
+    def test_cut_short_run_is_not_memoised(self, experiment_context):
+        app = _fresh_app(experiment_context, workers=1, queue_depth=0)
+        pipeline = app._tenants["sports_holdings"].pipeline
+        question = "How many teams are there?"
+        # Slow the model, not an operator: a patched operator bypasses
+        # the memo, a patched model instance does not.
+        llm = pipeline.llm.inner
+        original = llm.reformulate
+
+        def slow_reformulate(*args, **kwargs):
+            time.sleep(SLOWED_S)
+            return original(*args, **kwargs)
+
+        llm.reformulate = slow_reformulate
+        status, _, _ = _ask(app, question, deadline_ms=50.0)
+        assert status == 504
+        assert _idle_after(app.pool, SLOWED_S + SLACK_S) is not None
+        del llm.reformulate
+        memo = pipeline.database.memo("generation")
+        assert not [
+            key for key in memo if key[0] is pipeline.knowledge.revision
+        ]
+        status, headers, body = _ask(app, question)
+        assert status == 200
+        assert body["cost_usd"] > 0.0       # a memo hit calls no model
+        names = {r["name"] for r in _trace_records(app, _trace_id(headers))}
+        assert "reformulate" in names
         app.shutdown()
 
 

@@ -246,9 +246,10 @@ class TestIntrospectionRings:
         )
 
     def test_tracer_bounded_under_concurrent_adoption(self):
+        from repro.serve.app import DEFAULT_SLOW_MS
         from repro.serve.middleware import SERVE_TRACER_SPANS, RequestStore
 
-        store = RequestStore(sample_every=0)
+        store = RequestStore(slow_ms=DEFAULT_SLOW_MS, sample_every=0)
 
         def worker(index):
             for round_number in range(ROUNDS):
@@ -272,9 +273,10 @@ class TestIntrospectionRings:
                     assert span.parent_id == tree.root.span_id
 
     def test_tracer_bounded_under_concurrent_spans(self):
+        from repro.serve.app import DEFAULT_SLOW_MS
         from repro.serve.middleware import SERVE_TRACER_SPANS, RequestStore
 
-        store = RequestStore(sample_every=0)
+        store = RequestStore(slow_ms=DEFAULT_SLOW_MS, sample_every=0)
 
         def worker(index):
             for round_number in range(ROUNDS):
