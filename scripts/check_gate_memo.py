@@ -28,6 +28,13 @@ Each cold step runs after the warm one, and the warm memos are put back
 after it, so the replay's warm steps read what an unchecked replay
 reads. Exits 1 on any difference.
 
+The warm steps should also reuse work through the two memos below the
+generation memo: a staged run reads a candidate's execution verdict from
+``database.memo("verdict")`` (``verdict.memo_hits``) and a repeated search
+from its fitted state's result memo (``retrieval.memo_hits``). The script
+prints each count, summed over the warm steps only, and exits 1 when
+either is 0, since then the replay did not exercise that memo.
+
     PYTHONPATH=src python scripts/check_gate_memo.py 7 41
 """
 
@@ -47,6 +54,7 @@ from repro.feedback.regression import RegressionReport, RegressionResult
 from repro.feedback.solver import FeedbackSolver
 from repro.knowledge import KnowledgeSet
 from repro.knowledge.lint import checker
+from repro.obs.metrics import get_metrics
 from repro.pipeline.pipeline import GenEditPipeline
 from repro.sql.diagnostics import DiagnosticsEngine
 from repro.sql.diagnostics.core import error_codes
@@ -57,6 +65,12 @@ from repro.text.vectorize import TfIdfVectorizer
 
 #: The mismatch kinds, in report order.
 KINDS = ("ask", "regenerate", "gate", "regression")
+
+#: ``counts`` key -> the registry counter of a memo the warm steps read.
+WARM_HITS = {
+    "verdict_hits": "verdict.memo_hits",
+    "search_hits": "retrieval.memo_hits",
+}
 
 
 def _rebuild(knowledge):
@@ -162,13 +176,28 @@ def _cold_regression(database, live, staged, golden_queries, pipeline=None):
 def check_seed(seed, context=None):
     """Replay ``seed``'s sessions; returns ``(counts, mismatches)``.
 
-    ``counts`` maps each of :data:`KINDS` to the steps checked, and
-    ``"memo_hits"`` to the asks and regenerates answered from the memo.
-    Each mismatch line names its kind.
+    ``counts`` maps each of :data:`KINDS` to the steps checked,
+    ``"memo_hits"`` to the asks and regenerates answered from the memo,
+    and each key of :data:`WARM_HITS` to that memo's hits in the warm
+    steps. Each mismatch line names its kind.
     """
     mismatches = []
     counts = dict.fromkeys(KINDS, 0)
     counts["memo_hits"] = 0
+    counts.update(dict.fromkeys(WARM_HITS, 0))
+    metrics = get_metrics()
+
+    @contextmanager
+    def warm_step():
+        """Adds the block's memo hits to ``counts``."""
+        before = {key: metrics.counter_value(counter)
+                  for key, counter in WARM_HITS.items()}
+        try:
+            yield
+        finally:
+            for key, counter in WARM_HITS.items():
+                counts[key] += metrics.counter_value(counter) - before[key]
+
     real_gate = solver_module.run_knowledge_gate
     real_regression = solver_module.run_regression
     real_ask = FeedbackSolver.ask
@@ -185,18 +214,21 @@ def check_seed(seed, context=None):
         return warm
 
     def checked_ask(solver, question):
-        warm = real_ask(solver, question)
+        with warm_step():
+            warm = real_ask(solver, question)
         pipeline = solver.pipeline
         return compare("ask", warm, pipeline, pipeline.knowledge, question)
 
     def checked_regenerate(solver):
-        warm = real_regenerate(solver)
+        with warm_step():
+            warm = real_regenerate(solver)
         return compare("regenerate", warm, solver.pipeline,
                        solver.staging_knowledge(), solver.question)
 
     def checked_gate(database, live, staged, tracer=None):
         counts["gate"] += 1
-        warm_gate = real_gate(database, live, staged, tracer=tracer)
+        with warm_step():
+            warm_gate = real_gate(database, live, staged, tracer=tracer)
         warm = [checker.lint_knowledge(live, database),
                 checker.lint_knowledge(staged, database)]
         cold = [_cold_lint(live, database), _cold_lint(staged, database)]
@@ -219,8 +251,9 @@ def check_seed(seed, context=None):
         counts["regression"] += 1
         if baseline is not None:
             raise ValueError("the replayed sessions have no baseline record")
-        warm = real_regression(database, live, staged, golden_queries,
-                               pipeline=pipeline, tracer=tracer)
+        with warm_step():
+            warm = real_regression(database, live, staged, golden_queries,
+                                   pipeline=pipeline, tracer=tracer)
         cold = _cold_regression(database, live, staged, golden_queries,
                                 pipeline)
         if warm.results != cold.results or warm.passed != cold.passed:
@@ -254,12 +287,16 @@ def main(argv):
             kind: sum(1 for line in mismatches if f" {kind} " in line)
             for kind in KINDS
         }
-        failed = failed or bool(mismatches) or not counts["gate"]
+        failed = (failed or bool(mismatches) or not counts["gate"]
+                  or not all(counts[key] for key in WARM_HITS))
         print(f"seed {seed}: {counts['ask']} ask(s) and "
               f"{counts['regenerate']} regenerate(s), {counts['memo_hits']} "
               f"from the generation memo; {counts['gate']} submit(s); "
               + ", ".join(f"{kinds[kind]} {kind} mismatch(es)"
                           for kind in KINDS))
+        print(f"seed {seed}: warm steps read {counts['verdict_hits']} "
+              f"execution verdict(s) from the verdict memo and "
+              f"{counts['search_hits']} search(es) from the result memo")
     return 1 if failed else 0
 
 

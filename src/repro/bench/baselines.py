@@ -37,7 +37,6 @@ from ..pipeline.config import PipelineConfig
 from ..pipeline.pipeline import GenEditPipeline
 from ..pipeline.planning import PlanningOperator, build_plan_steps
 from ..pipeline.spec import (
-    FilterSpec,
     MetricSpec,
     OrderSpec,
     QuarterFilter,

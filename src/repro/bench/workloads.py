@@ -27,8 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..knowledge.mining import DomainDocument, LoggedQuery
-from ..pipeline.builders import build_sql
 from ..pipeline.spec import (
     FilterSpec,
     HavingSpec,
@@ -39,10 +37,8 @@ from ..pipeline.spec import (
     RatioDeltaSpec,
     SHAPE_RATIO_DELTA_RANK,
     SHAPE_SHARE_OF_TOTAL,
-    SHAPE_STANDARD,
     SHAPE_TOPK_BOTH_ENDS,
 )
-from .schemas import DEFAULT_SEED, build_all
 
 SIMPLE = "simple"
 MODERATE = "moderate"

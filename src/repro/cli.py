@@ -36,7 +36,6 @@ import time
 
 from .bench.bird import build_knowledge_sets, build_workload
 from .bench.schemas import DATABASE_NAMES, build_all
-from .feedback.models import SUBMISSION_PENDING_APPROVAL
 from .feedback.regression import GoldenQuery
 from .feedback.solver import FeedbackSolver
 from .knowledge.library import KnowledgeLibrary

@@ -18,7 +18,6 @@ from .expand import expand_feedback
 from .models import (
     Feedback,
     STATUS_DISMISSED,
-    STATUS_RECOMMENDED,
     STATUS_STAGED,
     SUBMISSION_PENDING_TESTS,
     Submission,

@@ -19,9 +19,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from ..engine.errors import ExecutionError
 from ..llm.interface import CallMeter
+from ..obs.metrics import get_metrics
 from ..obs.tracing import Tracer
 from ..sql.diagnostics.core import error_codes
+from ..sql.errors import SqlError
 
 
 @dataclass
@@ -104,10 +107,15 @@ class PipelineContext:
     #: Name of the required operator whose failure ended the run ("" if
     #: the run reached the final check).
     failed_operator: str = ""
-    #: ``(sql, database version)`` of the candidate self-correction last
-    #: executed cleanly, or ``None``. The final check trusts that run
-    #: instead of executing the same SQL on the same version again.
-    clean_execution: tuple = None
+    #: sql -> ``(database version, error text)``: what executing ``sql``
+    #: raised on that version in this run ("" when it ran clean). The final
+    #: check reads it instead of executing the same SQL again.
+    verdicts: dict = field(default_factory=dict)
+    #: Whether this run reads and stores execution verdicts in the
+    #: database's ``memo("verdict")`` (runs :meth:`GenEditPipeline.answer`
+    #: starts, DESIGN.md §6d); the memo is fetched at each use, so it is
+    #: always the current version's.
+    shared_verdicts: bool = False
     #: ``callable(database) -> executor`` supplied by the pipeline so
     #: fault injection covers self-correction and the final check; ``None``
     #: (standalone operator tests) falls back to a plain ``Executor``.
@@ -115,6 +123,42 @@ class PipelineContext:
 
     def add_trace(self, operator, summary, **detail):
         return self.tracer.add_event(operator, summary, detail)
+
+    def verdict(self, sql, execute):
+        """``(error text, memo hit)`` of executing ``sql`` on the current
+        database version: "" when it runs clean, else the text of the
+        :class:`~repro.sql.errors.SqlError` or
+        :class:`~repro.engine.errors.ExecutionError` it raises.
+
+        The run's own verdict for this version comes first, then, in a
+        run that shares verdicts, the database's ``memo("verdict")``
+        (``memo hit`` is true, and ``verdict.memo_hits`` counts it in the
+        registry); only then does ``execute(sql)`` run. The engine is
+        deterministic, so a verdict read back is the one an execution
+        would give. Any other exception propagates and records nothing.
+        """
+        database = self.database
+        version = database.version
+        own = self.verdicts.get(sql)
+        if own is not None and own[0] == version:
+            return own[1], False
+        # Fetched before executing, so a verdict computed while the data
+        # moves lands in the memo of the version it started on.
+        memo = database.memo("verdict") if self.shared_verdicts else None
+        text = None if memo is None else memo.get(sql)
+        hit = text is not None
+        if hit:
+            get_metrics().inc("verdict.memo_hits")
+        else:
+            try:
+                execute(sql)
+                text = ""
+            except (SqlError, ExecutionError) as error:
+                text = str(error)
+            if memo is not None:
+                memo.store(sql, text)
+        self.verdicts[sql] = (version, text)
+        return text, hit
 
     def plan_findings_for(self, sql):
         """GP findings of ``sql``'s grounding plan; the primary plan's

@@ -9,15 +9,20 @@ executed; a runtime failure is carried as context the same way, up to
 ``k`` retries. This mirrors the execution-guided retry loop the paper
 adopts from prior work, with the lint gate supplying the "perceived
 error" more cheaply and precisely than execution.
+
+An execution serves only to learn whether the candidate raises, so it
+goes through :meth:`PipelineContext.verdict`: a run that shares verdicts
+(one :meth:`GenEditPipeline.answer` starts) reads a candidate's verdict
+from the database's ``memo("verdict")`` when an earlier run executed it
+on this version, and a replayed error is handled exactly like a fresh
+one.
 """
 
 from __future__ import annotations
 
-from ..engine.errors import ExecutionError
 from ..engine.executor import Executor
 from ..obs.metrics import get_metrics
 from ..sql.diagnostics import DiagnosticsEngine
-from ..sql.errors import SqlError
 from .base import Operator
 
 
@@ -45,6 +50,11 @@ class SelfCorrectionOperator(Operator):
         )
         engine = DiagnosticsEngine(context.database)
         metrics = get_metrics()
+
+        def execute(sql):
+            with context.span("execute"):
+                executor.execute(sql)
+
         attempts = []
         # Dedupe the whole queue (preserving order): duplicate candidates
         # would burn retry budget re-linting/re-executing identical SQL.
@@ -92,14 +102,14 @@ class SelfCorrectionOperator(Operator):
                         f"Diagnostics:\n{findings}\nRegenerate the SQL.", sql,
                     )
                     continue
-                try:
-                    with context.span("execute"):
-                        executor.execute(sql)
-                except (SqlError, ExecutionError) as error:
+                error, hit = context.verdict(sql, execute)
+                if hit:
+                    attempt.set_attr("verdict.memo", "hit")
+                if error:
                     context.execution_caught += 1
                     metrics.inc("self_correct.execution_caught")
                     attempt.set_attr("outcome", "execution_caught")
-                    attempts.append((sql, str(error)))
+                    attempts.append((sql, error))
                     context.add_trace(
                         self.name,
                         f"attempt {tried} failed: {error}",
@@ -119,7 +129,6 @@ class SelfCorrectionOperator(Operator):
                 self.name,
                 f"candidate executed cleanly on attempt {tried}",
             )
-            context.clean_execution = (sql, context.database.version)
             return context
         context.attempts = attempts
         context.add_trace(

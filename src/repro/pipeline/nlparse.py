@@ -17,7 +17,7 @@ deltas, and term-metric questions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KIND_AGGREGATE = "aggregate"
 KIND_COUNT = "count"

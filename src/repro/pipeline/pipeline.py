@@ -26,7 +26,6 @@ the error text — the harness records an outcome either way.
 
 from __future__ import annotations
 
-from ..engine.errors import ExecutionError
 from ..engine.executor import Executor
 from ..llm.simulated import SimulatedLLM
 from ..obs.metrics import get_metrics
@@ -37,7 +36,6 @@ from ..resilience import (
 )
 from ..resilience.policy import check_deadline
 from ..sql.diagnostics import DiagnosticsEngine
-from ..sql.errors import SqlError
 from .base import (
     GenerationEntry,
     GenerationResult,
@@ -83,7 +81,7 @@ def _degrade_plan_lint(context):
 def _degrade_self_correct(context):
     # The generated candidate stands un-corrected; the final check still
     # decides whether the run succeeded, by executing it.
-    context.clean_execution = None
+    context.verdicts.clear()
 
 
 #: Degradation matrix: optional operators and the fallback that leaves the
@@ -192,8 +190,11 @@ class GenEditPipeline:
         and models) the result is rebuilt from the stored
         entry: no operator runs, the meter is empty, and the fresh tracer
         holds one ``generate`` span marked ``generation.memo=hit`` with the
-        stored digest trail. On a miss it is :meth:`generate`. The registry
-        counts ``generation.memo_hits``/``generation.memo_misses``.
+        stored digest trail. On a miss it is :meth:`generate`, except that
+        the run shares execution verdicts: it reads and stores them in the
+        database's ``memo("verdict")``, so a candidate an earlier answered
+        run executed on this database version is not executed again. The
+        registry counts ``generation.memo_hits``/``generation.memo_misses``.
         """
         memo = self._generation_memo()
         if memo is None:
@@ -201,7 +202,7 @@ class GenEditPipeline:
         entry = memo.get(self._memo_key(question))
         if entry is None:
             get_metrics().inc("generation.memo_misses")
-            return self.generate(question)
+            return self.generate(question, shared_verdicts=True)
         get_metrics().inc("generation.memo_hits")
         return self._replay(question, entry)
 
@@ -255,7 +256,7 @@ class GenEditPipeline:
             entry=entry,
         )
 
-    def generate(self, question):
+    def generate(self, question, *, shared_verdicts=False):
         """Generate SQL for ``question`` and return a GenerationResult.
 
         The whole run executes under a root ``generate`` span on the
@@ -273,6 +274,13 @@ class GenEditPipeline:
         memo. It only records the outcome there, for :meth:`answer`. A run
         cut short at an operator boundary past a served request's deadline
         (:class:`~repro.resilience.DeadlineExceeded`) is not recorded.
+
+        A run's execution verdicts are its own unless ``shared_verdicts``,
+        which only :meth:`answer` passes: then, where the generation memo
+        applies, it reads and stores them in the database's
+        ``memo("verdict")`` (DESIGN.md §6d). It is an argument of the run,
+        not a pipeline attribute, because serve workers share one
+        pipeline.
         """
         memo = self._generation_memo()
         key = None if memo is None else self._memo_key(question)
@@ -281,6 +289,9 @@ class GenEditPipeline:
             database=self.database,
             knowledge=self.knowledge,
             config=self.config,
+            # Shared only where the generation memo applies: never with an
+            # injector armed, whose decisions count executions.
+            shared_verdicts=shared_verdicts and memo is not None,
         )
         context.executor_factory = self._make_executor
         metrics = get_metrics()
@@ -332,7 +343,7 @@ class GenEditPipeline:
             else:
                 check_deadline()
                 with context.span("final_check") as check:
-                    success, error = self._final_check(context)
+                    success, error = self._final_check(context, check)
                     check.set_attr("success", success)
                     if error:
                         check.set_attr("error_text", error)
@@ -391,28 +402,30 @@ class GenEditPipeline:
         """
         return Executor(self.database).execute(sql)
 
-    def _final_check(self, context):
+    def _final_check(self, context, span):
         """``(success, error text)`` for the run's final SQL.
 
-        Executes ``context.sql`` unless self-correction already executed
-        that SQL cleanly on the current database version with no fault
-        injector armed (DESIGN.md §6c): the engine is deterministic, so a
-        second execution could only repeat that verdict. An armed injector
-        always executes, because its fault decisions count occurrences.
+        Reads the run's verdict for ``context.sql`` on the current
+        database version, which self-correction recorded when it executed
+        that SQL, or the shared verdict memo in a run that shares verdicts
+        (DESIGN.md §6c); executes only when neither holds it. The engine is
+        deterministic, so a second execution could only repeat that
+        verdict. An armed injector always executes, because its fault
+        decisions count occurrences.
         """
         if not context.sql:
             return False, "no SQL generated"
-        if (
-            self.fault_injector is None
-            and context.clean_execution
-            == (context.sql, context.database.version)
-        ):
-            return True, ""
-        try:
-            self._make_executor(context.database).execute(context.sql)
-        except (SqlError, ExecutionError) as error:
-            return False, str(error)
-        return True, ""
+        if self.fault_injector is not None:
+            # The run shares no verdicts with an injector armed, so
+            # without its own verdict this executes.
+            context.verdicts.pop(context.sql, None)
+        error, hit = context.verdict(
+            context.sql,
+            lambda sql: self._make_executor(context.database).execute(sql),
+        )
+        if hit:
+            span.set_attr("verdict.memo", "hit")
+        return not error, error
 
 
 def _entry(result):

@@ -19,7 +19,7 @@ pipeline recovered — the same thing BIRD's EX measures for a real LLM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

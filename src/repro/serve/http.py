@@ -19,7 +19,6 @@ import asyncio
 import json
 import threading
 
-from .router import HTTPError
 from .schemas import error_response
 
 #: Request line + headers cap (bytes) — anything longer is a 431.

@@ -84,9 +84,6 @@ class Router:
         self._routes.append(route)
         return route
 
-    def routes(self):
-        return list(self._routes)
-
     def match(self, method, path):
         """``(route, path_params)`` or an :class:`HTTPError` (404/405)."""
         segments = _split(path)

@@ -8,7 +8,8 @@ how intent-keyed retrieval composes with similarity re-ranking).
 
 Everything a refit computes lives on one :class:`FittedState`: the fitted
 vectorizer, each document's ``(vector, norm)``, the inverted index, the
-postings table and the memo of query embeddings. A refit builds a new state
+postings table, the memo of query embeddings and the memo of search
+results. A refit builds a new state
 and publishes it by a single assignment; a mutation drops it, and the
 first search after that refits. A search reads the published state once, so
 it scores against one consistent set of tables even if another thread
@@ -24,7 +25,7 @@ than once per document it occurs in.
 Clones are copy-on-write (:meth:`RetrievalIndex.clone`): a clone copies the
 id -> :class:`Document` dict and shares its parent's documents and
 published state. Nothing a refit publishes is written afterwards, except
-the state's query memo and its postings table, which are filled lazily with
+the state's two memos and its postings table, which are filled lazily with
 values every reader would compute alike. So a clone that no edit touches is
 never refit, and an edited clone refits into a state of its own from cached
 tokens: only its new documents are normalised. Each refit increments the
@@ -51,10 +52,18 @@ would, in the same order, so scores are bit-identical to
 individually the legacy way. Ranking keeps the k smallest ``(-score,
 doc_id)`` keys, so ties break by id.
 
-Each search adds ``retrieval.searches``, ``retrieval.embed_ms`` (the
-query embedding) and ``retrieval.score_ms`` (candidate pool, scoring and
-ranking) to the current span; a refit it triggers adds
-``retrieval.refit_ms`` on its own. No search opens a span.
+A search's ranking is a function of the fitted state and its ``(query
+text, k, candidates)``, so the state memoises it: a repeated search (a
+staged clone asks what its live parent already asked, on the same shared
+state) embeds and scores nothing and builds a fresh :class:`SearchHit`
+for each of the ranked ``(score, id)`` pairs. The memo holds at most
+``RESULT_MEMO_SIZE`` searches and clears whole at that size.
+
+Each search adds ``retrieval.searches`` to the current span, and either
+``retrieval.embed_ms`` (the query embedding) and ``retrieval.score_ms``
+(candidate pool, scoring and ranking), or, when the result memo answers,
+``retrieval.memo_hits``, which the registry counts too. A refit it
+triggers adds ``retrieval.refit_ms`` on its own. No search opens a span.
 """
 
 from __future__ import annotations
@@ -84,6 +93,15 @@ FALLBACK_SCAN_CAP = 512
 #: operator's wide and candidate-restricted searches), so a few entries
 #: hold nearly every reuse; the memo clears whole at this size.
 QUERY_CACHE_SIZE = 16
+
+#: Search results kept per fitted state; the memo clears whole at this
+#: size. A staged clone repeats its live parent's searches on the shared
+#: state of every index its edits leave alone, and the live set's state
+#: serves every session of a deployment. Unbounded, no state of the
+#: ``feedback_edit`` sessions of seeds 7-10 held more than 28 results,
+#: and 2,100 of their 3,920 searches were repeats; a cap of 16 reaches
+#: only 864 of seeds 7-8's 1,063 repeats. 64 is twice the largest count.
+RESULT_MEMO_SIZE = 64
 
 #: Pools of at most this many accumulating documents are scored per
 #: document; larger ones take one pass over the postings table.
@@ -128,15 +146,16 @@ class FittedState:
 
     ``vectors`` maps each doc id, in document order, to its ``(vector,
     norm)`` and ``inverted`` maps each normalised token to the ids that hold
-    it; neither is written after publication. The postings table and the
-    query memo are filled lazily. Two racing readers may both build the
-    postings, but each publishes an equal table by one assignment, so every
-    reader sees either none or a whole one.
+    it; neither is written after publication. The postings table, the
+    query memo and the result memo are filled lazily. Two racing readers
+    may both build the postings, but each publishes an equal table by one
+    assignment, so every reader sees either none or a whole one; a memo
+    entry is an immutable value every reader would compute alike.
     """
 
     __slots__ = (
         "vectorizer", "vectors", "inverted", "_postings", "_queries",
-        "fallback_warned",
+        "results", "fallback_warned",
     )
 
     def __init__(self, vectorizer, vectors, inverted):
@@ -145,6 +164,9 @@ class FittedState:
         self.inverted = inverted
         self._postings = None
         self._queries = {}
+        #: ``(query text, k, candidates tuple or None)`` -> that search's
+        #: ranking, as a tuple of doc ids and a parallel tuple of scores.
+        self.results = {}
         self.fallback_warned = False
 
     def postings(self):
@@ -164,6 +186,13 @@ class FittedState:
                         entry[1].append(weight)
             self._postings = postings
         return postings
+
+    def remember(self, key, ranking):
+        """Keep one search's ranking; clears whole at the cap."""
+        results = self.results
+        if len(results) >= RESULT_MEMO_SIZE:
+            results.clear()
+        results[key] = ranking
 
     def embed(self, query_text):
         """Memoized ``(vector, norm, term set)`` of a query."""
@@ -236,28 +265,47 @@ class RetrievalIndex:
         to re-rank the next component.
         """
         state = self._fitted()
-        started = perf_counter()
         query_text = query if not extra_text else f"{query}\n{extra_text}"
-        query_vector, query_norm, query_terms = state.embed(query_text)
-        embedded = perf_counter()
-        pool = self._candidate_pool(state, query_text, candidates, query_terms)
-        scores = _batched_scores(state, query_vector, query_norm, pool)
-        # Rank plain (−score, id) tuples and only build SearchHit objects
-        # for the k survivors — the pool is often much larger than k.
-        ranked = heapq.nsmallest(
-            k, [(-scores[doc_id], doc_id) for doc_id in pool]
-        )
+        if candidates is not None:
+            candidates = tuple(candidates)
+        key = (query_text, k, candidates)
         span = current_span()
-        if span is not None:
-            span.inc_attr("retrieval.searches", 1)
-            span.inc_attr("retrieval.embed_ms", (embedded - started) * 1000.0)
-            span.inc_attr(
-                "retrieval.score_ms", (perf_counter() - embedded) * 1000.0
+        ranking = state.results.get(key)
+        if ranking is None:
+            started = perf_counter()
+            query_vector, query_norm, query_terms = state.embed(query_text)
+            embedded = perf_counter()
+            pool = self._candidate_pool(
+                state, query_text, candidates, query_terms
             )
+            scores = _batched_scores(state, query_vector, query_norm, pool)
+            # Rank plain (−score, id) tuples: the pool is often much larger
+            # than k. The memo keeps the k survivors as two flat tuples.
+            ranked = heapq.nsmallest(
+                k, [(-scores[doc_id], doc_id) for doc_id in pool]
+            )
+            ranking = (
+                tuple([doc_id for _negated, doc_id in ranked]),
+                tuple([scores[doc_id] for _negated, doc_id in ranked]),
+            )
+            state.remember(key, ranking)
+            if span is not None:
+                span.inc_attr("retrieval.searches", 1)
+                span.inc_attr(
+                    "retrieval.embed_ms", (embedded - started) * 1000.0
+                )
+                span.inc_attr(
+                    "retrieval.score_ms", (perf_counter() - embedded) * 1000.0
+                )
+        else:
+            METRICS.inc("retrieval.memo_hits")
+            if span is not None:
+                span.inc_attr("retrieval.searches", 1)
+                span.inc_attr("retrieval.memo_hits", 1)
         documents = self._documents
         return [
-            SearchHit(doc_id, -negated, documents[doc_id])
-            for negated, doc_id in ranked
+            SearchHit(doc_id, score, documents[doc_id])
+            for doc_id, score in zip(*ranking)
         ]
 
     def vectors(self):

@@ -14,6 +14,9 @@ Invariants:
 * every answer equals a fresh pipeline's ``generate`` on a fresh
   :class:`KnowledgeSet` built from the same components in the same order,
   in SQL, success, error and operator digest trail;
+* every search an answer makes returns the hits, ids and ``float.hex``
+  scores, that the same search returns on such a fresh set's index with
+  its result memo empty (a search memo hit is never stale);
 * an edit to one set never reaches another (a clone's never reaches its
   parent, a parent's never reaches its clone);
 * two sets with the same revision hold equal components in equal order.
@@ -27,6 +30,7 @@ test in this module.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -46,6 +50,7 @@ from repro.knowledge import KnowledgeSet
 from repro.knowledge.versioning import KnowledgeSetHistory
 from repro.obs.metrics import get_metrics
 from repro.pipeline.pipeline import GenEditPipeline
+from repro.text.index import RetrievalIndex
 
 SEED = 7
 DATABASE = "energy_grid"
@@ -107,16 +112,55 @@ def outcome(result):
             result.operator_digests)
 
 
+#: The knowledge set's retrieval indexes, by attribute.
+INDEXES = ("_intent_index", "_example_index", "_instruction_index")
+
+
+def _hits(hits):
+    return [(hit.doc_id, hit.score.hex()) for hit in hits]
+
+
+@contextmanager
+def recorded_searches():
+    """Every ``RetrievalIndex.search`` in the block, as ``(index,
+    arguments, hits)`` in call order, each hit as its id and the
+    ``float.hex`` of its score."""
+    searches = []
+    real_search = RetrievalIndex.search
+
+    def search(index, query, k=10, candidates=None, extra_text=""):
+        hits = real_search(index, query, k, candidates, extra_text)
+        # A copy: callers extend the list they get back.
+        searches.append(
+            (index, (query, k, candidates, extra_text), _hits(hits))
+        )
+        return hits
+
+    RetrievalIndex.search = search
+    try:
+        yield searches
+    finally:
+        RetrievalIndex.search = real_search
+
+
 def assert_answer_is_fresh(database, knowledge, pipeline, question):
-    """``pipeline.answer(question)`` equals a cold generation; returns
-    the answer."""
-    answered = pipeline.answer(question)
-    cold = GenEditPipeline(database, fresh_copy(knowledge)).generate(
-        question
-    )
+    """``pipeline.answer(question)`` equals a cold generation, and each of
+    its searches a search on a fresh set; returns the answer."""
+    with recorded_searches() as searches:
+        answered = pipeline.answer(question)
+    fresh = fresh_copy(knowledge)
+    cold = GenEditPipeline(database, fresh).generate(question)
     assert outcome(answered) == outcome(cold), (
         "memo hit" if answered.memo_hit else "generated", question
     )
+    for index, arguments, hits in searches:
+        name = next(name for name in INDEXES
+                    if getattr(knowledge, name) is index)
+        fresh_index = getattr(fresh, name)
+        fresh_index._fitted().results.clear()
+        assert hits == _hits(fresh_index.search(*arguments)), (
+            name, arguments,
+        )
     return answered
 
 

@@ -565,6 +565,14 @@ class TestRegressionMemo:
         assert counts["memo_hits"] >= counts["ask"]
         assert grown["generation.memo_hits"] >= counts["memo_hits"]
 
+    def test_warm_steps_reuse_verdicts_and_searches(self, seed7_memo_replay):
+        # Every warm answer, regression report and gate equals its cold
+        # recomputation (no mismatch), and the warm steps read both memos.
+        counts, mismatches, _grown = seed7_memo_replay
+        assert mismatches == []
+        assert counts["verdict_hits"] > 0
+        assert counts["search_hits"] > 0
+
     def test_repeat_submit_regenerates_only_the_staged_side(self):
         from repro.obs.metrics import get_metrics
 

@@ -239,3 +239,151 @@ class TestVisibility:
         assert hit["operator_digests"] == generated["operator_digests"]
         assert hit["llm_calls"] == [] and generated["llm_calls"]
         assert any("generation memo hit" in event for event in hit["events"])
+
+
+class TestVerdictMemo:
+    """Runs that ``answer`` starts share execution verdicts through
+    ``database.memo("verdict")``; ``generate`` and armed injectors never
+    read them."""
+
+    #: Lints clean, and the engine raises on it.
+    ERRORING = "SELECT CAST('abc' AS INTEGER) FROM SPORTS_ORGS"
+
+    @pytest.fixture()
+    def database(self, experiment_context):
+        # A database of its own: the version test inserts a row.
+        from repro.bench import schemas
+
+        return schemas._BUILDERS["sports_holdings"](
+            experiment_context.seed
+        ).database
+
+    @pytest.fixture()
+    def knowledge(self, experiment_context):
+        return experiment_context.knowledge_sets["sports_holdings"].clone()
+
+    @pytest.fixture()
+    def executions(self, monkeypatch):
+        from repro.engine.executor import Executor
+
+        calls = []
+        original = Executor.execute
+
+        def counting(executor, query):
+            calls.append(query)
+            return original(executor, query)
+
+        monkeypatch.setattr(Executor, "execute", counting)
+        return calls
+
+    @pytest.fixture()
+    def erroring_first(self, monkeypatch):
+        """Generation puts :attr:`ERRORING` first in the queue, ahead of
+        the SQL it generated (patched on the class, so the memo still
+        applies)."""
+        from repro.pipeline.generation import GenerationOperator
+
+        original = GenerationOperator.run
+
+        def run(operator, context):
+            original(operator, context)
+            context.candidates = [context.sql] + list(context.candidates)
+            context.sql = self.ERRORING
+            return context
+
+        monkeypatch.setattr(GenerationOperator, "run", run)
+
+    @staticmethod
+    def _replayed(result):
+        """What a run of ``self_correct`` leaves that a reader can see."""
+        context = result.context
+        return (
+            _outcome(result),
+            context.execution_caught,
+            context.lint_caught,
+            [(call.operator, call.model, call.input_tokens,
+              call.output_tokens) for call in context.meter.calls],
+            [str(event) for event in result.trace],
+        )
+
+    def test_erroring_candidate_hit_replays_a_cold_run(
+        self, database, knowledge, executions, erroring_first
+    ):
+        metrics = get_metrics()
+        cold = GenEditPipeline(database, knowledge).generate(QUESTION)
+        assert cold.success and cold.context.execution_caught == 1
+        assert cold.context.attempts[0][0] == self.ERRORING
+        database.clear_memos()
+        pipeline = GenEditPipeline(database, knowledge)
+        pipeline.answer(QUESTION)  # a miss: executes, stores verdicts
+        database.memo("generation").clear()
+        del executions[:]
+        caught = metrics.counter_value("self_correct.execution_caught")
+        hits = metrics.counter_value("verdict.memo_hits")
+        replayed = pipeline.answer(QUESTION)
+        assert not replayed.memo_hit
+        assert executions == []
+        assert self._replayed(replayed) == self._replayed(cold)
+        assert (metrics.counter_value("self_correct.execution_caught")
+                == caught + 1)
+        assert metrics.counter_value("verdict.memo_hits") == hits + 2
+        attempts = [
+            record["attributes"] for record in replayed.trace_records()
+            if record["name"] == "attempt"
+        ]
+        assert [attempt.get("verdict.memo") for attempt in attempts] == [
+            "hit", "hit",
+        ]
+        assert [attempt["outcome"] for attempt in attempts] == [
+            "execution_caught", "ok",
+        ]
+
+    def test_armed_injector_always_executes(
+        self, database, knowledge, executions
+    ):
+        GenEditPipeline(database, knowledge).answer(QUESTION)
+        assert database.memo("verdict")
+        del executions[:]
+        faulty = GenEditPipeline(database, knowledge)
+        faulty.enable_faults(FaultConfig(rate=0.0, seed=7))
+        result = faulty.answer(QUESTION)
+        assert result.success
+        assert executions == [result.sql, result.sql]
+        # Asked to share, an armed pipeline still neither reads nor stores.
+        database.memo("verdict").clear()
+        del executions[:]
+        result = faulty.generate(QUESTION, shared_verdicts=True)
+        assert executions == [result.sql, result.sql]
+        assert database.memo("verdict") == {}
+
+    def test_a_second_generate_executes_again(
+        self, database, knowledge, executions
+    ):
+        pipeline = GenEditPipeline(database, knowledge)
+        first = pipeline.answer(QUESTION)
+        assert database.memo("verdict") == {first.sql: ""}
+        for _ in range(2):
+            del executions[:]
+            assert pipeline.generate(QUESTION).success
+            assert executions == [first.sql]
+
+    def test_version_bump_on_the_answer_path_executes_again(
+        self, database, knowledge, executions, monkeypatch
+    ):
+        from repro.pipeline.correction import SelfCorrectionOperator
+
+        original = SelfCorrectionOperator.run
+
+        def run_then_insert(operator, context):
+            original(operator, context)
+            table = context.database.tables[0]
+            table.insert(table.rows[0])
+            return context
+
+        monkeypatch.setattr(SelfCorrectionOperator, "run", run_then_insert)
+        pipeline = GenEditPipeline(database, knowledge)
+        result = pipeline.answer(QUESTION)
+        assert result.success and not result.memo_hit
+        assert executions == [result.sql, result.sql]
+        # Only the final check's verdict, stored at the new version.
+        assert database.memo("verdict") == {result.sql: ""}

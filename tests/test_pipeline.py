@@ -355,7 +355,8 @@ class TestGenerationPurity:
 
 
 class TestFinalCheck:
-    """The final check trusts self-correction's clean run, and only it."""
+    """The final check reads the run's own verdict on the current version,
+    and executes in every other case."""
 
     QUESTION = "How many sports organisations are in Canada?"
 
@@ -375,13 +376,13 @@ class TestFinalCheck:
 
     @pytest.fixture()
     def pipeline(self, experiment_context):
-        # A fresh database, so a test that inserts rows changes no other
-        # test's data.
-        from repro.bench.schemas import build_all
+        # A database of its own, so a test that inserts rows changes no
+        # other test's data: ``build_all`` shares its databases.
+        from repro.bench import schemas
 
-        database = build_all(experiment_context.seed)[
-            "sports_holdings"
-        ].database
+        database = schemas._BUILDERS["sports_holdings"](
+            experiment_context.seed
+        ).database
         knowledge = experiment_context.knowledge_sets["sports_holdings"]
         return GenEditPipeline(database, knowledge)
 
@@ -437,6 +438,25 @@ class TestFinalCheck:
         assert result.degraded_operators == ("self_correct",)
         assert result.success
         assert executions == [result.sql, result.sql]
+
+    def test_erroring_final_sql_is_not_executed_again(
+        self, pipeline, executions, monkeypatch
+    ):
+        from repro.pipeline.generation import GenerationOperator
+
+        erroring = "SELECT CAST('abc' AS INTEGER) FROM SPORTS_ORGS"
+
+        def generate_erroring(operator, context):
+            context.sql = erroring
+            context.candidates = [erroring]
+            return context
+
+        monkeypatch.setattr(GenerationOperator, "run", generate_erroring)
+        result = pipeline.generate(self.QUESTION)
+        assert not result.success
+        assert executions == [erroring]
+        assert result.context.attempts == [(erroring, result.error)]
+        assert "Cannot cast" in result.error
 
 
 class TestOperatorDigest:

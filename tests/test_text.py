@@ -492,6 +492,115 @@ class TestRetrievalIndexClone:
             sys.setswitchinterval(previous)
 
 
+def _hits(hits):
+    """Each hit's id and score, the score as its exact ``float.hex()``."""
+    return [(hit.doc_id, hit.score.hex()) for hit in hits]
+
+
+class TestSearchResultMemo:
+    """A fitted state's result memo answers repeated searches exactly as a
+    fresh index would, and never outside that state."""
+
+    @pytest.fixture()
+    def corpus(self, experiment_context):
+        knowledge = experiment_context.knowledge_sets["sports_holdings"]
+        return [(example.example_id, example.retrieval_text)
+                for example in knowledge.examples()]
+
+    @staticmethod
+    def _fresh(corpus):
+        index = RetrievalIndex()
+        for doc_id, text in corpus:
+            index.add(doc_id, text)
+        return index
+
+    def _searches(self, corpus):
+        """``(query, k, candidates, extra_text)`` tuples: wide searches,
+        and candidate-restricted ones in order, reversed and with every id
+        twice."""
+        ids = [doc_id for doc_id, _text in corpus]
+        picked = ids[::3][:12]
+        searches = []
+        for query in ("total revenue per organisation",
+                      "how many organisations are in canada",
+                      "zzz qqq"):
+            searches += [
+                (query, 10, None, ""),
+                (query, 4, None, ""),
+                (query, 5, picked, ""),
+                (query, 5, picked[::-1], ""),
+                (query, 5, picked + picked, ""),
+                (query, 3, picked, "sponsorship deal value"),
+            ]
+        return searches
+
+    def test_hits_equal_a_fresh_index(self, corpus):
+        from repro.obs.metrics import get_metrics
+
+        metrics = get_metrics()
+        index = self._fresh(corpus)
+        searches = self._searches(corpus)
+        for query, k, candidates, extra_text in searches:
+            index.search(query, k, candidates, extra_text)
+        before = metrics.counter_value("retrieval.memo_hits")
+        for query, k, candidates, extra_text in searches:
+            memoised = index.search(query, k, candidates, extra_text)
+            fresh = self._fresh(corpus).search(
+                query, k, candidates, extra_text
+            )
+            assert _hits(memoised) == _hits(fresh), (query, k, candidates)
+            assert memoised
+        assert (metrics.counter_value("retrieval.memo_hits") - before
+                == len(searches))
+
+    def test_mutating_a_returned_list_does_not_reach_the_memo(self, corpus):
+        index = self._fresh(corpus)
+        query = "total revenue per organisation"
+        first = index.search(query, k=5)
+        expected = _hits(first)
+        first.reverse()
+        first.append(first[0])
+        second = index.search(query, k=5)
+        assert _hits(second) == expected
+        second.clear()
+        assert _hits(index.search(query, k=5)) == expected
+
+    def test_edited_clone_never_reads_its_parents_results(self, corpus):
+        from repro.obs.metrics import get_metrics
+
+        metrics = get_metrics()
+        query = "total revenue per organisation"
+        parent = self._fresh(corpus)
+        parent.search(query, k=5)
+        untouched = parent.clone()
+        before = metrics.counter_value("retrieval.memo_hits")
+        untouched.search(query, k=5)
+        assert metrics.counter_value("retrieval.memo_hits") == before + 1
+        edited = parent.clone()
+        edited.add("ex-new", "total revenue per organisation per month")
+        edited.remove(corpus[0][0])
+        hits = edited.search(query, k=5)
+        assert metrics.counter_value("retrieval.memo_hits") == before + 1
+        assert hits[0].doc_id == "ex-new"
+        fresh = self._fresh(
+            corpus[1:] + [("ex-new", "total revenue per organisation per "
+                                     "month")]
+        )
+        assert _hits(hits) == _hits(fresh.search(query, k=5))
+
+    def test_a_hit_is_counted_on_the_span(self):
+        from repro.obs.tracing import Tracer
+
+        index = RetrievalIndex()
+        index.add("d1", "total revenue per organisation")
+        tracer = Tracer()
+        with tracer.span("retrieve") as span:
+            index.search("revenue", k=1)
+            index.search("revenue", k=1)
+        assert span.attributes["retrieval.searches"] == 2
+        assert span.attributes["retrieval.memo_hits"] == 1
+
+
 class TestRefitCounter:
     def test_each_refit_counted_in_registry_and_span(self):
         from repro.obs.metrics import get_metrics

@@ -429,9 +429,23 @@ class TestSiblingClones:
         """Four threads search one clone; a fifth edits a sibling clone.
 
         Both clones start from the same parent, so they share its
-        documents and its fitted state, whose postings and query memo are
-        still unbuilt. Every result must equal the serial one.
+        documents and its fitted state, whose postings, query memo and
+        result memo are still unbuilt. Every result must equal the serial
+        one.
         """
+        self._race(experiment_context)
+
+    def test_searches_race_a_clearing_result_memo(
+        self, experiment_context, monkeypatch
+    ):
+        """The same race with a result memo so small that racing searches
+        keep clearing it."""
+        from repro.text import index as index_module
+
+        monkeypatch.setattr(index_module, "RESULT_MEMO_SIZE", 2)
+        self._race(experiment_context)
+
+    def _race(self, experiment_context):
         import sys
 
         live = experiment_context.knowledge_sets["sports_holdings"]
