@@ -12,8 +12,8 @@ recomputation:
   and operator digest trail.
 * The knowledge gate runs as it does in production, with the lint memo
   warm from earlier lints. The script then lints the live and the staged
-  set again, warm, and once more cold: with the database's lint memo and
-  the ``parses`` cache cleared before every lint, and near-duplicates
+  set again, warm, and once more cold: with the database's memos and the
+  ``parses`` cache cleared before every lint, and near-duplicates
   scored on a fresh TF-IDF fit rather than the example index's vectors.
   It requires identical findings in identical order and an identical
   gate report.
@@ -29,11 +29,11 @@ after it, so the replay's warm steps read what an unchecked replay
 reads. Exits 1 on any difference.
 
 The warm steps should also reuse work through the two memos below the
-generation memo: a staged run reads a candidate's execution verdict from
-``database.memo("verdict")`` (``verdict.memo_hits``) and a repeated search
-from its fitted state's result memo (``retrieval.memo_hits``). The script
-prints each count, summed over the warm steps only, and exits 1 when
-either is 0, since then the replay did not exercise that memo.
+generation memo: a staged run reads a candidate's execution outcome from
+the database's execution memo (``execution.memo_hits``) and a repeated
+search from its fitted state's result memo (``retrieval.memo_hits``). The
+script prints each count, summed over the warm steps only, and exits 1
+when either is 0, since then the replay did not exercise that memo.
 
     PYTHONPATH=src python scripts/check_gate_memo.py 7 41
 """
@@ -68,7 +68,7 @@ KINDS = ("ask", "regenerate", "gate", "regression")
 
 #: ``counts`` key -> the registry counter of a memo the warm steps read.
 WARM_HITS = {
-    "verdict_hits": "verdict.memo_hits",
+    "execution_hits": "execution.memo_hits",
     "search_hits": "retrieval.memo_hits",
 }
 
@@ -121,12 +121,12 @@ def _fresh_example_vectors(knowledge):
 
 
 def _cold_lint(knowledge, database, value_k=5):
-    # Only the lint memo: the gate's check must not also drop the
-    # generation memo the regression reads next.
-    database.memo("knowledge_lint").clear()
+    # Every database memo, so GK005 executes each example afresh; the warm
+    # memos come back for the regression to read next.
     parses.cache_clear()
-    with mock.patch.object(KnowledgeSet, "example_vectors",
-                           _fresh_example_vectors):
+    with _memos_cleared(database), \
+            mock.patch.object(KnowledgeSet, "example_vectors",
+                              _fresh_example_vectors):
         return checker.lint_knowledge(knowledge, database, value_k)
 
 
@@ -294,8 +294,8 @@ def main(argv):
               f"from the generation memo; {counts['gate']} submit(s); "
               + ", ".join(f"{kinds[kind]} {kind} mismatch(es)"
                           for kind in KINDS))
-        print(f"seed {seed}: warm steps read {counts['verdict_hits']} "
-              f"execution verdict(s) from the verdict memo and "
+        print(f"seed {seed}: warm steps read {counts['execution_hits']} "
+              f"execution outcome(s) from the execution memo and "
               f"{counts['search_hits']} search(es) from the result memo")
     return 1 if failed else 0
 

@@ -193,7 +193,7 @@ class _ComplexityCeilingOperator(Operator):
         plan.spec = flattened
         plan.steps = build_plan_steps(flattened, use_pseudo_sql=True)
         plan.issues.append("complexity-ceiling:flattened-ratio-delta")
-        for candidate in getattr(context, "grounding_candidates", []):
+        for candidate in context.grounding_candidates:
             candidate.spec = flattened
         context.add_trace(
             self.name,

@@ -10,11 +10,12 @@ defaults to 7; ``repro --seed N bench`` sets it), returns its reports and
 prints its table to ``out`` when one is given.
 
 Evaluation runs on a fast path: :func:`~repro.bench.metrics.execution_match`
-memoizes gold result sets on each database (``database.memo("comparable")``),
-so all systems and experiments of an :class:`ExperimentContext` share
-them. :func:`evaluate_system` runs the workload on the calling thread,
-one database group after another, and reports outcomes in workload
-order. The ``profile`` target, with ``--json`` for machine-readable
+reads each statement's outcome from its database's execution memo
+(:func:`~repro.engine.executor.execution_outcome`), so all systems and
+experiments of an :class:`ExperimentContext` share the gold results, and
+a prediction the pipeline already ran is not executed again.
+:func:`evaluate_system` runs the workload on the calling thread, one
+database group after another, and reports outcomes in workload order. The ``profile`` target, with ``--json`` for machine-readable
 output, prints a span-derived profile: the measured wall clock, its
 stages, and each operator's self time. Below span level, ``python -m
 cProfile -o run.prof -m repro bench table1`` (or any other target)
@@ -560,10 +561,12 @@ def profile(context=None, limit=None, out=None, as_json=False):
     One ``profile`` root span (``wall_s``) has four stage children:
     ``build`` (databases + workload), ``mine`` (knowledge sets),
     ``generate`` (the question loop) and ``execute`` (EX checks through
-    the databases' memos); a stage the context built earlier reads near 0.
-    ``operators`` folds the pipeline runs' own spans apart from those to
-    ``{calls, self_ms, total_ms}`` per name, and ``cache`` the growth of
-    the ``eval_cache.hits``/``misses`` registry counters over the run.
+    the databases' execution memos, so mostly memo hits: self-correction
+    already ran each prediction); a stage the context built earlier reads
+    near 0. ``operators`` folds the pipeline runs' own spans apart from
+    those to ``{calls, self_ms, total_ms}`` per name, and ``cache`` the
+    growth of the ``execution.memo_hits``/``memo_misses`` registry
+    counters over the run, self-correction and the final check included.
     ``limit`` keeps the first N questions. Returns the payload (schema
     v4; v2/v3 snapshots such as ``BENCH_baseline.json`` still load),
     and prints it to ``out`` as a table, or as JSON with ``as_json``.
@@ -575,7 +578,8 @@ def profile(context=None, limit=None, out=None, as_json=False):
     metrics = get_metrics()
     lookups = ("hits", "misses")
     before = {
-        key: metrics.counter_value(f"eval_cache.{key}") for key in lookups
+        key: metrics.counter_value(f"execution.memo_{key}")
+        for key in lookups
     }
     context = context or ExperimentContext()
     tracer = Tracer()
@@ -641,7 +645,7 @@ def profile(context=None, limit=None, out=None, as_json=False):
         },
         "engine": engine_snapshot(),
         "cache": {
-            key: metrics.counter_value(f"eval_cache.{key}") - before[key]
+            key: metrics.counter_value(f"execution.memo_{key}") - before[key]
             for key in lookups
         },
         "diagnostics": {

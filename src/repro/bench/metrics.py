@@ -9,45 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..engine.errors import ExecutionError
-from ..engine.executor import Executor
-from ..obs.metrics import get_metrics
-from ..sql.errors import SqlError
+from ..engine.executor import execution_outcome
 
 
 def execution_match(database, predicted_sql, gold_sql):
     """True when ``predicted_sql`` and ``gold_sql`` agree on ``database``.
 
-    Each statement's comparable result set, or its failure, is memoised in
-    ``database.memo("comparable")`` under its text, so the gold side —
-    identical for all ~7 systems of a Table 1 run — executes once per
-    database version rather than once per system per question, and a
-    failing prediction does not re-parse and re-fail on every retry.
-    Lookups count into the ``eval_cache.hits``/``eval_cache.misses``
-    registry counters.
+    Each side is :func:`~repro.engine.executor.execution_outcome`, the
+    database's execution memo: the gold side, identical for all ~7
+    systems of a Table 1 run, executes once per database version rather
+    than once per system per question, and a prediction that
+    self-correction or the final check already ran is not executed again.
+    So ``bench profile``'s ``execute`` stage mostly reads memo hits.
     """
-    memo = database.memo("comparable")
-    ran, gold = _comparable(database, memo, gold_sql)
+    ran, gold = execution_outcome(database, gold_sql)
     if not ran:  # pragma: no cover - gold must run
         raise AssertionError(f"Gold SQL failed: {gold}\n{gold_sql}")
     if not predicted_sql:
         return False
-    ran, predicted = _comparable(database, memo, predicted_sql)
+    ran, predicted = execution_outcome(database, predicted_sql)
     return ran and predicted == gold
-
-
-def _comparable(database, memo, sql):
-    """``(True, comparable rows)`` or ``(False, error text)`` for ``sql``."""
-    entry = memo.get(sql)
-    if entry is not None:
-        get_metrics().inc("eval_cache.hits")
-        return entry
-    get_metrics().inc("eval_cache.misses")
-    try:
-        entry = (True, Executor(database).execute(sql).comparable())
-    except (SqlError, ExecutionError) as error:
-        entry = (False, str(error))
-    return memo.store(sql, entry)
 
 
 @dataclass

@@ -6,10 +6,9 @@ the executor resolves table names here, and GenEdit's pre-processing reads
 elements (augmented with top-5 frequent values per attribute, §2.1).
 
 It is also where results that hold for one database at one version are
-memoised: :meth:`Database.memo` returns a named dict (the EX check's
-``comparable`` result sets, ``knowledge_lint`` findings, ``generation``
-pipeline outcomes, ``verdict`` execution verdicts) scoped to the current
-:attr:`Database.version`.
+memoised: :meth:`Database.memo` returns a named dict (``execution``
+outcomes of statements, ``knowledge_lint`` findings, ``generation``
+pipeline outcomes) scoped to the current :attr:`Database.version`.
 A version bump drops every named memo at once, and the memos are freed
 with the database, so no module-level table keyed by database identity or
 name is needed. Reads are plain ``dict.get`` calls: entries never mutate

@@ -36,7 +36,9 @@ from functools import partial, reduce
 from operator import itemgetter
 
 from ..obs.metrics import METRICS
+from ..obs.tracing import current_span
 from ..sql import ast_nodes as ast
+from ..sql.errors import SqlError
 from ..sql.parser import parse_cached
 from ..sql.rewriter import optimize_for_execution
 from .aggregates import compute_aggregate, is_aggregate_function
@@ -732,3 +734,40 @@ def _collect_aggregates(node, out):
 def execute_sql(database, sql):
     """Convenience helper: parse and execute ``sql`` against ``database``."""
     return Executor(database).execute(sql)
+
+
+def execution_outcome(database, sql, executor=None):
+    """``(True, comparable rows)`` or ``(False, error text)`` of running
+    ``sql`` on ``database``: the one execution behind self-correction,
+    the final check, the EX check and the knowledge gate's GK005.
+
+    With no ``executor`` the outcome is memoised in the database's
+    ``memo("execution")`` under the SQL text (DESIGN.md §6d): execution
+    reads nothing else, since data and catalog are the version. The memo
+    is fetched before executing, so an outcome lands in the memo of the
+    version the execution started on. Lookups count
+    ``execution.memo_hits``/``execution.memo_misses`` in the registry,
+    and a hit adds ``execution.memo_hits`` to the current span. With an
+    ``executor`` (a fault-injecting one, whose decisions count
+    executions) the statement runs every time and no memo is read or
+    stored. Only :class:`~repro.sql.errors.SqlError` and
+    :class:`~repro.engine.errors.ExecutionError` become an outcome; any
+    other exception propagates and stores nothing.
+    """
+    memo = None
+    if executor is None:
+        memo = database.memo("execution")
+        outcome = memo.get(sql)
+        if outcome is not None:
+            METRICS.inc("execution.memo_hits")
+            span = current_span()
+            if span is not None:
+                span.inc_attr("execution.memo_hits", 1)
+            return outcome
+        METRICS.inc("execution.memo_misses")
+        executor = Executor(database)
+    try:
+        outcome = (True, executor.execute(sql).comparable())
+    except (SqlError, ExecutionError) as error:
+        outcome = (False, str(error))
+    return outcome if memo is None else memo.store(sql, outcome)

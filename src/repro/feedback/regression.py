@@ -30,7 +30,7 @@ so the many submits against one deployed set generate its "before" side
 once, and a submit generates only what its staged edits can have
 changed. Correctness is not memoised here: :func:`execution_match`
 compares the answer's SQL with the gold SQL through the database's warm
-``comparable`` memo, and the error codes are the answer's. The contract
+execution memo, and the error codes are the answer's. The contract
 is the knowledge store's: edits go through the mutators, and code that
 changes ``table.rows`` directly calls ``database.clear_memos()``. Both
 pipelines are built lazily, on the first golden query that needs them.

@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import re
 
-from ...engine.errors import ExecutionError
-from ...engine.executor import Executor
+from ...engine.executor import execution_outcome
 from ...obs.metrics import get_metrics
 from ...obs.tracing import current_span
 from ...sql.decompose import KIND_QUERY, fragment_parses
@@ -154,8 +153,9 @@ class _DatabaseChecks:
     """One lint's view of the database, with the memo of its checks.
 
     :meth:`run` returns a check's findings for one component from the
-    memo, or runs the check on a miss. The diagnostics engine and the
-    executor are built on the first miss that needs them.
+    memo, or runs the check on a miss. The diagnostics engine is built on
+    the first miss that needs it; an example's execution goes through the
+    database's execution memo.
     """
 
     def __init__(self, database, value_k, memo):
@@ -167,7 +167,6 @@ class _DatabaseChecks:
         self.hits = 0
         self.misses = 0
         self._engine = None
-        self._executor = None
         self._memo = memo
 
     @property
@@ -175,12 +174,6 @@ class _DatabaseChecks:
         if self._engine is None:
             self._engine = DiagnosticsEngine(self.database)
         return self._engine
-
-    @property
-    def executor(self):
-        if self._executor is None:
-            self._executor = Executor(self.database)
-        return self._executor
 
     def run(self, check, component):
         key = (self.value_k, id(component))
@@ -362,9 +355,8 @@ def _check_full_query_example(example, checks, findings):
             example,
         ))
         return
-    try:
-        checks.executor.execute(example.sql)
-    except (SqlError, ExecutionError) as error:
+    ran, error = execution_outcome(checks.database, example.sql)
+    if not ran:
         findings.append(GK005.at(
             f"query example fails execution: {error}", example,
         ))

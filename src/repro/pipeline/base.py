@@ -19,12 +19,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..engine.errors import ExecutionError
+from ..engine.executor import execution_outcome
 from ..llm.interface import CallMeter
-from ..obs.metrics import get_metrics
 from ..obs.tracing import Tracer
 from ..sql.diagnostics.core import error_codes
-from ..sql.errors import SqlError
 
 
 @dataclass
@@ -82,10 +80,15 @@ class PipelineContext:
     reformulated: str = ""
     intent_ids: list = field(default_factory=list)
     examples: list = field(default_factory=list)       # DecomposedExample
+    #: The whole ranked example pool, of which ``examples`` is the top k
+    #: that fit the prompt; planning reads its pattern evidence.
+    example_pool: list = field(default_factory=list)
     example_scores: dict = field(default_factory=dict)
     instructions: list = field(default_factory=list)   # Instruction
     schema_elements: list = field(default_factory=list)
     plan: Plan | None = None
+    #: The planner's groundings (primary first) that generation renders.
+    grounding_candidates: list = field(default_factory=list)
     #: GP0xx findings on the primary plan (set by the lint_plan operator).
     plan_findings: list = field(default_factory=list)
     candidates: list = field(default_factory=list)     # candidate SQL strings
@@ -107,58 +110,31 @@ class PipelineContext:
     #: Name of the required operator whose failure ended the run ("" if
     #: the run reached the final check).
     failed_operator: str = ""
-    #: sql -> ``(database version, error text)``: what executing ``sql``
-    #: raised on that version in this run ("" when it ran clean). The final
-    #: check reads it instead of executing the same SQL again.
-    verdicts: dict = field(default_factory=dict)
-    #: Whether this run reads and stores execution verdicts in the
-    #: database's ``memo("verdict")`` (runs :meth:`GenEditPipeline.answer`
-    #: starts, DESIGN.md §6d); the memo is fetched at each use, so it is
-    #: always the current version's.
-    shared_verdicts: bool = False
-    #: ``callable(database) -> executor`` supplied by the pipeline so
-    #: fault injection covers self-correction and the final check; ``None``
-    #: (standalone operator tests) falls back to a plain ``Executor``.
+    #: ``callable(database) -> executor`` that injects faults, set only
+    #: while the pipeline has a fault injector armed; ``None`` runs each
+    #: statement through the database's execution memo.
     executor_factory: object = None
 
     def add_trace(self, operator, summary, **detail):
         return self.tracer.add_event(operator, summary, detail)
 
-    def verdict(self, sql, execute):
-        """``(error text, memo hit)`` of executing ``sql`` on the current
-        database version: "" when it runs clean, else the text of the
+    def verdict(self, sql):
+        """Error text of executing ``sql`` on the current database
+        version: "" when it runs clean, else the text of the
         :class:`~repro.sql.errors.SqlError` or
         :class:`~repro.engine.errors.ExecutionError` it raises.
 
-        The run's own verdict for this version comes first, then, in a
-        run that shares verdicts, the database's ``memo("verdict")``
-        (``memo hit`` is true, and ``verdict.memo_hits`` counts it in the
-        registry); only then does ``execute(sql)`` run. The engine is
-        deterministic, so a verdict read back is the one an execution
-        would give. Any other exception propagates and records nothing.
+        Goes through :func:`~repro.engine.executor.execution_outcome`: the
+        database's execution memo, or, with :attr:`executor_factory` set,
+        a fault-injecting executor that runs every time. Any other
+        exception propagates.
         """
-        database = self.database
-        version = database.version
-        own = self.verdicts.get(sql)
-        if own is not None and own[0] == version:
-            return own[1], False
-        # Fetched before executing, so a verdict computed while the data
-        # moves lands in the memo of the version it started on.
-        memo = database.memo("verdict") if self.shared_verdicts else None
-        text = None if memo is None else memo.get(sql)
-        hit = text is not None
-        if hit:
-            get_metrics().inc("verdict.memo_hits")
-        else:
-            try:
-                execute(sql)
-                text = ""
-            except (SqlError, ExecutionError) as error:
-                text = str(error)
-            if memo is not None:
-                memo.store(sql, text)
-        self.verdicts[sql] = (version, text)
-        return text, hit
+        executor = (
+            None if self.executor_factory is None
+            else self.executor_factory(self.database)
+        )
+        ran, value = execution_outcome(self.database, sql, executor)
+        return "" if ran else value
 
     def plan_findings_for(self, sql):
         """GP findings of ``sql``'s grounding plan; the primary plan's
@@ -181,6 +157,14 @@ class Operator:
 
     #: Human-readable operator name used in traces.
     name = "operator"
+    #: The LLM the operator calls, when it takes one.
+    _llm = None
+
+    @property
+    def _model(self):
+        """The model this operator's meter records name: its LLM's, else
+        the paper's default (standalone construction)."""
+        return getattr(self._llm, "model", "gpt-4o")
 
     def run(self, context: PipelineContext):
         raise NotImplementedError

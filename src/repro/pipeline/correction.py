@@ -11,16 +11,14 @@ adopts from prior work, with the lint gate supplying the "perceived
 error" more cheaply and precisely than execution.
 
 An execution serves only to learn whether the candidate raises, so it
-goes through :meth:`PipelineContext.verdict`: a run that shares verdicts
-(one :meth:`GenEditPipeline.answer` starts) reads a candidate's verdict
-from the database's ``memo("verdict")`` when an earlier run executed it
-on this version, and a replayed error is handled exactly like a fresh
+goes through :meth:`PipelineContext.verdict`: a candidate any earlier
+execution ran on this database version is read from the database's
+execution memo, and a replayed error is handled exactly like a fresh
 one.
 """
 
 from __future__ import annotations
 
-from ..engine.executor import Executor
 from ..obs.metrics import get_metrics
 from ..sql.diagnostics import DiagnosticsEngine
 from .base import Operator
@@ -35,26 +33,10 @@ class SelfCorrectionOperator(Operator):
         # paper's default.
         self._llm = llm
 
-    @property
-    def _model(self):
-        if self._llm is not None:
-            return getattr(self._llm, "model", "gpt-4o")
-        return "gpt-4o"
-
     def run(self, context):
         config = context.config
-        make_executor = getattr(context, "executor_factory", None)
-        executor = (
-            make_executor(context.database) if make_executor
-            else Executor(context.database)
-        )
         engine = DiagnosticsEngine(context.database)
         metrics = get_metrics()
-
-        def execute(sql):
-            with context.span("execute"):
-                executor.execute(sql)
-
         attempts = []
         # Dedupe the whole queue (preserving order): duplicate candidates
         # would burn retry budget re-linting/re-executing identical SQL.
@@ -102,9 +84,8 @@ class SelfCorrectionOperator(Operator):
                         f"Diagnostics:\n{findings}\nRegenerate the SQL.", sql,
                     )
                     continue
-                error, hit = context.verdict(sql, execute)
-                if hit:
-                    attempt.set_attr("verdict.memo", "hit")
+                with context.span("execute"):
+                    error = context.verdict(sql)
                 if error:
                     context.execution_caught += 1
                     metrics.inc("self_correct.execution_caught")

@@ -26,15 +26,9 @@ class GenerationOperator(Operator):
         # records follow the pipeline's configured model.
         self._llm = llm
 
-    @property
-    def _model(self):
-        if self._llm is not None:
-            return getattr(self._llm, "model", "gpt-4o")
-        return "gpt-4o"
-
     def run(self, context):
         config = context.config
-        candidates = getattr(context, "grounding_candidates", [])
+        candidates = context.grounding_candidates
         if context.plan is None or not candidates:
             context.add_trace(self.name, "no plan available")
             context.candidates = []

@@ -78,12 +78,6 @@ def _degrade_plan_lint(context):
     context.plan_findings = []
 
 
-def _degrade_self_correct(context):
-    # The generated candidate stands un-corrected; the final check still
-    # decides whether the run succeeded, by executing it.
-    context.verdicts.clear()
-
-
 #: Degradation matrix: optional operators and the fallback that leaves the
 #: context usable when they fail. Operators absent here (schema linking,
 #: planning, generation) are required — their failure fails the run.
@@ -93,7 +87,9 @@ DEGRADATIONS = {
     "select_examples": _degrade_examples,
     "select_instructions": _degrade_instructions,
     "lint_plan": _degrade_plan_lint,
-    "self_correct": _degrade_self_correct,
+    # The generated candidate stands un-corrected; the final check still
+    # decides whether the run succeeded.
+    "self_correct": lambda context: None,
 }
 
 
@@ -151,11 +147,8 @@ class GenEditPipeline:
             self.database, knowledge, config=self.config, llm=self._base_llm,
         )
 
-    def _make_executor(self, database):
-        executor = Executor(database)
-        if self.fault_injector is not None:
-            executor = FaultyExecutor(executor, self.fault_injector)
-        return executor
+    def _faulty_executor(self, database):
+        return FaultyExecutor(Executor(database), self.fault_injector)
 
     def _generation_memo(self):
         """The database's ``memo("generation")`` when this pipeline's runs
@@ -190,10 +183,7 @@ class GenEditPipeline:
         and models) the result is rebuilt from the stored
         entry: no operator runs, the meter is empty, and the fresh tracer
         holds one ``generate`` span marked ``generation.memo=hit`` with the
-        stored digest trail. On a miss it is :meth:`generate`, except that
-        the run shares execution verdicts: it reads and stores them in the
-        database's ``memo("verdict")``, so a candidate an earlier answered
-        run executed on this database version is not executed again. The
+        stored digest trail. On a miss it is :meth:`generate`. The
         registry counts ``generation.memo_hits``/``generation.memo_misses``.
         """
         memo = self._generation_memo()
@@ -202,7 +192,7 @@ class GenEditPipeline:
         entry = memo.get(self._memo_key(question))
         if entry is None:
             get_metrics().inc("generation.memo_misses")
-            return self.generate(question, shared_verdicts=True)
+            return self.generate(question)
         get_metrics().inc("generation.memo_hits")
         return self._replay(question, entry)
 
@@ -256,7 +246,7 @@ class GenEditPipeline:
             entry=entry,
         )
 
-    def generate(self, question, *, shared_verdicts=False):
+    def generate(self, question):
         """Generate SQL for ``question`` and return a GenerationResult.
 
         The whole run executes under a root ``generate`` span on the
@@ -275,12 +265,10 @@ class GenEditPipeline:
         cut short at an operator boundary past a served request's deadline
         (:class:`~repro.resilience.DeadlineExceeded`) is not recorded.
 
-        A run's execution verdicts are its own unless ``shared_verdicts``,
-        which only :meth:`answer` passes: then, where the generation memo
-        applies, it reads and stores them in the database's
-        ``memo("verdict")`` (DESIGN.md §6d). It is an argument of the run,
-        not a pipeline attribute, because serve workers share one
-        pipeline.
+        Executions go through the database's execution memo, since an
+        outcome reads only the SQL text and the database version
+        (DESIGN.md §6d); with a fault injector armed, whose decisions
+        count executions, every execution runs.
         """
         memo = self._generation_memo()
         key = None if memo is None else self._memo_key(question)
@@ -289,11 +277,11 @@ class GenEditPipeline:
             database=self.database,
             knowledge=self.knowledge,
             config=self.config,
-            # Shared only where the generation memo applies: never with an
-            # injector armed, whose decisions count executions.
-            shared_verdicts=shared_verdicts and memo is not None,
+            executor_factory=(
+                None if self.fault_injector is None
+                else self._faulty_executor
+            ),
         )
-        context.executor_factory = self._make_executor
         metrics = get_metrics()
         with context.span(
             "generate",
@@ -343,7 +331,7 @@ class GenEditPipeline:
             else:
                 check_deadline()
                 with context.span("final_check") as check:
-                    success, error = self._final_check(context, check)
+                    success, error = self._final_check(context)
                     check.set_attr("success", success)
                     if error:
                         check.set_attr("error_text", error)
@@ -356,15 +344,6 @@ class GenEditPipeline:
                         name for name, _ in context.degraded_operators
                     ),
                 )
-            root.inc_attr("llm.cost_usd", context.meter.total_cost_usd)
-            root.inc_attr(
-                "llm.input_tokens",
-                sum(call.input_tokens for call in context.meter.calls),
-            )
-            root.inc_attr(
-                "llm.output_tokens",
-                sum(call.output_tokens for call in context.meter.calls),
-            )
         metrics.inc("pipeline.runs")
         metrics.observe("pipeline.generate_ms", root.duration_ms)
         # Per-question cost distribution — the SLO engine's cost-per-question
@@ -402,29 +381,18 @@ class GenEditPipeline:
         """
         return Executor(self.database).execute(sql)
 
-    def _final_check(self, context, span):
+    @staticmethod
+    def _final_check(context):
         """``(success, error text)`` for the run's final SQL.
 
-        Reads the run's verdict for ``context.sql`` on the current
-        database version, which self-correction recorded when it executed
-        that SQL, or the shared verdict memo in a run that shares verdicts
-        (DESIGN.md §6c); executes only when neither holds it. The engine is
-        deterministic, so a second execution could only repeat that
-        verdict. An armed injector always executes, because its fault
-        decisions count occurrences.
+        The outcome self-correction memoised when it executed that SQL on
+        the current database version is read back, since a second
+        execution could only repeat it (DESIGN.md §6c); an armed injector
+        always executes, because its fault decisions count occurrences.
         """
         if not context.sql:
             return False, "no SQL generated"
-        if self.fault_injector is not None:
-            # The run shares no verdicts with an injector armed, so
-            # without its own verdict this executes.
-            context.verdicts.pop(context.sql, None)
-        error, hit = context.verdict(
-            context.sql,
-            lambda sql: self._make_executor(context.database).execute(sql),
-        )
-        if hit:
-            span.set_attr("verdict.memo", "hit")
+        error = context.verdict(context.sql)
         return not error, error
 
 

@@ -50,7 +50,7 @@ class PlanningOperator(Operator):
             patterns=self._available_patterns(context),
             example_columns=self._example_columns(fitted.examples, config),
         )
-        parsed, candidates = self._llm.understand(
+        _, candidates = self._llm.understand(
             context.reformulated,
             grounding_input,
             meter=context.meter,
@@ -62,7 +62,6 @@ class PlanningOperator(Operator):
             steps=steps, spec=primary.spec, issues=list(primary.issues)
         )
         context.grounding_candidates = candidates
-        context.parsed_question = parsed
         if fitted.dropped:
             context.add_trace(
                 self.name,
@@ -86,7 +85,7 @@ class PlanningOperator(Operator):
         if not context.config.use_pseudo_sql:
             return set()
         patterns = set()
-        pool = getattr(context, "example_pool", None) or context.examples
+        pool = context.example_pool or context.examples
         for example in pool:
             if not example.pattern:
                 continue

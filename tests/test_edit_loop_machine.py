@@ -19,7 +19,12 @@ Invariants:
   its result memo empty (a search memo hit is never stale);
 * an edit to one set never reaches another (a clone's never reaches its
   parent, a parent's never reaches its clone);
-* two sets with the same revision hold equal components in equal order.
+* two sets with the same revision hold equal components in equal order;
+* a regression of the live set against a staged clone gives the
+  :class:`RegressionResult` list (``correct_before``, ``correct_after``,
+  ``new_error_codes``) that the same regression gives on fresh sets with
+  the database's memos cleared, so a shared execution outcome or
+  generation entry is never stale.
 
 Tier-1 runs a fixed, derandomized budget of a few seconds;
 ``REPRO_MACHINE_BUDGET=long`` (``make edit-loop-machine``, part of ``make
@@ -46,6 +51,7 @@ from hypothesis.stateful import (
 
 from repro.bench import schemas
 from repro.bench.bird import build_knowledge_sets, build_workload
+from repro.feedback.regression import GoldenQuery, run_regression
 from repro.knowledge import KnowledgeSet
 from repro.knowledge.versioning import KnowledgeSetHistory
 from repro.obs.metrics import get_metrics
@@ -67,12 +73,24 @@ def _inputs():
     if not _INPUTS:
         workload = build_workload(SEED)
         knowledge = build_knowledge_sets(workload, SEED)[DATABASE]
-        dev = [question.question for question in
-               workload.for_database(DATABASE)]
+        dev = workload.for_database(DATABASE)[:3]
         logs = [entry.question for entry in
                 workload.training_logs[DATABASE]]
-        _INPUTS["inputs"] = (knowledge, tuple(dev[:3] + logs[:1]))
+        _INPUTS["inputs"] = (
+            knowledge,
+            tuple([question.question for question in dev] + logs[:1]),
+        )
+        _INPUTS["golden"] = tuple(
+            GoldenQuery(question.question, question.gold_sql)
+            for question in dev
+        )
     return _INPUTS["inputs"]
+
+
+def _golden_queries():
+    """The pool's dev questions, with their gold SQL."""
+    _inputs()
+    return _INPUTS["golden"]
 
 
 def _private_database():
@@ -141,6 +159,30 @@ def recorded_searches():
         yield searches
     finally:
         RetrievalIndex.search = real_search
+
+
+@contextmanager
+def memos_cleared(database):
+    """``database.clear_memos()`` for the block; the warm memos come back
+    after it, so later steps read what they would have read."""
+    held = database._memos
+    database.clear_memos()
+    try:
+        yield
+    finally:
+        database._memos = held
+
+
+def assert_regression_is_fresh(database, live, staged):
+    """``run_regression`` of ``live`` against ``staged`` equals the same
+    regression on fresh sets with the database's memos cleared."""
+    golden = _golden_queries()
+    warm = run_regression(database, live, staged, golden)
+    with memos_cleared(database):
+        cold = run_regression(database, fresh_copy(live),
+                              fresh_copy(staged), golden)
+    assert warm.results == cold.results
+    return warm
 
 
 def assert_answer_is_fresh(database, knowledge, pipeline, question):
@@ -333,6 +375,12 @@ class EditLoopMachine(RuleBasedStateMachine):
                 self.questions[question % len(self.questions)],
             )
 
+    @precondition(lambda self: len(self.sets) > 1)
+    @rule(which=st.integers(0, 7))
+    def regression(self, which):
+        staged = self.sets[1 + which % (len(self.sets) - 1)]
+        assert_regression_is_fresh(self.database, self.live, staged)
+
     # -- invariants ------------------------------------------------------
 
     @invariant()
@@ -411,6 +459,20 @@ class TestMachinePieces:
         answered = assert_answer_is_fresh(database, live, pipeline,
                                           questions[1])
         assert not answered.memo_hit
+
+    def test_staged_regression_equals_a_cold_one(self):
+        base, _questions = _inputs()
+        database = _private_database()
+        live = base.clone()
+        assert_regression_is_fresh(database, live, live.clone())
+        staged = live.clone()
+        staged.delete_example(next(iter(staged._examples)))
+        metrics = get_metrics()
+        hits = metrics.counter_value("execution.memo_hits")
+        report = assert_regression_is_fresh(database, live, staged)
+        assert len(report.results) == 3
+        # The staged side reads the outcomes the live side's run left.
+        assert metrics.counter_value("execution.memo_hits") > hits
 
     def test_revert_answers_like_the_checkpoint(self):
         base, questions = _inputs()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench.harness import evaluate_system, profile
 from repro.bench.metrics import execution_match
+from repro.bench.schemas import build_all
 from repro.engine import Column, Database, ExecutionError, Executor
 from repro.llm.simulated import _token_set
 from repro.obs import get_metrics
@@ -36,8 +37,8 @@ def tiny_db():
 
 def _memo_counts():
     registry = get_metrics()
-    return (registry.counter_value("eval_cache.hits"),
-            registry.counter_value("eval_cache.misses"))
+    return (registry.counter_value("execution.memo_hits"),
+            registry.counter_value("execution.memo_misses"))
 
 
 def _fresh_match(database, predicted_sql, gold_sql):
@@ -59,7 +60,7 @@ class TestDatabaseMemo:
         from repro.knowledge import KnowledgeSet, SchemaElement
         from repro.knowledge.lint import lint_knowledge
 
-        names = ("comparable", "knowledge_lint", "generation")
+        names = ("execution", "knowledge_lint", "generation")
 
         def fill(db):
             for name in names:
@@ -78,7 +79,7 @@ class TestDatabaseMemo:
         assert held(tiny_db) == []
         # The cap clears a full memo before the next store.
         monkeypatch.setattr(database_module, "_MEMO_CAP", 2)
-        memo = tiny_db.memo("comparable")
+        memo = tiny_db.memo("execution")
         for number in range(3):
             memo.store(number, number)
         assert dict(memo) == {2: 2}
@@ -107,14 +108,14 @@ class TestDatabaseMemo:
 
 
 class TestEvaluationCache:
-    """The EX check's memo: ``database.memo("comparable")``."""
+    """The EX check reads ``database.memo("execution")``."""
 
     def test_gold_result_memoized(self, tiny_db):
         before = _memo_counts()
         sql = "SELECT A FROM T"
         assert execution_match(tiny_db, sql, sql)
         assert execution_match(tiny_db, sql, sql)
-        assert tiny_db.memo("comparable")[sql] == (True, [(1,), (2,)])
+        assert tiny_db.memo("execution")[sql] == (True, [(1,), (2,)])
         hits, misses = _memo_counts()
         assert (hits - before[0], misses - before[1]) == (3, 1)
 
@@ -123,7 +124,7 @@ class TestEvaluationCache:
         gold, bad = "SELECT A FROM T", "SELECT NOPE FROM T"
         for _ in range(2):
             assert not execution_match(tiny_db, bad, gold)
-        ran, error = tiny_db.memo("comparable")[bad]
+        ran, error = tiny_db.memo("execution")[bad]
         assert not ran and "NOPE" in error
         hits, misses = _memo_counts()
         assert (hits - before[0], misses - before[1]) == (2, 2)
@@ -141,7 +142,7 @@ class TestEvaluationCache:
         before = tiny_db.version
         tiny_db.create_table("U", [Column("C", "INTEGER", "")], rows=[(9,)])
         assert tiny_db.version > before
-        assert sql not in tiny_db.memo("comparable")
+        assert sql not in tiny_db.memo("execution")
         hits, misses = _memo_counts()
         execution_match(tiny_db, sql, sql)
         assert _memo_counts() == (hits + 1, misses + 1)
@@ -151,7 +152,7 @@ class TestEvaluationCache:
         execution_match(tiny_db, sql, sql)
         tiny_db.table("T").insert((3, "z"))
         execution_match(tiny_db, sql, sql)
-        assert list(tiny_db.memo("comparable")) == [sql]
+        assert list(tiny_db.memo("execution")) == [sql]
 
     def test_explicit_invalidate(self, tiny_db):
         sql = "SELECT A FROM T"
@@ -160,7 +161,7 @@ class TestEvaluationCache:
         tiny_db.table("T").rows.append((3, "z"))
         tiny_db.clear_memos()
         assert execution_match(tiny_db, sql, sql)
-        assert tiny_db.memo("comparable")[sql] == (True, [(1,), (2,), (3,)])
+        assert tiny_db.memo("execution")[sql] == (True, [(1,), (2,), (3,)])
 
     def test_hit_miss_counters_feed_metrics_registry(self, tiny_db):
         hits, misses = _memo_counts()
@@ -205,7 +206,7 @@ class TestEvaluationCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert [len(db.memo("comparable")) for db in databases] == (
+        assert [len(db.memo("execution")) for db in databases] == (
             [statements] * threads_n
         )
 
@@ -256,6 +257,35 @@ class TestEvaluateSystemEquivalence:
         assert after_hits > hits
 
 
+class TestOneExecutionPerStatement:
+    def test_genedit_run_executes_each_statement_once(
+        self, experiment_context, monkeypatch
+    ):
+        # Databases of its own: ``build_all`` hands every test the same
+        # ones, whose execution memos earlier tests have filled.
+        profiles = build_all.__wrapped__(experiment_context.seed)
+        calls = []
+        original = Executor.execute
+
+        def counting(executor, query):
+            calls.append((executor.database.name, query))
+            return original(executor, query)
+
+        monkeypatch.setattr(Executor, "execute", counting)
+        report = evaluate_system(
+            lambda db, ks: GenEditPipeline(db, ks),
+            experiment_context.workload,
+            profiles,
+            experiment_context.knowledge_sets,
+            "GenEdit",
+        )
+        assert len(report.outcomes) == 132
+        # Self-correction, the final check and both sides of the EX check
+        # share one outcome per (database, statement).
+        assert calls and len(calls) == len(set(calls))
+        assert report.accuracy() == pytest.approx(65.15, abs=0.005)
+
+
 class TestParseCache:
     def test_repeated_parse_shares_ast(self):
         sql = "SELECT A FROM T WHERE A > 1"
@@ -298,8 +328,8 @@ class TestParseCache:
         parse_cached(sql)
         TfIdfVectorizer().fit(["regional sales"]).transform("regional sales")
         snapshot = global_snapshot()
-        assert snapshot["counters"]["eval_cache.misses"] >= 1
-        assert not any(key.startswith("eval_cache.")
+        assert snapshot["counters"]["execution.memo_misses"] >= 1
+        assert not any(key.startswith("execution.memo_")
                        for key in snapshot["gauges"])
         assert snapshot["gauges"]["parse_cache.hits"] >= 1
         info = _terms.cache_info()

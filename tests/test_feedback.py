@@ -570,7 +570,7 @@ class TestRegressionMemo:
         # recomputation (no mismatch), and the warm steps read both memos.
         counts, mismatches, _grown = seed7_memo_replay
         assert mismatches == []
-        assert counts["verdict_hits"] > 0
+        assert counts["execution_hits"] > 0
         assert counts["search_hits"] > 0
 
     def test_repeat_submit_regenerates_only_the_staged_side(self):

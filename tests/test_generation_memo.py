@@ -242,9 +242,10 @@ class TestVisibility:
 
 
 class TestVerdictMemo:
-    """Runs that ``answer`` starts share execution verdicts through
-    ``database.memo("verdict")``; ``generate`` and armed injectors never
-    read them."""
+    """Self-correction and the final check read each statement's outcome
+    from the database's execution memo, which ``generate`` and ``answer``
+    share; an armed injector executes every time and neither reads nor
+    stores."""
 
     #: Lints clean, and the engine raises on it.
     ERRORING = "SELECT CAST('abc' AS INTEGER) FROM SPORTS_ORGS"
@@ -313,59 +314,66 @@ class TestVerdictMemo:
         cold = GenEditPipeline(database, knowledge).generate(QUESTION)
         assert cold.success and cold.context.execution_caught == 1
         assert cold.context.attempts[0][0] == self.ERRORING
-        database.clear_memos()
-        pipeline = GenEditPipeline(database, knowledge)
-        pipeline.answer(QUESTION)  # a miss: executes, stores verdicts
-        database.memo("generation").clear()
+        # Each statement once: the final check reads self-correction's.
+        assert executions == [self.ERRORING, cold.sql]
         del executions[:]
         caught = metrics.counter_value("self_correct.execution_caught")
-        hits = metrics.counter_value("verdict.memo_hits")
-        replayed = pipeline.answer(QUESTION)
+        hits = metrics.counter_value("execution.memo_hits")
+        misses = metrics.counter_value("execution.memo_misses")
+        replayed = GenEditPipeline(database, knowledge).generate(QUESTION)
         assert not replayed.memo_hit
         assert executions == []
         assert self._replayed(replayed) == self._replayed(cold)
         assert (metrics.counter_value("self_correct.execution_caught")
                 == caught + 1)
-        assert metrics.counter_value("verdict.memo_hits") == hits + 2
+        # Two attempts and the final check.
+        assert metrics.counter_value("execution.memo_hits") == hits + 3
+        assert metrics.counter_value("execution.memo_misses") == misses
+
+        def marks(result, name):
+            return [
+                record.get("attributes", {}).get("execution.memo_hits")
+                for record in result.trace_records() if record["name"] == name
+            ]
+
+        assert marks(cold, "execute") == [None, None]
+        assert marks(cold, "final_check") == [1]
+        assert marks(replayed, "execute") == [1, 1]
+        assert marks(replayed, "final_check") == [1]
         attempts = [
-            record["attributes"] for record in replayed.trace_records()
+            record["attributes"]["outcome"]
+            for record in replayed.trace_records()
             if record["name"] == "attempt"
         ]
-        assert [attempt.get("verdict.memo") for attempt in attempts] == [
-            "hit", "hit",
-        ]
-        assert [attempt["outcome"] for attempt in attempts] == [
-            "execution_caught", "ok",
-        ]
+        assert attempts == ["execution_caught", "ok"]
 
     def test_armed_injector_always_executes(
-        self, database, knowledge, executions
+        self, database, knowledge, executions, erroring_first
     ):
-        GenEditPipeline(database, knowledge).answer(QUESTION)
-        assert database.memo("verdict")
-        del executions[:]
+        GenEditPipeline(database, knowledge).generate(QUESTION)
+        held = dict(database.memo("execution"))
+        assert set(held) >= {self.ERRORING}
         faulty = GenEditPipeline(database, knowledge)
         faulty.enable_faults(FaultConfig(rate=0.0, seed=7))
-        result = faulty.answer(QUESTION)
-        assert result.success
-        assert executions == [result.sql, result.sql]
-        # Asked to share, an armed pipeline still neither reads nor stores.
-        database.memo("verdict").clear()
-        del executions[:]
-        result = faulty.generate(QUESTION, shared_verdicts=True)
-        assert executions == [result.sql, result.sql]
-        assert database.memo("verdict") == {}
+        for run in (faulty.answer, faulty.generate):
+            del executions[:]
+            result = run(QUESTION)
+            assert result.success and not result.memo_hit
+            # Every candidate, then the final SQL again.
+            assert executions == [self.ERRORING, result.sql, result.sql]
+            assert dict(database.memo("execution")) == held
 
-    def test_a_second_generate_executes_again(
+    def test_a_second_generate_reads_the_memo(
         self, database, knowledge, executions
     ):
         pipeline = GenEditPipeline(database, knowledge)
-        first = pipeline.answer(QUESTION)
-        assert database.memo("verdict") == {first.sql: ""}
+        first = pipeline.generate(QUESTION)
+        assert executions == [first.sql]
+        assert list(database.memo("execution")) == [first.sql]
         for _ in range(2):
             del executions[:]
             assert pipeline.generate(QUESTION).success
-            assert executions == [first.sql]
+            assert executions == []
 
     def test_version_bump_on_the_answer_path_executes_again(
         self, database, knowledge, executions, monkeypatch
@@ -385,5 +393,5 @@ class TestVerdictMemo:
         result = pipeline.answer(QUESTION)
         assert result.success and not result.memo_hit
         assert executions == [result.sql, result.sql]
-        # Only the final check's verdict, stored at the new version.
-        assert database.memo("verdict") == {result.sql: ""}
+        # Only the final check's outcome, stored at the new version.
+        assert list(database.memo("execution")) == [result.sql]

@@ -212,6 +212,30 @@ class TestBrokenExamples:
         ))
         assert codes(lint_knowledge(knowledge, demo_db)) == {"GK005"}
 
+    def test_gk005_reads_the_execution_memo(self, demo_db, monkeypatch):
+        from repro.engine.executor import Executor, execution_outcome
+
+        sql = "SELECT SUM(DEPT_NAME) FROM DEPT"
+        knowledge = base_knowledge()
+        knowledge.add_example(DecomposedExample(
+            "ex-exec", "Sums text.", sql, kind="query", tables=("DEPT",),
+            provenance=Provenance("query_log"),
+        ))
+        # Every query example's outcome is in the memo before the lint.
+        for example in knowledge.examples():
+            if example.kind == "query":
+                execution_outcome(demo_db, example.sql)
+        ran, error = execution_outcome(demo_db, sql)
+        assert not ran
+
+        def executed_again(executor, query):
+            raise AssertionError(f"{query!r} executed a second time")
+
+        monkeypatch.setattr(Executor, "execute", executed_again)
+        (finding,) = lint_knowledge(knowledge, demo_db)
+        assert finding.code == "GK005"
+        assert finding.message == f"query example fails execution: {error}"
+
 
 class TestDuplicatesAndContradictions:
     def test_gk006_edited_near_duplicate(self, demo_db):

@@ -355,8 +355,9 @@ class TestGenerationPurity:
 
 
 class TestFinalCheck:
-    """The final check reads the run's own verdict on the current version,
-    and executes in every other case."""
+    """The final check reads the outcome the database's execution memo
+    holds for its SQL on the current version, and executes when the
+    version moved or an injector is armed."""
 
     QUESTION = "How many sports organisations are in Canada?"
 
@@ -422,7 +423,7 @@ class TestFinalCheck:
         assert result.success
         assert executions == [result.sql, result.sql]
 
-    def test_degraded_self_correct_executes(
+    def test_degraded_self_correct_reads_the_memo(
         self, pipeline, executions, monkeypatch
     ):
         from repro.pipeline.correction import SelfCorrectionOperator
@@ -437,7 +438,8 @@ class TestFinalCheck:
         result = pipeline.generate(self.QUESTION)
         assert result.degraded_operators == ("self_correct",)
         assert result.success
-        assert executions == [result.sql, result.sql]
+        # Self-correction executed the SQL before it failed.
+        assert executions == [result.sql]
 
     def test_erroring_final_sql_is_not_executed_again(
         self, pipeline, executions, monkeypatch
@@ -495,3 +497,34 @@ class TestOperatorDigest:
         )
         # A component without its id still digests by its repr.
         assert digests(["x"], [], []) != digests(["y"], [], [])
+
+
+class TestRollupLlmColumns:
+    def test_rollup_sums_equal_the_meter(self, experiment_context):
+        # Each LLM call is counted once, on the span that made it: the
+        # columns summed over every span name are the meter's totals.
+        from repro.obs.render import rollup_spans
+
+        question = experiment_context.workload.questions[0]
+        result = GenEditPipeline(
+            experiment_context.profiles[question.database].database,
+            experiment_context.knowledge_sets[question.database],
+        ).generate(question.question)
+        calls = result.context.meter.calls
+        assert calls
+        rollup = rollup_spans(result.trace_records())
+
+        def column(key):
+            return sum(entry[key] for entry in rollup.values())
+
+        assert column("llm_calls") == len(calls)
+        assert column("input_tokens") == sum(
+            call.input_tokens for call in calls
+        )
+        assert column("output_tokens") == sum(
+            call.output_tokens for call in calls
+        )
+        assert column("cost_usd") == pytest.approx(
+            result.context.meter.total_cost_usd, rel=1e-12
+        )
+        assert rollup["generate"]["cost_usd"] == 0.0

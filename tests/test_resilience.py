@@ -470,22 +470,20 @@ class TestSelfCorrectionSatellites:
     def test_queue_dedupes_duplicate_candidates(self, demo_db, monkeypatch):
         """Duplicate candidates must not burn retry budget."""
         from repro.engine.executor import Executor
-        from repro.pipeline import correction
         from repro.pipeline.base import PipelineContext
         from repro.pipeline.config import DEFAULT_CONFIG
         from repro.pipeline.correction import SelfCorrectionOperator
 
+        # ``demo_db`` is the test's own, so its execution memo starts
+        # empty and every statement it runs reaches the engine.
         executed = []
+        original = Executor.execute
 
-        class CountingExecutor:
-            def __init__(self, database):
-                self._inner = Executor(database)
+        def counting(executor, sql):
+            executed.append(sql)
+            return original(executor, sql)
 
-            def execute(self, sql):
-                executed.append(sql)
-                return self._inner.execute(sql)
-
-        monkeypatch.setattr(correction, "Executor", CountingExecutor)
+        monkeypatch.setattr(Executor, "execute", counting)
         failing = "SELECT SUM(COUNT(*)) FROM EMP"   # lints clean, fails
         clean = "SELECT COUNT(*) FROM EMP"
         context = PipelineContext(

@@ -318,19 +318,17 @@ class TestSelfCorrectionLintGate:
     def test_error_candidate_skips_execution(self, demo_db, monkeypatch):
         """An error-level candidate is never executed; lint feeds the retry."""
         from repro.engine.executor import Executor
-        from repro.pipeline import correction
 
+        # ``demo_db`` is the test's own, so its execution memo starts
+        # empty and every statement it runs reaches the engine.
         executed = []
+        original = Executor.execute
 
-        class CountingExecutor:
-            def __init__(self, database):
-                self._inner = Executor(database)
+        def counting(executor, sql):
+            executed.append(sql)
+            return original(executor, sql)
 
-            def execute(self, sql):
-                executed.append(sql)
-                return self._inner.execute(sql)
-
-        monkeypatch.setattr(correction, "Executor", CountingExecutor)
+        monkeypatch.setattr(Executor, "execute", counting)
         bad = "SELECT EMP_NAM FROM EMP"
         clean = "SELECT EMP_NAME FROM EMP"
         context = PipelineContext(
